@@ -7,7 +7,6 @@ endpoint behavior of L^p -> L^q time-decay constants under each.
 """
 
 from .errors import (
-    ContourError,
     ConvergenceError,
     EvaluationError,
     FracHeatError,
@@ -55,7 +54,6 @@ __all__ = [
     "EvaluationError",
     "ConvergenceError",
     "UnreliableEvaluationError",
-    "ContourError",
     "QuadratureError",
     "InsufficientDataError",
     "__version__",

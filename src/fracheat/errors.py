@@ -20,10 +20,6 @@ class UnreliableEvaluationError(EvaluationError):
     """
 
 
-class ContourError(EvaluationError):
-    """The deformed integration contour passes too close to a pole."""
-
-
 class QuadratureError(FracHeatError):
     """An improper integral failed to meet its target tolerance."""
 

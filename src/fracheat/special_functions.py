@@ -1,10 +1,10 @@
 """Scalar special functions for the fractional heat propagator.
 
 Provides gamma helpers, the Mittag-Leffler function E_alpha(-x) on the
-negative real axis (series, tail-truncated asymptotic expansion, and an
-independent Hankel-contour route), and the Wright-type density M_alpha(s)
-that subordinates the fractional propagator to the classical heat
-semigroup.
+negative real axis (series, tail-truncated asymptotic expansion, and a
+batched Hankel node rule checked against them), and the Wright-type
+density M_alpha(s) that subordinates the fractional propagator to the
+classical heat semigroup.
 
 All evaluations are pure functions of their arguments; there is no global
 mutable state beyond internal memoization of immutable results.
@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, gammasgn, psi
 
-from .errors import ContourError, ConvergenceError, UnreliableEvaluationError
+from .errors import ConvergenceError, UnreliableEvaluationError
 
 __all__ = [
     "Alpha",
@@ -31,7 +31,6 @@ __all__ = [
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_neg_info",
-    "mittag_leffler_neg_many",
     "mittag_leffler_contour",
     "wright_m",
     "wright_m_info",
@@ -80,8 +79,6 @@ class EvalPolicy:
     series_max_terms: int = 200_000
     series_asymptotic_switch: float = 5.0
     asymptotic_order: int = 400
-    contour_radius: float = 8.0
-    contour_nodes: int = 600
     working_precision: str = "standard"
 
     def __post_init__(self) -> None:
@@ -89,12 +86,8 @@ class EvalPolicy:
             raise ValueError(f"unknown working_precision {self.working_precision!r}")
         if self.series_tol <= _EPS_BY_PRECISION[self.working_precision]:
             raise ValueError("series_tol must exceed the working-precision epsilon")
-        if self.contour_nodes < 16:
-            raise ValueError("contour_nodes must be at least 16")
         if self.series_max_terms < 1 or self.asymptotic_order < 1:
             raise ValueError("term budgets must be positive")
-        if self.contour_radius <= 0.0:
-            raise ValueError("contour_radius must be positive")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -184,10 +177,6 @@ def _ml_asymptotic(alpha: float, x: float, kmax: int) -> tuple[float, float]:
     return total, err
 
 
-def _ml_series_terms_log(alpha: float, x: float, ks: np.ndarray) -> np.ndarray:
-    return ks * math.log(x) - gammaln(alpha * ks + 1.0)
-
-
 def _ml_series_double(
     alpha: float, x: float, max_terms: int
 ) -> tuple[float | None, float, float]:
@@ -274,7 +263,6 @@ def _ml_neg_cached(alpha: float, x: float, tol: float, switch: float,
         if got is not None:
             return got
 
-    tol_abs = target * 0.05 / (1.0 + x)
     series = _ml_series_double(alpha, x, max_terms)
     value, err, lmax = series
     if value is not None and err <= target * abs(value) and not extended:
@@ -342,27 +330,52 @@ def mittag_leffler_neg(
     return mittag_leffler_neg_info(alpha, x, policy)[0]
 
 
-def mittag_leffler_neg_many(
-    alpha: Alpha | float, xs: np.ndarray, policy: EvalPolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """Vector convenience wrapper around the memoized scalar evaluation."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    flat = xs.ravel()
-    res = out.ravel()
-    for i, x in enumerate(flat):
-        res[i] = mittag_leffler_neg(alpha, float(x), policy)
+# Weideman & Trefethen (2007) optimal parabola for the Bromwich integral at
+# t = 1 with N midpoint nodes on theta in (-pi, pi):
+# g(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta), error ~ 2.85^-N.
+_HANKEL_NODES = 32
+
+
+@lru_cache(maxsize=64)
+def _hankel_rule(alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(g^alpha, w, 1/Gamma(1-alpha)) with
+    E_alpha(-x) = Re sum_j w_j / (g_j^alpha + x),
+    w_j = h e^{g_j} g_j^{alpha-1} g'_j / (2 pi i)."""
+    n = _HANKEL_NODES
+    theta = (2.0 * np.arange(n) - (n - 1)) * (math.pi / n)
+    g = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
+    dg = n * (0.25j - 0.2388 * theta)
+    w = np.exp(g) * g ** (alpha - 1.0) * dg / (1j * n)  # h / (2 pi i) = 1 / (i n)
+    ga = g ** alpha
+    for arr in (ga, w):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return ga, w, reciprocal_gamma(1.0 - alpha)
+
+
+def _ml_hankel(alpha: float, x: np.ndarray) -> np.ndarray:
+    """E_alpha(-x) for an array of x >= 0 and 0 < alpha < 1 by a frozen
+    32-node trapezoid rule on a Hankel parabola.
+
+    For 0 < alpha < 1, g^alpha = -x has no root on the principal sheet, so
+    one contour serves every x. Past x = 1 the rule sums
+    1/(g^alpha + x) = 1/x - g^alpha / (x (g^alpha + x)) with the exact
+    sum of the weights, 1/Gamma(1-alpha), which keeps the relative error
+    flat as E_alpha(-x) ~ 1/(x Gamma(1-alpha)). One (x.size, 32) complex
+    temporary is formed: callers block long arrays.
+    """
+    ga, w, rg = _hankel_rule(alpha)
+    x = np.asarray(x, dtype=float)
+    r = 1.0 / (ga + x[:, None])
+    out = (r @ w).real
+    far = x > 1.0
+    out[far] = (rg - (r[far] @ (w * ga)).real) / x[far]
+    out[x == 0.0] = 1.0
     return out
 
 
-def mittag_leffler_contour(
-    alpha: Alpha | float, x: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> float:
-    """E_alpha(-x) by trapezoidal quadrature of the Hankel-contour integral.
-
-    The Hankel path is concretized as the parabola gamma(u) = mu (1 + iu)^2,
-    traversed upward, on which the integrand decays like exp(mu (1 - u^2)).
-    Independent of the series/asymptotic route; used as a cross-check.
+def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
+    """E_alpha(-x) at one x > 0 by the Hankel node rule behind the direct
+    propagator. Independent of the series/asymptotic route, its reference.
     """
     a = Alpha.coerce(alpha)
     x = float(x)
@@ -370,24 +383,7 @@ def mittag_leffler_contour(
         raise ValueError(f"contour route requires x > 0, got {x}")
     if not a < 1.0:
         raise ValueError("contour route requires 0 < alpha < 1")
-    mu = policy.contour_radius
-    n = policy.contour_nodes
-    half_width = math.sqrt(1.0 + 42.0 / mu)  # integrand ~ 1e-18 at the ends
-    u = np.linspace(-half_width, half_width, n)
-    h = u[1] - u[0]
-    g = mu * (1j * u + 1.0) ** 2
-    ga = g ** a
-    denom = ga + x
-    min_gap = float(np.min(np.abs(denom)))
-    if min_gap < 1e-10 * x:
-        raise ContourError(
-            f"contour passes within {min_gap:.3e} of a pole of the integrand "
-            f"(alpha={a}, x={x}); adjust contour_radius"
-        )
-    dg = 2j * mu * (1j * u + 1.0)
-    integrand = np.exp(g) * g ** (a - 1.0) / denom * dg
-    value = (h / (2j * math.pi)) * integrand.sum()
-    return float(value.real)
+    return float(_ml_hankel(a, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

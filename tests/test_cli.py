@@ -152,6 +152,10 @@ class TestSolveAndReport:
             outs.append(json.loads(out.read_text())["records"][0])
         assert outs[0]["norm_l2"] == pytest.approx(outs[1]["norm_l2"], rel=1e-9)
 
+    def test_solve_rejects_non_finite_time(self, capsys):
+        assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
+        assert "error code=2" in capsys.readouterr().err
+
     def test_decay_compare_reports_divergence(self, tmp_path):
         out = tmp_path / "cmp.json"
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracheat.errors import InsufficientDataError
 from fracheat.pde_solver import (
@@ -12,13 +13,15 @@ from fracheat.pde_solver import (
     SolverConfig,
     caputo_l1_apply,
     caputo_residual_l1,
-    commutation_check,
     decay_measurement,
     gaussian_bump,
+    propagator_multiplier,
     read_field,
     spectral_solve,
     write_field,
 )
+from fracheat.special_functions import _WRIGHT_ALPHA_CAP, EvalPolicy, mittag_leffler_neg
+from fracheat.subordination import DEFAULT_QUAD, wright_mass_nodes
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +116,9 @@ class TestSolve:
             SolverConfig(alpha=1.0, representation="subordination")
 
     def test_rejects_negative_time(self, bump_1d):
-        with pytest.raises(ValueError):
-            spectral_solve(bump_1d, SolverConfig(alpha=0.5), -1.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                spectral_solve(bump_1d, SolverConfig(alpha=0.5), t)
 
     def test_2d_solve_runs(self):
         g = PeriodicGrid(dim=2, box_length=50.0, points_per_dim=128)
@@ -124,17 +128,46 @@ class TestSolve:
         assert out.mean() == pytest.approx(f.mean(), rel=1e-12)
 
 
-class TestCommutation:
-    def test_multiplier_commutes_with_laplacian(self, grid_1d):
-        # a wider bump keeps the spectrum band-limited on the 1024 grid
-        smooth = gaussian_bump(grid_1d, sigma=1.5)
-        assert commutation_check(smooth, SolverConfig(alpha=0.5), 1.0) < 1e-12
+class TestMultiplier:
+    @given(
+        alpha=st.floats(min_value=0.02, max_value=_WRIGHT_ALPHA_CAP),
+        log_x=st.lists(st.floats(min_value=-12.0, max_value=6.0),
+                       min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_node_rule_matches_scalar_route(self, alpha, log_x):
+        x = np.concatenate(([0.0], 10.0 ** np.array(log_x)))
+        got = propagator_multiplier(SolverConfig(alpha=alpha), 1.0, x)
+        ref = np.array([mittag_leffler_neg(alpha, float(v)) for v in x])
+        tol = 2e-12 if alpha <= 0.9 else 1e-11
+        assert np.all(np.abs(got - ref) <= tol * ref)
 
-    def test_rejects_non_band_limited_data(self, grid_1d):
-        rng = np.random.default_rng(0)
-        noisy = Field(grid_1d, rng.standard_normal(grid_1d.points_per_dim))
-        with pytest.raises(ValueError):
-            commutation_check(noisy, SolverConfig(alpha=0.5), 1.0)
+    def test_zero_mode_is_exactly_one(self):
+        g = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64)
+        for alpha in (0.3, 0.9):
+            mult = propagator_multiplier(SolverConfig(alpha=alpha), 2.0,
+                                         g.frequencies_squared())
+            assert mult[0, 0] == 1.0
+
+    @pytest.mark.parametrize("policy", [
+        EvalPolicy(working_precision="extended"),
+        EvalPolicy(series_tol=1e-13),
+    ])
+    def test_strict_policy_keeps_scalar_route(self, policy):
+        x = np.array([0.0, 0.5, 3.0, 40.0])
+        got = propagator_multiplier(SolverConfig(alpha=0.6, policy=policy), 1.0, x)
+        ref = [mittag_leffler_neg(0.6, float(v), policy) for v in x]
+        assert np.array_equal(got, ref)
+
+    def test_blocked_subordination_matches_dense(self, grid_1d):
+        # 513 distinct |xi|^2 on the 1024 grid: more than one row block
+        alpha, t = 0.6, 1.5
+        xi2 = grid_1d.frequencies_squared()
+        cfg = SolverConfig(alpha=alpha, representation="subordination")
+        got = propagator_multiplier(cfg, t, xi2)
+        nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+        dense = np.exp(-np.outer(xi2, t ** alpha * nodes)) @ mass
+        assert np.max(np.abs(got - dense)) <= 1e-15
 
 
 class TestFieldIO:
@@ -219,3 +252,6 @@ class TestDecayMeasurement:
         with pytest.raises(ValueError):
             decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
                               [2.0, 1.0, 3.0, 4.0, 5.0])
+        with pytest.raises(ValueError):
+            decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
+                              [1.0, 2.0, 3.0, 4.0, math.nan])

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfcx
 
-from fracheat.errors import ContourError
 from fracheat.special_functions import (
     Alpha,
     DEFAULT_POLICY,
