@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,8 @@ def _atomic_write(path: str, data: str) -> None:
 
 def _format_value(v):
     if isinstance(v, float):
+        if math.isnan(v):
+            raise ValueError("refusing to report a NaN value")
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return float(v)
@@ -259,19 +262,16 @@ def cmd_decay_sup(args) -> list[dict]:
     beta = args.lmbda * (1.0 / args.p - 1.0 / args.q)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"lambda*(1/p-1/q) = {beta} must lie in (0, 1]")
-    records = []
-    heat = decay_analysis.sup_heat_closed_form(beta, args.t)
-    records.append({"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
-                    "p": args.p, "q": args.q, "beta": beta, "t": args.t,
-                    "kernel": "heat", "value": heat, "method": "closed-form"})
-    ml = decay_analysis.sup_ml_numeric(args.alpha, beta, args.t, exact_kernel=True)
-    records.append({"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
-                    "p": args.p, "q": args.q, "beta": beta, "t": args.t,
-                    "kernel": "mittag-leffler", "value": ml, "method": "grid-supremum"})
-    bound = decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)
-    records.append({"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
-                    "p": args.p, "q": args.q, "beta": beta, "t": args.t,
-                    "kernel": "algebraic-bound", "value": bound, "method": "closed-form"})
+    base = {"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
+            "p": args.p, "q": args.q, "beta": beta, "t": args.t}
+    records = [
+        {**base, "kernel": "heat", "method": "closed-form",
+         "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
+        {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
+         "value": decay_analysis.sup_ml_numeric(args.alpha, beta, args.t)},
+        {**base, "kernel": "algebraic-bound", "method": "closed-form",
+         "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
+    ]
     for r in records:
         print(f"{r['kernel']}: sup = {r['value']!r} ({r['method']})")
     return records
@@ -283,12 +283,9 @@ def cmd_decay_compare(args) -> list[dict]:
         args.alpha, args.lmbda, args.p, args.q, eps)
     records = []
     for rec in report.records:
-        records.append({"command": "decay-compare", "alpha": rec.alpha,
-                        "lambda": rec.lambda_exp, "p": rec.p, "q": rec.q,
-                        "delta": rec.delta, "eps": rec.eps,
-                        "representation": rec.representation,
-                        "constant": rec.constant, "slope": rec.slope,
-                        "method": rec.method})
+        fields = asdict(rec)
+        fields["lambda"] = fields.pop("lambda_exp")
+        records.append({"command": "decay-compare", **fields})
     records.append({"command": "decay-compare", "alpha": Alpha.coerce(args.alpha),
                     "lambda": args.lmbda, "p": args.p, "q": args.q,
                     "verdict": report.verdict,

@@ -15,7 +15,7 @@ Gamma(1-beta)/Gamma(1-alpha*beta) blows up (endpoint lost).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,7 +39,8 @@ __all__ = [
     "ml_supremum_profile",
     "FitResult",
     "fit_decay_exponent",
-    "DecayExperiment",
+    "DecayResult",
+    "decay_experiment",
     "RepresentationRecord",
     "ComparisonReport",
     "compare_representations",
@@ -49,8 +50,8 @@ __all__ = [
 def sup_heat_closed_form(beta: float, t: float) -> float:
     """sup over s > 0 of s^beta exp(-t s) = (beta/t)^beta exp(-beta)."""
     beta, t = float(beta), float(t)
-    if beta <= 0.0 or t <= 0.0:
-        raise ValueError("beta and t must be positive")
+    if not (beta > 0.0 and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and t positive and finite")
     return (beta / t) ** beta * math.exp(-beta)
 
 
@@ -63,32 +64,36 @@ def sup_bound_kernel_closed_form(alpha: Alpha | float, beta: float, t: float) ->
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
-    if not 0.0 < beta <= 1.0 or t <= 0.0:
-        raise ValueError("require 0 < beta <= 1 and t > 0")
+    if not (0.0 < beta <= 1.0 and 0.0 < t < math.inf):
+        raise ValueError("require 0 < beta <= 1 and finite t > 0")
     if beta == 1.0:
         return t ** (-a)
     return (1.0 - beta) * (beta / (1.0 - beta)) ** beta * t ** (-a * beta)
 
 
-def _log_grid_sup(f, lo: float = 1e-8, hi: float = 1e8, n: int = 400) -> tuple[float, bool]:
-    """(max of f over a log grid with golden-section refinement, diverging?).
+def _log_grid_sup(f) -> float:
+    """sup over s > 0 of f(s): the maximum of f on 400 log-spaced points in
+    [1e-8, 1e8], refined by 60 golden-section steps on log s around the
+    grid argmax.
 
-    The second flag is True when the objective is still increasing at the
-    upper grid edge, i.e. the supremum is not attained in range.
+    Divergence rule: when the argmax lies among the last 3 points and the
+    positive values of the last 20 points never fall (log-differences
+    > -1e-12) and rise in total by more than 1e-4 in log, the supremum is
+    not attained in range and the result is math.inf. A flat approach to
+    a finite limit, such as the endpoint exponent of a 1/s kernel, does
+    not trip it.
     """
-    lls = np.linspace(math.log(lo), math.log(hi), n)
+    lls = np.linspace(math.log(1e-8), math.log(1e8), 400)
     vals = np.array([f(math.exp(l)) for l in lls])
     i = int(vals.argmax())
-    if i >= n - 3:
+    if i >= lls.size - 3:
         tail = vals[-20:]
-        if np.all(np.diff(tail) >= 0.0):
-            slope = (math.log(vals[-1]) - math.log(vals[-10])) / (lls[-1] - lls[-10]) \
-                if vals[-10] > 0.0 else 0.0
-            if slope > 0.02:
-                return float(vals[i]), True
-    # golden-section refinement on log-s around the grid argmax
+        tail = tail[tail > 0.0]
+        if (tail.size >= 2 and np.all(np.diff(np.log(tail)) > -1e-12)
+                and math.log(tail[-1] / tail[0]) > 1e-4):
+            return math.inf
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lls[max(i - 1, 0)], lls[min(i + 1, n - 1)]
+    a, b = lls[max(i - 1, 0)], lls[min(i + 1, lls.size - 1)]
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(math.exp(c)), f(math.exp(d))
@@ -101,23 +106,28 @@ def _log_grid_sup(f, lo: float = 1e-8, hi: float = 1e8, n: int = 400) -> tuple[f
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(math.exp(d))
-    return max(float(vals[i]), fc, fd), False
+    return max(float(vals[i]), fc, fd)
 
 
 def sup_heat_numeric(beta: float, t: float) -> float:
     """Grid-searched sup_s s^beta exp(-t s); cross-check for the closed form."""
     beta, t = float(beta), float(t)
-    if beta <= 0.0 or t <= 0.0:
-        raise ValueError("beta and t must be positive")
-    val, diverging = _log_grid_sup(lambda s: s ** beta * math.exp(-t * s))
-    if diverging:  # cannot happen for this kernel; guard anyway
-        return math.inf
-    return val
+    if not (beta > 0.0 and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and t positive and finite")
+    return _log_grid_sup(lambda s: s ** beta * math.exp(-t * s))
 
 
 @lru_cache(maxsize=4096)
 def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, tol: float) -> float:
-    """sup over u > 0 of u^beta E_alpha(-u) (exact) or u^beta/(1+u) (bound)."""
+    """sup over u > 0 of u^beta E_alpha(-u) (exact) or u^beta/(1+u) (bound).
+
+    Both kernels decay like 1/u for alpha < 1 (E_alpha(-u) ~
+    1/(u Gamma(1-alpha))), so beta > 1 is infinite analytically: the edge
+    rule of the grid search misses growth that stays below an interior
+    peak up to u = 1e8. E_1(-u) = exp(-u) keeps every supremum finite.
+    """
+    if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
+        return math.inf
     policy = EvalPolicy(series_tol=tol)
     if exact_kernel:
         def f(u: float) -> float:
@@ -125,8 +135,7 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, tol: float) -
     else:
         def f(u: float) -> float:
             return u ** beta / (1.0 + u)
-    val, diverging = _log_grid_sup(f)
-    return math.inf if diverging else val
+    return _log_grid_sup(f)
 
 
 def ml_supremum_profile(
@@ -141,7 +150,7 @@ def ml_supremum_profile(
     """
     a = Alpha.coerce(alpha)
     beta = float(beta)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     return _ml_profile_sup(a, beta, bool(exact_kernel), policy.series_tol)
 
@@ -153,12 +162,13 @@ def sup_ml_numeric(
     """sup over s > 0 of s^beta * kernel(t^alpha s) by grid search.
 
     kernel is E_alpha(-.) when exact_kernel, else the algebraic bound
-    1/(1 + .). beta > 1 makes the supremum infinite (reported as inf).
+    1/(1 + .). beta > 1 makes the supremum infinite (reported as inf),
+    except for the exact kernel at alpha = 1, exp(-.).
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
-    if beta <= 0.0 or t <= 0.0:
-        raise ValueError("beta and t must be positive")
+    if not (beta > 0.0 and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and t positive and finite")
     u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), policy.series_tol)
     if not math.isfinite(u_sup):
         return math.inf
@@ -198,68 +208,60 @@ def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> 
                      max_abs_residual=float(np.abs(resid).max()), n_points=int(t.size))
 
 
-@dataclass
-class DecayExperiment:
+@dataclass(frozen=True)
+class DecayResult:
+    fitted_exponent: float
+    constant_estimate: float
+
+
+def decay_experiment(
+    alpha: Alpha | float,
+    lambda_exp: float,
+    p: float,
+    q: float,
+    representation: str,
+    t_grid: Sequence[float],
+    quad: QuadratureSpec = DEFAULT_QUAD,
+    policy: EvalPolicy = DEFAULT_POLICY,
+) -> DecayResult:
     """One (alpha, lambda, p, q, representation) decay run over a time grid.
 
-    For the subordination representation the endpoint restriction
-    lambda * (1/p - 1/q) < 1 is enforced at construction: the
-    subordination constant does not exist at or past the endpoint.
+    Fits the log-log slope of the decay constant sup_s s^beta K(t, s),
+    beta = lambda (1/p - 1/q), over t_grid and reports the largest
+    compensated value t^{alpha beta} sup. The subordination representation
+    is refused at lambda * (1/p - 1/q) >= 1: its constant does not exist
+    at or past the endpoint.
     """
-
-    alpha: Alpha
-    lambda_exp: float
-    p: float
-    q: float
-    representation: str  # direct_ml | subordination
-    t_grid: tuple[float, ...]
-    quad: QuadratureSpec = DEFAULT_QUAD
-    policy: EvalPolicy = DEFAULT_POLICY
-    fitted_exponent: float | None = field(default=None, init=False)
-    constant_estimate: float | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.alpha, Alpha):
-            self.alpha = Alpha(float(self.alpha))
-        if self.representation not in ("direct_ml", "subordination"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if not (1.0 < self.p <= 2.0 <= self.q < math.inf):
-            raise ValueError("require 1 < p <= 2 <= q < inf")
-        d = self.delta
-        if not 0.0 < d <= 0.5:
-            raise ValueError("require 0 < 1/p - 1/q <= 1/2")
-        if self.lambda_exp <= 0.0:
-            raise ValueError("lambda_exp must be positive")
-        if self.lambda_exp * d > 1.0:
-            raise ValueError("lambda * (1/p - 1/q) must not exceed 1")
-        if self.representation == "subordination" and self.lambda_exp * d >= 1.0:
-            raise ValueError(
-                "subordination representation requires lambda * (1/p - 1/q) < 1: "
-                "its decay constant diverges at the endpoint"
-            )
-        t = tuple(float(x) for x in self.t_grid)
-        if len(t) < 5 or any(b <= a for a, b in zip(t[:-1], t[1:])) or t[0] <= 0.0:
-            raise ValueError("t_grid must be >= 5 ascending positive times")
-        self.t_grid = t
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.p - 1.0 / self.q
-
-    def run(self) -> "DecayExperiment":
-        a = self.alpha.value
-        beta = self.lambda_exp * self.delta
-        ts = np.asarray(self.t_grid)
-        if self.representation == "direct_ml":
-            ys = np.array([sup_ml_numeric(a, beta, t, exact_kernel=True,
-                                          policy=self.policy) for t in ts])
-        else:
-            const = subordination_constant(a, beta, self.quad)
-            ys = const * ts ** (-a * beta)
-        fit = fit_decay_exponent(ts, ys)
-        self.fitted_exponent = fit.slope
-        self.constant_estimate = float((ts ** (a * beta) * ys).max())
-        return self
+    a = Alpha.coerce(alpha)
+    if representation not in ("direct_ml", "subordination"):
+        raise ValueError(f"unknown representation {representation!r}")
+    if not (1.0 < p <= 2.0 <= q < math.inf):
+        raise ValueError("require 1 < p <= 2 <= q < inf")
+    delta = 1.0 / p - 1.0 / q
+    if not 0.0 < delta <= 0.5:
+        raise ValueError("require 0 < 1/p - 1/q <= 1/2")
+    if not lambda_exp > 0.0:
+        raise ValueError("lambda_exp must be positive")
+    beta = lambda_exp * delta
+    if beta > 1.0:
+        raise ValueError("lambda * (1/p - 1/q) must not exceed 1")
+    if representation == "subordination" and beta >= 1.0:
+        raise ValueError(
+            "subordination representation requires lambda * (1/p - 1/q) < 1: "
+            "its decay constant diverges at the endpoint"
+        )
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.size < 5 or np.any(np.diff(ts) <= 0.0) or ts[0] <= 0.0:
+        raise ValueError("t_grid must be >= 5 ascending positive times")
+    if representation == "direct_ml":
+        ys = np.array([sup_ml_numeric(a, beta, t, exact_kernel=True, policy=policy)
+                       for t in ts])
+    else:
+        ys = subordination_constant(a, beta, quad) * ts ** (-a * beta)
+    return DecayResult(
+        fitted_exponent=fit_decay_exponent(ts, ys).slope,
+        constant_estimate=float((ts ** (a * beta) * ys).max()),
+    )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from scipy.special import gamma as _gamma
 
 from .errors import InsufficientDataError
 from .special_functions import (
-    Alpha, EvalPolicy, DEFAULT_POLICY, _WRIGHT_ALPHA_CAP, _ml_hankel,
+    Alpha, EvalPolicy, DEFAULT_POLICY, _HANKEL_ALPHA_CAP, _ml_hankel,
     mittag_leffler_neg,
 )
 from .subordination import QuadratureSpec, DEFAULT_QUAD, wright_mass_nodes
@@ -159,7 +159,6 @@ class SolverConfig:
     representation: str = "direct_ml"  # direct_ml | subordination
     quad: QuadratureSpec = DEFAULT_QUAD
     policy: EvalPolicy = DEFAULT_POLICY
-    time_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.alpha, Alpha):
@@ -168,10 +167,6 @@ class SolverConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.representation == "subordination" and not self.alpha.value < 1.0:
             raise ValueError("subordination representation requires alpha < 1")
-        tp = tuple(float(t) for t in self.time_points)
-        if any(b <= a for a, b in zip(tp[:-1], tp[1:])) or any(t < 0.0 for t in tp):
-            raise ValueError("time_points must be sorted ascending and nonnegative")
-        object.__setattr__(self, "time_points", tp)
 
 
 # modes per block of the multiplier matvec: bounds each (modes x nodes)
@@ -192,8 +187,9 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     sums over fixed nodes, applied as one matvec in row blocks: the
     subordination route over the Wright mass table, the direct route over
     the Hankel node rule. The node rule serves the default precision
-    (standard, series_tol >= 1e-12, alpha up to the Wright cap); a stricter
-    policy, or alpha closer to 1, takes the scalar Mittag-Leffler route.
+    (standard, series_tol >= 1e-12, alpha up to the rule's own cap, where
+    it meets 1e-12); a stricter policy, or alpha closer to 1, takes the
+    scalar Mittag-Leffler route.
     """
     a = cfg.alpha.value
     if t == 0.0:
@@ -207,7 +203,7 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
         vals = _blocked(lambda u: np.exp(np.outer(-u, nodes)) @ mass, x)
     elif a == 1.0:
         vals = np.exp(-x)
-    elif (a <= _WRIGHT_ALPHA_CAP and pol.working_precision == "standard"
+    elif (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
           and pol.series_tol >= 1e-12):
         vals = _blocked(lambda u: _ml_hankel(a, u), x)
     else:

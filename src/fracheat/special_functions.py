@@ -310,8 +310,8 @@ def mittag_leffler_neg_info(
     """E_alpha(-x) together with the evaluation method actually used."""
     a = Alpha.coerce(alpha)
     x = float(x)
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     return _ml_neg_cached(
         a,
         x,
@@ -334,6 +334,10 @@ def mittag_leffler_neg(
 # t = 1 with N midpoint nodes on theta in (-pi, pi):
 # g(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta), error ~ 2.85^-N.
 _HANKEL_NODES = 32
+# largest alpha on a 0.005 step at which the rule's relative error, against
+# arbitrary-precision series sums at x in {0} and 80 log-spaced points of
+# [1e-12, 1e6], is at most 1e-12 (5.8e-13 here; 1.02e-12 at 0.99)
+_HANKEL_ALPHA_CAP = 0.985
 
 
 @lru_cache(maxsize=64)
@@ -570,8 +574,8 @@ def wright_m_info(
             f"cap is {_WRIGHT_ALPHA_CAP}"
         )
     s = float(s)
-    if s < 0.0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be finite and nonnegative, got {s}")
     return _wright_cached(
         a, s, policy.series_tol, policy.series_max_terms,
         policy.working_precision == "extended",

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .decay_analysis import _log_grid_sup
 from .errors import InsufficientDataError
 from .special_functions import Alpha, EvalPolicy, DEFAULT_POLICY, mittag_leffler_neg
 
@@ -223,25 +224,6 @@ def verify_sectorial(model: SpectralModel, phi: float, n_grid: int = 2000) -> fl
     return max(best, 1.0)
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization of f over log-s in [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
 def condition_supremum(
     model: SpectralModel,
     p: float,
@@ -250,14 +232,16 @@ def condition_supremum(
     t: float,
     representation: str = "direct_ml",
     policy: EvalPolicy = DEFAULT_POLICY,
-    n_grid: int = 400,
 ) -> float:
     """sup over s of tau(s)^(1/p - 1/q) * K(t, s), where K is the
     fractional multiplier E_alpha(-t^alpha s) ("direct_ml") or the heat
-    kernel exp(-t s) ("heat").
+    kernel exp(-t s) ("heat"), by the grid search of
+    decay_analysis._log_grid_sup.
 
-    Divergence (the supremum still growing at the grid edge) is reported
-    as math.inf with a warning rather than a spurious finite number.
+    Divergence is reported as math.inf with a warning rather than a
+    spurious finite number: when the search's edge rule trips, and
+    analytically for a power law with lambda (1/p - 1/q) > 1 on the
+    direct route with alpha < 1, whose multiplier decays like 1/s.
     """
     if representation not in ("direct_ml", "heat"):
         raise ValueError(f"unknown representation {representation!r}")
@@ -267,8 +251,8 @@ def condition_supremum(
     delta = 1.0 / p - 1.0 / q
     if not 0.0 < delta <= 1.0:
         raise ValueError("require 0 < 1/p - 1/q <= 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     a = Alpha.coerce(alpha)
 
     if representation == "heat":
@@ -280,36 +264,25 @@ def condition_supremum(
         def kernel(s: float) -> float:
             return mittag_leffler_neg(a, ta * s, policy)
 
-    def objective_log(ls: float) -> float:
-        s = math.exp(ls)
+    def objective(s: float) -> float:
         tau = trace_counting(model, s)
         if tau <= 0.0:
             return 0.0
         return tau ** delta * kernel(s)
 
-    lls = np.linspace(math.log(1e-8), math.log(1e8), n_grid)
-    vals = np.array([objective_log(l) for l in lls])
-    i = int(vals.argmax())
-
-    # divergence check: objective still climbing at the upper grid edge
-    if i >= n_grid - 3:
-        tail = vals[-20:]
-        tail = tail[tail > 0.0]
-        # genuine divergence grows along the tail; a flat approach to a
-        # finite limiting value (the endpoint exponent) does not
-        if (tail.size >= 2 and np.all(np.diff(np.log(tail)) > -1e-12)
-                and math.log(tail[-1] / tail[0]) > 1e-4):
-            warnings.warn(
-                "condition supremum still increasing at the grid edge; "
-                "reporting divergence (endpoint case)",
-                RuntimeWarning,
-            )
-            return math.inf
-
-    lo = lls[max(i - 1, 0)]
-    hi = lls[min(i + 1, n_grid - 1)]
-    refined = _golden_refine(objective_log, lo, hi)
-    return max(float(vals[i]), refined)
+    v = model.variant
+    if (representation == "direct_ml" and a < 1.0
+            and isinstance(v, PowerLawSpectrum) and v.lambda_exp * delta > 1.0):
+        value = math.inf  # tau^delta K ~ s^(lambda delta - 1) / Gamma(1 - alpha)
+    else:
+        value = _log_grid_sup(objective)
+    if math.isinf(value):
+        warnings.warn(
+            "condition supremum diverges; reporting inf (endpoint case "
+            "lambda * (1/p - 1/q) > 1)",
+            RuntimeWarning,
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

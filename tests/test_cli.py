@@ -37,7 +37,9 @@ class TestEval:
         assert "error code=2" in capsys.readouterr().err
 
     def test_negative_x_is_validation_error(self):
-        assert run(["eval-ml", "--alpha", "0.5", "--x", "-1.0"]) == 2
+        for x in ("-1.0", "nan", "inf"):
+            assert run(["eval-ml", "--alpha", "0.5", "--x", x]) == 2
+            assert run(["eval-wright", "--alpha", "0.5", "--s", x]) == 2
 
     def test_usage_error_exit_code(self):
         assert run(["eval-ml", "--alpha", "0.5"]) == 2  # missing --x
@@ -97,8 +99,13 @@ class TestDeterminism:
 
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.json"
-        assert run(["decay-sup", "--alpha", "0.5", "--lambda", "9.0",
-                    "--out", str(out)]) == 2  # beta > 1 rejected
+        for argv in (["decay-sup", "--alpha", "0.5", "--lambda", "9.0"],  # beta > 1
+                     ["decay-sup", "--alpha", "0.5", "--lambda", "1.0", "--t", "nan"],
+                     ["eval-ml", "--alpha", "0.5", "--x", "nan"]):
+            assert run(argv + ["--out", str(out)]) == 2
+            assert not out.exists()
+        with pytest.raises(ValueError):
+            cli.emit_report([{"value": float("nan")}], "json", str(out))
         assert not out.exists()
 
 

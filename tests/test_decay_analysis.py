@@ -1,6 +1,7 @@
 """Tests for supremum closed forms, log-log fits, and the endpoint-loss
 comparison between the two propagator representations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from fracheat.errors import InsufficientDataError
 from fracheat.decay_analysis import (
-    DecayExperiment,
+    _log_grid_sup,
     compare_representations,
+    decay_experiment,
     fit_decay_exponent,
     ml_supremum_profile,
     sup_bound_kernel_closed_form,
@@ -50,6 +52,13 @@ class TestClosedForms:
             sup_heat_closed_form(0.0, 1.0)
         with pytest.raises(ValueError):
             sup_bound_kernel_closed_form(0.5, 1.5, 1.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sup_heat_closed_form(0.5, t)
+            with pytest.raises(ValueError):
+                sup_bound_kernel_closed_form(0.5, 0.5, t)
+            with pytest.raises(ValueError):
+                sup_ml_numeric(0.5, 0.5, t)
 
 
 class TestSupremumProfiles:
@@ -62,8 +71,21 @@ class TestSupremumProfiles:
                 t ** (-alpha * beta) * u, rel=1e-12)
 
     def test_divergence_above_beta_one(self):
-        # u^beta E_alpha(-u) ~ u^{beta-1} -> inf for beta > 1
-        assert math.isinf(ml_supremum_profile(0.5, 1.3))
+        # u^beta E_alpha(-u) ~ u^{beta-1} -> inf for beta > 1, for both
+        # kernels; at beta = 1.01 the growth stays below the interior peak
+        # as far as the grid reaches
+        for alpha, beta in ((0.5, 1.01), (0.9, 1.01), (0.5, 1.3)):
+            assert math.isinf(ml_supremum_profile(alpha, beta))
+            assert math.isinf(ml_supremum_profile(alpha, beta, exact_kernel=False))
+        # E_1(-u) = exp(-u): sup u^1.5 e^{-u} = 1.5^1.5 e^{-1.5} stays finite
+        assert ml_supremum_profile(1.0, 1.5) == pytest.approx(
+            1.5 ** 1.5 * math.exp(-1.5), rel=1e-12)
+
+    def test_grid_search_divergence_rule(self):
+        # still rising at the grid edge: inf; a flat approach to a finite
+        # limit (as u E_alpha(-u) at the endpoint) is not divergence
+        assert math.isinf(_log_grid_sup(lambda s: s ** 0.01))
+        assert _log_grid_sup(lambda s: s / (1.0 + s)) == pytest.approx(1.0, rel=1e-7)
 
     def test_finite_at_beta_one(self):
         # u E_alpha(-u) -> 1/Gamma(1-alpha): finite endpoint constant
@@ -100,52 +122,56 @@ class TestFit:
 
 class TestDecayExperiment:
     def test_direct_run_fits_expected_exponent(self):
-        exp = DecayExperiment(
+        res = decay_experiment(
             alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
             representation="direct_ml",
             t_grid=tuple(np.logspace(1, 4, 10)),
-        ).run()
+        )
         # beta = lambda * (1/p - 1/q) = 0.5, slope = -alpha*beta = -0.25
-        assert exp.fitted_exponent == pytest.approx(-0.25, rel=0.02)
-        assert exp.constant_estimate is not None and exp.constant_estimate > 0
+        assert res.fitted_exponent == pytest.approx(-0.25, rel=0.02)
+        assert res.constant_estimate > 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.fitted_exponent = 0.0
 
     def test_subordination_run_matches_gamma_ratio_constant(self):
-        exp = DecayExperiment(
+        res = decay_experiment(
             alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
             representation="subordination",
             t_grid=tuple(np.logspace(1, 4, 10)),
-        ).run()
+        )
         expected = math.gamma(0.5) / math.gamma(0.75)
-        assert exp.constant_estimate == pytest.approx(expected, rel=1e-6)
-        assert exp.fitted_exponent == pytest.approx(-0.25, rel=1e-6)
+        assert res.constant_estimate == pytest.approx(expected, rel=1e-6)
+        assert res.fitted_exponent == pytest.approx(-0.25, rel=1e-6)
 
     def test_subordination_rejected_at_endpoint(self):
         # lambda*(1/p-1/q) = 1: the subordination constant does not exist
         with pytest.raises(ValueError):
-            DecayExperiment(
+            decay_experiment(
                 alpha=0.5, lambda_exp=2.0, p=4.0 / 3.0, q=4.0,
                 representation="subordination",
                 t_grid=tuple(np.logspace(1, 4, 10)),
             )
 
     def test_direct_allowed_at_endpoint(self):
-        exp = DecayExperiment(
+        # delta = 1/2, beta = 1: slope -alpha, constant U(1) = sup_u u E_alpha(-u)
+        res = decay_experiment(
             alpha=0.5, lambda_exp=2.0, p=4.0 / 3.0, q=4.0,
             representation="direct_ml",
             t_grid=tuple(np.logspace(1, 4, 10)),
         )
-        assert exp.delta == pytest.approx(0.5)
+        assert res.fitted_exponent == pytest.approx(-0.5, rel=0.02)
+        assert res.constant_estimate == pytest.approx(ml_supremum_profile(0.5, 1.0))
 
     def test_validation(self):
         good = dict(alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
                     representation="direct_ml",
                     t_grid=tuple(np.logspace(1, 4, 10)))
         with pytest.raises(ValueError):
-            DecayExperiment(**{**good, "representation": "bogus"})
+            decay_experiment(**{**good, "representation": "bogus"})
         with pytest.raises(ValueError):
-            DecayExperiment(**{**good, "p": 3.0})
+            decay_experiment(**{**good, "p": 3.0})
         with pytest.raises(ValueError):
-            DecayExperiment(**{**good, "t_grid": (1.0, 2.0)})
+            decay_experiment(**{**good, "t_grid": (1.0, 2.0)})
 
 
 class TestCompareRepresentations:

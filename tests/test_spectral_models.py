@@ -122,11 +122,14 @@ class TestConditionSupremum:
         assert math.isfinite(got)
 
     def test_divergence_reported_as_inf_with_warning(self):
-        # lambda*delta = 2 > 1: the objective grows without bound
-        m = SpectralModel(PowerLawSpectrum(c=1.0, lambda_exp=4.0))
-        with pytest.warns(RuntimeWarning):
-            got = condition_supremum(m, 4.0 / 3.0, 4.0, 0.5, 1.0, "direct_ml")
-        assert math.isinf(got)
+        # lambda*delta > 1: the objective grows without bound; at lambda =
+        # 2.02 the growth stays below the interior peak as far as the grid
+        # reaches
+        for lambda_exp, alpha in ((4.0, 0.5), (2.02, 0.5), (2.02, 0.9)):
+            m = SpectralModel(PowerLawSpectrum(c=1.0, lambda_exp=lambda_exp))
+            with pytest.warns(RuntimeWarning):
+                got = condition_supremum(m, 4.0 / 3.0, 4.0, alpha, 1.0, "direct_ml")
+            assert math.isinf(got)
 
     def test_validation(self):
         m = SpectralModel(PowerLawSpectrum(1.0, 1.0))
