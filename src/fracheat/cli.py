@@ -300,7 +300,8 @@ def cmd_solve(args) -> list[dict]:
                                    points_per_dim=args.n_points)
     w0 = pde_solver.gaussian_bump(grid, sigma=args.sigma)
     rep = "direct_ml" if args.rep == "direct" else args.rep
-    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep)
+    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep,
+                                  policy=_default_policy(args.tol))
     w = pde_solver.spectral_solve(w0, cfg, args.t)
     if args.field_out:
         pde_solver.write_field(w, args.field_out, time=args.t)

@@ -5,7 +5,12 @@ The box is a desk-scale surrogate for free space: data is kept localized
 solution mass reaches the boundary. The propagator acts mode-by-mode:
 each Fourier mode xi is multiplied by E_alpha(-t^alpha |xi|^2), either
 evaluated directly or through the Wright-subordination quadrature over
-classical heat multipliers exp(-s t^alpha |xi|^2).
+classical heat multipliers exp(-s t^alpha |xi|^2). On the 2D box the heat
+multiplier factorizes over the axes, exp(-tau |xi|^2) =
+exp(-tau xi_x^2) exp(-tau xi_y^2), so the subordination multiplier is the
+matrix A diag(mass) A^T with A[k, i] = exp(-s_i t^alpha xi_k^2): one GEMM.
+The direct kernel 1/(g^alpha + x) does not factorize and keeps the
+per-mode node rule.
 """
 
 from __future__ import annotations
@@ -169,8 +174,10 @@ class SolverConfig:
             raise ValueError("subordination representation requires alpha < 1")
 
 
-# modes per block of the multiplier matvec: bounds each (modes x nodes)
-# temporary to 7.5 MB at the 1,824 nodes of the largest mass table
+# modes per block of the per-mode matvec: bounds each (modes x nodes)
+# temporary to 7.5 MB at the 1,824 nodes of the largest mass table; the 2D
+# subordination GEMM needs no blocks, its N x nodes factor is that size at
+# N = 512
 _BLOCK_ROWS = 512
 
 
@@ -180,21 +187,36 @@ def _blocked(kernel, x: np.ndarray) -> np.ndarray:
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
-    """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2.
+    """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2,
+    for a finite time t >= 0 (ValueError otherwise).
 
-    Evaluated on the unique |xi|^2 values only (the spectrum is highly
-    degenerate) and broadcast back. Both representations are weighted
-    sums over fixed nodes, applied as one matvec in row blocks: the
-    subordination route over the Wright mass table, the direct route over
-    the Hankel node rule. The node rule serves the default precision
-    (standard, series_tol >= 1e-12, alpha up to the rule's own cap, where
-    it meets 1e-12); a stricter policy, or alpha closer to 1, takes the
-    scalar Mittag-Leffler route.
+    Subordination on a 2D tensor-sum spectrum (xi2[j, k] = c[j] + c[k]
+    with c = xi2[:, 0], as `PeriodicGrid.frequencies_squared` builds it)
+    is one GEMM, (A * mass) @ A.T with A[k, i] = exp(-s_i t^alpha c[k]),
+    since the heat multiplier factorizes over the axes. Every other input
+    is evaluated on the unique |xi|^2 values only (the spectrum is highly
+    degenerate) and broadcast back: both representations are weighted
+    sums over fixed nodes, applied as one matvec in row blocks, the
+    subordination route over the Wright mass table and the direct route
+    over the Hankel node rule, whose kernel 1/(g^alpha + x) does not
+    factorize. The node rule serves the default precision (standard,
+    series_tol >= 1e-12, alpha up to the rule's own cap, where it meets
+    1e-12); a stricter policy, or alpha closer to 1, takes the scalar
+    Mittag-Leffler route.
     """
     a = cfg.alpha.value
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0.0:
         return np.ones_like(xi2)
     ta = t ** a
+    if cfg.representation == "subordination" and xi2.ndim == 2:
+        c = xi2[:, 0]
+        if np.array_equal(xi2, c[:, None] + c[None, :]):
+            nodes, mass = wright_mass_nodes(a, cfg.quad)
+            factor = np.exp(np.outer(-ta * c, nodes))
+            return (factor * mass) @ factor.T
     uniq, inverse = np.unique(xi2.ravel(), return_inverse=True)
     x = ta * uniq
     pol = cfg.policy
@@ -211,11 +233,10 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     return vals[inverse].reshape(xi2.shape)
 
 
-def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, cfg: SolverConfig,
-            t: float) -> Field:
+def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, xi2: np.ndarray,
+            cfg: SolverConfig, t: float) -> Field:
     """Inverse FFT of a forward-transformed field times the multiplier at t."""
-    mult = propagator_multiplier(cfg, t, grid.frequencies_squared())
-    out = np.fft.ifftn(spectrum * mult).real
+    out = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in the spectral solve")
     return Field(grid, out)
@@ -223,10 +244,8 @@ def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, cfg: SolverConfig,
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
     """Evolve w0 to time t: FFT, per-mode propagator multiplier, inverse FFT."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    return _evolve(w0.grid, np.fft.fftn(w0.samples), cfg, t)
+    return _evolve(w0.grid, np.fft.fftn(w0.samples), w0.grid.frequencies_squared(),
+                   cfg, t)
 
 
 def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:
@@ -328,10 +347,11 @@ def decay_measurement(
     delta = 1.0 / p - 1.0 / q
     norm_p0 = w0.norm_lp(p)
     spectrum = np.fft.fftn(w0.samples)
+    xi2 = w0.grid.frequencies_squared()
     rows = []
     truncated_at = None
     for t in ts:
-        w = _evolve(w0.grid, spectrum, cfg, t)
+        w = _evolve(w0.grid, spectrum, xi2, cfg, t)
         edge = w.boundary_mass_fraction()
         if edge > wraparound_tol:
             truncated_at = t

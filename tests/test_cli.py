@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from fracheat import cli
-from fracheat.pde_solver import read_field
+from fracheat.pde_solver import (
+    PeriodicGrid, SolverConfig, gaussian_bump, read_field, spectral_solve,
+)
+from fracheat.special_functions import EvalPolicy
 
 
 def run(argv):
@@ -158,6 +161,22 @@ class TestSolveAndReport:
                         "--rep", rep, "--out", str(out)]) == 0
             outs.append(json.loads(out.read_text())["records"][0])
         assert outs[0]["norm_l2"] == pytest.approx(outs[1]["norm_l2"], rel=1e-9)
+
+    def test_solve_honours_tol(self, tmp_path):
+        # a stricter series_tol takes the scalar E_alpha route, whose
+        # field differs from the node rule's in the last digits
+        alpha, t = 0.5, 1.0
+        paths = {tol: tmp_path / f"field-{tol}.bin" for tol in ("1e-13", "1e-12")}
+        for tol, path in paths.items():
+            assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256",
+                        "--tol", tol, "--field-out", str(path)]) == 0
+        w0 = gaussian_bump(PeriodicGrid(dim=1, box_length=200.0, points_per_dim=256))
+        strict = spectral_solve(
+            w0, SolverConfig(alpha=alpha, policy=EvalPolicy(series_tol=1e-13)), t)
+        default = spectral_solve(w0, SolverConfig(alpha=alpha), t)
+        assert not np.array_equal(strict.samples, default.samples)
+        assert np.array_equal(read_field(paths["1e-13"])[0].samples, strict.samples)
+        assert np.array_equal(read_field(paths["1e-12"])[0].samples, default.samples)
 
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2

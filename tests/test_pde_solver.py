@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracheat import pde_solver
 from fracheat.errors import InsufficientDataError
 from fracheat.pde_solver import (
     Field,
@@ -120,6 +121,18 @@ class TestSolve:
             with pytest.raises(ValueError):
                 spectral_solve(bump_1d, SolverConfig(alpha=0.5), t)
 
+    def test_representations_agree_2d(self):
+        # resolved grid (dx 0.25 < sigma 0.5); the subordination route
+        # takes the tensor-product GEMM, the direct route the node rule
+        f = gaussian_bump(PeriodicGrid(dim=2, box_length=32.0, points_per_dim=128))
+        for alpha in (0.3, 0.6, 0.95):
+            for t in (0.1, 1.0, 5.0):
+                d = spectral_solve(f, SolverConfig(alpha=alpha), t)
+                s = spectral_solve(
+                    f, SolverConfig(alpha=alpha, representation="subordination"), t)
+                rel = np.max(np.abs(d.samples - s.samples)) / d.max_norm()
+                assert rel <= 1e-7
+
     def test_2d_solve_runs(self):
         g = PeriodicGrid(dim=2, box_length=50.0, points_per_dim=128)
         f = gaussian_bump(g)
@@ -128,7 +141,22 @@ class TestSolve:
         assert out.mean() == pytest.approx(f.mean(), rel=1e-12)
 
 
+def _blocked_subordination(alpha, t, x):
+    """The per-mode subordination matvec, block for block."""
+    nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+    u = t ** alpha * x
+    return np.concatenate([np.exp(np.outer(-u[i:i + 512], nodes)) @ mass
+                           for i in range(0, u.size, 512)])
+
+
 class TestMultiplier:
+    def test_rejects_invalid_time(self):
+        x = np.array([0.0, 1.0, 2.0])
+        for rep in ("direct_ml", "subordination"):
+            for t in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    propagator_multiplier(SolverConfig(alpha=0.5, representation=rep), t, x)
+
     @given(
         alpha=st.floats(min_value=0.02, max_value=_HANKEL_ALPHA_CAP),
         log_x=st.lists(st.floats(min_value=-12.0, max_value=6.0),
@@ -177,6 +205,33 @@ class TestMultiplier:
         nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
         dense = np.exp(-np.outer(xi2, t ** alpha * nodes)) @ mass
         assert np.max(np.abs(got - dense)) <= 1e-15
+        uniq, inverse = np.unique(xi2, return_inverse=True)
+        assert np.array_equal(got, _blocked_subordination(alpha, t, uniq)[inverse])
+
+    def test_2d_subordination_is_one_gemm(self, monkeypatch):
+        # geometric panels (alpha <= 0.85, 784 nodes) and phi-spaced
+        # panels (alpha > 0.85); the per-mode matvec must not run
+        def per_mode(kernel, x):
+            raise AssertionError("2D tensor-sum spectrum took the per-mode matvec")
+
+        monkeypatch.setattr(pde_solver, "_blocked", per_mode)
+        for n, box in ((64, 20.0), (128, 32.0)):
+            xi2 = PeriodicGrid(dim=2, box_length=box, points_per_dim=n).frequencies_squared()
+            uniq, inverse = np.unique(xi2, return_inverse=True)
+            for alpha in (0.3, 0.6, 0.95):
+                cfg = SolverConfig(alpha=alpha, representation="subordination")
+                for t in (0.1, 1.0, 7.0, 50.0):
+                    got = propagator_multiplier(cfg, t, xi2)
+                    ref = _blocked_subordination(alpha, t, uniq)[inverse].reshape(xi2.shape)
+                    assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_2d_non_tensor_sum_takes_per_mode_route(self):
+        xi2 = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64).frequencies_squared()
+        xi2[5, 7] += 0.25
+        cfg = SolverConfig(alpha=0.6, representation="subordination")
+        got = propagator_multiplier(cfg, 2.0, xi2)
+        flat = propagator_multiplier(cfg, 2.0, xi2.ravel())
+        assert np.array_equal(got, flat.reshape(xi2.shape))
 
 
 class TestFieldIO:
