@@ -210,6 +210,9 @@ def cmd_verify_subordination(args) -> list[dict]:
 
 
 def cmd_verify_moments(args) -> list[dict]:
+    if args.tol is not None or _default_policy().working_precision != "standard":
+        raise ValueError("verify-moments takes no --tol or FRAC_HEAT_PRECISION=extended: "
+                         "wright_moment samples the density at its own precision")
     records = []
     worst = 0.0
     for a in _parse_alphas(args.alpha):
@@ -268,7 +271,8 @@ def cmd_decay_sup(args) -> list[dict]:
         {**base, "kernel": "heat", "method": "closed-form",
          "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
         {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
-         "value": decay_analysis.sup_ml_numeric(args.alpha, beta, args.t)},
+         "value": decay_analysis.sup_ml_numeric(
+             args.alpha, beta, args.t, policy=_default_policy(args.tol))},
         {**base, "kernel": "algebraic-bound", "method": "closed-form",
          "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
     ]
@@ -280,7 +284,7 @@ def cmd_decay_sup(args) -> list[dict]:
 def cmd_decay_compare(args) -> list[dict]:
     eps = [float(e) for e in args.eps.split(",") if e.strip()]
     report = decay_analysis.compare_representations(
-        args.alpha, args.lmbda, args.p, args.q, eps)
+        args.alpha, args.lmbda, args.p, args.q, eps, policy=_default_policy(args.tol))
     records = []
     for rec in report.records:
         fields = asdict(rec)

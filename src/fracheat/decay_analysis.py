@@ -118,7 +118,7 @@ def sup_heat_numeric(beta: float, t: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, tol: float) -> float:
+def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, policy: EvalPolicy) -> float:
     """sup over u > 0 of u^beta E_alpha(-u) (exact) or u^beta/(1+u) (bound).
 
     Both kernels decay like 1/u for alpha < 1 (E_alpha(-u) ~
@@ -128,7 +128,6 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, tol: float) -
     """
     if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
         return math.inf
-    policy = EvalPolicy(series_tol=tol)
     if exact_kernel:
         def f(u: float) -> float:
             return u ** beta * mittag_leffler_neg(alpha, u, policy)
@@ -152,7 +151,7 @@ def ml_supremum_profile(
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    return _ml_profile_sup(a, beta, bool(exact_kernel), policy.series_tol)
+    return _ml_profile_sup(a, beta, bool(exact_kernel), policy)
 
 
 def sup_ml_numeric(
@@ -169,7 +168,7 @@ def sup_ml_numeric(
     beta, t = float(beta), float(t)
     if not (beta > 0.0 and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and t positive and finite")
-    u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), policy.series_tol)
+    u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), policy)
     if not math.isfinite(u_sup):
         return math.inf
     return t ** (-a * beta) * u_sup

@@ -21,6 +21,7 @@ from .errors import QuadratureError
 from .special_functions import (
     Alpha,
     EvalPolicy,
+    _wright_m_array,
     reciprocal_gamma,
     wright_log_envelope,
     wright_m,
@@ -77,27 +78,25 @@ def _adaptive_cut(alpha: float, tol: float, weight_exp: float, cap: float) -> fl
     """Smallest s (up to cap) beyond which the envelope tail of
     s^weight_exp * M_alpha(s) is negligible at tolerance tol."""
     log_target = math.log(tol) - 7.0
-    s = 1.01  # for alpha near 1 the mass collapses just past s = 1
-    while s < cap:
-        if wright_log_envelope(alpha, s) + weight_exp * math.log(s) + math.log(s) < log_target:
-            return s
-        s *= 1.05
-    return cap
+    # s = 1.01 * 1.05^j < cap by repeated products (alpha near 1 collapses past 1)
+    s = np.cumprod(np.r_[1.01, np.full(int(math.log(cap) / math.log(1.05)) + 2, 1.05)])
+    s = s[s < cap]
+    ls = np.log(s)
+    hit = np.flatnonzero(wright_log_envelope(alpha, s) + weight_exp * ls + ls < log_target)
+    return float(s[hit[0]]) if hit.size else cap
 
 
 def _envelope_tail(alpha: float, s_from: float, weight_exp: float = 0.0) -> float:
     """Upper estimate of int_{s_from}^inf s^weight_exp M_alpha(s) ds from
-    the decay envelope, by geometric-grid summation."""
-    total = 0.0
-    s = s_from
-    for _ in range(400):
-        s_next = s * 1.05
-        mid = 0.5 * (s + s_next)
-        total += math.exp(wright_log_envelope(alpha, mid) + weight_exp * math.log(mid)) * (s_next - s)
-        if s_next > 50.0 * s_from + 200.0:
-            break
-        s = s_next
-    return total
+    the decay envelope, by geometric-grid summation up to the first step
+    past 50 s_from + 200 (at most 400 steps)."""
+    s = np.cumprod(np.r_[s_from, np.full(400, 1.05)])
+    past = np.flatnonzero(s[1:] > 50.0 * s_from + 200.0)
+    n = past[0] + 1 if past.size else 400
+    lo, hi = s[:n], s[1:n + 1]
+    mid = 0.5 * (lo + hi)
+    return float(np.sum(np.exp(wright_log_envelope(alpha, mid) + weight_exp * np.log(mid))
+                        * (hi - lo)))
 
 
 def _geometric_edges(lo: float, hi: float, panels: int) -> list[float]:
@@ -136,12 +135,9 @@ def _panel_edges(alpha: float, lo: float, hi: float, panels: int,
 
 def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     xg, wg = leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a0, b0 in zip(edges[:-1], edges[1:]):
-        mid, hl = 0.5 * (a0 + b0), 0.5 * (b0 - a0)
-        nodes.append(mid + hl * xg)
-        weights.append(hl * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    e = np.asarray(edges)
+    mid, hl = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
+    return (mid + hl * xg).ravel(), (hl * wg).ravel()
 
 
 def _sample_density(alpha: float, nodes: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
@@ -152,15 +148,9 @@ def _sample_density(alpha: float, nodes: np.ndarray, spec: QuadratureSpec) -> np
     series there; the envelope only over-estimates in that regime.
     """
     tol = max(min(spec.target_tol * 1e-2, 1e-12), 2.3e-15)
-    policy = EvalPolicy(series_tol=tol)
-    skip_log = math.log(spec.target_tol * 1e-4)
-    out = np.empty(nodes.shape)
-    for i, s in enumerate(nodes):
-        s = float(s)
-        if wright_log_envelope(alpha, s) < skip_log and s > 1.0:
-            out[i] = 0.0
-        else:
-            out[i] = wright_m(alpha, s, policy)
+    skip = (wright_log_envelope(alpha, nodes) < math.log(spec.target_tol * 1e-4)) & (nodes > 1.0)
+    out = np.zeros(nodes.shape)
+    out[~skip] = _wright_m_array(alpha, nodes[~skip], EvalPolicy(series_tol=tol))
     return out
 
 
@@ -174,11 +164,9 @@ def _mass_table(alpha: float, spec: QuadratureSpec, scale: int,
     against the same density.
     """
     cut = _adaptive_cut(alpha, spec.target_tol * 1e-3, weight_exp, spec.upper_cut)
-    if lo == 0.0:
-        edges = [0.0, _S_FLOOR] + _panel_edges(alpha, _S_FLOOR, cut,
-                                               spec.panels * scale, scale)[1:]
-    else:
-        edges = _panel_edges(alpha, lo, cut, spec.panels * scale, scale)
+    # lo = 0: one panel [0, _S_FLOOR] ahead of the adapted ones
+    edges = ([0.0] if lo == 0.0 else []) + _panel_edges(
+        alpha, lo if lo > 0.0 else _S_FLOOR, cut, spec.panels * scale, scale)
     nodes, weights = _gauss_panels(edges, spec.nodes_per_panel)
     mass = weights * _sample_density(alpha, nodes, spec)
     nodes.setflags(write=False)
@@ -255,7 +243,7 @@ def _moment_value(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) 
     # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
     xj, wj = roots_jacobi(40 * scale, 0.0, gamma)
     sj = 0.5 * (xj + 1.0)
-    mj = np.array([wright_m(alpha, float(s)) for s in sj])
+    mj = _wright_m_array(alpha, sj)
     part_unit = 0.5 ** (gamma + 1.0) * float(np.dot(wj, mj))
     # [1, S]: smooth integrand, geometric Gauss-Legendre panels
     nodes, mass, cut, tail_env = _mass_table(alpha, quad, scale, gamma, 1.0)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fracheat import cli
+from fracheat import cli, decay_analysis
 from fracheat.pde_solver import (
     PeriodicGrid, SolverConfig, gaussian_bump, read_field, spectral_solve,
 )
@@ -73,6 +73,16 @@ class TestVerifyCommands:
             "wright-half-gaussian-identity",
         }
         assert all(r["passed"] for r in recs)
+
+    def test_verify_moments_refuses_policy(self, tmp_path, monkeypatch, capsys):
+        # wright_moment takes no evaluation policy, so neither knob can be honoured
+        out = tmp_path / "mom.json"
+        assert run(["verify-moments", "--alpha", "0.5", "--tol", "1e-6",
+                    "--out", str(out)]) == 2
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
+        assert run(["verify-moments", "--alpha", "0.5", "--out", str(out)]) == 2
+        assert "error code=2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quality_failure_exit_code(self, monkeypatch, capsys):
         # force the identity check to miss its tolerance
@@ -177,6 +187,31 @@ class TestSolveAndReport:
         assert not np.array_equal(strict.samples, default.samples)
         assert np.array_equal(read_field(paths["1e-13"])[0].samples, strict.samples)
         assert np.array_equal(read_field(paths["1e-12"])[0].samples, default.samples)
+
+    def test_decay_commands_honour_tol(self, tmp_path):
+        # beta = 1.5 (1/p - 1/q) = 0.75 at alpha 0.3: the asymptotic branch
+        # accepted at 1e-6 moves the E_alpha supremum in the 9th digit
+        loose = EvalPolicy(series_tol=1e-6)
+        sups = {}
+        for tol in (None, "1e-6"):
+            out = tmp_path / f"sup-{tol}.json"
+            argv = ["decay-sup", "--alpha", "0.3", "--lambda", "1.5", "--out", str(out)]
+            assert run(argv + (["--tol", tol] if tol else [])) == 0
+            (rec,) = [r for r in json.loads(out.read_text())["records"]
+                      if r["kernel"] == "mittag-leffler"]
+            sups[tol] = rec["value"]
+        assert sups["1e-6"] == decay_analysis.sup_ml_numeric(0.3, 0.75, 1.0, policy=loose)
+        assert sups[None] == decay_analysis.sup_ml_numeric(0.3, 0.75, 1.0)
+        assert sups["1e-6"] != sups[None]
+        out = tmp_path / "cmp.json"
+        assert run(["decay-compare", "--alpha", "0.3", "--lambda", "1.5", "--eps", "0.2",
+                    "--tol", "1e-6", "--out", str(out)]) == 0
+        direct = {r["eps"]: r["constant"] for r in json.loads(out.read_text())["records"]
+                  if r.get("representation") == "direct_ml"}
+        report = decay_analysis.compare_representations(0.3, 1.5, 4.0 / 3.0, 4.0, [0.2],
+                                                        policy=loose)
+        assert direct == {r.eps: r.constant for r in report.records
+                          if r.representation == "direct_ml"}
 
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2

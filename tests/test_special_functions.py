@@ -19,11 +19,14 @@ from fracheat.special_functions import (
     mittag_leffler_contour,
     mittag_leffler_neg,
     mittag_leffler_neg_info,
+    _wright_batch,
+    _wright_m_array,
     reciprocal_gamma,
     uniform_bound_constant,
     wright_m,
     wright_m_info,
 )
+from fracheat.subordination import wright_mass_nodes
 
 # (alpha, x, E_alpha(-x)) frozen from 50-digit series summation
 ML_REFERENCE = [
@@ -203,6 +206,44 @@ class TestWright:
         # flank values far into the stretched-exponential tail stay finite
         v = wright_m(0.95, 5.0)
         assert 0.0 <= v < 1e-8
+
+
+class TestWrightBatch:
+    """The batched density that fills every mass table, pinned to the closed
+    form M_{1/2}(s) = exp(-s^2/4)/sqrt(pi) and to the one-element path."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_half_alpha_closed_form_on_table_nodes(self, scale):
+        nodes, _ = wright_mass_nodes(0.5, scale=scale)
+        exact = np.exp(-nodes ** 2 / 4.0) / math.sqrt(math.pi)
+        err = np.abs(_wright_m_array(0.5, nodes) - exact)
+        assert err.max() <= 1e-15
+        resolved = exact >= 1e-200
+        assert (err[resolved] / exact[resolved]).max() <= 1e-13
+
+    def test_uncertified_node_escalates_to_arbitrary_precision(self):
+        # extended precision certifies no double-precision series sum, so
+        # every 0 < s < 1 takes the mpmath route; s >= 1 stays on the contour
+        policy = EvalPolicy(working_precision="extended")
+        s = np.array([0.0, 0.05, 0.4, 0.95, 1.5, 3.0])
+        value, method = _wright_batch(0.5, s, policy)
+        assert method[0] == "exact"
+        assert all(m.startswith("series-extended[") for m in method[1:4])
+        assert list(method[4:]) == ["contour-saddle"] * 2
+        exact = np.exp(-s ** 2 / 4.0) / math.sqrt(math.pi)
+        assert np.abs(value - exact).max() <= 1e-15
+        res = wright_m_info(0.5, 0.4, policy)
+        assert res.method == method[2] and res.value == value[2] and res.reliable
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.95])
+    def test_one_element_call_is_the_table_value(self, alpha):
+        nodes, _ = wright_mass_nodes(alpha)
+        table = _wright_m_array(alpha, nodes)
+        assert np.array_equal([wright_m(alpha, float(s)) for s in nodes], table)
+
+    def test_rejects_alpha_above_cap(self):
+        with pytest.raises(ValueError):
+            _wright_m_array(0.999, np.array([0.5, 2.0]))
 
 
 class TestUniformBound:

@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracheat.errors import QuadratureError
-from fracheat.special_functions import mittag_leffler_neg
+from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
 from fracheat.subordination import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -69,6 +70,13 @@ class TestSubordinateScalar:
                 sub = subordinate_scalar(alpha, float(x))
                 direct = mittag_leffler_neg(alpha, float(x))
                 assert sub == pytest.approx(direct, abs=1e-10)
+
+    @given(alpha=st.floats(min_value=0.1, max_value=0.95),
+           x=st.floats(min_value=0.0, max_value=50.0))
+    @settings(max_examples=12, deadline=None)
+    def test_identity_property(self, alpha, x):
+        direct = mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-13))
+        assert abs(subordinate_scalar(alpha, x) - direct) <= 1e-8
 
     def test_x_zero_gives_total_mass(self):
         assert subordinate_scalar(0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
