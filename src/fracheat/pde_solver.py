@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
+import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
 from .errors import InsufficientDataError
 from .special_functions import (
@@ -259,7 +259,7 @@ def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:
     n = u.size - 1
     k = np.arange(n, dtype=float)
     b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    c = dt ** (-alpha) / _gamma(2.0 - alpha)
+    c = dt ** (-alpha) / math.gamma(2.0 - alpha)
     du = np.diff(u)
     out = np.empty(n)
     for j in range(1, n + 1):

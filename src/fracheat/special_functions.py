@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, gammasgn, psi
 
 from .errors import ConvergenceError, UnreliableEvaluationError
 
@@ -124,13 +123,18 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
-    """(log|1/Gamma(x)|, sign); sign 0 with log -inf at the poles."""
+    """(log|1/Gamma(x)|, sign); sign 0 with log -inf at the poles and where
+    log Gamma(x) overflows (x past about 2.5e305). Off the poles, Gamma(x)
+    is negative exactly where x < 0 and ceil(-x) is odd."""
     if _is_nonpositive_integer(x):
         return -math.inf, 0.0
-    lg = gammaln(x)
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:
+        lg = math.inf
     if not math.isfinite(lg):
         return -math.inf, 0.0
-    return -lg, gammasgn(x)
+    return -lg, -1.0 if x < 0.0 and math.ceil(-x) % 2 == 1 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,7 @@ def _ml_asymptotic(alpha: float, x: float, kmax: int) -> tuple[float, float]:
         # envelope x^{-k} Gamma(w)/pi bounds the term and (unlike the term
         # magnitude itself, which dips near the sin zeros) decays
         # monotonically up to the optimal truncation index
-        lenv = -k * lx + float(gammaln(w)) - lpi
+        lenv = -k * lx + math.lgamma(w) - lpi
         if lenv >= prev_env:
             return total, err  # envelope turned: optimal truncation reached
         prev_env = lenv
@@ -172,6 +176,14 @@ def _ml_asymptotic(alpha: float, x: float, kmax: int) -> tuple[float, float]:
     return total, err
 
 
+@lru_cache(maxsize=64)
+def _ml_lgamma_table(alpha: float, n: int) -> np.ndarray:
+    """log Gamma(alpha k + 1) for k < n; the series scan doubles n as it goes."""
+    table = np.array([math.lgamma(alpha * k + 1.0) for k in range(n)])
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
 def _ml_series_double(
     alpha: float, x: float, max_terms: int
 ) -> tuple[float | None, float, float]:
@@ -184,9 +196,11 @@ def _ml_series_double(
     lx = math.log(x)
     lmax = -math.inf
     blocks = []
+    lg = _ml_lgamma_table(alpha, 256)
     for k0 in range(0, max_terms + 1, 256):
-        ks = np.arange(k0, k0 + 256, dtype=float)
-        blocks.append(ks * lx - gammaln(alpha * ks + 1.0))
+        if k0 == lg.size:
+            lg = _ml_lgamma_table(alpha, 2 * k0)
+        blocks.append(np.arange(k0, k0 + 256, dtype=float) * lx - lg[k0:k0 + 256])
         lmax = max(lmax, float(blocks[-1].max()))
         if lmax > 690.0:
             break
@@ -277,21 +291,21 @@ def _ml_neg_cached(alpha: float, x: float, tol: float, switch: float,
     # the ratio of the largest term to the result magnitude
     if value is None:
         # the double-precision scan aborted before locating the peak, so
-        # its lmax is only a lower bound; solve lx = alpha*psi(alpha*k+1)
+        # its lmax is only a lower bound; solve lx = alpha*digamma(alpha*k+1)
         # for the true peak index instead
         lo, hi = 1.0, 2.0
-        while alpha * float(psi(alpha * hi + 1.0)) < math.log(x):
+        while alpha * float(mp.digamma(alpha * hi + 1.0)) < math.log(x):
             lo, hi = hi, hi * 2.0
             if hi > 1e12:
                 break
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if alpha * float(psi(alpha * mid + 1.0)) < math.log(x):
+            if alpha * float(mp.digamma(alpha * mid + 1.0)) < math.log(x):
                 lo = mid
             else:
                 hi = mid
         k_peak = 0.5 * (lo + hi)
-        lmax = k_peak * math.log(x) - float(gammaln(alpha * k_peak + 1.0))
+        lmax = k_peak * math.log(x) - math.lgamma(alpha * k_peak + 1.0)
     lval = math.log(0.05 / (1.0 + x))
     dps = int((lmax - lval) / math.log(10.0)) + 25
     if extended:
@@ -477,14 +491,20 @@ def _wright_contour(alpha: float, s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|c_k|, sign c_k), k < n, of the series M_alpha(s) = sum c_k s^k,
-    c_k = (-1)^k / (k! Gamma(1 - alpha (k+1))); sign 0 where Gamma has a pole."""
-    k = np.arange(n, dtype=float)
-    x = 1.0 - alpha * (k + 1.0)
-    pole = (x <= 0.0) & (x == np.floor(x))
-    log_c = np.where(pole, -np.inf, -gammaln(x) - gammaln(k + 1.0))
-    return log_c, np.where(pole, 0.0, gammasgn(x)) * (1.0 - 2.0 * (k % 2))
+def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|c_k|, sign c_k, log e_k), k < n, of the series M_alpha(s) = sum c_k s^k,
+    c_k = (-1)^k / (k! Gamma(1 - alpha (k+1))); sign 0 where Gamma has a pole.
+    By reflection |c_k| = Gamma(w)|sin(pi w)|/(pi k!) with w = alpha (k+1), so
+    the smooth envelope e_k = Gamma(w)/(pi k!) bounds |c_k| and, unlike |c_k|,
+    does not dip to zero near the poles."""
+    table = np.empty((3, n))
+    lpi = math.log(math.pi)
+    for k in range(n):
+        w = alpha * (k + 1.0)
+        lfact = math.lgamma(k + 1.0)
+        lr, sign = _log_abs_reciprocal_gamma(1.0 - w)
+        table[:, k] = lr - lfact, sign if k % 2 == 0 else -sign, math.lgamma(w) - lfact - lpi
+    return tuple(table)
 
 
 def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
@@ -497,11 +517,11 @@ def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
     total, comp, n_terms = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
     log_largest = np.full(s.shape, -np.inf)
     overflowed, active = np.zeros(s.shape, dtype=bool), np.ones(s.shape, dtype=bool)
-    log_c, sign = _wright_series_coeffs(alpha, 64)
+    log_c, sign, log_e = _wright_series_coeffs(alpha, 64)
     k = 0
     while k <= max_terms and active.any():
         if k == log_c.size:
-            log_c, sign = _wright_series_coeffs(alpha, 2 * k)
+            log_c, sign, log_e = _wright_series_coeffs(alpha, 2 * k)
         if sign[k] != 0.0:
             lmag = k * ls + log_c[k]
             log_largest = np.where(active, np.maximum(log_largest, lmag), log_largest)
@@ -512,8 +532,11 @@ def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
             comp += np.where(abs(total) >= abs(term), (total - new) + term, (term - new) + total)
             total = new
             n_terms += finite
-            if k > 3:
-                active &= ~((lmag < log_cut) & (lmag < log_largest - 5.0))
+        if k > 3:
+            # stop on the envelope: a term next to a pole is nearly zero
+            # while the terms after it are not
+            lenv = k * ls + log_e[k]
+            active &= ~((lenv < log_cut) & (lenv < log_largest - 5.0))
         k += 1
     value = total + comp
     err = n_terms * 1.1e-16 * np.exp(np.minimum(log_largest, 700.0))

@@ -173,6 +173,16 @@ class TestMultiplier:
         # the rule's 1e-12 plus the reference's allowance of 1e-12
         assert np.all(np.abs(got - ref) <= 2e-12 * ref)
 
+    def test_subordination_one_ulp_off_round_alpha(self):
+        # 0.1 * 6 = 0.6000000000000001: the Wright series must not stop at
+        # the nearly vanishing coefficient next to the pole at alpha = 0.6
+        alpha = 0.1 * 6
+        x = np.concatenate(([0.0], np.logspace(-3.0, 2.0, 11)))
+        got = propagator_multiplier(SolverConfig(alpha=alpha, representation="subordination"),
+                                    1.0, x)
+        ref = [mittag_leffler_neg(alpha, float(v), EvalPolicy(series_tol=1e-13)) for v in x]
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
     def test_zero_mode_is_exactly_one(self):
         g = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64)
         for alpha in (0.3, 0.9):

@@ -1,0 +1,43 @@
+"""The runtime import contract: the package needs numpy and mpmath only, and
+every module it uses is loaded when it is imported, not on the first call
+(the cost of a cold command stays in its start-up)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fracheat
+
+SRC = str(Path(fracheat.__file__).resolve().parent.parent)
+
+
+def _run(code: str):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = _run("import json, sys, fracheat.cli\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+    assert loaded == []
+
+
+def test_first_calls_import_no_library_module():
+    loaded = _run(
+        "import json, sys\n"
+        "import fracheat.cli\n"
+        "from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, "
+        "spectral_solve\n"
+        "from fracheat.subordination import wright_moment\n"
+        "before = set(sys.modules)\n"
+        "grid = PeriodicGrid(dim=1, box_length=50.0, points_per_dim=256)\n"
+        "spectral_solve(gaussian_bump(grid), SolverConfig(alpha=0.6), 1.0)\n"
+        "wright_moment(0.6, 0.5)\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
+        "                        if m.split('.')[0] in ('numpy', 'scipy', 'mpmath'))))")
+    assert loaded == []

@@ -6,6 +6,7 @@ precision summation of the defining series.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from fracheat.special_functions import (
     mittag_leffler_contour,
     mittag_leffler_neg,
     mittag_leffler_neg_info,
+    _log_abs_reciprocal_gamma,
     _wright_batch,
     _wright_m_array,
     reciprocal_gamma,
@@ -83,6 +85,26 @@ class TestGammaHelpers:
         assert reciprocal_gamma(0.0) == 0.0
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi))
+
+    @pytest.mark.parametrize("x", [-0.5, -1.5, -2.5, -3.25, -7.9, -40.3, -170.5,
+                                   -1.0 + 1e-12, -1.0 - 1e-12, -4.0 + 1e-12, -4.0 - 1e-12,
+                                   -1e-12, 1e-12, 0.3, 5.5, 300.0])
+    def test_log_and_sign_of_reciprocal_gamma(self, x):
+        lr, sign = _log_abs_reciprocal_gamma(x)
+        ref = mp.rgamma(mp.mpf(x))
+        assert sign == (1.0 if ref > 0 else -1.0)
+        assert lr == pytest.approx(float(mp.log(abs(ref))), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -171.0, -1e15])
+    def test_log_reciprocal_gamma_at_poles(self, x):
+        assert _log_abs_reciprocal_gamma(x) == (-math.inf, 0.0)
+
+    def test_reciprocal_gamma_overflow(self):
+        # |1/Gamma| passes the double range deep on the negative axis
+        assert reciprocal_gamma(-200.5) == -math.inf
+        assert reciprocal_gamma(-201.5) == math.inf
+        assert reciprocal_gamma(-170.5) == pytest.approx(float(mp.rgamma(-170.5)), rel=1e-12)
+        assert reciprocal_gamma(1e306) == 0.0
 
 
 class TestMittagLeffler:

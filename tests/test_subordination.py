@@ -6,6 +6,7 @@ standard library; the quadrature must reproduce them independently.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from fracheat.errors import QuadratureError
 from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
 from fracheat.subordination import (
     DEFAULT_QUAD,
+    _gauss_jacobi,
     QuadratureSpec,
     dirac_limit_check,
     endpoint_divergence_profile,
@@ -52,9 +54,29 @@ class TestMassNodes:
         assert np.all(np.diff(nodes) > 0.0)
         assert float(mass.sum()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
+    @pytest.mark.parametrize("toward", [0.0, 1.0])
+    def test_total_mass_one_ulp_off_round_alpha(self, alpha, toward):
+        # 1 - alpha (k+1) lands next to a pole of Gamma, where one series
+        # coefficient is nearly zero but the ones after it are not
+        _, mass = wright_mass_nodes(math.nextafter(alpha, toward))
+        assert abs(float(mass.sum()) - 1.0) <= 1e-12
+
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
             wright_mass_nodes(1.0)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", [40, 80])
+    @pytest.mark.parametrize("b", [-0.998, -0.5, 0.0, 3.0])
+    @pytest.mark.parametrize("c", [1.0, 3.0])
+    def test_exponential_against_incomplete_gamma(self, n, b, c):
+        # int_{-1}^{1} (1+x)^b e^{-c(1+x)} dx = gamma(b+1, 2c) / c^(b+1)
+        x, w = _gauss_jacobi(n, b)
+        assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
+        exact = float(mp.gammainc(b + 1.0, 0, 2.0 * c) / mp.mpf(c) ** (b + 1.0))
+        assert float(np.dot(w, np.exp(-c * (1.0 + x)))) == pytest.approx(exact, rel=1e-14)
 
 
 class TestSubordinateScalar:
