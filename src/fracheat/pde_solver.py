@@ -5,11 +5,15 @@ The box is a desk-scale surrogate for free space: data is kept localized
 solution mass reaches the boundary. The propagator acts mode-by-mode:
 each Fourier mode xi is multiplied by E_alpha(-t^alpha |xi|^2), either
 evaluated directly or through the Wright-subordination quadrature over
-classical heat multipliers exp(-s t^alpha |xi|^2). On the 2D box the heat
-multiplier factorizes over the axes, exp(-tau |xi|^2) =
-exp(-tau xi_x^2) exp(-tau xi_y^2), so the subordination multiplier is the
-matrix A diag(mass) A^T with A[k, i] = exp(-s_i t^alpha xi_k^2): one GEMM.
-The direct kernel 1/(g^alpha + x) does not factorize and keeps the
+classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
+its spectrum is Hermitian: a solve is one real FFT, the multiplier on the
+half spectrum (N//2 + 1 modes on the last axis) and one inverse real FFT.
+On the 2D box the heat multiplier factorizes over the axes,
+exp(-tau |xi|^2) = exp(-tau xi_x^2) exp(-tau xi_y^2), and xi_k^2 =
+xi_{N-k}^2 leaves N//2 + 1 distinct axis values, so the subordination
+multiplier is read from the U x U matrix F diag(mass) F^T with
+F[u, i] = exp(-s_i t^alpha c_u) over the distinct axis values c: one
+GEMM. The direct kernel 1/(g^alpha + x) does not factorize and keeps the
 per-mode node rule.
 """
 
@@ -73,19 +77,28 @@ class PeriodicGrid:
     def cell_volume(self) -> float:
         return self.dx ** self.dim
 
+    def _axis(self) -> np.ndarray:
+        """The N sample positions along one axis."""
+        return self.dx * np.arange(self.points_per_dim) - self.box_length / 2.0
+
     def coordinates(self) -> tuple[np.ndarray, ...]:
-        x = self.dx * np.arange(self.points_per_dim) - self.box_length / 2.0
+        x = self._axis()
         if self.dim == 1:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
     def frequencies_squared(self) -> np.ndarray:
         """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
-        xi = 2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
+        return self._frequencies_squared(self.points_per_dim)
+
+    def _frequencies_squared(self, last: int) -> np.ndarray:
+        """|xi|^2 on the first `last` modes of the last axis, built by
+        broadcasting the axis values: N gives the FFT layout, N//2 + 1 the
+        half spectrum of a real FFT."""
+        k2 = (2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)) ** 2
         if self.dim == 1:
-            return xi ** 2
-        xx, yy = np.meshgrid(xi, xi, indexing="ij")
-        return xx ** 2 + yy ** 2
+            return k2[:last]
+        return k2[:, None] + k2[None, :last]
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,8 @@ def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5, amplitude: float = 1.0
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    coords = grid.coordinates()
-    r2 = sum(c ** 2 for c in coords)
+    x2 = grid._axis() ** 2
+    r2 = x2 if grid.dim == 1 else x2[:, None] + x2[None, :]
     return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
@@ -176,8 +189,8 @@ class SolverConfig:
 
 # modes per block of the per-mode matvec: bounds each (modes x nodes)
 # temporary to 7.5 MB at the 1,824 nodes of the largest mass table; the 2D
-# subordination GEMM needs no blocks, its N x nodes factor is that size at
-# N = 512
+# subordination GEMM needs no blocks, its (N//2 + 1) x nodes factor is
+# half that size at N = 512
 _BLOCK_ROWS = 512
 
 
@@ -190,19 +203,22 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2,
     for a finite time t >= 0 (ValueError otherwise).
 
-    Subordination on a 2D tensor-sum spectrum (xi2[j, k] = c[j] + c[k]
-    with c = xi2[:, 0], as `PeriodicGrid.frequencies_squared` builds it)
-    is one GEMM, (A * mass) @ A.T with A[k, i] = exp(-s_i t^alpha c[k]),
-    since the heat multiplier factorizes over the axes. Every other input
-    is evaluated on the unique |xi|^2 values only (the spectrum is highly
-    degenerate) and broadcast back: both representations are weighted
-    sums over fixed nodes, applied as one matvec in row blocks, the
-    subordination route over the Wright mass table and the direct route
-    over the Hankel node rule, whose kernel 1/(g^alpha + x) does not
-    factorize. The node rule serves the default precision (standard,
-    series_tol >= 1e-12, alpha up to the rule's own cap, where it meets
-    1e-12); a stricter policy, or alpha closer to 1, takes the scalar
-    Mittag-Leffler route.
+    Subordination on a 2D tensor-sum spectrum (xi2[j, k] = r[j] + c[k]
+    with r = xi2[:, 0] and c = xi2[0, :], as `PeriodicGrid` builds both
+    the full FFT layout and the half spectrum of a real FFT) is one GEMM,
+    since the heat multiplier factorizes over the axes: with the U
+    distinct values v of r and c (N//2 + 1 on an N-point grid, as
+    xi_k^2 = xi_{N-k}^2) it forms the U x U table (F * mass) @ F.T,
+    F[u, i] = exp(-s_i t^alpha v[u]), and reads xi2's entries from it.
+    Every other input is evaluated on the unique |xi|^2 values only (the
+    spectrum is highly degenerate) and broadcast back: both
+    representations are weighted sums over fixed nodes, applied as one
+    matvec in row blocks, the subordination route over the Wright mass
+    table and the direct route over the Hankel node rule, whose kernel
+    1/(g^alpha + x) does not factorize. The node rule serves the default
+    precision (standard, series_tol >= 1e-12, alpha up to the rule's own
+    cap, where it meets 1e-12); a stricter policy, or alpha closer to 1,
+    takes the scalar Mittag-Leffler route.
     """
     a = cfg.alpha.value
     t = float(t)
@@ -212,11 +228,13 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
         return np.ones_like(xi2)
     ta = t ** a
     if cfg.representation == "subordination" and xi2.ndim == 2:
-        c = xi2[:, 0]
-        if np.array_equal(xi2, c[:, None] + c[None, :]):
+        rows, cols = xi2[:, 0], xi2[0, :]
+        if np.array_equal(xi2, rows[:, None] + cols[None, :]):
+            axis, inv = np.unique(np.concatenate([rows, cols]), return_inverse=True)
             nodes, mass = wright_mass_nodes(a, cfg.quad)
-            factor = np.exp(np.outer(-ta * c, nodes))
-            return (factor * mass) @ factor.T
+            factor = np.exp(np.outer(-ta * axis, nodes))
+            table = (factor * mass) @ factor.T
+            return table[np.ix_(inv[:rows.size], inv[rows.size:])]
     uniq, inverse = np.unique(xi2.ravel(), return_inverse=True)
     x = ta * uniq
     pol = cfg.policy
@@ -233,19 +251,27 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     return vals[inverse].reshape(xi2.shape)
 
 
+def _half_spectrum(w0: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Real FFT of w0 and |xi|^2 on the same half layout."""
+    grid = w0.grid
+    return (np.fft.rfftn(w0.samples),
+            grid._frequencies_squared(grid.points_per_dim // 2 + 1))
+
+
 def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, xi2: np.ndarray,
             cfg: SolverConfig, t: float) -> Field:
-    """Inverse FFT of a forward-transformed field times the multiplier at t."""
-    out = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
+    """Inverse real FFT of a half spectrum times the multiplier at t."""
+    out = np.fft.irfftn(spectrum * propagator_multiplier(cfg, t, xi2),
+                        s=(grid.points_per_dim,) * grid.dim, axes=tuple(range(grid.dim)))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in the spectral solve")
     return Field(grid, out)
 
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
-    """Evolve w0 to time t: FFT, per-mode propagator multiplier, inverse FFT."""
-    return _evolve(w0.grid, np.fft.fftn(w0.samples), w0.grid.frequencies_squared(),
-                   cfg, t)
+    """Evolve w0 to time t: real FFT, per-mode propagator multiplier on
+    the half spectrum, inverse real FFT."""
+    return _evolve(w0.grid, *_half_spectrum(w0), cfg, t)
 
 
 def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:
@@ -346,8 +372,7 @@ def decay_measurement(
     lam = w0.grid.dim / 2.0
     delta = 1.0 / p - 1.0 / q
     norm_p0 = w0.norm_lp(p)
-    spectrum = np.fft.fftn(w0.samples)
-    xi2 = w0.grid.frequencies_squared()
+    spectrum, xi2 = _half_spectrum(w0)
     rows = []
     truncated_at = None
     for t in ts:

@@ -217,6 +217,23 @@ class TestSolveAndReport:
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
         assert "error code=2" in capsys.readouterr().err
 
+    def test_solve_refuses_a_grid_beyond_available_memory(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # 2D N = 256 needs about 4.5 MiB at 72 B per point
+        field_path, out = tmp_path / "field.bin", tmp_path / "solve.json"
+        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
+                "--L", "64", "--field-out", str(field_path), "--out", str(out)]
+        monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 2 ** 20)
+        assert run(argv) == 2
+        assert "needs about 4.5 MiB; 4.0 MiB available" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "_available_memory", lambda: 5 * 2 ** 20)
+        assert run(argv) == 0
+        assert field_path.exists() and out.exists()
+
+    def test_available_memory_is_read(self):
+        assert cli._available_memory() > 0
+
     def test_decay_compare_reports_divergence(self, tmp_path):
         out = tmp_path / "cmp.json"
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0",

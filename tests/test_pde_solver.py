@@ -42,6 +42,30 @@ class TestGrid:
         assert g.cell_volume == pytest.approx((10.0 / 64) ** 2)
         assert g.frequencies_squared().shape == (64, 64)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_broadcast_grids_match_meshgrid_formulas(self, dim):
+        # the meshgrid formulas gaussian_bump and frequencies_squared used
+        g = PeriodicGrid(dim=dim, box_length=20.0, points_per_dim=128)
+        x = g.dx * np.arange(128) - 10.0
+        xi = 2.0 * math.pi * np.fft.fftfreq(128, d=g.dx)
+        if dim == 1:
+            r2, k2 = x ** 2, xi ** 2
+        else:
+            xx, yy = np.meshgrid(x, x, indexing="ij")
+            r2 = sum(c ** 2 for c in (xx, yy))
+            kx, ky = np.meshgrid(xi, xi, indexing="ij")
+            k2 = kx ** 2 + ky ** 2
+        assert np.array_equal(gaussian_bump(g, sigma=0.7).samples,
+                              np.exp(-r2 / (2.0 * 0.7 ** 2)))
+        assert np.array_equal(g.frequencies_squared(), k2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_spectrum_is_a_slice_of_the_full_one(self, dim):
+        g = PeriodicGrid(dim=dim, box_length=20.0, points_per_dim=64)
+        half = g._frequencies_squared(33)
+        assert half.shape == (64,) * (dim - 1) + (33,)
+        assert np.array_equal(half, g.frequencies_squared()[..., :33])
+
     @pytest.mark.parametrize("kwargs", [
         {"dim": 3, "box_length": 10.0, "points_per_dim": 64},
         {"dim": 1, "box_length": -1.0, "points_per_dim": 64},
@@ -133,6 +157,34 @@ class TestSolve:
                 rel = np.max(np.abs(d.samples - s.samples)) / d.max_norm()
                 assert rel <= 1e-7
 
+    @pytest.mark.parametrize("dim, n, box", [(1, 1024, 200.0), (2, 128, 32.0)])
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    def test_real_fft_matches_full_complex_transform(self, monkeypatch, dim, n, box, rep):
+        # every field spectral_solve and decay_measurement produce on the
+        # half spectrum against the full complex FFT of the same multiplier
+        grid = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)
+        w0 = gaussian_bump(grid)
+        spectrum, xi2 = np.fft.fftn(w0.samples), grid.frequencies_squared()
+        evolve, seen = pde_solver._evolve, []
+
+        def spy(grid, spectrum, xi2, cfg, t):
+            seen.append((t, evolve(grid, spectrum, xi2, cfg, t)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(pde_solver, "_evolve", spy)
+        ts = (0.1, 1.0, 7.0)
+        for alpha in (0.3, 0.6, 0.95):
+            cfg = SolverConfig(alpha=alpha, representation=rep)
+            seen.clear()
+            for t in ts:
+                spectral_solve(w0, cfg, t)
+            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
+                              wraparound_tol=1.0)
+            assert [t for t, _ in seen] == [*ts, 0.1, 0.3, 1.0, 3.0, 7.0]
+            for t, w in seen:
+                ref = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
+                assert np.max(np.abs(w.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_2d_solve_runs(self):
         g = PeriodicGrid(dim=2, box_length=50.0, points_per_dim=128)
         f = gaussian_bump(g)
@@ -220,28 +272,33 @@ class TestMultiplier:
 
     def test_2d_subordination_is_one_gemm(self, monkeypatch):
         # geometric panels (alpha <= 0.85, 784 nodes) and phi-spaced
-        # panels (alpha > 0.85); the per-mode matvec must not run
+        # panels (alpha > 0.85), on the full FFT layout and the half
+        # spectrum of a real FFT; the per-mode matvec must not run
         def per_mode(kernel, x):
             raise AssertionError("2D tensor-sum spectrum took the per-mode matvec")
 
         monkeypatch.setattr(pde_solver, "_blocked", per_mode)
         for n, box in ((64, 20.0), (128, 32.0)):
-            xi2 = PeriodicGrid(dim=2, box_length=box, points_per_dim=n).frequencies_squared()
-            uniq, inverse = np.unique(xi2, return_inverse=True)
-            for alpha in (0.3, 0.6, 0.95):
-                cfg = SolverConfig(alpha=alpha, representation="subordination")
-                for t in (0.1, 1.0, 7.0, 50.0):
-                    got = propagator_multiplier(cfg, t, xi2)
-                    ref = _blocked_subordination(alpha, t, uniq)[inverse].reshape(xi2.shape)
-                    assert np.max(np.abs(got - ref)) <= 1e-14
+            grid = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
+            for xi2 in (grid.frequencies_squared(), grid._frequencies_squared(n // 2 + 1)):
+                uniq, inverse = np.unique(xi2, return_inverse=True)
+                for alpha in (0.3, 0.6, 0.95):
+                    cfg = SolverConfig(alpha=alpha, representation="subordination")
+                    for t in (0.1, 1.0, 7.0, 50.0):
+                        got = propagator_multiplier(cfg, t, xi2)
+                        ref = _blocked_subordination(alpha, t, uniq)[inverse].reshape(xi2.shape)
+                        assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_2d_non_tensor_sum_takes_per_mode_route(self):
-        xi2 = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64).frequencies_squared()
-        xi2[5, 7] += 0.25
-        cfg = SolverConfig(alpha=0.6, representation="subordination")
-        got = propagator_multiplier(cfg, 2.0, xi2)
-        flat = propagator_multiplier(cfg, 2.0, xi2.ravel())
-        assert np.array_equal(got, flat.reshape(xi2.shape))
+        # full FFT layout and half spectrum of a real FFT
+        grid = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64)
+        for last in (64, 33):
+            xi2 = grid._frequencies_squared(last)
+            xi2[5, 7] += 0.25
+            cfg = SolverConfig(alpha=0.6, representation="subordination")
+            got = propagator_multiplier(cfg, 2.0, xi2)
+            flat = propagator_multiplier(cfg, 2.0, xi2.ravel())
+            assert np.array_equal(got, flat.reshape(xi2.shape))
 
 
 class TestFieldIO:
