@@ -1,10 +1,11 @@
 """Scalar special functions for the fractional heat propagator.
 
 Provides gamma helpers, the Mittag-Leffler function E_alpha(-x) on the
-negative real axis (series, tail-truncated asymptotic expansion, and a
-batched Hankel node rule checked against them), and the Wright-type
-density M_alpha(s) that subordinates the fractional propagator to the
-classical heat semigroup.
+negative real axis (one pole-corrected real-axis rule in double precision,
+arbitrary-precision power and asymptotic sums in extended precision, and
+the batched Hankel node rule of the propagator, checked against them), and
+the Wright-type density M_alpha(s) that subordinates the fractional
+propagator to the classical heat semigroup.
 
 All evaluations are pure functions of their arguments; there is no global
 mutable state beyond internal memoization of immutable results.
@@ -12,6 +13,7 @@ mutable state beyond internal memoization of immutable results.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,18 +68,17 @@ class Alpha:
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Truncation, switching and precision parameters for E_alpha and M_alpha.
+    """Tolerance, term budget and precision for E_alpha and M_alpha.
 
-    ``series_asymptotic_switch`` is the x above which the asymptotic
-    expansion is attempted first; it is accepted only when its
-    optimal-truncation error estimate meets ``series_tol``, otherwise the
-    evaluation falls back to the (precision-escalated) power series.
+    At standard precision with ``series_tol`` at least 1e-13, E_alpha(-x)
+    takes one double-precision real-axis rule whose step follows
+    ``series_tol``; a stricter ``series_tol``, or extended precision, takes
+    arbitrary-precision sums. ``series_max_terms`` bounds every
+    arbitrary-precision sum and the Wright series.
     """
 
     series_tol: float = 1e-12
     series_max_terms: int = 200_000
-    series_asymptotic_switch: float = 5.0
-    asymptotic_order: int = 400
     working_precision: str = "standard"
 
     def __post_init__(self) -> None:
@@ -85,8 +86,8 @@ class EvalPolicy:
             raise ValueError(f"unknown working_precision {self.working_precision!r}")
         if self.series_tol <= _EPS_BY_PRECISION[self.working_precision]:
             raise ValueError("series_tol must exceed the working-precision epsilon")
-        if self.series_max_terms < 1 or self.asymptotic_order < 1:
-            raise ValueError("term budgets must be positive")
+        if self.series_max_terms < 1:
+            raise ValueError("term budget must be positive")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -141,76 +142,61 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
 # Mittag-Leffler E_alpha(-x), x >= 0
 # ---------------------------------------------------------------------------
 
-def _ml_asymptotic(alpha: float, x: float, kmax: int) -> tuple[float, float]:
-    """Tail-truncated expansion E_alpha(-x) ~ sum_k (-1)^{k+1} x^{-k}/Gamma(1-alpha k).
+# the real-axis rule certifies this relative error; a stricter series_tol, or
+# extended precision, takes the arbitrary-precision sums
+_RULE_TOL = 1e-13
+# 8 MiB per temporary: at x >= 1e-12 the rule needs at most about 320/alpha
+# nodes, so there it refuses only alpha below 3e-4
+_RULE_MAX_NODES = 1 << 20
 
-    Returns (value, absolute error estimate); the estimate is the first
-    omitted term under optimal truncation (stop before the smallest term).
+
+def _ml_real_axis(alpha: float, x: float, tol: float) -> tuple[float, int]:
+    """(E_alpha(-x), node count) for 0 < alpha < 1 and x > 0 by the trapezoid
+    rule on Mainardi's spectral integral (Mainardi 2014, DCDS-B 19): with
+    t = x^(1/alpha) and s = sin((1-alpha) pi/2),
+
+        E_alpha(-x) = (sin((1-alpha) pi)/pi) int_R exp(-t e^u) du / (4 sinh^2(alpha u/2) + 4 s^2).
+
+    The integrand is positive, so nothing cancels at any x. Its nearest poles
+    sit at u = +-i theta, theta = pi (1-alpha)/alpha; when theta < pi/2 their
+    share of the trapezoid error is subtracted in closed form (Trefethen &
+    Weideman 2014, SIAM Review 56). The nodes are offset by half a step from
+    a multiple of h, which makes the correction's q = -exp(-2 pi theta/h)
+    real with |1 - q| >= 1: without the snap it resonates as alpha -> 1.
     """
-    if x <= 1.0:
-        return 0.0, math.inf
-    lx = math.log(x)
-    lpi = math.log(math.pi)
-    total = 0.0
-    prev_env = math.inf
-    err = math.inf
-    for k in range(1, kmax + 1):
-        w = alpha * k
-        # by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi; the smooth
-        # envelope x^{-k} Gamma(w)/pi bounds the term and (unlike the term
-        # magnitude itself, which dips near the sin zeros) decays
-        # monotonically up to the optimal truncation index
-        lenv = -k * lx + math.lgamma(w) - lpi
-        if lenv >= prev_env:
-            return total, err  # envelope turned: optimal truncation reached
-        prev_env = lenv
-        err = math.exp(lenv) if lenv < 690.0 else math.inf
-        lr, sign = _log_abs_reciprocal_gamma(1.0 - w)
-        if sign != 0.0:
-            lmag = -k * lx + lr
-            if lmag >= 690.0:
-                return total, math.inf
-            total += (1.0 if k % 2 == 1 else -1.0) * sign * math.exp(lmag)
-        if err < 1e-20 * abs(total):
-            return total, err
-    return total, err
-
-
-@lru_cache(maxsize=64)
-def _ml_lgamma_table(alpha: float, n: int) -> np.ndarray:
-    """log Gamma(alpha k + 1) for k < n; the series scan doubles n as it goes."""
-    table = np.array([math.lgamma(alpha * k + 1.0) for k in range(n)])
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
-
-
-def _ml_series_double(
-    alpha: float, x: float, max_terms: int
-) -> tuple[float | None, float, float]:
-    """Power series in double precision with compensated (exact) summation.
-
-    Returns (value, absolute error estimate, log of largest term); value is
-    None when the terms overflow double precision or exceed the budget.
-    """
-    # locate the largest term and the truncation index by magnitude (x > 0)
-    lx = math.log(x)
-    lmax = -math.inf
-    blocks = []
-    lg = _ml_lgamma_table(alpha, 256)
-    for k0 in range(0, max_terms + 1, 256):
-        if k0 == lg.size:
-            lg = _ml_lgamma_table(alpha, 2 * k0)
-        blocks.append(np.arange(k0, k0 + 256, dtype=float) * lx - lg[k0:k0 + 256])
-        lmax = max(lmax, float(blocks[-1].max()))
-        if lmax > 690.0:
-            break
-        below = np.flatnonzero(blocks[-1] < lmax - 40.0)
-        if below.size and float(blocks[-1][-1]) < lmax - 40.0:
-            n = k0 + int(below[0]) + 1
-            terms = np.exp(np.concatenate(blocks)[:n])
-            terms[1::2] *= -1.0
-            return math.fsum(terms.tolist()), n * 1.1e-16 * math.exp(lmax), lmax
-    return None, math.inf, lmax
+    lt = math.log(x) / alpha  # ln t, finite where t itself would overflow
+    # the step resolves the strip |Im u| < pi/2, where exp(-t e^u) stops
+    # decaying, to the tolerance; a step finer than at 1e-12 gains nothing
+    h = 0.9 * math.pi ** 2 / math.log(1e5 / max(tol, 1e-12))
+    # the left cut lies e^-45 below the integrand's scale, and its e^(alpha u)
+    # tail is added in closed form; past the right cut exp(-t e^u) < e^-40
+    lo = h * (math.floor((min(-lt, 0.0) - 45.0 / alpha) / h) + 0.5)
+    n = int((math.log(40.0) - lt - lo) / h) + 1
+    if n > _RULE_MAX_NODES:
+        raise UnreliableEvaluationError(
+            f"E_alpha(-x) needs {n} real-axis nodes at alpha={alpha}, x={x}; "
+            f"beyond the budget of {_RULE_MAX_NODES}")
+    u = lo + h * np.arange(n)
+    s2 = 4.0 * math.sin(0.5 * math.pi * (1.0 - alpha)) ** 2
+    # past x = 1 the integrand is summed times x (r^2 = 1/x), so that its
+    # left flank, where 4 sinh^2(alpha u/2) ~ x e^45, neither overflows nor
+    # goes subnormal as x approaches the double range
+    r = math.exp(-0.5 * alpha * max(lt, 0.0))
+    with np.errstate(over="ignore"):  # right flank at x < 1e-306: 1/inf = 0 loses nothing
+        f = np.exp(-np.exp(lt + u)) / ((2.0 * r * np.sinh(0.5 * alpha * u)) ** 2 + s2 * r * r)
+    # 1 - alpha is exact in floating point, while sin(alpha pi) loses about
+    # 1e-14 near alpha = 1
+    c = math.sin(math.pi * (1.0 - alpha)) / math.pi
+    value = c * (h * r * r * f.sum() + math.exp(alpha * lo) / alpha)
+    theta = math.pi * (1.0 - alpha) / alpha
+    if theta < 0.5 * math.pi:
+        q = -math.exp(-2.0 * math.pi * theta / h)
+        # past t = e^700 the pole term underflows to 0
+        pole = cmath.exp(-math.exp(min(lt, 700.0)) * cmath.exp(1j * theta))
+        value -= 2.0 * pole.real * q / (alpha * (1.0 - q))
+    # E_alpha(-x) <= 1/(1 + x/Gamma(1+alpha)) <= 1 (Simon 2014, EJP 19);
+    # round-off would otherwise lift tiny x just above 1
+    return min(float(value), 1.0), n
 
 
 def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
@@ -234,88 +220,71 @@ def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
 
 @lru_cache(maxsize=128)
 def _ml_rgamma_block(alpha: float, dps: int, block: int) -> tuple:
-    """1/Gamma(alpha k + 1) at dps digits for the 64 k of one block; the
-    cache holds at most 128 x 64 small mpf."""
+    """1/Gamma(alpha k + 1) at dps digits for the 64 k of one block (a
+    negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k));
+    the cache holds at most 128 x 64 small mpf."""
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         return tuple(mp.rgamma(a * k + 1) for k in range(64 * block, 64 * block + 64))
 
 
-def _ml_series_mp(alpha: float, x: float, dps: int, max_terms: int) -> float:
+def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
+    """E_alpha(-x) for 0 < alpha < 1 and x > 0 from arbitrary-precision sums
+    that carry 34 digits to the rounded double.
+
+    Below t = x^(1/alpha) = 80 it sums the power series, whose largest term
+    is about e^t, at t/ln 10 + 42 digits (rounded up to a multiple of 8, so
+    the coefficients are cached per digit bucket). Beyond, it sums the
+    asymptotic series E_alpha(-x) = sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k)
+    at 42 digits up to the smallest smooth envelope term x^-k Gamma(alpha k)/pi
+    (by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi): the truncation
+    error is then about e^-t.
+    """
+    failure = f"Mittag-Leffler sums did not converge within {max_terms} terms " \
+              f"(alpha={alpha}, x={x})"
+    lx = math.log(x)
+    if lx / alpha < math.log(80.0):
+        dps = 8 * math.ceil((x ** (1.0 / alpha) / math.log(10.0) + 42.0) / 8.0)
+        with mp.workdps(dps):
+            z = mp.mpf(x)
+
+            def terms():
+                power = mp.mpf(1)  # (-z)^k, updated incrementally
+                for k in range(max_terms):
+                    yield power * _ml_rgamma_block(alpha, dps, k // 64)[k % 64]
+                    power *= -z
+
+            return _mp_series(terms(), dps, 3, failure), f"series-extended[{dps}dps]"
+    dps = 42
     with mp.workdps(dps):
         z = mp.mpf(x)
-
-        def terms():
-            power = mp.mpf(1)  # (-z)^k, updated incrementally
-            for k in range(max_terms):
-                yield power * _ml_rgamma_block(alpha, dps, k // 64)[k % 64]
-                power *= -z
-
-        return _mp_series(terms(), dps, 3, "Mittag-Leffler series did not converge within "
-                          f"{max_terms} terms (alpha={alpha}, x={x})")
+        total, power, prev = mp.mpf(0), mp.mpf(-1), math.inf  # power: -(-z)^-k
+        # stop where the envelope turns, or e^-110 (2e-48) below its first
+        # term, past every digit the double keeps
+        floor = math.lgamma(alpha) - lx - 110.0
+        for k in range(1, max_terms):
+            lenv = math.lgamma(alpha * k) - k * lx
+            if lenv >= prev or lenv < floor:
+                return float(total), f"asymptotic-extended[{dps}dps]"
+            prev = lenv
+            power /= -z
+            total += power * _ml_rgamma_block(-alpha, dps, k // 64)[k % 64]
+    raise ConvergenceError(failure)
 
 
 @lru_cache(maxsize=300_000)
-def _ml_neg_cached(alpha: float, x: float, tol: float, switch: float,
-                   kmax_asym: int, max_terms: int, extended: bool) -> tuple[float, str]:
+def _ml_neg_cached(alpha: float, x: float, tol: float, max_terms: int,
+                   extended: bool) -> tuple[float, str]:
     if x == 0.0:
         return 1.0, "exact"
     if alpha == 1.0:
         # classical limit; the general engine is exercised against this
         # identity in the test suite
         return math.exp(-x), "exp"
-    target = tol if not extended else min(tol, 1e-16)
-
-    def try_asymptotic() -> tuple[float, str] | None:
-        v, err = _ml_asymptotic(alpha, x, kmax_asym)
-        if math.isfinite(err) and err <= target * max(abs(v), 1e-300):
-            return v, "asymptotic"
-        return None
-
-    if x >= switch:
-        got = try_asymptotic()
-        if got is not None:
-            return got
-
-    series = _ml_series_double(alpha, x, max_terms)
-    value, err, lmax = series
-    if value is not None and err <= target * abs(value) and not extended:
-        return value, "series"
-
-    if x < switch:
-        got = try_asymptotic()
-        if got is not None:
-            return got
-
-    # escalate the series in extended precision; digits needed follow from
-    # the ratio of the largest term to the result magnitude
-    if value is None:
-        # the double-precision scan aborted before locating the peak, so
-        # its lmax is only a lower bound; solve lx = alpha*digamma(alpha*k+1)
-        # for the true peak index instead
-        lo, hi = 1.0, 2.0
-        while alpha * float(mp.digamma(alpha * hi + 1.0)) < math.log(x):
-            lo, hi = hi, hi * 2.0
-            if hi > 1e12:
-                break
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if alpha * float(mp.digamma(alpha * mid + 1.0)) < math.log(x):
-                lo = mid
-            else:
-                hi = mid
-        k_peak = 0.5 * (lo + hi)
-        lmax = k_peak * math.log(x) - math.lgamma(alpha * k_peak + 1.0)
-    lval = math.log(0.05 / (1.0 + x))
-    dps = int((lmax - lval) / math.log(10.0)) + 25
-    if extended:
-        dps = max(dps, 35)
-    if dps > _MAX_ESCALATION_DPS:
-        raise UnreliableEvaluationError(
-            f"E_alpha(-x) needs ~{dps} digits at alpha={alpha}, x={x}; "
-            "beyond the escalation budget"
-        )
-    return _ml_series_mp(alpha, x, dps, max_terms), f"series-extended[{dps}dps]"
+    if extended or tol < _RULE_TOL:
+        return _ml_sums_mp(alpha, x, max_terms)
+    value, n = _ml_real_axis(alpha, x, tol)
+    return value, f"real-axis[{n}]"
 
 
 def mittag_leffler_neg_info(
@@ -326,15 +295,8 @@ def mittag_leffler_neg_info(
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return _ml_neg_cached(
-        a,
-        x,
-        policy.series_tol,
-        policy.series_asymptotic_switch,
-        policy.asymptotic_order,
-        policy.series_max_terms,
-        policy.working_precision == "extended",
-    )
+    return _ml_neg_cached(a, x, policy.series_tol, policy.series_max_terms,
+                          policy.working_precision == "extended")
 
 
 def mittag_leffler_neg(
@@ -393,7 +355,7 @@ def _ml_hankel(alpha: float, x: np.ndarray) -> np.ndarray:
 
 def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
     """E_alpha(-x) at one x > 0 by the Hankel node rule behind the direct
-    propagator. Independent of the series/asymptotic route, its reference.
+    propagator. Independent of mittag_leffler_neg, its reference.
     """
     a = Alpha.coerce(alpha)
     x = float(x)

@@ -10,7 +10,7 @@ from fracheat import cli, decay_analysis
 from fracheat.pde_solver import (
     PeriodicGrid, SolverConfig, gaussian_bump, read_field, spectral_solve,
 )
-from fracheat.special_functions import EvalPolicy
+from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
 
 
 def run(argv):
@@ -27,6 +27,13 @@ class TestEval:
         (rec,) = doc["records"]
         assert rec["value"] == pytest.approx(0.42758357615580700441, rel=1e-12)
         assert rec["method"]
+
+    def test_eval_ml_extended_precision_at_large_x(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
+        out = tmp_path / "ml.json"
+        assert run(["eval-ml", "--alpha", "0.25", "--x", "3.5e8", "--out", str(out)]) == 0
+        (rec,) = json.loads(out.read_text())["records"]
+        assert rec["value"] == mittag_leffler_neg(0.25, 3.5e8, EvalPolicy(working_precision="extended"))
 
     def test_eval_wright_value(self, tmp_path):
         out = tmp_path / "w.json"
@@ -189,8 +196,8 @@ class TestSolveAndReport:
         assert np.array_equal(read_field(paths["1e-12"])[0].samples, default.samples)
 
     def test_decay_commands_honour_tol(self, tmp_path):
-        # beta = 1.5 (1/p - 1/q) = 0.75 at alpha 0.3: the asymptotic branch
-        # accepted at 1e-6 moves the E_alpha supremum in the 9th digit
+        # beta = 1.5 (1/p - 1/q) = 0.75 at alpha 0.3: the coarser real-axis
+        # step at 1e-6 moves the E_alpha supremum in the 13th digit
         loose = EvalPolicy(series_tol=1e-6)
         sups = {}
         for tol in (None, "1e-6"):

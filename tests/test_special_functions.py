@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfcx
 
+from fracheat.errors import UnreliableEvaluationError
 from fracheat.special_functions import (
     Alpha,
     DEFAULT_POLICY,
     EvalPolicy,
+    _HANKEL_ALPHA_CAP,
     gamma_fn,
     mittag_leffler_contour,
     mittag_leffler_neg,
@@ -39,6 +41,30 @@ ML_REFERENCE = [
     (0.5, 100.0, 0.0056416137829894329036),
     (0.3, 5.0, 0.13708086902027063758),
 ]
+
+# (alpha, x, E_alpha(-x)) near alpha = 1, frozen from 60+ digit series
+# summation: the poles of the real-axis integrand at +-i pi (1-alpha)/alpha
+# near the real axis make a rule whose node offset is not snapped to half a
+# step resonate here
+ML_NEAR_ONE_REFERENCE = [
+    (0.9864, 1e-09, 0.99999999899429372809),
+    (0.9864, 1.0, 0.36879797797867034085),
+    (0.9864, 30.0, 0.00049003801098717923285),
+    (0.9913, 1e-09, 0.99999999899633954563),
+    (0.9913, 1.0, 0.368459307055337813),
+    (0.9913, 30.0, 0.00031280802688798750559),
+    (0.9919, 1e-09, 0.99999999899659084233),
+    (0.9919, 1.0, 0.36841843083802203509),
+    (0.9919, 30.0, 0.00029115750441745329073),
+    (0.9964, 1e-09, 0.99999999899848100671),
+    (0.9964, 1.0, 0.36811602669865581143),
+    (0.9964, 30.0, 0.00012914194221944003398),
+    (0.9999, 1e-09, 0.9999999989999577244),
+    (0.9999, 1.0, 0.36788594845385097629),
+    (0.9999, 30.0, 3.5815308894603460274e-6),
+]
+
+EXTENDED = EvalPolicy(working_precision="extended")
 
 # (alpha, s, M_alpha(s)) frozen from 80-digit series summation
 WRIGHT_REFERENCE = [
@@ -112,6 +138,44 @@ class TestMittagLeffler:
     def test_reference_values(self, alpha, x, expected):
         assert mittag_leffler_neg(alpha, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha,x,expected", ML_NEAR_ONE_REFERENCE)
+    def test_reference_values_near_alpha_one(self, alpha, x, expected):
+        assert mittag_leffler_neg(alpha, x) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.9999),
+        x=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=4e8)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_simon_bounds(self, alpha, x):
+        # 1/(1 + Gamma(1-alpha) x) <= E_alpha(-x) <= 1/(1 + x/Gamma(1+alpha))
+        # for 0 < alpha < 1 (Simon 2014, EJP 19); an independent check of
+        # every route, with the Hankel rule at its certified 1e-12
+        lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * x)
+        upper = 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
+        values = [(mittag_leffler_neg(alpha, x), 1e-13),
+                  (mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-6)), 1e-13),
+                  (mittag_leffler_neg(alpha, x, EXTENDED), 1e-13)]
+        if x > 0.0 and alpha <= _HANKEL_ALPHA_CAP:
+            values.append((mittag_leffler_contour(alpha, x), 1e-12))
+        for v, slack in values:
+            assert lower * (1.0 - slack) <= v <= upper * (1.0 + slack)
+
+    @pytest.mark.parametrize("alpha,x", [(0.975, 46093147.33266293), (0.25, 3.5e8),
+                                         (0.5, 1e6)])
+    def test_extended_precision_is_correctly_rounded(self, alpha, x):
+        with mp.workdps(60):
+            a, z = mp.mpf(alpha), mp.mpf(x)
+            # the asymptotic series: its 59th term is below 1e-60 of the sum here
+            ref = mp.fsum((-1) ** (k + 1) * z ** -k * mp.rgamma(1 - a * k) for k in range(1, 60))
+        assert mittag_leffler_neg(alpha, x, EXTENDED) == float(ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.99])
+    def test_standard_precision_never_runs_mpmath(self, alpha):
+        # the 400 points of the supremum grid search
+        for x in np.exp(np.linspace(math.log(1e-8), math.log(1e8), 400)):
+            assert mittag_leffler_neg_info(alpha, float(x))[1].startswith("real-axis[")
+
     def test_alpha_one_is_exp(self):
         for x in np.linspace(0.0, 30.0, 31):
             assert mittag_leffler_neg(1.0, float(x)) == pytest.approx(
@@ -130,6 +194,11 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler_neg(0.5, -1.0)
 
+    def test_refuses_alpha_beyond_the_node_budget(self):
+        # the rule would need about 2e6 nodes; refused before allocating them
+        with pytest.raises(UnreliableEvaluationError):
+            mittag_leffler_neg(1e-4, 1.0)
+
     def test_info_reports_method(self):
         value, method = mittag_leffler_neg_info(0.5, 1.0)
         assert isinstance(method, str) and method
@@ -141,6 +210,13 @@ class TestMittagLeffler:
             x = 1e6
             lead = 1.0 / (x * math.gamma(1.0 - alpha))
             assert mittag_leffler_neg(alpha, x) == pytest.approx(lead, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.99])
+    def test_leading_asymptotics_near_the_top_of_the_double_range(self, alpha):
+        # the O(x^-2) correction is far below round-off at x = 1e300
+        x = 1e300
+        lead = 1.0 / x / math.gamma(1.0 - alpha)
+        assert mittag_leffler_neg(alpha, x) == pytest.approx(lead, rel=1e-12, abs=0.0)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=1.0),

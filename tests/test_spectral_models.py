@@ -22,6 +22,7 @@ from fracheat.spectral_models import (
     verify_trace_growth,
 )
 from fracheat.decay_analysis import sup_heat_closed_form
+from fracheat.special_functions import mittag_leffler_neg
 
 
 class TestSpectrumTypes:
@@ -130,6 +131,22 @@ class TestConditionSupremum:
             with pytest.warns(RuntimeWarning):
                 got = condition_supremum(m, 4.0 / 3.0, 4.0, alpha, 1.0, "direct_ml")
             assert math.isinf(got)
+
+    @pytest.mark.parametrize("alpha,t", [(0.8685426336473641, 3.5001481528910747),
+                                         (0.8731991436016834, 3.2788466449891005),
+                                         (0.3327273601723859, 2.789810723756012)])
+    def test_torus_grid_supremum_stays_below_the_exact_one(self, alpha, t):
+        # tau is a step function and E_alpha(-x) decreases, so the supremum
+        # is the limit from the right at an eigenvalue; a grid point just
+        # right of one must not read above it, which needs E_alpha(-x)
+        # monotone down to round-off
+        m = torus_laplacian_2d()
+        delta = 1.0 / (4.0 / 3.0) - 1.0 / 4.0
+        below = np.cumsum(m.variant.multiplicities)
+        exact = max(float(c) ** delta * mittag_leffler_neg(alpha, t ** alpha * e)
+                    for c, e in zip(below, m.variant.eigenvalues))
+        got = condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t)
+        assert 0.0 <= (exact - got) / exact <= 0.05
 
     def test_validation(self):
         m = SpectralModel(PowerLawSpectrum(1.0, 1.0))
