@@ -201,7 +201,7 @@ def cmd_verify_subordination(args) -> list[dict]:
             worst = max(worst, abs(sub - direct))
         records.append({"command": "verify-subordination", "alpha": a,
                         "worst_abs_error": worst, "n_points": 30,
-                        "tolerance": 1e-8, "method": "quadrature-vs-series"})
+                        "tolerance": 1e-8, "method": "quadrature-vs-reference"})
         worst_overall = max(worst_overall, worst)
         print(f"alpha={a}: worst |subordination - direct| = {worst:.3e}")
     if worst_overall > 1e-8:
@@ -252,7 +252,7 @@ def cmd_verify_special(args) -> list[dict]:
         for x in (0.1, 1.0, 10.0):
             worst = max(worst, abs(mittag_leffler_contour(a, x)
                                    - mittag_leffler_neg(a, x, policy)))
-    check("contour-vs-series-agreement", worst, 1e-10)
+    check("contour-vs-reference-agreement", worst, 1e-10)
     worst = 0.0
     for s in np.linspace(0.0, 8.0, 81):
         exact = math.exp(-s * s / 4.0) / math.sqrt(math.pi)

@@ -7,8 +7,8 @@ the batched Hankel node rule of the propagator, checked against them), and
 the Wright-type density M_alpha(s) that subordinates the fractional
 propagator to the classical heat semigroup.
 
-All evaluations are pure functions of their arguments; there is no global
-mutable state beyond internal memoization of immutable results.
+All evaluations are pure functions of their arguments; the only global
+state is internal memoization, which never changes a computed value.
 """
 
 from __future__ import annotations
@@ -218,14 +218,20 @@ def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
     raise ConvergenceError(failure)
 
 
-@lru_cache(maxsize=128)
-def _ml_rgamma_block(alpha: float, dps: int, block: int) -> tuple:
-    """1/Gamma(alpha k + 1) at dps digits for the 64 k of one block (a
-    negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k));
-    the cache holds at most 128 x 64 small mpf."""
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        return tuple(mp.rgamma(a * k + 1) for k in range(64 * block, 64 * block + 64))
+@lru_cache(maxsize=8)
+def _ml_rgamma_table(alpha: float, dps: int) -> list:
+    """1/Gamma(alpha k + 1) at dps digits for k = 0, 1, ... as far as computed
+    (a negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k))."""
+    return []
+
+
+def _ml_rgamma(alpha: float, dps: int, k: int):
+    """Coefficient k of the table, which grows 64 coefficients at a time."""
+    table = _ml_rgamma_table(alpha, dps)
+    if k >= len(table):
+        with mp.workdps(dps):
+            table.extend(mp.rgamma(mp.mpf(alpha) * j + 1) for j in range(len(table), k + 64))
+    return table[k]
 
 
 def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
@@ -251,7 +257,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
             def terms():
                 power = mp.mpf(1)  # (-z)^k, updated incrementally
                 for k in range(max_terms):
-                    yield power * _ml_rgamma_block(alpha, dps, k // 64)[k % 64]
+                    yield power * _ml_rgamma(alpha, dps, k)
                     power *= -z
 
             return _mp_series(terms(), dps, 3, failure), f"series-extended[{dps}dps]"
@@ -268,7 +274,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
                 return float(total), f"asymptotic-extended[{dps}dps]"
             prev = lenv
             power /= -z
-            total += power * _ml_rgamma_block(-alpha, dps, k // 64)[k % 64]
+            total += power * _ml_rgamma(-alpha, dps, k)
     raise ConvergenceError(failure)
 
 

@@ -73,10 +73,12 @@ DEFAULT_QUAD = QuadratureSpec()
 _S_FLOOR = 1e-6  # first panel covers [0, _S_FLOOR]; integrands are bounded there
 
 
-def _adaptive_cut(alpha: float, tol: float, weight_exp: float, cap: float) -> float:
-    """Smallest s (up to cap) beyond which the envelope tail of
-    s^weight_exp * M_alpha(s) is negligible at tolerance tol."""
-    log_target = math.log(tol) - 7.0
+@lru_cache(maxsize=512)
+def _adaptive_cut(alpha: float, spec: QuadratureSpec, weight_exp: float) -> float:
+    """Smallest s (up to spec.upper_cut) beyond which the envelope tail of
+    s^weight_exp * M_alpha(s) is negligible at spec.target_tol * 1e-3."""
+    log_target = math.log(spec.target_tol * 1e-3) - 7.0
+    cap = spec.upper_cut
     # s = 1.01 * 1.05^j < cap by repeated products (alpha near 1 collapses past 1)
     s = np.cumprod(np.r_[1.01, np.full(int(math.log(cap) / math.log(1.05)) + 2, 1.05)])
     s = s[s < cap]
@@ -85,7 +87,8 @@ def _adaptive_cut(alpha: float, tol: float, weight_exp: float, cap: float) -> fl
     return float(s[hit[0]]) if hit.size else cap
 
 
-def _envelope_tail(alpha: float, s_from: float, weight_exp: float = 0.0) -> float:
+@lru_cache(maxsize=512)
+def _envelope_tail(alpha: float, s_from: float, weight_exp: float) -> float:
     """Upper estimate of int_{s_from}^inf s^weight_exp M_alpha(s) ds from
     the decay envelope, by geometric-grid summation up to the first step
     past 50 s_from + 200 (at most 400 steps)."""
@@ -154,24 +157,22 @@ def _sample_density(alpha: float, nodes: np.ndarray, spec: QuadratureSpec) -> np
 
 
 @lru_cache(maxsize=512)
-def _mass_table(alpha: float, spec: QuadratureSpec, scale: int,
-                weight_exp: float, lo: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(nodes, weight * M_alpha(node), cut S, envelope tail estimate).
+def _density_table(alpha: float, spec: QuadratureSpec, scale: int,
+                   lo: float, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, Gauss weight * M_alpha(node)) of the panels on [lo, cut].
 
-    Cached per (alpha, spec, refinement scale, integrand weight, lower
-    limit) and shared across every x / Fourier mode that integrates
-    against the same density.
+    Cached per (alpha, spec, refinement scale, interval): every weight
+    s^gamma, x and Fourier mode integrated against the density over the
+    same interval shares one sampling and applies its weight at use.
+    lo = 0 puts one panel [0, _S_FLOOR] ahead of the adapted ones.
     """
-    cut = _adaptive_cut(alpha, spec.target_tol * 1e-3, weight_exp, spec.upper_cut)
-    # lo = 0: one panel [0, _S_FLOOR] ahead of the adapted ones
     edges = ([0.0] if lo == 0.0 else []) + _panel_edges(
         alpha, lo if lo > 0.0 else _S_FLOOR, cut, spec.panels * scale, scale)
     nodes, weights = _gauss_panels(edges, spec.nodes_per_panel)
     mass = weights * _sample_density(alpha, nodes, spec)
     nodes.setflags(write=False)
     mass.setflags(write=False)
-    tail = _envelope_tail(alpha, cut, weight_exp)
-    return nodes, mass, cut, tail
+    return nodes, mass
 
 
 def wright_mass_nodes(
@@ -185,14 +186,20 @@ def wright_mass_nodes(
     a = Alpha.coerce(alpha)
     if not a < 1.0:
         raise ValueError("subordination requires 0 < alpha < 1")
-    nodes, mass, _, _ = _mass_table(a, quad, scale, 0.0, 0.0)
-    return nodes, mass
+    return _density_table(a, quad, scale, 0.0, _adaptive_cut(a, quad, 0.0))
 
 
-def _tail_correction(alpha: float, spec: QuadratureSpec, nodes: np.ndarray,
-                     cut: float, tail_env: float, damp: float) -> float:
-    """Tail beyond the cut: either certified negligible or added back via
-    the envelope calibrated at the last node."""
+@lru_cache(maxsize=512)
+def _calibration(alpha: float, s_last: float) -> float:
+    """M_alpha over its envelope at the last node of a table."""
+    return wright_m(alpha, s_last) / math.exp(wright_log_envelope(alpha, s_last))
+
+
+def _tail_correction(alpha: float, spec: QuadratureSpec, s_last: float,
+                     cut: float, weight_exp: float) -> float:
+    """int_cut^inf s^weight_exp M_alpha(s) ds: either certified negligible
+    or added back via the envelope calibrated at the last node."""
+    tail_env = _envelope_tail(alpha, cut, weight_exp)
     if spec.tail_policy == "neglect_with_bound":
         if tail_env > spec.target_tol:
             raise QuadratureError(
@@ -200,9 +207,7 @@ def _tail_correction(alpha: float, spec: QuadratureSpec, nodes: np.ndarray,
                 f"target_tol={spec.target_tol}; raise upper_cut"
             )
         return 0.0
-    s_last = float(nodes[-1])
-    calib = wright_m(alpha, s_last) / math.exp(wright_log_envelope(alpha, s_last))
-    return calib * tail_env * damp
+    return _calibration(alpha, s_last) * tail_env
 
 
 def subordinate_scalar(
@@ -221,10 +226,12 @@ def subordinate_scalar(
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
 
+    cut = _adaptive_cut(a, quad, 0.0)
+
     def value(scale: int) -> float:
-        nodes, mass, cut, tail_env = _mass_table(a, quad, scale, 0.0, 0.0)
+        nodes, mass = _density_table(a, quad, scale, 0.0, cut)
         v = float(np.dot(mass, np.exp(-nodes * x)))
-        return v + _tail_correction(a, quad, nodes, cut, tail_env, math.exp(-cut * x))
+        return v + _tail_correction(a, quad, nodes[-1], cut, 0.0) * math.exp(-cut * x)
 
     v1, v2 = value(1), value(2)
     if abs(v1 - v2) <= quad.target_tol:
@@ -253,17 +260,23 @@ def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
 
 
+def _upper_moment(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) -> float:
+    """int_1^inf s^gamma M_alpha(s) ds. The cut is adapted to the weight
+    max(gamma, 3), so every built-in weight (gamma <= 3) shares one [1, S]
+    table per scale; a larger gamma gets its own longer table."""
+    cut = _adaptive_cut(alpha, quad, max(gamma, 3.0))
+    nodes, mass = _density_table(alpha, quad, scale, 1.0, cut)
+    return (float(np.dot(mass, nodes ** gamma))
+            + _tail_correction(alpha, quad, nodes[-1], cut, gamma))
+
+
 def _moment_value(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) -> float:
     # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
     xj, wj = _gauss_jacobi(40 * scale, gamma)
     sj = 0.5 * (xj + 1.0)
     mj = _wright_m_array(alpha, sj)
     part_unit = 0.5 ** (gamma + 1.0) * float(np.dot(wj, mj))
-    # [1, S]: smooth integrand, geometric Gauss-Legendre panels
-    nodes, mass, cut, tail_env = _mass_table(alpha, quad, scale, gamma, 1.0)
-    part_tail = float(np.dot(mass, nodes ** gamma))
-    part_tail += _tail_correction(alpha, quad, nodes, cut, tail_env, 1.0)
-    return part_unit + part_tail
+    return part_unit + _upper_moment(alpha, gamma, quad, scale)
 
 
 def wright_moment(
@@ -346,12 +359,12 @@ def endpoint_divergence_profile(
     if not all(b < a0 for a0, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps values must decrease toward 0")
 
+    # each eps sums its own [eps, 1] (series nodes only) onto one shared [1, inf)
+    upper = _upper_moment(a, -1.0, quad, 2)
     values = []
     for e in eps:
-        nodes, mass, cut, tail_env = _mass_table(a, quad, 2, -1.0, e)
-        v = float(np.dot(mass, 1.0 / nodes))
-        v += _tail_correction(a, quad, nodes, cut, tail_env / cut, 1.0)
-        values.append(v)
+        nodes, mass = _density_table(a, quad, 2, e, 1.0)
+        values.append(float(np.dot(mass, 1.0 / nodes)) + upper)
     lx = np.log(1.0 / np.asarray(eps))
     slope, intercept = np.polyfit(lx, np.asarray(values), 1)
     return EndpointDivergenceProfile(

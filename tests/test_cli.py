@@ -62,6 +62,7 @@ class TestVerifyCommands:
                     "--out", str(out)]) == 0
         recs = json.loads(out.read_text())["records"]
         assert all(r["worst_abs_error"] <= 1e-8 for r in recs)
+        assert all(r["method"] == "quadrature-vs-reference" for r in recs)
 
     def test_verify_moments_passes(self, tmp_path):
         out = tmp_path / "mom.json"
@@ -76,7 +77,7 @@ class TestVerifyCommands:
         recs = json.loads(out.read_text())["records"]
         assert {r["check"] for r in recs} == {
             "alpha-1-exponential-reduction",
-            "contour-vs-series-agreement",
+            "contour-vs-reference-agreement",
             "wright-half-gaussian-identity",
         }
         assert all(r["passed"] for r in recs)

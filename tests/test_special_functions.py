@@ -23,6 +23,7 @@ from fracheat.special_functions import (
     mittag_leffler_neg,
     mittag_leffler_neg_info,
     _log_abs_reciprocal_gamma,
+    _ml_neg_cached,
     _wright_batch,
     _wright_m_array,
     reciprocal_gamma,
@@ -169,6 +170,16 @@ class TestMittagLeffler:
             # the asymptotic series: its 59th term is below 1e-60 of the sum here
             ref = mp.fsum((-1) ** (k + 1) * z ** -k * mp.rgamma(1 - a * k) for k in range(1, 60))
         assert mittag_leffler_neg(alpha, x, EXTENDED) == float(ref)
+
+    def test_repeat_extended_sum_computes_no_new_coefficient(self, monkeypatch):
+        # the power series at alpha 0.02, x 1.09 needs about 15,000 coefficients
+        first = mittag_leffler_neg_info(0.02, 1.09, EXTENDED)
+        _ml_neg_cached.cache_clear()  # repeat the sum, not the lookup
+        calls = []
+        rgamma = mp.rgamma
+        monkeypatch.setattr(mp, "rgamma", lambda z: calls.append(z) or rgamma(z))
+        assert mittag_leffler_neg_info(0.02, 1.09, EXTENDED) == first
+        assert calls == []
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.99])
     def test_standard_precision_never_runs_mpmath(self, alpha):

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracheat import cli, subordination
 from fracheat.errors import QuadratureError
-from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
+from fracheat.special_functions import EvalPolicy, mittag_leffler_neg, wright_log_envelope
 from fracheat.subordination import (
     DEFAULT_QUAD,
     _gauss_jacobi,
+    _gauss_panels,
+    _panel_edges,
+    _sample_density,
     QuadratureSpec,
     dirac_limit_check,
     endpoint_divergence_profile,
@@ -65,6 +69,27 @@ class TestMassNodes:
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
             wright_mass_nodes(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.95])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_solver_table_is_frozen(self, alpha, scale):
+        # the 2D subordination GEMM grows with the node count, so the
+        # solver's table is pinned bit for bit to this construction: the cut
+        # adapted to weight 0, one panel [0, 1e-6] ahead of the adapted ones
+        spec = DEFAULT_QUAD
+        s = np.cumprod(np.r_[1.01, np.full(int(math.log(spec.upper_cut) / math.log(1.05)) + 2,
+                                           1.05)])
+        s = s[s < spec.upper_cut]
+        ls = np.log(s)
+        hit = np.flatnonzero(wright_log_envelope(alpha, s) + 0.0 * ls + ls
+                             < math.log(spec.target_tol * 1e-3) - 7.0)
+        cut = float(s[hit[0]]) if hit.size else spec.upper_cut
+        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, spec.panels * scale, scale)
+        nodes, weights = _gauss_panels(edges, spec.nodes_per_panel)
+        mass = weights * _sample_density(alpha, nodes, spec)
+        got_nodes, got_mass = wright_mass_nodes(alpha, spec, scale)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got_mass, mass)
 
 
 class TestGaussJacobi:
@@ -129,6 +154,32 @@ class TestMoments:
         assert wright_moment(0.5, -0.5) == pytest.approx(
             1.4464090846320771425, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_gamma_beyond_the_shared_table(self, alpha):
+        # gamma = 10 needs a longer cut than the table every gamma <= 3 shares
+        exact = math.gamma(11.0) / math.gamma(10.0 * alpha + 1.0)
+        assert wright_moment(alpha, 10.0) == pytest.approx(exact, rel=1e-8)
+
+    def test_gamma_beyond_reach_is_refused(self):
+        # at alpha 0.25 the s^10 weight pushes the cut to the upper_cut
+        # ceiling, where panel doubling no longer agrees: refused, not returned
+        with pytest.raises(QuadratureError):
+            wright_moment(0.25, 10.0)
+
+    def test_verify_moments_samples_the_density_above_one_once_per_scale(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(alpha, nodes, spec):
+            calls.append(float(nodes.min()))
+            return _sample_density(alpha, nodes, spec)
+
+        subordination._density_table.cache_clear()
+        monkeypatch.setattr(subordination, "_sample_density", counting)
+        assert cli.main(["verify-moments", "--alpha", "0.4",
+                         "--out", str(tmp_path / "mom.json")]) == 0
+        assert len(calls) == 2 and min(calls) >= 1.0
+
     def test_rejects_divergent_gamma(self):
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.0)
@@ -159,6 +210,16 @@ class TestEndpointDivergence:
         assert prof.expected_slope == pytest.approx(
             1.0 / math.gamma(0.5), rel=1e-14)
         assert prof.slope == pytest.approx(prof.expected_slope, rel=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_tail_is_negligible(self, alpha):
+        # the tail beyond the cut is weighted by s^-1 once, and far below
+        # the neglect policy's bound
+        eps = list(np.logspace(-2, -5, 8))
+        neglect = QuadratureSpec(tail_policy="neglect_with_bound")
+        got = endpoint_divergence_profile(alpha, eps, neglect).integral
+        ref = endpoint_divergence_profile(alpha, eps).integral
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
