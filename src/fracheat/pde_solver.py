@@ -8,13 +8,16 @@ evaluated directly or through the Wright-subordination quadrature over
 classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
 its spectrum is Hermitian: a solve is one real FFT, the multiplier on the
 half spectrum (N//2 + 1 modes on the last axis) and one inverse real FFT.
-On the 2D box the heat multiplier factorizes over the axes,
-exp(-tau |xi|^2) = exp(-tau xi_x^2) exp(-tau xi_y^2), and xi_k^2 =
-xi_{N-k}^2 leaves N//2 + 1 distinct axis values, so the subordination
-multiplier is read from the U x U matrix F diag(mass) F^T with
-F[u, i] = exp(-s_i t^alpha c_u) over the distinct axis values c: one
-GEMM. The direct kernel 1/(g^alpha + x) does not factorize and keeps the
-per-mode node rule.
+The last axis of the half spectrum holds the U = N//2 + 1 distinct axis
+values c_u = xi_u^2 (xi_k^2 = xi_{N-k}^2), so a subordination solve or
+sweep takes them, and each row's index min(j, N - j) into them, from the
+grid once. In 1D the multiplier is one matvec over c; on the 2D box the
+heat multiplier factorizes over the axes, exp(-tau |xi|^2) =
+exp(-tau xi_x^2) exp(-tau xi_y^2), so it is read from the U x U matrix
+F diag(mass) F^T with F[u, i] = exp(-s_i t^alpha c_u): one GEMM. Heat
+factors below exp(-345) ~ 1e-150 are written as exact zeros, so no exp
+underflows and no GEMM product is subnormal. The direct kernel
+1/(g^alpha + x) does not factorize and keeps the per-mode node rule.
 """
 
 from __future__ import annotations
@@ -95,10 +98,20 @@ class PeriodicGrid:
         """|xi|^2 on the first `last` modes of the last axis, built by
         broadcasting the axis values: N gives the FFT layout, N//2 + 1 the
         half spectrum of a real FFT."""
-        k2 = (2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)) ** 2
+        axis, index = self._axis_values()
+        k2 = axis[index]
         if self.dim == 1:
             return k2[:last]
         return k2[:, None] + k2[None, :last]
+
+    def _axis_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The U = N//2 + 1 distinct values xi_u^2 along an axis, ascending,
+        and the index min(j, N - j) into them of each FFT position j, as
+        xi_j^2 = xi_{N-j}^2 (xi_k = 2 pi k / L)."""
+        n = self.points_per_dim
+        j = np.arange(n)
+        axis = (2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)[:n // 2 + 1]) ** 2
+        return axis, np.minimum(j, n - j)
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,17 @@ class Field:
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
+
+    @classmethod
+    def _adopt(cls, grid: PeriodicGrid, samples: np.ndarray) -> Field:
+        """A Field owning `samples`, a fresh finite float array of the grid's
+        shape that no one else holds: made read-only in place, with neither
+        the checks nor the copy of the constructor."""
+        samples.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "samples", samples)
+        return field
 
     def norm_lp(self, p: float) -> float:
         """Riemann-sum L^p norm (cell volume weighted); p < inf."""
@@ -187,16 +211,53 @@ class SolverConfig:
             raise ValueError("subordination representation requires alpha < 1")
 
 
-# modes per block of the per-mode matvec: bounds each (modes x nodes)
-# temporary to 7.5 MB at the 1,824 nodes of the largest mass table; the 2D
-# subordination GEMM needs no blocks, its (N//2 + 1) x nodes factor is
-# half that size at N = 512
+# modes per block of the per-mode matvec: bounds each (modes x nodes) heat
+# factor to 7.5 MB, plus a 0.9 MB flush mask, at the 1,824 nodes of the
+# largest mass table; the 2D subordination GEMM needs no blocks, its
+# (N//2 + 1) x nodes factor is half that size at N = 512
 _BLOCK_ROWS = 512
+
+# heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
+# numpy's slow underflow path, no GEMM product is subnormal, and a flushed
+# multiplier lies below the unflushed one by at most exp(-_FLUSH) sum(mass)
+_FLUSH = 345.0
 
 
 def _blocked(kernel, x: np.ndarray) -> np.ndarray:
     return np.concatenate([kernel(x[i:i + _BLOCK_ROWS])
                            for i in range(0, x.size, _BLOCK_ROWS)])
+
+
+def _heat_factors(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """exp(-x_u s_i), x_u >= 0, flushed to 0 where x_u s_i > _FLUSH."""
+    f = np.multiply.outer(-x, nodes)
+    far = f < -_FLUSH
+    np.maximum(f, -_FLUSH, out=f)
+    np.exp(f, out=f)
+    f[far] = 0.0
+    return f
+
+
+def _time_scale(cfg: SolverConfig, t: float) -> float:
+    """t^alpha for a finite time t >= 0 (ValueError otherwise)."""
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    return t ** cfg.alpha.value
+
+
+def _subordinated(cfg: SolverConfig, ta: float, axis: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Subordination multiplier E_alpha(-ta c) on distinct values c = axis
+    by a blocked matvec; with a row index (2D), E_alpha(-ta (c[rows[j]] +
+    c[v])) over rows j and columns v, from the U x U GEMM (F * mass) @ F.T
+    of the heat factors F[u, i] = exp(-s_i ta c[u])."""
+    nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
+    x = ta * axis
+    if rows is None:
+        return _blocked(lambda u: _heat_factors(u, nodes) @ mass, x)
+    factor = _heat_factors(x, nodes)
+    return ((factor * mass) @ factor.T)[rows]
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
@@ -215,32 +276,27 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     representations are weighted sums over fixed nodes, applied as one
     matvec in row blocks, the subordination route over the Wright mass
     table and the direct route over the Hankel node rule, whose kernel
-    1/(g^alpha + x) does not factorize. The node rule serves the default
+    1/(g^alpha + x) does not factorize. Subordination heat factors below
+    exp(-345) ~ 1e-150 count as 0, which lowers a multiplier by at most
+    1e-150 times the table's total mass. The node rule serves the default
     precision (standard, series_tol >= 1e-12, alpha up to the rule's own
     cap, where it meets 1e-12); a stricter policy, or alpha closer to 1,
     takes the scalar Mittag-Leffler route.
     """
     a = cfg.alpha.value
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    if t == 0.0:
+    ta = _time_scale(cfg, t)
+    if ta == 0.0:
         return np.ones_like(xi2)
-    ta = t ** a
     if cfg.representation == "subordination" and xi2.ndim == 2:
         rows, cols = xi2[:, 0], xi2[0, :]
         if np.array_equal(xi2, rows[:, None] + cols[None, :]):
             axis, inv = np.unique(np.concatenate([rows, cols]), return_inverse=True)
-            nodes, mass = wright_mass_nodes(a, cfg.quad)
-            factor = np.exp(np.outer(-ta * axis, nodes))
-            table = (factor * mass) @ factor.T
-            return table[np.ix_(inv[:rows.size], inv[rows.size:])]
+            return _subordinated(cfg, ta, axis, inv[:rows.size])[:, inv[rows.size:]]
     uniq, inverse = np.unique(xi2.ravel(), return_inverse=True)
     x = ta * uniq
     pol = cfg.policy
     if cfg.representation == "subordination":
-        nodes, mass = wright_mass_nodes(a, cfg.quad)
-        vals = _blocked(lambda u: np.exp(np.outer(-u, nodes)) @ mass, x)
+        vals = _subordinated(cfg, ta, uniq)
     elif a == 1.0:
         vals = np.exp(-x)
     elif (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
@@ -251,27 +307,37 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     return vals[inverse].reshape(xi2.shape)
 
 
-def _half_spectrum(w0: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Real FFT of w0 and |xi|^2 on the same half layout."""
+def _half_spectrum(w0: Field, cfg: SolverConfig) -> tuple[np.ndarray, object]:
+    """Real FFT of w0 and, once per solve or sweep, the modes its multiplier
+    takes: the grid's axis values for subordination, else |xi|^2 on the
+    half layout."""
     grid = w0.grid
-    return (np.fft.rfftn(w0.samples),
-            grid._frequencies_squared(grid.points_per_dim // 2 + 1))
+    if cfg.representation != "subordination":
+        return np.fft.rfftn(w0.samples), grid._frequencies_squared(grid.points_per_dim // 2 + 1)
+    axis, index = grid._axis_values()
+    return np.fft.rfftn(w0.samples), (axis, index if grid.dim == 2 else None)
 
 
-def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, xi2: np.ndarray,
+def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, modes,
             cfg: SolverConfig, t: float) -> Field:
-    """Inverse real FFT of a half spectrum times the multiplier at t."""
-    out = np.fft.irfftn(spectrum * propagator_multiplier(cfg, t, xi2),
-                        s=(grid.points_per_dim,) * grid.dim, axes=tuple(range(grid.dim)))
+    """Inverse real FFT of a half spectrum times the multiplier at t on the
+    modes of `_half_spectrum`; the multiplier is freed before the FFT."""
+    if cfg.representation == "subordination":
+        ta = _time_scale(cfg, t)
+        spectrum = spectrum * _subordinated(cfg, ta, *modes) if ta > 0.0 else spectrum
+    else:
+        spectrum = spectrum * propagator_multiplier(cfg, t, modes)
+    out = np.fft.irfftn(spectrum, s=(grid.points_per_dim,) * grid.dim,
+                        axes=tuple(range(grid.dim)))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in the spectral solve")
-    return Field(grid, out)
+    return Field._adopt(grid, out)
 
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
     """Evolve w0 to time t: real FFT, per-mode propagator multiplier on
     the half spectrum, inverse real FFT."""
-    return _evolve(w0.grid, *_half_spectrum(w0), cfg, t)
+    return _evolve(w0.grid, *_half_spectrum(w0, cfg), cfg, t)
 
 
 def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:
@@ -372,11 +438,11 @@ def decay_measurement(
     lam = w0.grid.dim / 2.0
     delta = 1.0 / p - 1.0 / q
     norm_p0 = w0.norm_lp(p)
-    spectrum, xi2 = _half_spectrum(w0)
+    spectrum, modes = _half_spectrum(w0, cfg)
     rows = []
     truncated_at = None
     for t in ts:
-        w = _evolve(w0.grid, spectrum, xi2, cfg, t)
+        w = _evolve(w0.grid, spectrum, modes, cfg, t)
         edge = w.boundary_mass_fraction()
         if edge > wraparound_tol:
             truncated_at = t
@@ -387,6 +453,7 @@ def decay_measurement(
             )
             break
         ratio = w.norm_lp(q) / norm_p0
+        del w  # freed before the next step allocates its field
         rows.append((t, ratio, t ** (a * lam * delta) * ratio, edge))
     if len(rows) < 5:
         raise InsufficientDataError(

@@ -135,8 +135,17 @@ def _panel_edges(alpha: float, lo: float, hi: float, panels: int,
     return edges
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per n."""
+    xg, wg = leggauss(n)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
 def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    xg, wg = leggauss(nodes_per_panel)
+    xg, wg = _legendre_rule(nodes_per_panel)
     e = np.asarray(edges)
     mid, hl = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
     return (mid + hl * xg).ravel(), (hl * wg).ravel()

@@ -66,6 +66,17 @@ class TestGrid:
         assert half.shape == (64,) * (dim - 1) + (33,)
         assert np.array_equal(half, g.frequencies_squared()[..., :33])
 
+    @pytest.mark.parametrize("n, box", [(64, 20.0), (256, 64.0), (512, 128.0), (4096, 200.0)])
+    def test_axis_values_are_the_distinct_values_of_the_spectrum(self, n, box):
+        # the solver's axis values and row index are what np.unique finds
+        # in the half spectrum, whose last axis they are
+        g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
+        axis, index = g._axis_values()
+        half = g._frequencies_squared(n // 2 + 1)
+        uniq, inv = np.unique(np.concatenate([half[:, 0], half[0, :]]), return_inverse=True)
+        assert np.array_equal(axis, uniq) and np.array_equal(index, inv[:n])
+        assert np.array_equal(half[0], axis)
+
     @pytest.mark.parametrize("kwargs", [
         {"dim": 3, "box_length": 10.0, "points_per_dim": 64},
         {"dim": 1, "box_length": -1.0, "points_per_dim": 64},
@@ -105,6 +116,47 @@ class TestField:
 
     def test_boundary_mass_fraction_small_for_centered_bump(self, bump_1d):
         assert bump_1d.boundary_mass_fraction() < 1e-12
+
+    def test_constructor_copies_the_callers_array(self, grid_1d):
+        arr = np.ones(grid_1d.points_per_dim)
+        f = Field(grid_1d, arr)
+        assert not np.shares_memory(f.samples, arr)
+        arr[0] = 2.0
+        assert f.samples[0] == 1.0 and arr.flags.writeable
+
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    def test_solver_fields_are_owned_and_read_only(self, monkeypatch, rep):
+        # every field spectral_solve and decay_measurement produce
+        evolve, seen = pde_solver._evolve, []
+
+        def spy(grid, spectrum, modes, cfg, t):
+            seen.append(evolve(grid, spectrum, modes, cfg, t))
+            return seen[-1]
+
+        monkeypatch.setattr(pde_solver, "_evolve", spy)
+        for dim, n, box in ((1, 1024, 200.0), (2, 64, 16.0)):
+            w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
+            cfg = SolverConfig(alpha=0.6, representation=rep)
+            seen.clear()
+            solved = spectral_solve(w0, cfg, 1.0)
+            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
+                              wraparound_tol=1.0)
+            assert seen[0] is solved and len(seen) == 6
+            for w in seen:
+                assert not w.samples.flags.writeable
+                assert not np.shares_memory(w.samples, w0.samples)
+                assert all(not np.shares_memory(w.samples, v.samples)
+                           for v in seen if v is not w)
+                with pytest.raises(ValueError):
+                    w.samples[0] = 1.0
+
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    def test_non_finite_solve_raises(self, rep):
+        # finite samples whose spectrum overflows
+        grid = PeriodicGrid(dim=2, box_length=16.0, points_per_dim=64)
+        w0 = Field(grid, np.full((64, 64), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            spectral_solve(w0, SolverConfig(alpha=0.6, representation=rep), 1.0)
 
 
 class TestSolve:
@@ -191,6 +243,11 @@ class TestSolve:
         out = spectral_solve(f, SolverConfig(alpha=0.5), 1.0)
         assert out.max_norm() < f.max_norm()
         assert out.mean() == pytest.approx(f.mean(), rel=1e-12)
+
+
+# t or x: zero, or anywhere from 1e-12 to 1e300 on a log scale
+_ZERO_OR_WIDE = st.one_of(st.just(0.0), st.floats(min_value=-12.0, max_value=300.0)
+                          .map(lambda e: 10.0 ** e))
 
 
 def _blocked_subordination(alpha, t, x):
@@ -288,6 +345,51 @@ class TestMultiplier:
                         got = propagator_multiplier(cfg, t, xi2)
                         ref = _blocked_subordination(alpha, t, uniq)[inverse].reshape(xi2.shape)
                         assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        t=_ZERO_OR_WIDE,
+        x=st.lists(_ZERO_OR_WIDE, min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flushed_heat_factors_stay_within_bound(self, alpha, t, x):
+        # flushed matvec (1D) and GEMM table (2D) against the unflushed
+        # exp(outer) @ mass: never above it, never below by more than
+        # exp(-345) times the table's total mass
+        cfg = SolverConfig(alpha=alpha, representation="subordination")
+        nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+        bound = math.exp(-345.0) * float(mass.sum())
+        ta = t ** alpha
+        if ta > 0.0:
+            # values whose first, second or middle heat factor sits at the flush
+            s = nodes[[0, 1, nodes.size // 2]]
+            x = [*x, *np.outer([300.0, 345.0, 400.0], 1.0 / (ta * s)).ravel()]
+        x = np.unique(x)
+        with np.errstate(over="ignore", under="ignore"):  # t^alpha x may overflow
+            heat = np.exp(np.outer(-ta * x, nodes))
+            pairs = ((pde_solver._subordinated(cfg, ta, x), heat @ mass),
+                     (pde_solver._subordinated(cfg, ta, x, np.arange(x.size)),
+                      (heat * mass) @ heat.T))
+        for got, ref in pairs:
+            assert np.all(ref - got >= 0.0)
+            assert np.all(ref - got <= bound)
+
+    @pytest.mark.parametrize("dim, n, box", [(2, 512, 128.0), (2, 256, 64.0), (1, 4096, 200.0)])
+    def test_flush_leaves_benchmark_grids_bit_identical(self, dim, n, box):
+        # the solver's modes: the axis values, and in 2D each row's index
+        axis, rows = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)._axis_values()
+        rows = rows if dim == 2 else None
+        for alpha in (0.3, 0.6, 0.84, 0.95):
+            cfg = SolverConfig(alpha=alpha, representation="subordination")
+            nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+            for t in np.geomspace(1.0, 50.0, 10):
+                got = pde_solver._subordinated(cfg, t ** alpha, axis, rows)
+                if dim == 1:
+                    ref = _blocked_subordination(alpha, t, axis)
+                else:
+                    heat = np.exp(np.outer(-t ** alpha * axis, nodes))
+                    ref = ((heat * mass) @ heat.T)[rows]
+                assert np.array_equal(got, ref)
 
     def test_2d_non_tensor_sum_takes_per_mode_route(self):
         # full FFT layout and half spectrum of a real FFT

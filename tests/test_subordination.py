@@ -91,6 +91,29 @@ class TestMassNodes:
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_mass, mass)
 
+    def test_legendre_rule_is_computed_once_per_node_count(self, monkeypatch):
+        # two table builds share one Gauss-Legendre rule and reproduce the
+        # tables of a build that computed its own
+        builds = [(a, 0.0, subordination._adaptive_cut(a, DEFAULT_QUAD, 0.0)) for a in (0.3, 0.9)]
+        before = [subordination._density_table.__wrapped__(a, DEFAULT_QUAD, 1, lo, cut)
+                  for a, lo, cut in builds]
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return np.polynomial.legendre.leggauss(n)
+
+        subordination._legendre_rule.cache_clear()
+        monkeypatch.setattr(subordination, "leggauss", counting)
+        for (a, lo, cut), (nodes, mass) in zip(builds, before):
+            got_nodes, got_mass = subordination._density_table.__wrapped__(
+                a, DEFAULT_QUAD, 1, lo, cut)
+            assert np.array_equal(got_nodes, nodes)
+            assert np.array_equal(got_mass, mass)
+        assert calls == [DEFAULT_QUAD.nodes_per_panel]
+        xg, wg = subordination._legendre_rule(DEFAULT_QUAD.nodes_per_panel)
+        assert not xg.flags.writeable and not wg.flags.writeable
+
 
 class TestGaussJacobi:
     @pytest.mark.parametrize("n", [40, 80])
