@@ -300,9 +300,9 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process: the largest measured peak, 66 B at 1D N = 2^24 on the
-# direct route (1062 MiB; 60 B on subordination), rounded up; 2D N = 4096
-# peaks at 805 MiB (50 B) direct and 709 MiB (44 B) by subordination
+# fresh process: the largest measured peak, 62 B at 1D N = 2^24 on the
+# direct route (998 MiB; 59 B on subordination), rounded up; 2D N = 4096
+# peaks at 754 MiB (47 B) direct and 709 MiB (44 B) by subordination
 _SOLVE_BYTES_PER_POINT = 72
 
 

@@ -8,16 +8,17 @@ evaluated directly or through the Wright-subordination quadrature over
 classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
 its spectrum is Hermitian: a solve is one real FFT, the multiplier on the
 half spectrum (N//2 + 1 modes on the last axis) and one inverse real FFT.
-The last axis of the half spectrum holds the U = N//2 + 1 distinct axis
-values c_u = xi_u^2 (xi_k^2 = xi_{N-k}^2), so a subordination solve or
-sweep takes them, and each row's index min(j, N - j) into them, from the
-grid once. In 1D the multiplier is one matvec over c; on the 2D box the
-heat multiplier factorizes over the axes, exp(-tau |xi|^2) =
-exp(-tau xi_x^2) exp(-tau xi_y^2), so it is read from the U x U matrix
-F diag(mass) F^T with F[u, i] = exp(-s_i t^alpha c_u): one GEMM. Heat
-factors below exp(-345) ~ 1e-150 are written as exact zeros, so no exp
-underflows and no GEMM product is subnormal. The direct kernel
-1/(g^alpha + x) does not factorize and keeps the per-mode node rule.
+On the box |xi|^2 = (2 pi / L)^2 n with n = i^2 (+ j^2) an exact integer,
+so each solve or sweep keys its modes on integers once: distinct |xi|^2
+values and an index into them. In 1D these are the U = N//2 + 1 axis
+values c_u = xi_u^2 (xi_k^2 = xi_{N-k}^2), with no index. On the 2D box
+the heat multiplier factorizes, exp(-tau |xi|^2) = exp(-tau xi_x^2)
+exp(-tau xi_y^2), so subordination reads it from the U x U matrix
+F diag(mass) F^T, F[u, i] = exp(-s_i t^alpha c_u), one GEMM, by each row's
+index min(j, N - j) into c; heat factors below exp(-345) ~ 1e-150 are
+exact zeros, so no exp underflows and no GEMM product is subnormal. The
+direct kernel 1/(g^alpha + x) does not factorize: it takes the distinct n
+from an occupancy table (no float sort) and an (N, N//2 + 1) index.
 """
 
 from __future__ import annotations
@@ -92,17 +93,9 @@ class PeriodicGrid:
 
     def frequencies_squared(self) -> np.ndarray:
         """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
-        return self._frequencies_squared(self.points_per_dim)
-
-    def _frequencies_squared(self, last: int) -> np.ndarray:
-        """|xi|^2 on the first `last` modes of the last axis, built by
-        broadcasting the axis values: N gives the FFT layout, N//2 + 1 the
-        half spectrum of a real FFT."""
         axis, index = self._axis_values()
         k2 = axis[index]
-        if self.dim == 1:
-            return k2[:last]
-        return k2[:, None] + k2[None, :last]
+        return k2 if self.dim == 1 else k2[:, None] + k2[None, :]
 
     def _axis_values(self) -> tuple[np.ndarray, np.ndarray]:
         """The U = N//2 + 1 distinct values xi_u^2 along an axis, ascending,
@@ -112,6 +105,20 @@ class PeriodicGrid:
         j = np.arange(n)
         axis = (2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)[:n // 2 + 1]) ** 2
         return axis, np.minimum(j, n - j)
+
+    def _distinct_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct |xi|^2 = (2 pi / L)^2 n of the 2D half spectrum,
+        ascending, and each mode's index into them, keyed on the integer
+        n = min(j, N - j)^2 + u^2 <= 2 (N//2)^2 by an occupancy table."""
+        n, half = self.points_per_dim, self.points_per_dim // 2
+        key = np.min_scalar_type(2 * half * half)  # holds every n
+        k2 = np.minimum(np.arange(n), n - np.arange(n)).astype(key) ** 2
+        keys = k2[:, None] + k2[None, :half + 1]
+        present = np.zeros(2 * half * half + 1, dtype=bool)
+        present[keys] = True
+        lookup = np.cumsum(present, dtype=key)
+        lookup -= 1  # present[0]: the zero mode
+        return (2.0 * math.pi / self.box_length) ** 2 * np.flatnonzero(present), lookup[keys]
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,9 @@ class Field:
         """Riemann-sum L^p norm (cell volume weighted); p < inf."""
         if not 1.0 <= p < math.inf:
             raise ValueError("p must lie in [1, inf)")
-        return float((np.abs(self.samples) ** p).sum() * self.grid.cell_volume) ** (1.0 / p)
+        a = np.abs(self.samples)
+        a **= p  # in place: one full-size temporary
+        return float(a.sum() * self.grid.cell_volume) ** (1.0 / p)
 
     def mean(self) -> float:
         return float(self.samples.mean())
@@ -246,87 +255,80 @@ def _time_scale(cfg: SolverConfig, t: float) -> float:
     return t ** cfg.alpha.value
 
 
-def _subordinated(cfg: SolverConfig, ta: float, axis: np.ndarray,
-                  rows: np.ndarray | None = None) -> np.ndarray:
-    """Subordination multiplier E_alpha(-ta c) on distinct values c = axis
-    by a blocked matvec; with a row index (2D), E_alpha(-ta (c[rows[j]] +
-    c[v])) over rows j and columns v, from the U x U GEMM (F * mass) @ F.T
-    of the heat factors F[u, i] = exp(-s_i ta c[u])."""
-    nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
-    x = ta * axis
-    if rows is None:
+def _kernel(cfg: SolverConfig, x: np.ndarray) -> np.ndarray:
+    """E_alpha(-x) at each x >= 0 of a 1D array of distinct values, by the
+    route `propagator_multiplier` describes."""
+    a, pol = cfg.alpha.value, cfg.policy
+    if cfg.representation == "subordination":
+        nodes, mass = wright_mass_nodes(a, cfg.quad)
         return _blocked(lambda u: _heat_factors(u, nodes) @ mass, x)
-    factor = _heat_factors(x, nodes)
-    return ((factor * mass) @ factor.T)[rows]
+    if a == 1.0:
+        return np.exp(-x)
+    if (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
+            and pol.series_tol >= 1e-12):
+        return _blocked(lambda u: _ml_hankel(a, u), x)
+    return np.array([mittag_leffler_neg(a, u, pol) for u in x])
+
+
+def _table(cfg: SolverConfig, ta: float, values: np.ndarray,
+           index: np.ndarray | None) -> np.ndarray:
+    """Multiplier E_alpha(-ta |xi|^2), ta = t^alpha, on the modes (values,
+    index) of `_half_spectrum`. With a row index (2D subordination) it is
+    the U x U table (F * mass) @ F.T of the heat factors F[u, i] =
+    exp(-s_i ta values[u]) over the axis values, read by row; otherwise the
+    kernel on the distinct values, read through the index if there is one."""
+    if index is not None and index.ndim == 1:
+        nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
+        factor = _heat_factors(ta * values, nodes)
+        return ((factor * mass) @ factor.T)[index]
+    vals = _kernel(cfg, ta * values)
+    return vals if index is None else vals[index]
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
-    """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2,
-    for a finite time t >= 0 (ValueError otherwise).
+    """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2, an
+    array of any shape, for a finite time t >= 0 (ValueError otherwise).
 
-    Subordination on a 2D tensor-sum spectrum (xi2[j, k] = r[j] + c[k]
-    with r = xi2[:, 0] and c = xi2[0, :], as `PeriodicGrid` builds both
-    the full FFT layout and the half spectrum of a real FFT) is one GEMM,
-    since the heat multiplier factorizes over the axes: with the U
-    distinct values v of r and c (N//2 + 1 on an N-point grid, as
-    xi_k^2 = xi_{N-k}^2) it forms the U x U table (F * mass) @ F.T,
-    F[u, i] = exp(-s_i t^alpha v[u]), and reads xi2's entries from it.
-    Every other input is evaluated on the unique |xi|^2 values only (the
-    spectrum is highly degenerate) and broadcast back: both
+    A float array carries no integer keys, so the kernel runs on its
+    `np.unique` values and is broadcast back (the solver keys its modes on
+    the exact integer spectrum instead: `_half_spectrum`). Both
     representations are weighted sums over fixed nodes, applied as one
-    matvec in row blocks, the subordination route over the Wright mass
-    table and the direct route over the Hankel node rule, whose kernel
-    1/(g^alpha + x) does not factorize. Subordination heat factors below
-    exp(-345) ~ 1e-150 count as 0, which lowers a multiplier by at most
-    1e-150 times the table's total mass. The node rule serves the default
-    precision (standard, series_tol >= 1e-12, alpha up to the rule's own
-    cap, where it meets 1e-12); a stricter policy, or alpha closer to 1,
-    takes the scalar Mittag-Leffler route.
+    matvec in row blocks: the subordination route over the Wright mass
+    table, whose heat factors below exp(-345) ~ 1e-150 count as 0 (which
+    lowers a multiplier by at most 1e-150 times the table's total mass),
+    and the direct route over the Hankel node rule. The node rule serves
+    the default precision (standard, series_tol >= 1e-12, alpha up to the
+    rule's own cap, where it meets 1e-12); a stricter policy, or alpha
+    closer to 1, takes the scalar Mittag-Leffler route.
     """
-    a = cfg.alpha.value
     ta = _time_scale(cfg, t)
     if ta == 0.0:
         return np.ones_like(xi2)
-    if cfg.representation == "subordination" and xi2.ndim == 2:
-        rows, cols = xi2[:, 0], xi2[0, :]
-        if np.array_equal(xi2, rows[:, None] + cols[None, :]):
-            axis, inv = np.unique(np.concatenate([rows, cols]), return_inverse=True)
-            return _subordinated(cfg, ta, axis, inv[:rows.size])[:, inv[rows.size:]]
     uniq, inverse = np.unique(xi2.ravel(), return_inverse=True)
-    x = ta * uniq
-    pol = cfg.policy
-    if cfg.representation == "subordination":
-        vals = _subordinated(cfg, ta, uniq)
-    elif a == 1.0:
-        vals = np.exp(-x)
-    elif (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
-          and pol.series_tol >= 1e-12):
-        vals = _blocked(lambda u: _ml_hankel(a, u), x)
-    else:
-        vals = np.array([mittag_leffler_neg(a, u, pol) for u in x])
-    return vals[inverse].reshape(xi2.shape)
+    return _kernel(cfg, ta * uniq)[inverse].reshape(xi2.shape)
 
 
-def _half_spectrum(w0: Field, cfg: SolverConfig) -> tuple[np.ndarray, object]:
-    """Real FFT of w0 and, once per solve or sweep, the modes its multiplier
-    takes: the grid's axis values for subordination, else |xi|^2 on the
-    half layout."""
+def _half_spectrum(w0: Field, cfg: SolverConfig) -> tuple[np.ndarray, tuple]:
+    """Real FFT of w0 and, once per solve or sweep, its modes (values, index)
+    for `_table`, from integer keys: 1D, the axis values and no index; 2D,
+    the axis values and row index min(j, N - j) for the subordination GEMM,
+    else the distinct |xi|^2 and an (N, N//2 + 1) index into them."""
     grid = w0.grid
-    if cfg.representation != "subordination":
-        return np.fft.rfftn(w0.samples), grid._frequencies_squared(grid.points_per_dim // 2 + 1)
-    axis, index = grid._axis_values()
-    return np.fft.rfftn(w0.samples), (axis, index if grid.dim == 2 else None)
+    if grid.dim == 2 and cfg.representation != "subordination":
+        modes = grid._distinct_modes()
+    else:
+        axis, rows = grid._axis_values()
+        modes = axis, rows if grid.dim == 2 else None
+    return np.fft.rfftn(w0.samples), modes
 
 
-def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, modes,
+def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, modes: tuple,
             cfg: SolverConfig, t: float) -> Field:
     """Inverse real FFT of a half spectrum times the multiplier at t on the
     modes of `_half_spectrum`; the multiplier is freed before the FFT."""
-    if cfg.representation == "subordination":
-        ta = _time_scale(cfg, t)
-        spectrum = spectrum * _subordinated(cfg, ta, *modes) if ta > 0.0 else spectrum
-    else:
-        spectrum = spectrum * propagator_multiplier(cfg, t, modes)
+    ta = _time_scale(cfg, t)
+    if ta > 0.0:
+        spectrum = spectrum * _table(cfg, ta, *modes)
     out = np.fft.irfftn(spectrum, s=(grid.points_per_dim,) * grid.dim,
                         axes=tuple(range(grid.dim)))
     if not np.all(np.isfinite(out)):

@@ -44,6 +44,9 @@ GAMMA_OVERFLOW_THRESHOLD = 171.624376956302
 
 _EPS_BY_PRECISION = {"standard": 2.220446049250313e-16, "extended": 1e-30}
 
+# term budget of every arbitrary-precision sum and of the Wright series
+_SERIES_MAX_TERMS = 200_000
+
 # cancellation beyond this many decimal digits is not recovered
 _MAX_ESCALATION_DPS = 1200
 
@@ -68,17 +71,15 @@ class Alpha:
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Tolerance, term budget and precision for E_alpha and M_alpha.
+    """Tolerance and precision for E_alpha and M_alpha.
 
     At standard precision with ``series_tol`` at least 1e-13, E_alpha(-x)
     takes one double-precision real-axis rule whose step follows
     ``series_tol``; a stricter ``series_tol``, or extended precision, takes
-    arbitrary-precision sums. ``series_max_terms`` bounds every
-    arbitrary-precision sum and the Wright series.
+    arbitrary-precision sums.
     """
 
     series_tol: float = 1e-12
-    series_max_terms: int = 200_000
     working_precision: str = "standard"
 
     def __post_init__(self) -> None:
@@ -86,8 +87,6 @@ class EvalPolicy:
             raise ValueError(f"unknown working_precision {self.working_precision!r}")
         if self.series_tol <= _EPS_BY_PRECISION[self.working_precision]:
             raise ValueError("series_tol must exceed the working-precision epsilon")
-        if self.series_max_terms < 1:
-            raise ValueError("term budget must be positive")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -234,7 +233,7 @@ def _ml_rgamma(alpha: float, dps: int, k: int):
     return table[k]
 
 
-def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
+def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
     """E_alpha(-x) for 0 < alpha < 1 and x > 0 from arbitrary-precision sums
     that carry 34 digits to the rounded double.
 
@@ -246,7 +245,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
     (by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi): the truncation
     error is then about e^-t.
     """
-    failure = f"Mittag-Leffler sums did not converge within {max_terms} terms " \
+    failure = f"Mittag-Leffler sums did not converge within {_SERIES_MAX_TERMS} terms " \
               f"(alpha={alpha}, x={x})"
     lx = math.log(x)
     if lx / alpha < math.log(80.0):
@@ -256,7 +255,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
 
             def terms():
                 power = mp.mpf(1)  # (-z)^k, updated incrementally
-                for k in range(max_terms):
+                for k in range(_SERIES_MAX_TERMS):
                     yield power * _ml_rgamma(alpha, dps, k)
                     power *= -z
 
@@ -268,7 +267,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
         # stop where the envelope turns, or e^-110 (2e-48) below its first
         # term, past every digit the double keeps
         floor = math.lgamma(alpha) - lx - 110.0
-        for k in range(1, max_terms):
+        for k in range(1, _SERIES_MAX_TERMS):
             lenv = math.lgamma(alpha * k) - k * lx
             if lenv >= prev or lenv < floor:
                 return float(total), f"asymptotic-extended[{dps}dps]"
@@ -279,8 +278,7 @@ def _ml_sums_mp(alpha: float, x: float, max_terms: int) -> tuple[float, str]:
 
 
 @lru_cache(maxsize=300_000)
-def _ml_neg_cached(alpha: float, x: float, tol: float, max_terms: int,
-                   extended: bool) -> tuple[float, str]:
+def _ml_neg_cached(alpha: float, x: float, tol: float, extended: bool) -> tuple[float, str]:
     if x == 0.0:
         return 1.0, "exact"
     if alpha == 1.0:
@@ -288,7 +286,7 @@ def _ml_neg_cached(alpha: float, x: float, tol: float, max_terms: int,
         # identity in the test suite
         return math.exp(-x), "exp"
     if extended or tol < _RULE_TOL:
-        return _ml_sums_mp(alpha, x, max_terms)
+        return _ml_sums_mp(alpha, x)
     value, n = _ml_real_axis(alpha, x, tol)
     return value, f"real-axis[{n}]"
 
@@ -301,8 +299,7 @@ def mittag_leffler_neg_info(
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return _ml_neg_cached(a, x, policy.series_tol, policy.series_max_terms,
-                          policy.working_precision == "extended")
+    return _ml_neg_cached(a, x, policy.series_tol, policy.working_precision == "extended")
 
 
 def mittag_leffler_neg(
@@ -475,8 +472,8 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(table)
 
 
-def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
-                   max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, certified, log largest term) of the series at each s > 0: one
     term per step for all nodes, Neumaier summation, a stop per node."""
     ls = np.log(s)
@@ -487,7 +484,7 @@ def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
     overflowed, active = np.zeros(s.shape, dtype=bool), np.ones(s.shape, dtype=bool)
     log_c, sign, log_e = _wright_series_coeffs(alpha, 64)
     k = 0
-    while k <= max_terms and active.any():
+    while k <= _SERIES_MAX_TERMS and active.any():
         if k == log_c.size:
             log_c, sign, log_e = _wright_series_coeffs(alpha, 2 * k)
         if sign[k] != 0.0:
@@ -512,18 +509,18 @@ def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray, tol: float,
     return value, certified, log_largest
 
 
-def _wright_series_mp(alpha: float, s: float, dps: int, max_terms: int) -> float:
+def _wright_series_mp(alpha: float, s: float, dps: int) -> float:
     with mp.workdps(dps):
         a, z = mp.mpf(alpha), mp.mpf(s)
 
         def terms():
             coeff = mp.mpf(1)  # (-z)^n / n!, updated incrementally
-            for n in range(max_terms):
+            for n in range(_SERIES_MAX_TERMS):
                 yield coeff * mp.rgamma(1 - a - a * n)
                 coeff *= -z / (n + 1)
 
         return _mp_series(terms(), dps, 4, "Wright series did not converge within "
-                          f"{max_terms} terms (alpha={alpha}, s={s})")
+                          f"{_SERIES_MAX_TERMS} terms (alpha={alpha}, s={s})")
 
 
 def _wright_batch(alpha: Alpha | float, s: np.ndarray,
@@ -550,8 +547,7 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     method = np.select([s == 0.0, under, big], ["exact", "envelope-underflow", "contour-saddle"],
                        "series").astype(object)
     rest = np.flatnonzero((s > 0.0) & ~big | declined & ~under)
-    series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest], tol,
-                                                    policy.series_max_terms)
+    series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest], tol)
     certified &= not extended  # extended precision certifies no double sum
     value[rest[certified]] = series[certified]
     # never resolve below the envelope floor
@@ -562,7 +558,7 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
         if dps > _MAX_ESCALATION_DPS:
             method[i] = "unreliable"
         else:
-            value[i] = _wright_series_mp(alpha, float(s[i]), dps, policy.series_max_terms)
+            value[i] = _wright_series_mp(alpha, float(s[i]), dps)
             method[i] = f"series-extended[{dps}dps]"
     return value, method
 

@@ -61,10 +61,24 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_half_spectrum_is_a_slice_of_the_full_one(self, dim):
+        # the modes every solve takes, read through their index, against
+        # the first N//2 + 1 columns of the float FFT-layout spectrum:
+        # exact for the axis values; the integer keys differ by the float
+        # spectrum's own rounding of xi, xi^2 and the sum (3 ulps at most)
         g = PeriodicGrid(dim=dim, box_length=20.0, points_per_dim=64)
-        half = g._frequencies_squared(33)
-        assert half.shape == (64,) * (dim - 1) + (33,)
-        assert np.array_equal(half, g.frequencies_squared()[..., :33])
+        w0 = gaussian_bump(g)
+        half = g.frequencies_squared()[..., :33]
+        for rep in ("direct_ml", "subordination"):
+            spectrum, (values, index) = pde_solver._half_spectrum(w0, SolverConfig(0.6, rep))
+            assert spectrum.shape == half.shape
+            if index is None:
+                assert dim == 1 and np.array_equal(values, half)
+            elif index.ndim == 1:
+                assert rep == "subordination"
+                assert np.array_equal(values[index][:, None] + values[None, :], half)
+            else:
+                assert rep == "direct_ml" and index.shape == half.shape
+                assert np.allclose(values[index], half, rtol=7e-16, atol=0.0)
 
     @pytest.mark.parametrize("n, box", [(64, 20.0), (256, 64.0), (512, 128.0), (4096, 200.0)])
     def test_axis_values_are_the_distinct_values_of_the_spectrum(self, n, box):
@@ -72,10 +86,25 @@ class TestGrid:
         # in the half spectrum, whose last axis they are
         g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
         axis, index = g._axis_values()
-        half = g._frequencies_squared(n // 2 + 1)
+        half = g.frequencies_squared()[:, :n // 2 + 1]
         uniq, inv = np.unique(np.concatenate([half[:, 0], half[0, :]]), return_inverse=True)
         assert np.array_equal(axis, uniq) and np.array_equal(index, inv[:n])
         assert np.array_equal(half[0], axis)
+
+    @pytest.mark.parametrize("n, box, distinct", [
+        (64, 20.0, None), (256, 64.0, None), (512, 128.0, None), (4096, 200.0, 1_197_363)])
+    def test_integer_index_keys_the_exact_spectrum(self, n, box, distinct):
+        # the direct route's 2D modes: one value per distinct integer
+        # n = k_i^2 + u^2, ascending, each read back as (2 pi / L)^2 n
+        g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
+        values, index = g._distinct_modes()
+        k = np.minimum(np.arange(n), n - np.arange(n)).astype(np.int64)
+        ints = k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2
+        scale = (2.0 * math.pi / box) ** 2
+        assert np.array_equal(values[index], scale * ints)
+        uniq = np.unique(ints.astype(float))  # exact below 2^53, and sorted faster
+        assert np.array_equal(values, scale * uniq)
+        assert uniq.size == (distinct or uniq.size)
 
     @pytest.mark.parametrize("kwargs", [
         {"dim": 3, "box_length": 10.0, "points_per_dim": 64},
@@ -219,8 +248,8 @@ class TestSolve:
         spectrum, xi2 = np.fft.fftn(w0.samples), grid.frequencies_squared()
         evolve, seen = pde_solver._evolve, []
 
-        def spy(grid, spectrum, xi2, cfg, t):
-            seen.append((t, evolve(grid, spectrum, xi2, cfg, t)))
+        def spy(grid, spectrum, modes, cfg, t):
+            seen.append((t, evolve(grid, spectrum, modes, cfg, t)))
             return seen[-1][1]
 
         monkeypatch.setattr(pde_solver, "_evolve", spy)
@@ -329,22 +358,52 @@ class TestMultiplier:
 
     def test_2d_subordination_is_one_gemm(self, monkeypatch):
         # geometric panels (alpha <= 0.85, 784 nodes) and phi-spaced
-        # panels (alpha > 0.85), on the full FFT layout and the half
-        # spectrum of a real FFT; the per-mode matvec must not run
+        # panels (alpha > 0.85); every field spectral_solve and
+        # decay_measurement produce against the full complex FFT of the
+        # per-mode matvec, which the solver itself must not run
         def per_mode(kernel, x):
-            raise AssertionError("2D tensor-sum spectrum took the per-mode matvec")
+            raise AssertionError("2D subordination solve took the per-mode matvec")
+
+        evolve, seen = pde_solver._evolve, []
+
+        def spy(grid, spectrum, modes, cfg, t):
+            seen.append((t, evolve(grid, spectrum, modes, cfg, t)))
+            return seen[-1][1]
 
         monkeypatch.setattr(pde_solver, "_blocked", per_mode)
+        monkeypatch.setattr(pde_solver, "_evolve", spy)
         for n, box in ((64, 20.0), (128, 32.0)):
-            grid = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
-            for xi2 in (grid.frequencies_squared(), grid._frequencies_squared(n // 2 + 1)):
-                uniq, inverse = np.unique(xi2, return_inverse=True)
-                for alpha in (0.3, 0.6, 0.95):
-                    cfg = SolverConfig(alpha=alpha, representation="subordination")
-                    for t in (0.1, 1.0, 7.0, 50.0):
-                        got = propagator_multiplier(cfg, t, xi2)
-                        ref = _blocked_subordination(alpha, t, uniq)[inverse].reshape(xi2.shape)
-                        assert np.max(np.abs(got - ref)) <= 1e-14
+            w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=box, points_per_dim=n))
+            spectrum = np.fft.fftn(w0.samples)
+            uniq, inverse = np.unique(w0.grid.frequencies_squared(), return_inverse=True)
+            for alpha in (0.3, 0.6, 0.95):
+                cfg = SolverConfig(alpha=alpha, representation="subordination")
+                seen.clear()
+                for t in (0.1, 1.0, 7.0, 50.0):
+                    spectral_solve(w0, cfg, t)
+                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
+                                  wraparound_tol=1.0)
+                assert len(seen) == 9
+                for t, w in seen:
+                    mult = _blocked_subordination(alpha, t, uniq)[inverse].reshape(n, n)
+                    ref = np.fft.ifftn(spectrum * mult).real
+                    assert np.max(np.abs(w.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_solver_never_runs_np_unique(self, monkeypatch):
+        # every route of spectral_solve and decay_measurement, 1D and 2D:
+        # node rule, alpha = 1, scalar loop, per-mode matvec and GEMM
+        def unique(*args, **kwargs):
+            raise AssertionError("the solver ran np.unique")
+
+        monkeypatch.setattr(np, "unique", unique)
+        for dim, n, box in ((1, 1024, 200.0), (2, 64, 16.0)):
+            w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
+            for cfg in (SolverConfig(0.6), SolverConfig(1.0), SolverConfig(0.995),
+                        SolverConfig(0.6, policy=EvalPolicy(series_tol=1e-13)),
+                        SolverConfig(0.6, "subordination")):
+                spectral_solve(w0, cfg, 1.0)
+                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
+                                  wraparound_tol=1.0)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=0.95),
@@ -367,8 +426,8 @@ class TestMultiplier:
         x = np.unique(x)
         with np.errstate(over="ignore", under="ignore"):  # t^alpha x may overflow
             heat = np.exp(np.outer(-ta * x, nodes))
-            pairs = ((pde_solver._subordinated(cfg, ta, x), heat @ mass),
-                     (pde_solver._subordinated(cfg, ta, x, np.arange(x.size)),
+            pairs = ((pde_solver._table(cfg, ta, x, None), heat @ mass),
+                     (pde_solver._table(cfg, ta, x, np.arange(x.size)),
                       (heat * mass) @ heat.T))
         for got, ref in pairs:
             assert np.all(ref - got >= 0.0)
@@ -383,7 +442,7 @@ class TestMultiplier:
             cfg = SolverConfig(alpha=alpha, representation="subordination")
             nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
             for t in np.geomspace(1.0, 50.0, 10):
-                got = pde_solver._subordinated(cfg, t ** alpha, axis, rows)
+                got = pde_solver._table(cfg, t ** alpha, axis, rows)
                 if dim == 1:
                     ref = _blocked_subordination(alpha, t, axis)
                 else:
@@ -392,10 +451,11 @@ class TestMultiplier:
                 assert np.array_equal(got, ref)
 
     def test_2d_non_tensor_sum_takes_per_mode_route(self):
+        # a 2D array is keyed on its float values, as its flat copy is:
         # full FFT layout and half spectrum of a real FFT
         grid = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64)
         for last in (64, 33):
-            xi2 = grid._frequencies_squared(last)
+            xi2 = grid.frequencies_squared()[:, :last].copy()
             xi2[5, 7] += 0.25
             cfg = SolverConfig(alpha=0.6, representation="subordination")
             got = propagator_multiplier(cfg, 2.0, xi2)
