@@ -369,12 +369,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, tol: bool = True) -> None:
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--out", default=None, help="report output path (default stdout)")
         p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--tol", type=float, default=None,
-                       help="relative evaluation tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="relative evaluation tolerance")
 
     p = sub.add_parser("eval-ml", help="evaluate E_alpha(-x)")
     p.add_argument("--alpha", type=float, required=True)
@@ -442,7 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
 
     p = sub.add_parser("report", help="merge JSON reports into one sorted document")
     p.add_argument("inputs", nargs="+", help="input JSON report files")
-    common(p)
+    common(p, tol=False)  # merging evaluates nothing
     p.set_defaults(func=cmd_report)
 
     for name, subparser in sub.choices.items():
@@ -464,12 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         records = args.func(args)
         emit_report(records, args.format, args.out)
         return EXIT_OK
-    except QualityFailure as exc:
-        # the report (if any) is still useful for diagnosis
-        print(f"error code={EXIT_QUALITY} type={type(exc).__name__} message={str(exc)!r}",
-              file=sys.stderr)
-        return EXIT_QUALITY
-    except (EvaluationError, QuadratureError) as exc:
+    except (QualityFailure, EvaluationError, QuadratureError) as exc:
         print(f"error code={EXIT_QUALITY} type={type(exc).__name__} message={str(exc)!r}",
               file=sys.stderr)
         return EXIT_QUALITY

@@ -93,18 +93,20 @@ class PeriodicGrid:
 
     def frequencies_squared(self) -> np.ndarray:
         """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
-        axis, index = self._axis_values()
-        k2 = axis[index]
+        k2 = self._axis_values()[self._row_index()]
         return k2 if self.dim == 1 else k2[:, None] + k2[None, :]
 
-    def _axis_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The U = N//2 + 1 distinct values xi_u^2 along an axis, ascending,
-        and the index min(j, N - j) into them of each FFT position j, as
-        xi_j^2 = xi_{N-j}^2 (xi_k = 2 pi k / L)."""
+    def _axis_values(self) -> np.ndarray:
+        """The U = N//2 + 1 distinct values xi_u^2 along an axis, ascending
+        (xi_u = 2 pi u / L, by np.fft.fftfreq's arithmetic: bit for bit)."""
         n = self.points_per_dim
-        j = np.arange(n)
-        axis = (2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)[:n // 2 + 1]) ** 2
-        return axis, np.minimum(j, n - j)
+        return (2.0 * math.pi * (np.arange(n // 2 + 1) * (1.0 / (n * self.dx)))) ** 2
+
+    def _row_index(self) -> np.ndarray:
+        """The index min(j, N - j) into the axis values of each FFT position
+        j along an axis, as xi_j^2 = xi_{N-j}^2."""
+        j = np.arange(self.points_per_dim)
+        return np.minimum(j, self.points_per_dim - j)
 
     def _distinct_modes(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |xi|^2 = (2 pi / L)^2 n of the 2D half spectrum,
@@ -112,7 +114,7 @@ class PeriodicGrid:
         n = min(j, N - j)^2 + u^2 <= 2 (N//2)^2 by an occupancy table."""
         n, half = self.points_per_dim, self.points_per_dim // 2
         key = np.min_scalar_type(2 * half * half)  # holds every n
-        k2 = np.minimum(np.arange(n), n - np.arange(n)).astype(key) ** 2
+        k2 = self._row_index().astype(key) ** 2
         keys = k2[:, None] + k2[None, :half + 1]
         present = np.zeros(2 * half * half + 1, dtype=bool)
         present[keys] = True
@@ -317,8 +319,7 @@ def _half_spectrum(w0: Field, cfg: SolverConfig) -> tuple[np.ndarray, tuple]:
     if grid.dim == 2 and cfg.representation != "subordination":
         modes = grid._distinct_modes()
     else:
-        axis, rows = grid._axis_values()
-        modes = axis, rows if grid.dim == 2 else None
+        modes = grid._axis_values(), grid._row_index() if grid.dim == 2 else None
     return np.fft.rfftn(w0.samples), modes
 
 

@@ -600,20 +600,17 @@ def wright_m(
 # uniform bound constant
 # ---------------------------------------------------------------------------
 
-def uniform_bound_constant(
-    alpha: Alpha | float,
-    x_max: float = 1e6,
-    grid_points: int = 2000,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
+# the log grid of uniform_bound_constant: x = 0, then _BOUND_GRID_POINTS
+# points from 1e-6 to _BOUND_X_MAX
+_BOUND_X_MAX = 1e6
+_BOUND_GRID_POINTS = 2000
+
+
+def uniform_bound_constant(alpha: Alpha | float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Numerical estimate C_hat(alpha) = max over a log grid of (1+x) E_alpha(-x).
 
     The bound (1+x) E_alpha(-x) <= C holds with an unspecified constant;
     this reports the observed grid maximum (>= 1, the value at x = 0).
     """
-    if x_max < 1e3:
-        raise ValueError("x_max must be at least 1e3")
-    if grid_points < 1000:
-        raise ValueError("grid_points must be at least 1000")
-    xs = np.concatenate(([0.0], np.logspace(-6.0, math.log10(x_max), grid_points)))
+    xs = np.concatenate(([0.0], np.logspace(-6.0, math.log10(_BOUND_X_MAX), _BOUND_GRID_POINTS)))
     return max((1.0 + x) * mittag_leffler_neg(alpha, float(x), policy) for x in xs)

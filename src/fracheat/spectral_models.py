@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -155,9 +156,8 @@ def trace_counting(model: SpectralModel, s: float) -> float:
     v = model.variant
     if isinstance(v, PowerLawSpectrum):
         return v.c * s ** v.lambda_exp
-    ev = np.asarray(v.eigenvalues)
-    mult = np.asarray(v.multiplicities)
-    return float(mult[ev < s].sum())
+    # the eigenvalues ascend strictly: those below s are a prefix
+    return float(sum(v.multiplicities[:bisect_left(v.eigenvalues, s)]))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .special_functions import (
     _wright_m_array,
     reciprocal_gamma,
     wright_log_envelope,
-    wright_m,
 )
 
 __all__ = [
@@ -39,22 +38,19 @@ __all__ = [
     "dirac_limit_check",
 ]
 
-_TAIL_POLICIES = ("neglect_with_bound", "exponential_extrapolation")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Panel schedule for improper integrals of M_alpha over s in (0, inf).
 
     ``upper_cut`` is a ceiling; the effective truncation point is chosen
-    adaptively from the stretched-exponential decay envelope of M_alpha so
-    the estimated tail stays below target_tol.
+    adaptively from the stretched-exponential decay envelope of M_alpha.
+    The tail beyond it is dropped only when its envelope bound is at most
+    target_tol; otherwise the integral is refused with QuadratureError.
     """
 
     upper_cut: float = 40.0
     panels: int = 48
     nodes_per_panel: int = 16
-    tail_policy: str = "exponential_extrapolation"
     target_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -62,8 +58,6 @@ class QuadratureSpec:
             raise ValueError("upper_cut must exceed 1 (the Wright mass concentrates near s=1)")
         if self.panels < 4 or self.nodes_per_panel < 2:
             raise ValueError("panels must be >= 4 and nodes_per_panel >= 2")
-        if self.tail_policy not in _TAIL_POLICIES:
-            raise ValueError(f"tail_policy must be one of {_TAIL_POLICIES}")
         if not 0.0 < self.target_tol < 1.0:
             raise ValueError("target_tol must lie in (0, 1)")
 
@@ -99,6 +93,19 @@ def _envelope_tail(alpha: float, s_from: float, weight_exp: float) -> float:
     mid = 0.5 * (lo + hi)
     return float(np.sum(np.exp(wright_log_envelope(alpha, mid) + weight_exp * np.log(mid))
                         * (hi - lo)))
+
+
+def _certify_tail(alpha: float, spec: QuadratureSpec, cut: float, weight_exp: float,
+                  factor: float = 1.0) -> None:
+    """Refuse an integral over [., inf) truncated at cut unless the envelope
+    bound on its dropped tail, factor * int_cut^inf s^weight_exp M_alpha(s) ds
+    (factor bounds any further weight beyond cut), is at most target_tol."""
+    bound = factor * _envelope_tail(alpha, cut, weight_exp)
+    if bound > spec.target_tol:
+        raise QuadratureError(
+            f"estimated tail {bound:.3e} beyond s={cut:.2f} exceeds "
+            f"target_tol={spec.target_tol}; raise upper_cut"
+        )
 
 
 def _geometric_edges(lo: float, hi: float, panels: int) -> list[float]:
@@ -195,28 +202,9 @@ def wright_mass_nodes(
     a = Alpha.coerce(alpha)
     if not a < 1.0:
         raise ValueError("subordination requires 0 < alpha < 1")
-    return _density_table(a, quad, scale, 0.0, _adaptive_cut(a, quad, 0.0))
-
-
-@lru_cache(maxsize=512)
-def _calibration(alpha: float, s_last: float) -> float:
-    """M_alpha over its envelope at the last node of a table."""
-    return wright_m(alpha, s_last) / math.exp(wright_log_envelope(alpha, s_last))
-
-
-def _tail_correction(alpha: float, spec: QuadratureSpec, s_last: float,
-                     cut: float, weight_exp: float) -> float:
-    """int_cut^inf s^weight_exp M_alpha(s) ds: either certified negligible
-    or added back via the envelope calibrated at the last node."""
-    tail_env = _envelope_tail(alpha, cut, weight_exp)
-    if spec.tail_policy == "neglect_with_bound":
-        if tail_env > spec.target_tol:
-            raise QuadratureError(
-                f"estimated tail {tail_env:.3e} beyond s={cut:.2f} exceeds "
-                f"target_tol={spec.target_tol}; raise upper_cut"
-            )
-        return 0.0
-    return _calibration(alpha, s_last) * tail_env
+    cut = _adaptive_cut(a, quad, 0.0)
+    _certify_tail(a, quad, cut, 0.0)
+    return _density_table(a, quad, scale, 0.0, cut)
 
 
 def subordinate_scalar(
@@ -236,11 +224,12 @@ def subordinate_scalar(
         raise ValueError(f"x must be nonnegative, got {x}")
 
     cut = _adaptive_cut(a, quad, 0.0)
+    # beyond the cut the heat weight exp(-s x) is at most exp(-cut x)
+    _certify_tail(a, quad, cut, 0.0, math.exp(-cut * x))
 
     def value(scale: int) -> float:
         nodes, mass = _density_table(a, quad, scale, 0.0, cut)
-        v = float(np.dot(mass, np.exp(-nodes * x)))
-        return v + _tail_correction(a, quad, nodes[-1], cut, 0.0) * math.exp(-cut * x)
+        return float(np.dot(mass, np.exp(-nodes * x)))
 
     v1, v2 = value(1), value(2)
     if abs(v1 - v2) <= quad.target_tol:
@@ -274,9 +263,9 @@ def _upper_moment(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) 
     max(gamma, 3), so every built-in weight (gamma <= 3) shares one [1, S]
     table per scale; a larger gamma gets its own longer table."""
     cut = _adaptive_cut(alpha, quad, max(gamma, 3.0))
+    _certify_tail(alpha, quad, cut, gamma)
     nodes, mass = _density_table(alpha, quad, scale, 1.0, cut)
-    return (float(np.dot(mass, nodes ** gamma))
-            + _tail_correction(alpha, quad, nodes[-1], cut, gamma))
+    return float(np.dot(mass, nodes ** gamma))
 
 
 def _moment_value(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) -> float:

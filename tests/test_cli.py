@@ -264,3 +264,9 @@ class TestSolveAndReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99, "records": []}))
         assert run(["report", str(bad)]) == 2
+
+    def test_report_rejects_tol(self, tmp_path):
+        # merging evaluates nothing, so a tolerance it would ignore is refused
+        a = tmp_path / "a.json"
+        assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", str(a)]) == 0
+        assert run(["report", str(a), "--tol", "-5"]) == 2

@@ -85,7 +85,7 @@ class TestGrid:
         # the solver's axis values and row index are what np.unique finds
         # in the half spectrum, whose last axis they are
         g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
-        axis, index = g._axis_values()
+        axis, index = g._axis_values(), g._row_index()
         half = g.frequencies_squared()[:, :n // 2 + 1]
         uniq, inv = np.unique(np.concatenate([half[:, 0], half[0, :]]), return_inverse=True)
         assert np.array_equal(axis, uniq) and np.array_equal(index, inv[:n])
@@ -436,8 +436,8 @@ class TestMultiplier:
     @pytest.mark.parametrize("dim, n, box", [(2, 512, 128.0), (2, 256, 64.0), (1, 4096, 200.0)])
     def test_flush_leaves_benchmark_grids_bit_identical(self, dim, n, box):
         # the solver's modes: the axis values, and in 2D each row's index
-        axis, rows = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)._axis_values()
-        rows = rows if dim == 2 else None
+        g = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)
+        axis, rows = g._axis_values(), g._row_index() if dim == 2 else None
         for alpha in (0.3, 0.6, 0.84, 0.95):
             cfg = SolverConfig(alpha=alpha, representation="subordination")
             nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)

@@ -356,12 +356,6 @@ class TestWrightBatch:
 
 
 class TestUniformBound:
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            uniform_bound_constant(0.5, x_max=10.0)
-        with pytest.raises(ValueError):
-            uniform_bound_constant(0.5, grid_points=10)
-
     def test_supremum_attained_at_origin(self):
         # (1+x) E_alpha(-x) -> 1/Gamma(1-alpha) < 1 as x -> inf, and the
         # profile decreases from 1 at x = 0, so the constant is exactly 1

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracheat import cli, subordination
 from fracheat.errors import QuadratureError
+from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
 from fracheat.special_functions import EvalPolicy, mittag_leffler_neg, wright_log_envelope
 from fracheat.subordination import (
     DEFAULT_QUAD,
@@ -35,19 +36,48 @@ E_HALF_AT_1 = 0.42758357615580700441
 
 
 class TestQuadratureSpec:
-    def test_defaults(self):
-        assert DEFAULT_QUAD.tail_policy == "exponential_extrapolation"
-
     @pytest.mark.parametrize("kwargs", [
         {"upper_cut": 0.5},
         {"panels": 2},
         {"nodes_per_panel": 1},
-        {"tail_policy": "ignore"},
         {"target_tol": 0.0},
+        {"target_tol": 1.0},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+class TestTailCertificate:
+    def test_low_ceiling_is_refused_at_every_entry_point(self):
+        # at alpha 0.5 a ceiling of 2 drops several percent of the density's
+        # mass: every integral over it is refused, none returned short
+        spec = QuadratureSpec(upper_cut=2.0)
+        grid = PeriodicGrid(dim=1, box_length=200.0, points_per_dim=1024)
+        cfg = SolverConfig(0.5, "subordination", quad=spec)
+        calls = [
+            lambda: subordinate_scalar(0.5, 0.1, spec),
+            lambda: wright_moment(0.5, 1.0, spec),
+            lambda: endpoint_divergence_profile(0.5, [1e-2, 1e-3], spec),
+            lambda: wright_mass_nodes(0.5, spec),
+            lambda: spectral_solve(gaussian_bump(grid), cfg, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(QuadratureError, match="raise upper_cut"):
+                call()
+
+    @given(upper_cut=st.floats(min_value=1.0, max_value=40.0, exclude_min=True),
+           alpha=st.floats(min_value=0.1, max_value=0.95),
+           x=st.floats(min_value=0.0, max_value=50.0))
+    @settings(max_examples=15, deadline=None)
+    def test_any_ceiling_is_verified_or_refused(self, upper_cut, alpha, x):
+        spec = QuadratureSpec(upper_cut=upper_cut)
+        try:
+            sub = subordinate_scalar(alpha, x, spec)
+        except QuadratureError:
+            return
+        direct = mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-13))
+        assert abs(sub - direct) <= 1e-8
 
 
 class TestMassNodes:
@@ -156,10 +186,9 @@ class TestSubordinateScalar:
             subordinate_scalar(0.5, -1.0)
 
     def test_neglect_policy_rejects_heavy_tail(self):
-        # a cut far below the density support leaves a tail the neglect
-        # policy must refuse to drop silently
-        spec = QuadratureSpec(upper_cut=1.5, panels=8, nodes_per_panel=8,
-                              tail_policy="neglect_with_bound", target_tol=1e-10)
+        # a cut far below the density support leaves a tail that must be
+        # refused, not dropped silently
+        spec = QuadratureSpec(upper_cut=1.5, panels=8, nodes_per_panel=8, target_tol=1e-10)
         with pytest.raises(QuadratureError):
             subordinate_scalar(0.9, 1.0, spec)
 
@@ -235,14 +264,20 @@ class TestEndpointDivergence:
         assert prof.slope == pytest.approx(prof.expected_slope, rel=0.05)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_tail_is_negligible(self, alpha):
-        # the tail beyond the cut is weighted by s^-1 once, and far below
-        # the neglect policy's bound
-        eps = list(np.logspace(-2, -5, 8))
-        neglect = QuadratureSpec(tail_policy="neglect_with_bound")
-        got = endpoint_divergence_profile(alpha, eps, neglect).integral
-        ref = endpoint_divergence_profile(alpha, eps).integral
-        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+    def test_tail_is_negligible(self, alpha, monkeypatch):
+        # the profile certifies its dropped tail once, weighted by s^-1, at
+        # the cut of the [1, inf) table it shares with the moments
+        certified, certify = [], subordination._certify_tail
+
+        def spy(a, spec, cut, weight_exp, factor=1.0):
+            certified.append((cut, weight_exp, factor))
+            return certify(a, spec, cut, weight_exp, factor)
+
+        monkeypatch.setattr(subordination, "_certify_tail", spy)
+        endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
+        cut = subordination._adaptive_cut(alpha, DEFAULT_QUAD, 3.0)
+        assert certified == [(cut, -1.0, 1.0)]
+        assert subordination._envelope_tail(alpha, cut, -1.0) <= DEFAULT_QUAD.target_tol
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
