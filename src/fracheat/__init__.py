@@ -21,12 +21,10 @@ from .special_functions import (
     mittag_leffler_contour,
     mittag_leffler_neg,
     reciprocal_gamma,
-    uniform_bound_constant,
     wright_m,
 )
 from .subordination import (
     QuadratureSpec,
-    dirac_limit_check,
     endpoint_divergence_profile,
     subordinate_scalar,
     subordination_constant,
@@ -44,12 +42,10 @@ __all__ = [
     "mittag_leffler_neg",
     "mittag_leffler_contour",
     "wright_m",
-    "uniform_bound_constant",
     "subordinate_scalar",
     "wright_moment",
     "subordination_constant",
     "endpoint_divergence_profile",
-    "dirac_limit_check",
     "FracHeatError",
     "EvaluationError",
     "ConvergenceError",

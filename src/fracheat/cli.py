@@ -61,7 +61,9 @@ def _default_policy(tol: float | None = None) -> EvalPolicy:
 
 
 # ---------------------------------------------------------------------------
-# config file: flat key=value lines; flags override file values
+# config file: flat key=value lines, keyed by argparse destination; the
+# values become the subcommand's defaults, so each flag's type converts its
+# value and a flag given on the command line wins
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str, known_keys: set[str]) -> dict[str, str]:
@@ -78,24 +80,6 @@ def _load_config(path: str, known_keys: set[str]) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    known = {k for k in vars(args) if k not in ("config", "command", "func", "inputs")}
-    cfg = _load_config(args.config, known)
-    for key, text in cfg.items():
-        if getattr(args, key) == parser_defaults.get(key):
-            default = parser_defaults.get(key)
-            caster = type(default) if default is not None and not isinstance(default, bool) else str
-            if isinstance(default, bool):
-                setattr(args, key, text.lower() in ("1", "true", "yes"))
-            elif default is None:
-                setattr(args, key, text)
-            else:
-                setattr(args, key, caster(text))
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +246,7 @@ def cmd_verify_special(args) -> list[dict]:
 
 
 def cmd_decay_sup(args) -> list[dict]:
-    beta = args.lmbda * (1.0 / args.p - 1.0 / args.q)
+    beta = args.lmbda * decay_analysis._exponent_gap(args.p, args.q)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"lambda*(1/p-1/q) = {beta} must lie in (0, 1]")
     base = {"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
@@ -294,7 +278,7 @@ def cmd_decay_compare(args) -> list[dict]:
                     "lambda": args.lmbda, "p": args.p, "q": args.q,
                     "verdict": report.verdict,
                     "direct_uniform_bound": report.direct_uniform_bound,
-                    "method": "grid-supremum"})
+                    "method": "simon-2014-bound"})
     print(report.verdict)
     return records
 
@@ -360,8 +344,7 @@ def cmd_report(args) -> list[dict]:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
-    defaults_map: dict[str, dict] = {}
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="fracheat",
         description="Numerical laboratory for the time-fractional heat propagator: "
@@ -446,25 +429,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     common(p, tol=False)  # merging evaluates nothing
     p.set_defaults(func=cmd_report)
 
-    for name, subparser in sub.choices.items():
-        defaults_map[name] = {a.dest: a.default for a in subparser._actions}
-    return parser, defaults_map
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults_map = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            subparser = subparsers[args.command]
+            known = {a.dest for a in subparser._actions} - {"help", "config", "inputs"}
+            subparser.set_defaults(**_load_config(args.config, known))
+            args = parser.parse_args(argv)
+        records = args.func(args)
+        emit_report(records, args.format, args.out)
+        return EXIT_OK
     except SystemExit as exc:
         # argparse uses code 2 for usage errors, which matches the
         # validation exit code; propagate anything else unchanged
         return int(exc.code or 0)
-    defaults = defaults_map[args.command]
-    try:
-        args = _merge_config(args, defaults)
-        records = args.func(args)
-        emit_report(records, args.format, args.out)
-        return EXIT_OK
     except (QualityFailure, EvaluationError, QuadratureError) as exc:
         print(f"error code={EXIT_QUALITY} type={type(exc).__name__} message={str(exc)!r}",
               file=sys.stderr)

@@ -27,7 +27,6 @@ from .special_functions import (
     EvalPolicy,
     DEFAULT_POLICY,
     mittag_leffler_neg,
-    uniform_bound_constant,
 )
 from .subordination import QuadratureSpec, DEFAULT_QUAD, subordination_constant
 
@@ -39,12 +38,19 @@ __all__ = [
     "ml_supremum_profile",
     "FitResult",
     "fit_decay_exponent",
-    "DecayResult",
-    "decay_experiment",
     "RepresentationRecord",
     "ComparisonReport",
     "compare_representations",
 ]
+
+
+def _exponent_gap(p: float, q: float) -> float:
+    """delta = 1/p - 1/q for an L^p -> L^q estimate, 1 < p <= 2 <= q < inf
+    and p, q not both 2."""
+    p, q = float(p), float(q)
+    if not (1.0 < p <= 2.0 <= q < math.inf and p < q):
+        raise ValueError(f"require 1 < p <= 2 <= q < inf and p < q, got p={p}, q={q}")
+    return 1.0 / p - 1.0 / q
 
 
 def sup_heat_closed_form(beta: float, t: float) -> float:
@@ -208,62 +214,6 @@ def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> 
 
 
 @dataclass(frozen=True)
-class DecayResult:
-    fitted_exponent: float
-    constant_estimate: float
-
-
-def decay_experiment(
-    alpha: Alpha | float,
-    lambda_exp: float,
-    p: float,
-    q: float,
-    representation: str,
-    t_grid: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> DecayResult:
-    """One (alpha, lambda, p, q, representation) decay run over a time grid.
-
-    Fits the log-log slope of the decay constant sup_s s^beta K(t, s),
-    beta = lambda (1/p - 1/q), over t_grid and reports the largest
-    compensated value t^{alpha beta} sup. The subordination representation
-    is refused at lambda * (1/p - 1/q) >= 1: its constant does not exist
-    at or past the endpoint.
-    """
-    a = Alpha.coerce(alpha)
-    if representation not in ("direct_ml", "subordination"):
-        raise ValueError(f"unknown representation {representation!r}")
-    if not (1.0 < p <= 2.0 <= q < math.inf):
-        raise ValueError("require 1 < p <= 2 <= q < inf")
-    delta = 1.0 / p - 1.0 / q
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("require 0 < 1/p - 1/q <= 1/2")
-    if not lambda_exp > 0.0:
-        raise ValueError("lambda_exp must be positive")
-    beta = lambda_exp * delta
-    if beta > 1.0:
-        raise ValueError("lambda * (1/p - 1/q) must not exceed 1")
-    if representation == "subordination" and beta >= 1.0:
-        raise ValueError(
-            "subordination representation requires lambda * (1/p - 1/q) < 1: "
-            "its decay constant diverges at the endpoint"
-        )
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size < 5 or np.any(np.diff(ts) <= 0.0) or ts[0] <= 0.0:
-        raise ValueError("t_grid must be >= 5 ascending positive times")
-    if representation == "direct_ml":
-        ys = np.array([sup_ml_numeric(a, beta, t, exact_kernel=True, policy=policy)
-                       for t in ts])
-    else:
-        ys = subordination_constant(a, beta, quad) * ts ** (-a * beta)
-    return DecayResult(
-        fitted_exponent=fit_decay_exponent(ts, ys).slope,
-        constant_estimate=float((ts ** (a * beta) * ys).max()),
-    )
-
-
-@dataclass(frozen=True)
 class RepresentationRecord:
     alpha: float
     lambda_exp: float
@@ -306,15 +256,14 @@ def compare_representations(
     lambda_exp = float(lambda_exp)
     if lambda_exp <= 0.0:
         raise ValueError("lambda_exp must be positive")
-    base_delta = 1.0 / p - 1.0 / q
-    if lambda_exp * base_delta > 1.0 + 1e-12:
+    if lambda_exp * _exponent_gap(p, q) > 1.0 + 1e-12:
         raise ValueError("lambda * (1/p - 1/q) must not exceed 1 (outside both routes)")
-    eps = sorted({max(float(e), 0.0) for e in eps_list} | {0.0}, reverse=True)
+    eps = sorted({float(e) for e in eps_list} | {0.0}, reverse=True)
+    if not all(0.0 <= e < 1.0 / lambda_exp for e in eps):
+        raise ValueError(f"each eps must lie in [0, 1/lambda) = [0, {1.0 / lambda_exp}), got {eps}")
     records: list[RepresentationRecord] = []
     for e in eps:
         delta_k = 1.0 / lambda_exp - e
-        if delta_k <= 0.0:
-            continue
         beta = lambda_exp * delta_k  # = 1 - lambda*eps, the endpoint at eps=0
         direct = ml_supremum_profile(a, beta, exact_kernel=True, policy=policy)
         records.append(RepresentationRecord(
@@ -336,8 +285,5 @@ def compare_representations(
         "constant; subordination route requires the strict inequality "
         "1/lambda > 1/p - 1/q (constant diverges at the endpoint)"
     )
-    return ComparisonReport(
-        records=tuple(records),
-        direct_uniform_bound=uniform_bound_constant(a, policy=policy),
-        verdict=verdict,
-    )
+    # (1+x) E_alpha(-x) <= (1+x)/(1 + x/Gamma(1+alpha)) <= 1 (Simon 2014, EJP 19)
+    return ComparisonReport(records=tuple(records), direct_uniform_bound=1.0, verdict=verdict)

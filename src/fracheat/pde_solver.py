@@ -85,12 +85,6 @@ class PeriodicGrid:
         """The N sample positions along one axis."""
         return self.dx * np.arange(self.points_per_dim) - self.box_length / 2.0
 
-    def coordinates(self) -> tuple[np.ndarray, ...]:
-        x = self._axis()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
-
     def frequencies_squared(self) -> np.ndarray:
         """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
         k2 = self._axis_values()[self._row_index()]

@@ -36,7 +36,6 @@ __all__ = [
     "wright_m",
     "wright_m_info",
     "wright_log_envelope",
-    "uniform_bound_constant",
 ]
 
 # math.gamma overflows past this argument
@@ -594,23 +593,3 @@ def wright_m(
     if not res.reliable:
         raise UnreliableEvaluationError(f"M_alpha unreliable at alpha={Alpha.coerce(alpha)}, s={s}")
     return res.value
-
-
-# ---------------------------------------------------------------------------
-# uniform bound constant
-# ---------------------------------------------------------------------------
-
-# the log grid of uniform_bound_constant: x = 0, then _BOUND_GRID_POINTS
-# points from 1e-6 to _BOUND_X_MAX
-_BOUND_X_MAX = 1e6
-_BOUND_GRID_POINTS = 2000
-
-
-def uniform_bound_constant(alpha: Alpha | float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Numerical estimate C_hat(alpha) = max over a log grid of (1+x) E_alpha(-x).
-
-    The bound (1+x) E_alpha(-x) <= C holds with an unspecified constant;
-    this reports the observed grid maximum (>= 1, the value at x = 0).
-    """
-    xs = np.concatenate(([0.0], np.logspace(-6.0, math.log10(_BOUND_X_MAX), _BOUND_GRID_POINTS)))
-    return max((1.0 + x) * mittag_leffler_neg(alpha, float(x), policy) for x in xs)

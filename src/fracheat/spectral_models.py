@@ -9,16 +9,14 @@ stand in for the geometric operators in the catalog.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .decay_analysis import _log_grid_sup
+from .decay_analysis import _exponent_gap, _log_grid_sup
 from .errors import InsufficientDataError
 from .special_functions import Alpha, EvalPolicy, DEFAULT_POLICY, mittag_leffler_neg
 
@@ -33,10 +31,7 @@ __all__ = [
     "trace_counting",
     "TraceGrowthReport",
     "verify_trace_growth",
-    "verify_sectorial",
     "condition_supremum",
-    "models_to_json",
-    "models_from_json",
 ]
 
 
@@ -80,10 +75,6 @@ class PowerLawSpectrum:
 class SpectralModel:
     variant: DiscreteSpectrum | PowerLawSpectrum
     label: str = ""
-
-    @property
-    def is_discrete(self) -> bool:
-        return isinstance(self.variant, DiscreteSpectrum)
 
 
 @dataclass(frozen=True)
@@ -203,27 +194,6 @@ def verify_trace_growth(
     )
 
 
-def verify_sectorial(model: SpectralModel, phi: float, n_grid: int = 2000) -> float:
-    """Resolvent-bound constant N = sup |lambda| / dist(lambda, spectrum)
-    over the sector boundary arg(lambda) = +/- phi and the negative real
-    axis. For a positive self-adjoint spectrum this is 1/sin(phi)."""
-    if not model.is_discrete:
-        raise ValueError("verify_sectorial requires a discrete spectrum")
-    phi = float(phi)
-    if not 0.0 < phi < math.pi / 2:
-        raise ValueError("phi must lie in (0, pi/2)")
-    mu = np.asarray(model.variant.eigenvalues)
-    radii = np.logspace(math.log10(mu[0]) - 4.0, math.log10(mu[-1]) + 4.0, n_grid)
-    best = 0.0
-    for ang in (phi, -phi, math.pi):
-        lam = radii * complex(math.cos(ang), math.sin(ang))
-        dist = np.abs(lam[:, None] - mu[None, :]).min(axis=1)
-        if np.any(dist == 0.0):
-            raise ValueError("grid point collided with an eigenvalue")
-        best = max(best, float((radii / dist).max()))
-    return max(best, 1.0)
-
-
 def condition_supremum(
     model: SpectralModel,
     p: float,
@@ -245,12 +215,8 @@ def condition_supremum(
     """
     if representation not in ("direct_ml", "heat"):
         raise ValueError(f"unknown representation {representation!r}")
-    p, q, t = float(p), float(q), float(t)
-    if not (1.0 < p <= 2.0 <= q < math.inf):
-        raise ValueError("require 1 < p <= 2 <= q < inf")
-    delta = 1.0 / p - 1.0 / q
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("require 0 < 1/p - 1/q <= 1")
+    delta = _exponent_gap(p, q)
+    t = float(t)
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     a = Alpha.coerce(alpha)
@@ -283,37 +249,3 @@ def condition_supremum(
             RuntimeWarning,
         )
     return value
-
-
-# ---------------------------------------------------------------------------
-# JSON catalog I/O: [{label, variant, parameters}, ...]
-# ---------------------------------------------------------------------------
-
-def models_to_json(models: Sequence[SpectralModel]) -> str:
-    docs = []
-    for m in models:
-        v = m.variant
-        if isinstance(v, PowerLawSpectrum):
-            docs.append({"label": m.label, "variant": "power_law",
-                         "parameters": {"c": v.c, "lambda_exp": v.lambda_exp}})
-        else:
-            docs.append({"label": m.label, "variant": "discrete",
-                         "parameters": {"eigenvalues": list(v.eigenvalues),
-                                        "multiplicities": list(v.multiplicities)}})
-    return json.dumps(docs, indent=2, sort_keys=True)
-
-
-def models_from_json(text: str) -> list[SpectralModel]:
-    out = []
-    for doc in json.loads(text):
-        params = doc["parameters"]
-        if doc["variant"] == "power_law":
-            variant: DiscreteSpectrum | PowerLawSpectrum = PowerLawSpectrum(
-                c=params["c"], lambda_exp=params["lambda_exp"])
-        elif doc["variant"] == "discrete":
-            variant = DiscreteSpectrum(tuple(params["eigenvalues"]),
-                                       tuple(params["multiplicities"]))
-        else:
-            raise ValueError(f"unknown variant {doc['variant']!r}")
-        out.append(SpectralModel(variant, label=doc.get("label", "")))
-    return out

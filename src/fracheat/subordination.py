@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,8 +34,6 @@ __all__ = [
     "subordination_constant",
     "EndpointDivergenceProfile",
     "endpoint_divergence_profile",
-    "DiracLimitRow",
-    "dirac_limit_check",
 ]
 
 @dataclass(frozen=True)
@@ -373,42 +371,3 @@ def endpoint_divergence_profile(
         intercept=float(intercept),
         expected_slope=reciprocal_gamma(1.0 - a),
     )
-
-
-@dataclass(frozen=True)
-class DiracLimitRow:
-    alpha: float
-    integral: float
-    limit: float
-    abs_error: float
-
-
-# coarse schedule for the Dirac-limit trend: alpha near 1 makes M_alpha
-# nearly singular and the check only needs a few digits
-_DIRAC_QUAD = QuadratureSpec(upper_cut=40.0, panels=24, nodes_per_panel=8,
-                             target_tol=1e-5)
-
-
-def dirac_limit_check(
-    alpha_list: Sequence[float],
-    test_function: Callable[[np.ndarray], np.ndarray],
-    quad: QuadratureSpec | None = None,
-) -> list[DiracLimitRow]:
-    """int M_alpha(s) f(s) ds versus f(1) for alpha approaching 1.
-
-    As alpha -> 1 the density M_alpha tends to a Dirac mass at s = 1, so
-    the integral converges to f(1); callers check the error trend.
-    """
-    if quad is None:
-        quad = _DIRAC_QUAD
-    rows = []
-    limit = float(np.asarray(test_function(np.array([1.0])))[0])
-    for a_raw in alpha_list:
-        a = Alpha.coerce(a_raw)
-        if not a < 1.0:
-            raise ValueError("each alpha must be < 1")
-        nodes, mass = wright_mass_nodes(a, quad, scale=1)
-        integral = float(np.dot(mass, np.asarray(test_function(nodes), dtype=float)))
-        rows.append(DiracLimitRow(alpha=a, integral=integral, limit=limit,
-                                  abs_error=abs(integral - limit)))
-    return rows

@@ -158,6 +158,31 @@ class TestConfig:
         assert run(["decay-sup", "--alpha", "0.5", "--lambda", "1.0",
                     "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_config_value_is_parsed_like_its_flag(self, tmp_path):
+        # tol has no default to take a type from: the flag's float type
+        # parses it, and the report matches the one made with --tol
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol = 1e-6\n")
+        argv = ["decay-sup", "--alpha", "0.3", "--lambda", "1.5"]
+        by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+        assert run(argv + ["--config", str(cfg), "--out", str(by_config)]) == 0
+        assert run(argv + ["--tol", "1e-6", "--out", str(by_flag)]) == 0
+        assert by_config.read_text() == by_flag.read_text()
+
+    def test_flag_set_to_its_default_wins(self, tmp_path):
+        cfg = tmp_path / "fmt.cfg"
+        cfg.write_text("format = csv\n")
+        out = tmp_path / "ml.json"
+        assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--config", str(cfg),
+                    "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["schema_version"] == 1
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "dim.cfg"
+        cfg.write_text("dim = two\n")
+        assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--config", str(cfg)]) == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
 
 class TestSolveAndReport:
     def test_solve_writes_field(self, tmp_path):
@@ -250,7 +275,24 @@ class TestSolveAndReport:
         endpoint = [r for r in recs
                     if r.get("representation") == "subordination" and r.get("eps") == 0.0]
         assert endpoint and endpoint[0]["constant"] == "inf"
-        assert any("verdict" in r for r in recs)
+        (verdict,) = [r for r in recs if "verdict" in r]
+        assert verdict["direct_uniform_bound"] == 1.0
+        assert verdict["method"] == "simon-2014-bound"
+
+    @pytest.mark.parametrize("extra", [
+        ["--p", "1", "--q", "1"],  # p must exceed 1
+        ["--p", "3", "--q", "2"],  # p above 2, q below p
+        ["--eps", "-0.1"],  # below the endpoint eps = 0
+        ["--eps", "2"],  # past 1/lambda = 1: delta would be negative
+    ])
+    def test_decay_compare_rejects_exponents_it_cannot_honour(self, extra, capsys):
+        assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0", *extra]) == 2
+        assert "error code=2" in capsys.readouterr().err
+
+    def test_decay_sup_rejects_p_below_one(self, capsys):
+        # beta = 0.5 (2 - 1/4) lies in (0, 1], but p = 0.5 is no L^p -> L^q pair
+        assert run(["decay-sup", "--alpha", "0.5", "--lambda", "0.5", "--p", "0.5"]) == 2
+        assert "error code=2" in capsys.readouterr().err
 
     def test_report_merges_documents(self, tmp_path):
         a, b, merged = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"

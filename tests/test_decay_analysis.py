@@ -1,7 +1,6 @@
 """Tests for supremum closed forms, log-log fits, and the endpoint-loss
 comparison between the two propagator representations."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from fracheat.errors import InsufficientDataError
 from fracheat.decay_analysis import (
     _log_grid_sup,
     compare_representations,
-    decay_experiment,
     fit_decay_exponent,
     ml_supremum_profile,
     sup_bound_kernel_closed_form,
@@ -118,60 +116,6 @@ class TestFit:
             fit_decay_exponent(ts, [1, 1, 1, 0, 1, 1])
         with pytest.raises(ValueError):
             fit_decay_exponent([-1, 1, 10, 100, 1000, 10000], np.ones(6))
-
-
-class TestDecayExperiment:
-    def test_direct_run_fits_expected_exponent(self):
-        res = decay_experiment(
-            alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
-            representation="direct_ml",
-            t_grid=tuple(np.logspace(1, 4, 10)),
-        )
-        # beta = lambda * (1/p - 1/q) = 0.5, slope = -alpha*beta = -0.25
-        assert res.fitted_exponent == pytest.approx(-0.25, rel=0.02)
-        assert res.constant_estimate > 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            res.fitted_exponent = 0.0
-
-    def test_subordination_run_matches_gamma_ratio_constant(self):
-        res = decay_experiment(
-            alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
-            representation="subordination",
-            t_grid=tuple(np.logspace(1, 4, 10)),
-        )
-        expected = math.gamma(0.5) / math.gamma(0.75)
-        assert res.constant_estimate == pytest.approx(expected, rel=1e-6)
-        assert res.fitted_exponent == pytest.approx(-0.25, rel=1e-6)
-
-    def test_subordination_rejected_at_endpoint(self):
-        # lambda*(1/p-1/q) = 1: the subordination constant does not exist
-        with pytest.raises(ValueError):
-            decay_experiment(
-                alpha=0.5, lambda_exp=2.0, p=4.0 / 3.0, q=4.0,
-                representation="subordination",
-                t_grid=tuple(np.logspace(1, 4, 10)),
-            )
-
-    def test_direct_allowed_at_endpoint(self):
-        # delta = 1/2, beta = 1: slope -alpha, constant U(1) = sup_u u E_alpha(-u)
-        res = decay_experiment(
-            alpha=0.5, lambda_exp=2.0, p=4.0 / 3.0, q=4.0,
-            representation="direct_ml",
-            t_grid=tuple(np.logspace(1, 4, 10)),
-        )
-        assert res.fitted_exponent == pytest.approx(-0.5, rel=0.02)
-        assert res.constant_estimate == pytest.approx(ml_supremum_profile(0.5, 1.0))
-
-    def test_validation(self):
-        good = dict(alpha=0.5, lambda_exp=1.0, p=4.0 / 3.0, q=4.0,
-                    representation="direct_ml",
-                    t_grid=tuple(np.logspace(1, 4, 10)))
-        with pytest.raises(ValueError):
-            decay_experiment(**{**good, "representation": "bogus"})
-        with pytest.raises(ValueError):
-            decay_experiment(**{**good, "p": 3.0})
-        with pytest.raises(ValueError):
-            decay_experiment(**{**good, "t_grid": (1.0, 2.0)})
 
 
 class TestCompareRepresentations:

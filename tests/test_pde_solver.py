@@ -212,7 +212,7 @@ class TestSolve:
         sigma, t = 0.5, 2.0
         f = gaussian_bump(grid_1d, sigma=sigma)
         out = spectral_solve(f, SolverConfig(alpha=1.0), t)
-        (x,) = grid_1d.coordinates()
+        x = grid_1d._axis()
         s2 = sigma ** 2 + 2.0 * t
         exact = sigma / math.sqrt(s2) * np.exp(-x ** 2 / (2.0 * s2))
         assert np.max(np.abs(out.samples - exact)) < 1e-12

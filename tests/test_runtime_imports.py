@@ -1,12 +1,17 @@
-"""The runtime import contract: the package needs numpy and mpmath only, and
+"""The runtime import contract: the package needs numpy and mpmath only,
 every module it uses is loaded when it is imported, not on the first call
-(the cost of a cold command stays in its start-up)."""
+(the cost of a cold command stays in its start-up), and every name a module
+exports exists."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fracheat
 
@@ -41,3 +46,13 @@ def test_first_calls_import_no_library_module():
         "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
         "                        if m.split('.')[0] in ('numpy', 'scipy', 'mpmath'))))")
     assert loaded == []
+
+
+@pytest.mark.parametrize("module", ["fracheat"] + [
+    f"fracheat.{m.name}" for m in pkgutil.iter_modules(fracheat.__path__)])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is deleted breaks
+    # `from <module> import *`
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

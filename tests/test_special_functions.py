@@ -27,7 +27,6 @@ from fracheat.special_functions import (
     _wright_batch,
     _wright_m_array,
     reciprocal_gamma,
-    uniform_bound_constant,
     wright_m,
     wright_m_info,
 )
@@ -357,10 +356,15 @@ class TestWrightBatch:
 
 class TestUniformBound:
     def test_supremum_attained_at_origin(self):
-        # (1+x) E_alpha(-x) -> 1/Gamma(1-alpha) < 1 as x -> inf, and the
-        # profile decreases from 1 at x = 0, so the constant is exactly 1
-        for alpha in (0.25, 0.5, 1.0):
-            assert uniform_bound_constant(alpha) == pytest.approx(1.0, rel=1e-9)
+        # decay-compare reports the uniform-bound constant of
+        # (1+x) E_alpha(-x) <= C as 1.0 from Simon's inequality; a scan of
+        # x = 0 and 2,000 log points on [1e-6, 1e6] must find that maximum,
+        # attained at x = 0 alone
+        xs = np.concatenate(([0.0], np.logspace(-6.0, 6.0, 2000)))
+        for alpha in (0.05, 0.25, 0.5, 0.75, 0.95, 1.0):
+            profile = np.array([(1.0 + x) * mittag_leffler_neg(alpha, float(x)) for x in xs])
+            assert profile[0] == 1.0, alpha
+            assert np.all(profile[1:] < 1.0), alpha
 
 
 class TestEvalPolicy:

@@ -13,12 +13,9 @@ from fracheat.spectral_models import (
     PowerLawSpectrum,
     SpectralModel,
     condition_supremum,
-    models_from_json,
-    models_to_json,
     torus_laplacian_1d,
     torus_laplacian_2d,
     trace_counting,
-    verify_sectorial,
     verify_trace_growth,
 )
 from fracheat.decay_analysis import sup_heat_closed_form
@@ -43,10 +40,6 @@ class TestSpectrumTypes:
             PowerLawSpectrum(c=0.0, lambda_exp=1.0)
         with pytest.raises(ValueError):
             PowerLawSpectrum(c=1.0, lambda_exp=-1.0)
-
-    def test_is_discrete(self):
-        assert torus_laplacian_1d(10).is_discrete
-        assert not SpectralModel(PowerLawSpectrum(1.0, 1.0)).is_discrete
 
 
 class TestTraceCounting:
@@ -87,24 +80,6 @@ class TestTraceGrowth:
         m = SpectralModel(DiscreteSpectrum((1e7,), (1,)))
         with pytest.raises(InsufficientDataError):
             verify_trace_growth(m, 0.5, (1.0, 1e4))
-
-
-class TestSectorial:
-    @pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 4, math.pi / 3])
-    def test_single_eigenvalue_matches_inverse_sine(self, phi):
-        m = SpectralModel(DiscreteSpectrum((1.0,), (1,)))
-        assert verify_sectorial(m, phi) == pytest.approx(1.0 / math.sin(phi), rel=1e-3)
-
-    def test_requires_discrete(self):
-        with pytest.raises(ValueError):
-            verify_sectorial(SpectralModel(PowerLawSpectrum(1.0, 1.0)), 0.5)
-
-    def test_rejects_bad_angle(self):
-        m = torus_laplacian_1d(10)
-        with pytest.raises(ValueError):
-            verify_sectorial(m, 0.0)
-        with pytest.raises(ValueError):
-            verify_sectorial(m, math.pi)
 
 
 class TestConditionSupremum:
@@ -169,21 +144,3 @@ class TestCatalog:
         by_name = {e.name: e for e in DEFAULT_CATALOG}
         for n in (1, 2, 3):
             assert by_name[f"euclidean-laplacian-{n}d"].lambda_exp == n / 2
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_models(self):
-        models = [
-            torus_laplacian_1d(5),
-            SpectralModel(PowerLawSpectrum(c=3.0, lambda_exp=1.5), label="pl"),
-        ]
-        restored = models_from_json(models_to_json(models))
-        assert restored == models
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            models_from_json('[{"label": "x", "variant": "mystery", "parameters": {}}]')
-
-    def test_output_is_deterministic(self):
-        models = [torus_laplacian_2d(5)]
-        assert models_to_json(models) == models_to_json(models)

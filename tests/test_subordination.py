@@ -22,7 +22,6 @@ from fracheat.subordination import (
     _panel_edges,
     _sample_density,
     QuadratureSpec,
-    dirac_limit_check,
     endpoint_divergence_profile,
     subordinate_scalar,
     subordination_constant,
@@ -290,21 +289,3 @@ class TestEndpointDivergence:
             endpoint_divergence_profile(0.5, [1e-4, 1e-2])  # not decreasing
         with pytest.raises(ValueError):
             endpoint_divergence_profile(0.5, [2.0, 0.5])  # out of range
-
-
-class TestDiracLimit:
-    def test_error_shrinks_as_alpha_approaches_one(self):
-        alphas = [0.9, 0.99, 0.995]
-        rows = dirac_limit_check(alphas, lambda s: np.exp(-s))
-        errors = [r.abs_error for r in rows]
-        assert errors[0] > errors[1] > errors[2]
-        assert rows[0].limit == pytest.approx(math.exp(-1.0))
-
-    def test_polynomial_test_function(self):
-        rows = dirac_limit_check([0.9, 0.99], lambda s: s ** 2)
-        assert rows[0].abs_error > rows[1].abs_error
-        assert rows[1].integral == pytest.approx(1.0, abs=0.05)
-
-    def test_rejects_alpha_one(self):
-        with pytest.raises(ValueError):
-            dirac_limit_check([1.0], lambda s: s)
