@@ -286,7 +286,8 @@ def cmd_decay_compare(args) -> list[dict]:
 # peak resident bytes per grid point of `solve`, interpreter included, in a
 # fresh process: the largest measured peak, 62 B at 1D N = 2^24 on the
 # direct route (998 MiB; 59 B on subordination), rounded up; 2D N = 4096
-# peaks at 754 MiB (47 B) direct and 709 MiB (44 B) by subordination
+# peaks at 626 MiB (39 B) direct and 590 MiB (37 B) by subordination, with
+# no gathered N x (N/2+1) table and no irfftn intermediate
 _SOLVE_BYTES_PER_POINT = 72
 
 
@@ -438,8 +439,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             subparser = subparsers[args.command]
-            known = {a.dest for a in subparser._actions} - {"help", "config", "inputs"}
-            subparser.set_defaults(**_load_config(args.config, known))
+            actions = {a.dest: a for a in subparser._actions
+                       if a.dest not in ("help", "config", "inputs")}
+            config = _load_config(args.config, set(actions))
+            for key, value in config.items():
+                # argparse checks choices on the command line, not on defaults
+                choices = actions[key].choices
+                if choices is not None and value not in choices:
+                    subparser.error(f"config {key}: invalid choice: {value!r} "
+                                    f"(choose from {', '.join(map(repr, choices))})")
+            subparser.set_defaults(**config)
             args = parser.parse_args(argv)
         records = args.func(args)
         emit_report(records, args.format, args.out)

@@ -14,11 +14,13 @@ values and an index into them. In 1D these are the U = N//2 + 1 axis
 values c_u = xi_u^2 (xi_k^2 = xi_{N-k}^2), with no index. On the 2D box
 the heat multiplier factorizes, exp(-tau |xi|^2) = exp(-tau xi_x^2)
 exp(-tau xi_y^2), so subordination reads it from the U x U matrix
-F diag(mass) F^T, F[u, i] = exp(-s_i t^alpha c_u), one GEMM, by each row's
-index min(j, N - j) into c; heat factors below exp(-345) ~ 1e-150 are
-exact zeros, so no exp underflows and no GEMM product is subnormal. The
-direct kernel 1/(g^alpha + x) does not factorize: it takes the distinct n
-from an occupancy table (no float sort) and an (N, N//2 + 1) index.
+F diag(mass) F^T = G G^T, F[u, i] = exp(-s_i t^alpha c_u) and
+G = F diag(sqrt(mass)), one SYRK, row j at row min(j, N - j); heat factors
+below exp(-345) ~ 1e-150 are exact zeros, so no exp underflows and no
+table product is subnormal. The direct kernel 1/(g^alpha + x) does not
+factorize: it takes the distinct n from an occupancy table (no float sort)
+and an (N, N//2 + 1) index. A sweep's one `_Step` owns every buffer its
+steps write, so no step allocates a full-size array.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, QuadratureError
 from .special_functions import (
     Alpha, EvalPolicy, DEFAULT_POLICY, _HANKEL_ALPHA_CAP, _ml_hankel,
     mittag_leffler_neg,
@@ -148,9 +150,7 @@ class Field:
         """Riemann-sum L^p norm (cell volume weighted); p < inf."""
         if not 1.0 <= p < math.inf:
             raise ValueError("p must lie in [1, inf)")
-        a = np.abs(self.samples)
-        a **= p  # in place: one full-size temporary
-        return float(a.sum() * self.grid.cell_volume) ** (1.0 / p)
+        return _norm_of_abs(np.abs(self.samples), p, self.grid.cell_volume)
 
     def mean(self) -> float:
         return float(self.samples.mean())
@@ -160,14 +160,26 @@ class Field:
 
     def boundary_mass_fraction(self, edge_fraction: float = 0.05) -> float:
         """Share of total |samples| mass living in the outer edge band."""
-        n = self.grid.points_per_dim
-        k = max(int(edge_fraction * n), 1)
-        a = np.abs(self.samples)
-        total = a.sum()
-        if total == 0.0:
-            return 0.0
-        interior = a[(slice(k, n - k),) * self.grid.dim].sum()
-        return float((total - interior) / total)
+        return _edge_share(np.abs(self.samples), edge_fraction)
+
+
+def _norm_of_abs(a: np.ndarray, p: float, cell_volume: float) -> float:
+    """`Field.norm_lp` from the samples' absolute values `a`, which it
+    raises to the power p in place."""
+    a **= p
+    return float(a.sum() * cell_volume) ** (1.0 / p)
+
+
+def _edge_share(a: np.ndarray, edge_fraction: float = 0.05) -> float:
+    """`Field.boundary_mass_fraction` from the samples' absolute values `a`;
+    NaN if their sum is not finite."""
+    n = a.shape[0]
+    k = max(int(edge_fraction * n), 1)
+    total = a.sum()
+    if total == 0.0:
+        return 0.0
+    interior = a[(slice(k, n - k),) * a.ndim].sum()
+    return float((total - interior) / total)
 
 
 def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5, amplitude: float = 1.0) -> Field:
@@ -218,12 +230,12 @@ class SolverConfig:
 
 # modes per block of the per-mode matvec: bounds each (modes x nodes) heat
 # factor to 7.5 MB, plus a 0.9 MB flush mask, at the 1,824 nodes of the
-# largest mass table; the 2D subordination GEMM needs no blocks, its
+# largest mass table; the 2D subordination table needs no blocks, its
 # (N//2 + 1) x nodes factor is half that size at N = 512
 _BLOCK_ROWS = 512
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
-# numpy's slow underflow path, no GEMM product is subnormal, and a flushed
+# numpy's slow underflow path, no table product is subnormal, and a flushed
 # multiplier lies below the unflushed one by at most exp(-_FLUSH) sum(mass)
 _FLUSH = 345.0
 
@@ -233,14 +245,29 @@ def _blocked(kernel, x: np.ndarray) -> np.ndarray:
                            for i in range(0, x.size, _BLOCK_ROWS)])
 
 
-def _heat_factors(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """exp(-x_u s_i), x_u >= 0, flushed to 0 where x_u s_i > _FLUSH."""
-    f = np.multiply.outer(-x, nodes)
-    far = f < -_FLUSH
+def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """exp(-x_u s_i), x_u >= 0, flushed to 0 where x_u s_i > _FLUSH; written
+    over the leading entries of `work`, a (float, bool) buffer pair, if given."""
+    size, shape = x.size * nodes.size, (x.size, nodes.size)
+    f, far = (np.empty(size), np.empty(size, dtype=bool)) if work is None else work
+    f, far = f[:size].reshape(shape), far[:size].reshape(shape)
+    np.multiply.outer(-x, nodes, out=f)
+    np.less(f, -_FLUSH, out=far)
     np.maximum(f, -_FLUSH, out=f)
     np.exp(f, out=f)
     f[far] = 0.0
     return f
+
+
+def _gram(x: np.ndarray, nodes: np.ndarray, root: np.ndarray, work: tuple | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """The table G G^T of G = F diag(root), F the flushed heat factors of x
+    (in `work`), root = sqrt(mass): F diag(mass) F^T by one A @ A.T, which
+    numpy hands to BLAS SYRK (half the flops of a GEMM, one triangle
+    mirrored, so the table is exactly symmetric)."""
+    g = _heat_factors(x, nodes, work)
+    g *= root
+    return np.matmul(g, g.T, out=out)
 
 
 def _time_scale(cfg: SolverConfig, t: float) -> float:
@@ -251,13 +278,14 @@ def _time_scale(cfg: SolverConfig, t: float) -> float:
     return t ** cfg.alpha.value
 
 
-def _kernel(cfg: SolverConfig, x: np.ndarray) -> np.ndarray:
+def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1D array of distinct values, by the
-    route `propagator_multiplier` describes."""
+    route `propagator_multiplier` describes; subordination heat factors go
+    to `work` (see `_heat_factors`)."""
     a, pol = cfg.alpha.value, cfg.policy
     if cfg.representation == "subordination":
         nodes, mass = wright_mass_nodes(a, cfg.quad)
-        return _blocked(lambda u: _heat_factors(u, nodes) @ mass, x)
+        return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x)
     if a == 1.0:
         return np.exp(-x)
     if (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
@@ -266,18 +294,12 @@ def _kernel(cfg: SolverConfig, x: np.ndarray) -> np.ndarray:
     return np.array([mittag_leffler_neg(a, u, pol) for u in x])
 
 
-def _table(cfg: SolverConfig, ta: float, values: np.ndarray,
-           index: np.ndarray | None) -> np.ndarray:
+def _table(cfg: SolverConfig, ta: float, values: np.ndarray, index: np.ndarray | None,
+           work: tuple | None = None) -> np.ndarray:
     """Multiplier E_alpha(-ta |xi|^2), ta = t^alpha, on the modes (values,
-    index) of `_half_spectrum`. With a row index (2D subordination) it is
-    the U x U table (F * mass) @ F.T of the heat factors F[u, i] =
-    exp(-s_i ta values[u]) over the axis values, read by row; otherwise the
-    kernel on the distinct values, read through the index if there is one."""
-    if index is not None and index.ndim == 1:
-        nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
-        factor = _heat_factors(ta * values, nodes)
-        return ((factor * mass) @ factor.T)[index]
-    vals = _kernel(cfg, ta * values)
+    index) of a `_Step`: the kernel on the distinct values, read through
+    the index if there is one."""
+    vals = _kernel(cfg, ta * values, work)
     return vals if index is None else vals[index]
 
 
@@ -287,7 +309,7 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
 
     A float array carries no integer keys, so the kernel runs on its
     `np.unique` values and is broadcast back (the solver keys its modes on
-    the exact integer spectrum instead: `_half_spectrum`). Both
+    the exact integer spectrum instead: `_Step`). Both
     representations are weighted sums over fixed nodes, applied as one
     matvec in row blocks: the subordination route over the Wright mass
     table, whose heat factors below exp(-345) ~ 1e-150 count as 0 (which
@@ -304,37 +326,68 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     return _kernel(cfg, ta * uniq)[inverse].reshape(xi2.shape)
 
 
-def _half_spectrum(w0: Field, cfg: SolverConfig) -> tuple[np.ndarray, tuple]:
-    """Real FFT of w0 and, once per solve or sweep, its modes (values, index)
-    for `_table`, from integer keys: 1D, the axis values and no index; 2D,
-    the axis values and row index min(j, N - j) for the subordination GEMM,
-    else the distinct |xi|^2 and an (N, N//2 + 1) index into them."""
-    grid = w0.grid
-    if grid.dim == 2 and cfg.representation != "subordination":
-        modes = grid._distinct_modes()
-    else:
-        modes = grid._axis_values(), grid._row_index() if grid.dim == 2 else None
-    return np.fft.rfftn(w0.samples), modes
+class _Step:
+    """One solve's or sweep's step, built once: the real FFT of w0, its
+    modes keyed on integers (the axis values, or for the 2D direct route
+    the distinct |xi|^2 and an (N, N//2 + 1) index) and every buffer a step
+    writes. A call writes the field at t into `field` and returns it.
 
+    A float arena holds the subordination heat factors while the
+    multiplier is built (all U = N//2 + 1 rows in 2D, a row block in 1D),
+    then the complex product `prod`. In 2D, row j of the subordination
+    multiplier is row min(j, N - j) of the U x U `_gram` table: rows
+    0..N/2, then rows N/2-1..1. The inverse real FFT is irfftn's own
+    sequence: an in-place inverse FFT over axis 0 (2D), then an inverse
+    real FFT into `field`.
+    """
 
-def _evolve(grid: PeriodicGrid, spectrum: np.ndarray, modes: tuple,
-            cfg: SolverConfig, t: float) -> Field:
-    """Inverse real FFT of a half spectrum times the multiplier at t on the
-    modes of `_half_spectrum`; the multiplier is freed before the FFT."""
-    ta = _time_scale(cfg, t)
-    if ta > 0.0:
-        spectrum = spectrum * _table(cfg, ta, *modes)
-    out = np.fft.irfftn(spectrum, s=(grid.points_per_dim,) * grid.dim,
-                        axes=tuple(range(grid.dim)))
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite values in the spectral solve")
-    return Field._adopt(grid, out)
+    def __init__(self, w0: Field, cfg: SolverConfig) -> None:
+        self.grid, self.cfg = w0.grid, cfg
+        self.spectrum = np.fft.rfftn(w0.samples)
+        if self.grid.dim == 2 and cfg.representation != "subordination":
+            self.values, self.index = self.grid._distinct_modes()
+        else:
+            self.values, self.index = self.grid._axis_values(), None
+        n, rows, heat = self.grid.points_per_dim, self.values.size, 0
+        self.table = None
+        if cfg.representation == "subordination":
+            self.nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
+            if not np.all(mass >= 0.0):
+                raise QuadratureError("the Wright mass table has a negative or NaN mass "
+                                      "(the density M_alpha is >= 0)")
+            if self.grid.dim == 2:
+                self.root, self.table = np.sqrt(mass), np.empty((rows, rows))
+            heat = self.nodes.size * (rows if self.grid.dim == 2 else min(rows, _BLOCK_ROWS))
+        arena = np.empty(max(heat, 2 * self.spectrum.size))
+        self.work = arena, np.empty(heat, dtype=bool)
+        self.prod = arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
+        self.field = np.empty((n,) * self.grid.dim)
+
+    def __call__(self, t: float) -> np.ndarray:
+        ta = _time_scale(self.cfg, t)
+        src, prod = self.spectrum, self.prod
+        if ta > 0.0 and self.table is not None:  # 2D subordination
+            tab = _gram(ta * self.values, self.nodes, self.root, self.work, self.table)
+            u = tab.shape[0]
+            np.multiply(src[:u], tab, out=prod[:u])
+            np.multiply(src[u:], tab[u - 2:0:-1], out=prod[u:])
+            src = prod
+        elif ta > 0.0:
+            src = np.multiply(src, _table(self.cfg, ta, self.values, self.index, self.work),
+                              out=prod)
+        if self.grid.dim == 2:
+            src = np.fft.ifft(src, axis=0, out=prod)
+        return np.fft.irfft(src, self.grid.points_per_dim, out=self.field)
 
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
     """Evolve w0 to time t: real FFT, per-mode propagator multiplier on
-    the half spectrum, inverse real FFT."""
-    return _evolve(w0.grid, *_half_spectrum(w0, cfg), cfg, t)
+    the half spectrum, inverse real FFT; a one-step sweep whose field
+    buffer the returned Field adopts."""
+    out = _Step(w0, cfg)(t)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite values in the spectral solve")
+    return Field._adopt(w0.grid, out)
 
 
 def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:
@@ -435,12 +488,15 @@ def decay_measurement(
     lam = w0.grid.dim / 2.0
     delta = 1.0 / p - 1.0 / q
     norm_p0 = w0.norm_lp(p)
-    spectrum, modes = _half_spectrum(w0, cfg)
+    step = _Step(w0, cfg)
     rows = []
     truncated_at = None
     for t in ts:
-        w = _evolve(w0.grid, spectrum, modes, cfg, t)
-        edge = w.boundary_mass_fraction()
+        w = step(t)
+        np.abs(w, out=w)  # the one |w| of the step: guard, finiteness and norm
+        edge = _edge_share(w)
+        if math.isnan(edge):
+            raise FloatingPointError("non-finite values in the spectral solve")
         if edge > wraparound_tol:
             truncated_at = t
             warnings.warn(
@@ -449,8 +505,7 @@ def decay_measurement(
                 RuntimeWarning,
             )
             break
-        ratio = w.norm_lp(q) / norm_p0
-        del w  # freed before the next step allocates its field
+        ratio = _norm_of_abs(w, q, w0.grid.cell_volume) / norm_p0
         rows.append((t, ratio, t ** (a * lam * delta) * ratio, edge))
     if len(rows) < 5:
         raise InsufficientDataError(

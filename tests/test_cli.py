@@ -184,6 +184,17 @@ class TestConfig:
         assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["format = xml", "rep = bogus"])
+    def test_config_value_outside_choices_is_refused_up_front(self, tmp_path, capsys, line):
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(line + "\n")
+        field, out = tmp_path / "f.bin", tmp_path / "solve.json"
+        assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256",
+                    "--field-out", str(field), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 class TestSolveAndReport:
     def test_solve_writes_field(self, tmp_path):
         field_path = tmp_path / "field.bin"

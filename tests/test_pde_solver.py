@@ -1,13 +1,14 @@
 """Tests for the periodic spectral solver and its diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracheat import pde_solver
-from fracheat.errors import InsufficientDataError
+from fracheat.errors import InsufficientDataError, QuadratureError
 from fracheat.pde_solver import (
     Field,
     PeriodicGrid,
@@ -69,16 +70,21 @@ class TestGrid:
         w0 = gaussian_bump(g)
         half = g.frequencies_squared()[..., :33]
         for rep in ("direct_ml", "subordination"):
-            spectrum, (values, index) = pde_solver._half_spectrum(w0, SolverConfig(0.6, rep))
-            assert spectrum.shape == half.shape
-            if index is None:
-                assert dim == 1 and np.array_equal(values, half)
-            elif index.ndim == 1:
-                assert rep == "subordination"
-                assert np.array_equal(values[index][:, None] + values[None, :], half)
-            else:
-                assert rep == "direct_ml" and index.shape == half.shape
+            step = pde_solver._Step(w0, SolverConfig(0.6, rep))
+            values, index = step.values, step.index
+            assert step.spectrum.shape == half.shape
+            if index is not None:
+                assert rep == "direct_ml" and dim == 2 and index.shape == half.shape
                 assert np.allclose(values[index], half, rtol=7e-16, atol=0.0)
+            elif dim == 1:
+                assert np.array_equal(values, half)
+            else:
+                # the step's two row slices of the U x U table: rows 0..N/2,
+                # then rows N/2-1..1
+                assert rep == "subordination"
+                table = values[:, None] + values[None, :]
+                assert np.array_equal(table, half[:33])
+                assert np.array_equal(table[31:0:-1], half[33:])
 
     @pytest.mark.parametrize("n, box", [(64, 20.0), (256, 64.0), (512, 128.0), (4096, 200.0)])
     def test_axis_values_are_the_distinct_values_of_the_spectrum(self, n, box):
@@ -155,37 +161,51 @@ class TestField:
 
     @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
     def test_solver_fields_are_owned_and_read_only(self, monkeypatch, rep):
-        # every field spectral_solve and decay_measurement produce
-        evolve, seen = pde_solver._evolve, []
+        # a solve is a one-step sweep whose Field adopts the step's field
+        # buffer; a sweep's fields stay in its step, and nothing
+        # decay_measurement returns reaches the step's buffers
+        call, steps = pde_solver._Step.__call__, []
 
-        def spy(grid, spectrum, modes, cfg, t):
-            seen.append(evolve(grid, spectrum, modes, cfg, t))
-            return seen[-1]
+        def spy(step, t):
+            steps.append(step)
+            return call(step, t)
 
-        monkeypatch.setattr(pde_solver, "_evolve", spy)
+        monkeypatch.setattr(pde_solver._Step, "__call__", spy)
         for dim, n, box in ((1, 1024, 200.0), (2, 64, 16.0)):
             w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
             cfg = SolverConfig(alpha=0.6, representation=rep)
-            seen.clear()
-            solved = spectral_solve(w0, cfg, 1.0)
-            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
-                              wraparound_tol=1.0)
-            assert seen[0] is solved and len(seen) == 6
-            for w in seen:
+            steps.clear()
+            solved = [spectral_solve(w0, cfg, t) for t in (1.0, 3.0)]
+            m = decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
+                                  wraparound_tol=1.0)
+            assert len(steps) == 7 and len({id(s) for s in steps}) == 3
+            assert all(w.samples is s.field for w, s in zip(solved, steps))
+            sweep = [*steps[2].work, *(v for v in vars(steps[2]).values()
+                                       if isinstance(v, np.ndarray))]
+            for w in solved:
                 assert not w.samples.flags.writeable
                 assert not np.shares_memory(w.samples, w0.samples)
                 assert all(not np.shares_memory(w.samples, v.samples)
-                           for v in seen if v is not w)
+                           for v in solved if v is not w)
+                assert all(not np.shares_memory(w.samples, b) for b in sweep)
                 with pytest.raises(ValueError):
                     w.samples[0] = 1.0
+            assert all(type(v) is float for row in m.rows for v in row)
+            assert all(type(v) in (float, bool, type(None)) for v in vars(m).values()
+                       if v is not m.rows)
 
     @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
     def test_non_finite_solve_raises(self, rep):
-        # finite samples whose spectrum overflows
+        # finite samples whose spectrum overflows: a solve checks its field,
+        # a sweep the sum of each step's |w|
         grid = PeriodicGrid(dim=2, box_length=16.0, points_per_dim=64)
         w0 = Field(grid, np.full((64, 64), 1e308))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-            spectral_solve(w0, SolverConfig(alpha=0.6, representation=rep), 1.0)
+        cfg = SolverConfig(alpha=0.6, representation=rep)
+        for run in (lambda: spectral_solve(w0, cfg, 1.0),
+                    lambda: decay_measurement(w0, cfg, 4.0 / 3.0, 4.0,
+                                              (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+                run()
 
 
 class TestSolve:
@@ -246,13 +266,7 @@ class TestSolve:
         grid = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)
         w0 = gaussian_bump(grid)
         spectrum, xi2 = np.fft.fftn(w0.samples), grid.frequencies_squared()
-        evolve, seen = pde_solver._evolve, []
-
-        def spy(grid, spectrum, modes, cfg, t):
-            seen.append((t, evolve(grid, spectrum, modes, cfg, t)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(pde_solver, "_evolve", spy)
+        seen = _spy_steps(monkeypatch)
         ts = (0.1, 1.0, 7.0)
         for alpha in (0.3, 0.6, 0.95):
             cfg = SolverConfig(alpha=alpha, representation=rep)
@@ -264,7 +278,7 @@ class TestSolve:
             assert [t for t, _ in seen] == [*ts, 0.1, 0.3, 1.0, 3.0, 7.0]
             for t, w in seen:
                 ref = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
-                assert np.max(np.abs(w.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_2d_solve_runs(self):
         g = PeriodicGrid(dim=2, box_length=50.0, points_per_dim=128)
@@ -277,6 +291,19 @@ class TestSolve:
 # t or x: zero, or anywhere from 1e-12 to 1e300 on a log scale
 _ZERO_OR_WIDE = st.one_of(st.just(0.0), st.floats(min_value=-12.0, max_value=300.0)
                           .map(lambda e: 10.0 ** e))
+
+
+def _spy_steps(monkeypatch):
+    """A list that gets (t, copy of the field) for every solver step."""
+    call, seen = pde_solver._Step.__call__, []
+
+    def spy(step, t):
+        out = call(step, t)
+        seen.append((t, out.copy()))  # the step's buffer: overwritten next
+        return out
+
+    monkeypatch.setattr(pde_solver._Step, "__call__", spy)
+    return seen
 
 
 def _blocked_subordination(alpha, t, x):
@@ -364,14 +391,8 @@ class TestMultiplier:
         def per_mode(kernel, x):
             raise AssertionError("2D subordination solve took the per-mode matvec")
 
-        evolve, seen = pde_solver._evolve, []
-
-        def spy(grid, spectrum, modes, cfg, t):
-            seen.append((t, evolve(grid, spectrum, modes, cfg, t)))
-            return seen[-1][1]
-
         monkeypatch.setattr(pde_solver, "_blocked", per_mode)
-        monkeypatch.setattr(pde_solver, "_evolve", spy)
+        seen = _spy_steps(monkeypatch)
         for n, box in ((64, 20.0), (128, 32.0)):
             w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=box, points_per_dim=n))
             spectrum = np.fft.fftn(w0.samples)
@@ -387,7 +408,7 @@ class TestMultiplier:
                 for t, w in seen:
                     mult = _blocked_subordination(alpha, t, uniq)[inverse].reshape(n, n)
                     ref = np.fft.ifftn(spectrum * mult).real
-                    assert np.max(np.abs(w.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+                    assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_solver_never_runs_np_unique(self, monkeypatch):
         # every route of spectral_solve and decay_measurement, 1D and 2D:
@@ -412,9 +433,10 @@ class TestMultiplier:
     )
     @settings(max_examples=60, deadline=None)
     def test_flushed_heat_factors_stay_within_bound(self, alpha, t, x):
-        # flushed matvec (1D) and GEMM table (2D) against the unflushed
-        # exp(outer) @ mass: never above it, never below by more than
-        # exp(-345) times the table's total mass
+        # flushed matvec (1D) and SYRK table (2D) against the unflushed
+        # exp(outer) @ mass and G G^T, G = exp(outer) diag(sqrt(mass)):
+        # never above it, never below by more than exp(-345) times the
+        # table's total mass
         cfg = SolverConfig(alpha=alpha, representation="subordination")
         nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
         bound = math.exp(-345.0) * float(mass.sum())
@@ -426,29 +448,61 @@ class TestMultiplier:
         x = np.unique(x)
         with np.errstate(over="ignore", under="ignore"):  # t^alpha x may overflow
             heat = np.exp(np.outer(-ta * x, nodes))
+            g = heat * np.sqrt(mass)
             pairs = ((pde_solver._table(cfg, ta, x, None), heat @ mass),
-                     (pde_solver._table(cfg, ta, x, np.arange(x.size)),
-                      (heat * mass) @ heat.T))
+                     (pde_solver._gram(ta * x, nodes, np.sqrt(mass)), g @ g.T))
         for got, ref in pairs:
             assert np.all(ref - got >= 0.0)
             assert np.all(ref - got <= bound)
 
     @pytest.mark.parametrize("dim, n, box", [(2, 512, 128.0), (2, 256, 64.0), (1, 4096, 200.0)])
     def test_flush_leaves_benchmark_grids_bit_identical(self, dim, n, box):
-        # the solver's modes: the axis values, and in 2D each row's index
-        g = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)
-        axis, rows = g._axis_values(), g._row_index() if dim == 2 else None
+        # the solver's modes: the axis values; in 2D, the U x U SYRK table
+        axis = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)._axis_values()
         for alpha in (0.3, 0.6, 0.84, 0.95):
             cfg = SolverConfig(alpha=alpha, representation="subordination")
             nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
             for t in np.geomspace(1.0, 50.0, 10):
-                got = pde_solver._table(cfg, t ** alpha, axis, rows)
                 if dim == 1:
+                    got = pde_solver._table(cfg, t ** alpha, axis, None)
                     ref = _blocked_subordination(alpha, t, axis)
                 else:
-                    heat = np.exp(np.outer(-t ** alpha * axis, nodes))
-                    ref = ((heat * mass) @ heat.T)[rows]
+                    got = pde_solver._gram(t ** alpha * axis, nodes, np.sqrt(mass))
+                    g = np.exp(np.outer(-t ** alpha * axis, nodes)) * np.sqrt(mass)
+                    ref = g @ g.T
                 assert np.array_equal(got, ref)
+
+    def test_2d_table_is_exactly_symmetric(self, monkeypatch):
+        # the tables a 2D subordination sweep reads, geometric and
+        # phi-spaced panels
+        gram, tables = pde_solver._gram, []
+
+        def spy(*args):
+            tables.append(gram(*args).copy())
+            return tables[-1]
+
+        monkeypatch.setattr(pde_solver, "_gram", spy)
+        w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=32.0, points_per_dim=128))
+        for alpha in (0.3, 0.95):
+            decay_measurement(w0, SolverConfig(alpha=alpha, representation="subordination"),
+                              4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)
+        assert len(tables) == 10
+        assert all(np.array_equal(tab, tab.T) for tab in tables)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_negative_mass_raises(self, monkeypatch, dim):
+        # sqrt(mass) would turn a negative mass into NaN
+        def negative(alpha, quad):
+            nodes, mass = wright_mass_nodes(alpha, quad)
+            return nodes, np.where(np.arange(mass.size) == 3, -mass, mass)
+
+        monkeypatch.setattr(pde_solver, "wright_mass_nodes", negative)
+        w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=16.0, points_per_dim=64))
+        cfg = SolverConfig(alpha=0.6, representation="subordination")
+        with pytest.raises(QuadratureError, match="negative"):
+            spectral_solve(w0, cfg, 1.0)
+        with pytest.raises(QuadratureError, match="negative"):
+            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
 
     def test_2d_non_tensor_sum_takes_per_mode_route(self):
         # a 2D array is keyed on its float values, as its flat copy is:
@@ -536,6 +590,30 @@ class TestDecayMeasurement:
             with pytest.raises(InsufficientDataError):
                 decay_measurement(f, SolverConfig(alpha=1.0), 4.0 / 3.0, 4.0,
                                   [1.0, 50.0, 100.0, 200.0, 400.0, 800.0])
+
+    @pytest.mark.parametrize("dim, n, box, tol", [
+        (1, 1024, 200.0, 1.0), (2, 64, 16.0, 1.0), (2, 128, 32.0, 1e-6)])
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    def test_rows_are_those_of_per_time_solves(self, dim, n, box, tol, rep):
+        # each row bit for bit from the field spectral_solve returns at its
+        # time, through Field.norm_lp and Field.boundary_mass_fraction; on
+        # the 2D box of side 32 the wraparound guard trips at t = 4.6
+        w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
+        cfg = SolverConfig(alpha=0.6, representation=rep)
+        p, q, ts = 4.0 / 3.0, 4.0, [float(t) for t in np.geomspace(0.01, 100.0, 13)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            m = decay_measurement(w0, cfg, p, q, ts, wraparound_tol=tol)
+        expo = 0.6 * (dim / 2.0) * (1.0 / p - 1.0 / q)
+        for row, t in zip(m.rows, ts):
+            w = spectral_solve(w0, cfg, t)
+            ratio = w.norm_lp(q) / m.norm_p0
+            assert row == (t, ratio, t ** expo * ratio, w.boundary_mass_fraction())
+        if tol < 1.0:
+            assert len(m.rows) == 8 and m.truncated_at == ts[8]
+            assert spectral_solve(w0, cfg, ts[8]).boundary_mass_fraction() > tol
+        else:
+            assert len(m.rows) == 13 and m.truncated_at is None
 
     def test_validation(self):
         g = PeriodicGrid(dim=1, box_length=40.0, points_per_dim=256)
