@@ -17,7 +17,6 @@ from .errors import (
 from .special_functions import (
     Alpha,
     EvalPolicy,
-    gamma_fn,
     mittag_leffler_contour,
     mittag_leffler_neg,
     reciprocal_gamma,
@@ -37,7 +36,6 @@ __all__ = [
     "Alpha",
     "EvalPolicy",
     "QuadratureSpec",
-    "gamma_fn",
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_contour",

@@ -268,15 +268,14 @@ def cmd_decay_sup(args) -> list[dict]:
 def cmd_decay_compare(args) -> list[dict]:
     eps = [float(e) for e in args.eps.split(",") if e.strip()]
     report = decay_analysis.compare_representations(
-        args.alpha, args.lmbda, args.p, args.q, eps, policy=_default_policy(args.tol))
+        args.alpha, args.lmbda, eps, policy=_default_policy(args.tol))
     records = []
     for rec in report.records:
         fields = asdict(rec)
         fields["lambda"] = fields.pop("lambda_exp")
         records.append({"command": "decay-compare", **fields})
     records.append({"command": "decay-compare", "alpha": Alpha.coerce(args.alpha),
-                    "lambda": args.lmbda, "p": args.p, "q": args.q,
-                    "verdict": report.verdict,
+                    "lambda": args.lmbda, "verdict": report.verdict,
                     "direct_uniform_bound": report.direct_uniform_bound,
                     "method": "simon-2014-bound"})
     print(report.verdict)
@@ -286,8 +285,8 @@ def cmd_decay_compare(args) -> list[dict]:
 # peak resident bytes per grid point of `solve`, interpreter included, in a
 # fresh process: the largest measured peak, 62 B at 1D N = 2^24 on the
 # direct route (998 MiB; 59 B on subordination), rounded up; 2D N = 4096
-# peaks at 626 MiB (39 B) direct and 590 MiB (37 B) by subordination, with
-# no gathered N x (N/2+1) table and no irfftn intermediate
+# peaks at 610 MiB (38 B) direct and 590 MiB (37 B) by subordination, each
+# reading one (N/2+1) x (N/2+1) table, with no irfftn intermediate
 _SOLVE_BYTES_PER_POINT = 72
 
 
@@ -404,8 +403,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        help="endpoint-loss comparison of the two representations")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda", dest="lmbda", type=float, required=True)
-    p.add_argument("--p", type=float, default=4.0 / 3.0)
-    p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--eps", default="0.2,0.1,0.05",
                    help="comma-separated distances to the endpoint")
     common(p)

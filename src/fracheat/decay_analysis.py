@@ -217,8 +217,6 @@ def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> 
 class RepresentationRecord:
     alpha: float
     lambda_exp: float
-    p: float
-    q: float
     delta: float
     eps: float
     representation: str
@@ -237,8 +235,6 @@ class ComparisonReport:
 def compare_representations(
     alpha: Alpha | float,
     lambda_exp: float,
-    p: float,
-    q: float,
     eps_list: Sequence[float],
     quad: QuadratureSpec = DEFAULT_QUAD,
     policy: EvalPolicy = DEFAULT_POLICY,
@@ -256,8 +252,6 @@ def compare_representations(
     lambda_exp = float(lambda_exp)
     if lambda_exp <= 0.0:
         raise ValueError("lambda_exp must be positive")
-    if lambda_exp * _exponent_gap(p, q) > 1.0 + 1e-12:
-        raise ValueError("lambda * (1/p - 1/q) must not exceed 1 (outside both routes)")
     eps = sorted({float(e) for e in eps_list} | {0.0}, reverse=True)
     if not all(0.0 <= e < 1.0 / lambda_exp for e in eps):
         raise ValueError(f"each eps must lie in [0, 1/lambda) = [0, {1.0 / lambda_exp}), got {eps}")
@@ -267,8 +261,7 @@ def compare_representations(
         beta = lambda_exp * delta_k  # = 1 - lambda*eps, the endpoint at eps=0
         direct = ml_supremum_profile(a, beta, exact_kernel=True, policy=policy)
         records.append(RepresentationRecord(
-            alpha=a, lambda_exp=lambda_exp, p=float(p), q=float(q),
-            delta=delta_k, eps=e, representation="direct_ml",
+            alpha=a, lambda_exp=lambda_exp, delta=delta_k, eps=e, representation="direct_ml",
             constant=direct, slope=-a * beta, method="grid-supremum"))
         if beta < 1.0:
             sub = subordination_constant(a, beta, quad)
@@ -277,13 +270,12 @@ def compare_representations(
             sub = math.inf
             method = "divergent-at-endpoint"
         records.append(RepresentationRecord(
-            alpha=a, lambda_exp=lambda_exp, p=float(p), q=float(q),
-            delta=delta_k, eps=e, representation="subordination",
+            alpha=a, lambda_exp=lambda_exp, delta=delta_k, eps=e, representation="subordination",
             constant=sub, slope=-a * beta, method=method))
     verdict = (
-        "direct route admits the endpoint 1/lambda = 1/p - 1/q with a finite "
+        "direct route admits the endpoint delta = 1/lambda with a finite "
         "constant; subordination route requires the strict inequality "
-        "1/lambda > 1/p - 1/q (constant diverges at the endpoint)"
+        "delta < 1/lambda (constant diverges at the endpoint)"
     )
     # (1+x) E_alpha(-x) <= (1+x)/(1 + x/Gamma(1+alpha)) <= 1 (Simon 2014, EJP 19)
     return ComparisonReport(records=tuple(records), direct_uniform_bound=1.0, verdict=verdict)

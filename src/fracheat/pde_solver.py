@@ -9,18 +9,20 @@ classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
 its spectrum is Hermitian: a solve is one real FFT, the multiplier on the
 half spectrum (N//2 + 1 modes on the last axis) and one inverse real FFT.
 On the box |xi|^2 = (2 pi / L)^2 n with n = i^2 (+ j^2) an exact integer,
-so each solve or sweep keys its modes on integers once: distinct |xi|^2
-values and an index into them. In 1D these are the U = N//2 + 1 axis
-values c_u = xi_u^2 (xi_k^2 = xi_{N-k}^2), with no index. On the 2D box
-the heat multiplier factorizes, exp(-tau |xi|^2) = exp(-tau xi_x^2)
-exp(-tau xi_y^2), so subordination reads it from the U x U matrix
-F diag(mass) F^T = G G^T, F[u, i] = exp(-s_i t^alpha c_u) and
-G = F diag(sqrt(mass)), one SYRK, row j at row min(j, N - j); heat factors
-below exp(-345) ~ 1e-150 are exact zeros, so no exp underflows and no
-table product is subnormal. The direct kernel 1/(g^alpha + x) does not
-factorize: it takes the distinct n from an occupancy table (no float sort)
-and an (N, N//2 + 1) index. A sweep's one `_Step` owns every buffer its
-steps write, so no step allocates a full-size array.
+so each solve or sweep keys its modes on integers once. In 1D the
+multiplier is read on the U = N//2 + 1 axis values c_u = xi_u^2
+(xi_k^2 = xi_{N-k}^2). In 2D |xi|^2 = c_i + c_j on the axis pairs
+0 <= i, j <= N//2, so either route's multiplier is a symmetric U x U
+table, and FFT row j reads row min(j, N - j) of it. Subordination builds
+the table by factorizing the heat multiplier, exp(-tau |xi|^2) =
+exp(-tau c_i) exp(-tau c_j): it is F diag(mass) F^T = G G^T,
+F[u, i] = exp(-s_i t^alpha c_u) and G = F diag(sqrt(mass)), one SYRK;
+heat factors below exp(-345) ~ 1e-150 are exact zeros, so no exp
+underflows and no table product is subnormal. The direct kernel
+1/(g^alpha + x) does not factorize: it runs on the distinct n = i^2 + j^2,
+found by an occupancy table (no float sort), and is gathered into the
+table. A sweep's one `_Step` owns every buffer its steps write, so no step
+allocates a full-size array.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class PeriodicGrid:
 
     def frequencies_squared(self) -> np.ndarray:
         """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
-        k2 = self._axis_values()[self._row_index()]
+        j = np.arange(self.points_per_dim)
+        k2 = self._axis_values()[np.minimum(j, self.points_per_dim - j)]
         return k2 if self.dim == 1 else k2[:, None] + k2[None, :]
 
     def _axis_values(self) -> np.ndarray:
@@ -98,20 +101,14 @@ class PeriodicGrid:
         n = self.points_per_dim
         return (2.0 * math.pi * (np.arange(n // 2 + 1) * (1.0 / (n * self.dx)))) ** 2
 
-    def _row_index(self) -> np.ndarray:
-        """The index min(j, N - j) into the axis values of each FFT position
-        j along an axis, as xi_j^2 = xi_{N-j}^2."""
-        j = np.arange(self.points_per_dim)
-        return np.minimum(j, self.points_per_dim - j)
-
     def _distinct_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |xi|^2 = (2 pi / L)^2 n of the 2D half spectrum,
-        ascending, and each mode's index into them, keyed on the integer
-        n = min(j, N - j)^2 + u^2 <= 2 (N//2)^2 by an occupancy table."""
-        n, half = self.points_per_dim, self.points_per_dim // 2
+        """The distinct |xi|^2 = (2 pi / L)^2 n of the 2D box, ascending, and
+        the U x U index of each axis pair (i, j) into them, keyed on the
+        integer n = i^2 + j^2 <= 2 (N//2)^2 by an occupancy table."""
+        half = self.points_per_dim // 2
         key = np.min_scalar_type(2 * half * half)  # holds every n
-        k2 = self._row_index().astype(key) ** 2
-        keys = k2[:, None] + k2[None, :half + 1]
+        k2 = np.arange(half + 1, dtype=key) ** 2
+        keys = k2[:, None] + k2[None, :]
         present = np.zeros(2 * half * half + 1, dtype=bool)
         present[keys] = True
         lookup = np.cumsum(present, dtype=key)
@@ -158,9 +155,9 @@ class Field:
     def max_norm(self) -> float:
         return float(np.abs(self.samples).max())
 
-    def boundary_mass_fraction(self, edge_fraction: float = 0.05) -> float:
-        """Share of total |samples| mass living in the outer edge band."""
-        return _edge_share(np.abs(self.samples), edge_fraction)
+    def boundary_mass_fraction(self) -> float:
+        """Share of total |samples| mass living in the outer 5% edge band."""
+        return _edge_share(np.abs(self.samples))
 
 
 def _norm_of_abs(a: np.ndarray, p: float, cell_volume: float) -> float:
@@ -170,11 +167,11 @@ def _norm_of_abs(a: np.ndarray, p: float, cell_volume: float) -> float:
     return float(a.sum() * cell_volume) ** (1.0 / p)
 
 
-def _edge_share(a: np.ndarray, edge_fraction: float = 0.05) -> float:
+def _edge_share(a: np.ndarray) -> float:
     """`Field.boundary_mass_fraction` from the samples' absolute values `a`;
     NaN if their sum is not finite."""
     n = a.shape[0]
-    k = max(int(edge_fraction * n), 1)
+    k = max(int(0.05 * n), 1)
     total = a.sum()
     if total == 0.0:
         return 0.0
@@ -182,13 +179,13 @@ def _edge_share(a: np.ndarray, edge_fraction: float = 0.05) -> float:
     return float((total - interior) / total)
 
 
-def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5, amplitude: float = 1.0) -> Field:
+def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     x2 = grid._axis() ** 2
     r2 = x2 if grid.dim == 1 else x2[:, None] + x2[None, :]
-    return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
+    return Field(grid, np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
 def write_field(field: Field, path: str | Path, time: float = 0.0) -> None:
@@ -226,6 +223,9 @@ class SolverConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.representation == "subordination" and not self.alpha.value < 1.0:
             raise ValueError("subordination representation requires alpha < 1")
+        if self.representation == "subordination" and self.policy != DEFAULT_POLICY:
+            raise ValueError("subordination representation takes only the default policy: "
+                             "it evaluates no E_alpha (its mass table has its own precision)")
 
 
 # modes per block of the per-mode matvec: bounds each (modes x nodes) heat
@@ -294,15 +294,6 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
     return np.array([mittag_leffler_neg(a, u, pol) for u in x])
 
 
-def _table(cfg: SolverConfig, ta: float, values: np.ndarray, index: np.ndarray | None,
-           work: tuple | None = None) -> np.ndarray:
-    """Multiplier E_alpha(-ta |xi|^2), ta = t^alpha, on the modes (values,
-    index) of a `_Step`: the kernel on the distinct values, read through
-    the index if there is one."""
-    vals = _kernel(cfg, ta * values, work)
-    return vals if index is None else vals[index]
-
-
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
     """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2, an
     array of any shape, for a finite time t >= 0 (ValueError otherwise).
@@ -329,16 +320,20 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
 class _Step:
     """One solve's or sweep's step, built once: the real FFT of w0, its
     modes keyed on integers (the axis values, or for the 2D direct route
-    the distinct |xi|^2 and an (N, N//2 + 1) index) and every buffer a step
-    writes. A call writes the field at t into `field` and returns it.
+    the distinct |xi|^2 and a U x U index) and every buffer a step writes.
+    A call writes the field at t into `field` and returns it.
 
-    A float arena holds the subordination heat factors while the
-    multiplier is built (all U = N//2 + 1 rows in 2D, a row block in 1D),
-    then the complex product `prod`. In 2D, row j of the subordination
-    multiplier is row min(j, N - j) of the U x U `_gram` table: rows
-    0..N/2, then rows N/2-1..1. The inverse real FFT is irfftn's own
-    sequence: an in-place inverse FFT over axis 0 (2D), then an inverse
-    real FFT into `field`.
+    The multiplier is a table on the axis values: U entries in 1D, U x U
+    in 2D, U = N//2 + 1. In 2D, row j of the half spectrum takes row
+    min(j, N - j) of the table: rows 0..N/2, then rows N/2-1..1, the same
+    two row slices for both routes. Subordination builds its table by
+    `_gram` into a buffer of the step; the direct table is the kernel
+    gathered through the index, a temporary dropped before the inverse
+    FFT. A float arena holds the subordination heat factors while the
+    table is built (all U rows in 2D, a row block in 1D), then the complex
+    product `prod`. The inverse real FFT is irfftn's own sequence: an
+    in-place inverse FFT over axis 0 (2D), then an inverse real FFT into
+    `field`.
     """
 
     def __init__(self, w0: Field, cfg: SolverConfig) -> None:
@@ -363,18 +358,26 @@ class _Step:
         self.prod = arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
         self.field = np.empty((n,) * self.grid.dim)
 
+    def multiplier(self, ta: float) -> np.ndarray:
+        """The table E_alpha(-ta c) at ta = t^alpha > 0 on the step's axis
+        values (1D) or axis pairs (2D)."""
+        x = ta * self.values
+        if self.table is not None:  # 2D subordination
+            return _gram(x, self.nodes, self.root, self.work, self.table)
+        vals = _kernel(self.cfg, x, self.work)
+        return vals if self.index is None else vals[self.index]
+
     def __call__(self, t: float) -> np.ndarray:
         ta = _time_scale(self.cfg, t)
         src, prod = self.spectrum, self.prod
-        if ta > 0.0 and self.table is not None:  # 2D subordination
-            tab = _gram(ta * self.values, self.nodes, self.root, self.work, self.table)
+        if ta > 0.0:
+            tab = self.multiplier(ta)
             u = tab.shape[0]
             np.multiply(src[:u], tab, out=prod[:u])
-            np.multiply(src[u:], tab[u - 2:0:-1], out=prod[u:])
+            if self.grid.dim == 2:
+                np.multiply(src[u:], tab[u - 2:0:-1], out=prod[u:])
             src = prod
-        elif ta > 0.0:
-            src = np.multiply(src, _table(self.cfg, ta, self.values, self.index, self.work),
-                              out=prod)
+            del tab  # a direct table is a temporary: freed before the inverse FFT
         if self.grid.dim == 2:
             src = np.fft.ifft(src, axis=0, out=prod)
         return np.fft.irfft(src, self.grid.points_per_dim, out=self.field)
@@ -413,11 +416,10 @@ def caputo_residual_l1(
     alpha: Alpha | float,
     mu: float,
     t_grid: np.ndarray,
-    t_min: float = 0.125,
     policy: EvalPolicy = DEFAULT_POLICY,
 ) -> float:
     """Max residual |D^alpha u + mu u| of u(t) = E_alpha(-mu t^alpha) under
-    the L1 scheme, over grid times t_j >= t_min.
+    the L1 scheme, over grid times t_j >= 1/8.
 
     The window excludes the region near t = 0 where the t^alpha kink of
     the exact solution caps the pointwise accuracy of the scheme; within
@@ -437,15 +439,13 @@ def caputo_residual_l1(
         raise ValueError("t_grid must be uniform")
     if t[-1] < 1.0:
         raise ValueError("grid must extend to T >= 1")
-    if t_min >= t[-1]:
-        raise ValueError("t_min must lie inside the grid")
     u = np.array([mittag_leffler_neg(a, mu * ti ** a, policy) for ti in t])
     if a == 1.0:
         deriv = np.diff(u) / dt
     else:
         deriv = caputo_l1_apply(a, u, dt)
     resid = np.abs(deriv + mu * u[1:])
-    window = t[1:] >= t_min
+    window = t[1:] >= 0.125
     return float(resid[window].max())
 
 

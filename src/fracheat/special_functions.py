@@ -27,8 +27,6 @@ __all__ = [
     "Alpha",
     "EvalPolicy",
     "DEFAULT_POLICY",
-    "GAMMA_OVERFLOW_THRESHOLD",
-    "gamma_fn",
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_neg_info",
@@ -37,9 +35,6 @@ __all__ = [
     "wright_m_info",
     "wright_log_envelope",
 ]
-
-# math.gamma overflows past this argument
-GAMMA_OVERFLOW_THRESHOLD = 171.624376956302
 
 _EPS_BY_PRECISION = {"standard": 2.220446049250313e-16, "extended": 1e-30}
 
@@ -97,20 +92,6 @@ DEFAULT_POLICY = EvalPolicy()
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the real line, poles and overflow signalled.
-
-    Raises ValueError at the poles 0, -1, -2, ... and OverflowError past
-    the double-precision overflow threshold.
-    """
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"gamma_fn pole at x = {x}; use reciprocal_gamma instead")
-    if x > GAMMA_OVERFLOW_THRESHOLD:
-        raise OverflowError(f"gamma_fn overflows for x = {x} > {GAMMA_OVERFLOW_THRESHOLD}")
-    return math.gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -216,18 +197,23 @@ def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
     raise ConvergenceError(failure)
 
 
+# digits of every E_alpha coefficient: the power series runs only below
+# t = x^(1/alpha) = 80, at t/ln 10 + 42 <= 80 digits, the asymptotic one at 42
+_ML_COEFF_DPS = 80
+
+
 @lru_cache(maxsize=8)
-def _ml_rgamma_table(alpha: float, dps: int) -> list:
-    """1/Gamma(alpha k + 1) at dps digits for k = 0, 1, ... as far as computed
+def _ml_rgamma_table(alpha: float) -> list:
+    """1/Gamma(alpha k + 1) at 80 digits for k = 0, 1, ... as far as computed
     (a negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k))."""
     return []
 
 
-def _ml_rgamma(alpha: float, dps: int, k: int):
+def _ml_rgamma(alpha: float, k: int):
     """Coefficient k of the table, which grows 64 coefficients at a time."""
-    table = _ml_rgamma_table(alpha, dps)
+    table = _ml_rgamma_table(alpha)
     if k >= len(table):
-        with mp.workdps(dps):
+        with mp.workdps(_ML_COEFF_DPS):
             table.extend(mp.rgamma(mp.mpf(alpha) * j + 1) for j in range(len(table), k + 64))
     return table[k]
 
@@ -237,10 +223,11 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
     that carry 34 digits to the rounded double.
 
     Below t = x^(1/alpha) = 80 it sums the power series, whose largest term
-    is about e^t, at t/ln 10 + 42 digits (rounded up to a multiple of 8, so
-    the coefficients are cached per digit bucket). Beyond, it sums the
-    asymptotic series E_alpha(-x) = sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k)
-    at 42 digits up to the smallest smooth envelope term x^-k Gamma(alpha k)/pi
+    is about e^t, at t/ln 10 + 42 digits rounded up to a multiple of 8 (at
+    most 80, the digits of the one cached coefficient table per alpha).
+    Beyond, it sums the asymptotic series E_alpha(-x) =
+    sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k) at 42 digits up to the
+    smallest smooth envelope term x^-k Gamma(alpha k)/pi
     (by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi): the truncation
     error is then about e^-t.
     """
@@ -255,7 +242,7 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
             def terms():
                 power = mp.mpf(1)  # (-z)^k, updated incrementally
                 for k in range(_SERIES_MAX_TERMS):
-                    yield power * _ml_rgamma(alpha, dps, k)
+                    yield power * _ml_rgamma(alpha, k)
                     power *= -z
 
             return _mp_series(terms(), dps, 3, failure), f"series-extended[{dps}dps]"
@@ -272,7 +259,7 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
                 return float(total), f"asymptotic-extended[{dps}dps]"
             prev = lenv
             power /= -z
-            total += power * _ml_rgamma(-alpha, dps, k)
+            total += power * _ml_rgamma(-alpha, k)
     raise ConvergenceError(failure)
 
 

@@ -115,11 +115,10 @@ def _catalog() -> tuple[TraceCatalogEntry, ...]:
 DEFAULT_CATALOG: tuple[TraceCatalogEntry, ...] = _catalog()
 
 
-def torus_laplacian_1d(k_max: int = 200, length: float = 2.0 * math.pi) -> SpectralModel:
-    """Laplacian on a circle of circumference `length`: eigenvalues
-    (2 pi k / length)^2 with multiplicity 2 (sin and cos modes)."""
-    base = (2.0 * math.pi / length) ** 2
-    ev = tuple(base * k * k for k in range(1, k_max + 1))
+def torus_laplacian_1d(k_max: int = 200) -> SpectralModel:
+    """Laplacian on the circle of circumference 2 pi: eigenvalues k^2 with
+    multiplicity 2 (sin and cos modes)."""
+    ev = tuple(float(k * k) for k in range(1, k_max + 1))
     return SpectralModel(DiscreteSpectrum(ev, (2,) * k_max), label="torus-laplacian-1d")
 
 
@@ -170,16 +169,16 @@ def verify_trace_growth(
     model: SpectralModel,
     lambda_claim: float,
     s_range: tuple[float, float],
-    n_samples: int = 60,
 ) -> TraceGrowthReport:
-    """Least-squares slope of log tau(s) vs log s against the claimed
-    exponent. Requires the range to span at least three decades."""
+    """Least-squares slope of log tau(s) vs log s, at 60 log-spaced s,
+    against the claimed exponent. Requires the range to span at least
+    three decades."""
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 < s_lo < s_hi):
         raise ValueError("s_range must be an increasing pair of positive reals")
     if s_hi / s_lo < 1e3:
         raise ValueError("s_range must span at least 3 decades")
-    ss = np.logspace(math.log10(s_lo), math.log10(s_hi), n_samples)
+    ss = np.logspace(math.log10(s_lo), math.log10(s_hi), 60)
     tau = np.array([trace_counting(model, s) for s in ss])
     keep = tau > 0.0
     if keep.sum() < 5:

@@ -105,8 +105,7 @@ def test_criterion_04_supremum_closed_forms():
 
 def test_criterion_05_endpoint_loss():
     start = time.monotonic()
-    report = decay_analysis.compare_representations(
-        0.5, 1.0, 4.0 / 3.0, 4.0, [0.2, 0.1, 0.05])
+    report = decay_analysis.compare_representations(0.5, 1.0, [0.2, 0.1, 0.05])
     sub = {r.eps: r.constant for r in report.records
            if r.representation == "subordination"}
     direct = {r.eps: r.constant for r in report.records

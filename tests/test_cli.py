@@ -252,10 +252,21 @@ class TestSolveAndReport:
                     "--tol", "1e-6", "--out", str(out)]) == 0
         direct = {r["eps"]: r["constant"] for r in json.loads(out.read_text())["records"]
                   if r.get("representation") == "direct_ml"}
-        report = decay_analysis.compare_representations(0.3, 1.5, 4.0 / 3.0, 4.0, [0.2],
-                                                        policy=loose)
+        report = decay_analysis.compare_representations(0.3, 1.5, [0.2], policy=loose)
         assert direct == {r.eps: r.constant for r in report.records
                           if r.representation == "direct_ml"}
+
+    @pytest.mark.parametrize("tol, precision", [("1e-6", None), (None, "extended")])
+    def test_subordination_solve_refuses_a_policy_it_ignores(self, tmp_path, monkeypatch,
+                                                             capsys, tol, precision):
+        # the route evaluates no E_alpha: a policy would change nothing
+        if precision:
+            monkeypatch.setenv("FRAC_HEAT_PRECISION", precision)
+        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", "subordination",
+                "--field-out", str(tmp_path / "field.bin"), "--out", str(tmp_path / "solve.json")]
+        assert run(argv + (["--tol", tol] if tol else [])) == 2
+        assert "error code=2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
@@ -290,15 +301,16 @@ class TestSolveAndReport:
         assert verdict["direct_uniform_bound"] == 1.0
         assert verdict["method"] == "simon-2014-bound"
 
-    @pytest.mark.parametrize("extra", [
-        ["--p", "1", "--q", "1"],  # p must exceed 1
-        ["--p", "3", "--q", "2"],  # p above 2, q below p
-        ["--eps", "-0.1"],  # below the endpoint eps = 0
-        ["--eps", "2"],  # past 1/lambda = 1: delta would be negative
-    ])
-    def test_decay_compare_rejects_exponents_it_cannot_honour(self, extra, capsys):
+    @pytest.mark.parametrize("extra, message", [
+        # decay-compare probes delta = 1/lambda - eps: it has no p or q
+        (["--p", "1", "--q", "1"], "unrecognized arguments: --p 1 --q 1"),
+        (["--p", "3", "--q", "2"], "unrecognized arguments: --p 3 --q 2"),
+        (["--eps", "-0.1"], "error code=2"),  # below the endpoint eps = 0
+        (["--eps", "2"], "error code=2"),  # past 1/lambda = 1: delta would be negative
+    ], ids=["extra0", "extra1", "extra2", "extra3"])
+    def test_decay_compare_rejects_exponents_it_cannot_honour(self, extra, message, capsys):
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0", *extra]) == 2
-        assert "error code=2" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_decay_sup_rejects_p_below_one(self, capsys):
         # beta = 0.5 (2 - 1/4) lies in (0, 1], but p = 0.5 is no L^p -> L^q pair

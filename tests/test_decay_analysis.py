@@ -120,7 +120,7 @@ class TestFit:
 
 class TestCompareRepresentations:
     def test_endpoint_loss_structure(self):
-        report = compare_representations(0.5, 1.0, 4.0 / 3.0, 4.0, [0.2, 0.1, 0.05])
+        report = compare_representations(0.5, 1.0, [0.2, 0.1, 0.05])
         by_rep = {}
         for r in report.records:
             by_rep.setdefault(r.representation, []).append(r)
@@ -137,7 +137,7 @@ class TestCompareRepresentations:
         assert "endpoint" in report.verdict
 
     def test_subordination_constants_are_gamma_ratios(self):
-        report = compare_representations(0.5, 1.0, 4.0 / 3.0, 4.0, [0.2])
+        report = compare_representations(0.5, 1.0, [0.2])
         for r in report.records:
             if r.representation == "subordination" and r.eps > 0:
                 beta = 1.0 - r.eps
@@ -145,5 +145,8 @@ class TestCompareRepresentations:
                 assert r.constant == pytest.approx(exact, rel=1e-8)
 
     def test_rejects_exponent_beyond_endpoint(self):
-        with pytest.raises(ValueError):
-            compare_representations(0.5, 3.0, 4.0 / 3.0, 4.0, [0.1])
+        # delta = 1/lambda - eps: past the endpoint 1/3 (eps < 0), or not
+        # positive (eps >= 1/lambda)
+        for eps in (-0.1, 0.4):
+            with pytest.raises(ValueError):
+                compare_representations(0.5, 3.0, [eps])

@@ -62,10 +62,11 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_half_spectrum_is_a_slice_of_the_full_one(self, dim):
-        # the modes every solve takes, read through their index, against
-        # the first N//2 + 1 columns of the float FFT-layout spectrum:
-        # exact for the axis values; the integer keys differ by the float
-        # spectrum's own rounding of xi, xi^2 and the sum (3 ulps at most)
+        # the modes every solve takes against the first N//2 + 1 columns of
+        # the float FFT-layout spectrum, in 2D as the step's two row slices
+        # of the U x U table (rows 0..N/2, then rows N/2-1..1): exact for
+        # the axis values; the integer keys differ by the float spectrum's
+        # own rounding of xi, xi^2 and the sum (3 ulps at most)
         g = PeriodicGrid(dim=dim, box_length=20.0, points_per_dim=64)
         w0 = gaussian_bump(g)
         half = g.frequencies_squared()[..., :33]
@@ -73,25 +74,25 @@ class TestGrid:
             step = pde_solver._Step(w0, SolverConfig(0.6, rep))
             values, index = step.values, step.index
             assert step.spectrum.shape == half.shape
-            if index is not None:
-                assert rep == "direct_ml" and dim == 2 and index.shape == half.shape
-                assert np.allclose(values[index], half, rtol=7e-16, atol=0.0)
-            elif dim == 1:
-                assert np.array_equal(values, half)
+            if dim == 1:
+                assert index is None and np.array_equal(values, half)
+                continue
+            if rep == "subordination":
+                assert index is None
+                table, rtol = values[:, None] + values[None, :], 0.0
             else:
-                # the step's two row slices of the U x U table: rows 0..N/2,
-                # then rows N/2-1..1
-                assert rep == "subordination"
-                table = values[:, None] + values[None, :]
-                assert np.array_equal(table, half[:33])
-                assert np.array_equal(table[31:0:-1], half[33:])
+                assert index.shape == (33, 33)
+                table, rtol = values[index], 7e-16
+            for got, ref in ((table, half[:33]), (table[31:0:-1], half[33:])):
+                assert np.allclose(got, ref, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("n, box", [(64, 20.0), (256, 64.0), (512, 128.0), (4096, 200.0)])
     def test_axis_values_are_the_distinct_values_of_the_spectrum(self, n, box):
-        # the solver's axis values and row index are what np.unique finds
-        # in the half spectrum, whose last axis they are
+        # the solver's axis values, and the table row min(j, N - j) that
+        # FFT row j reads, are what np.unique finds in the half spectrum,
+        # whose last axis they are
         g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
-        axis, index = g._axis_values(), g._row_index()
+        axis, index = g._axis_values(), np.minimum(np.arange(n), n - np.arange(n))
         half = g.frequencies_squared()[:, :n // 2 + 1]
         uniq, inv = np.unique(np.concatenate([half[:, 0], half[0, :]]), return_inverse=True)
         assert np.array_equal(axis, uniq) and np.array_equal(index, inv[:n])
@@ -101,11 +102,12 @@ class TestGrid:
         (64, 20.0, None), (256, 64.0, None), (512, 128.0, None), (4096, 200.0, 1_197_363)])
     def test_integer_index_keys_the_exact_spectrum(self, n, box, distinct):
         # the direct route's 2D modes: one value per distinct integer
-        # n = k_i^2 + u^2, ascending, each read back as (2 pi / L)^2 n
+        # n = i^2 + j^2 over the axis pairs 0 <= i, j <= N/2, ascending,
+        # each read back as (2 pi / L)^2 n
         g = PeriodicGrid(dim=2, box_length=box, points_per_dim=n)
         values, index = g._distinct_modes()
-        k = np.minimum(np.arange(n), n - np.arange(n)).astype(np.int64)
-        ints = k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2
+        k = np.arange(n // 2 + 1, dtype=np.int64)
+        ints = k[:, None] ** 2 + k[None, :] ** 2
         scale = (2.0 * math.pi / box) ** 2
         assert np.array_equal(values[index], scale * ints)
         uniq = np.unique(ints.astype(float))  # exact below 2^53, and sorted faster
@@ -240,6 +242,13 @@ class TestSolve:
     def test_subordination_requires_fractional_alpha(self):
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.0, representation="subordination")
+
+    def test_subordination_takes_only_the_default_policy(self):
+        # the route evaluates no E_alpha, so a policy would be ignored
+        for policy in (EvalPolicy(series_tol=1e-6), EvalPolicy(working_precision="extended")):
+            SolverConfig(alpha=0.5, policy=policy)
+            with pytest.raises(ValueError, match="default policy"):
+                SolverConfig(alpha=0.5, representation="subordination", policy=policy)
 
     def test_rejects_negative_time(self, bump_1d):
         for t in (-1.0, math.nan, math.inf):
@@ -449,7 +458,7 @@ class TestMultiplier:
         with np.errstate(over="ignore", under="ignore"):  # t^alpha x may overflow
             heat = np.exp(np.outer(-ta * x, nodes))
             g = heat * np.sqrt(mass)
-            pairs = ((pde_solver._table(cfg, ta, x, None), heat @ mass),
+            pairs = ((pde_solver._kernel(cfg, ta * x), heat @ mass),
                      (pde_solver._gram(ta * x, nodes, np.sqrt(mass)), g @ g.T))
         for got, ref in pairs:
             assert np.all(ref - got >= 0.0)
@@ -464,7 +473,7 @@ class TestMultiplier:
             nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
             for t in np.geomspace(1.0, 50.0, 10):
                 if dim == 1:
-                    got = pde_solver._table(cfg, t ** alpha, axis, None)
+                    got = pde_solver._kernel(cfg, t ** alpha * axis)
                     ref = _blocked_subordination(alpha, t, axis)
                 else:
                     got = pde_solver._gram(t ** alpha * axis, nodes, np.sqrt(mass))
@@ -488,6 +497,21 @@ class TestMultiplier:
                               4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)
         assert len(tables) == 10
         assert all(np.array_equal(tab, tab.T) for tab in tables)
+
+    def test_2d_direct_table_is_the_kernel_on_axis_pairs(self):
+        # the direct route's U x U table, for the node rule, the scalar
+        # route and alpha = 1: the multiplier at (2 pi / L)^2 (i^2 + j^2),
+        # exactly symmetric, as subordination's SYRK table is
+        grid = PeriodicGrid(dim=2, box_length=20.0, points_per_dim=64)
+        i = np.arange(33)
+        xi2 = (2.0 * math.pi / 20.0) ** 2 * (i[:, None] ** 2 + i[None, :] ** 2)
+        for alpha in (0.3, 0.95, 0.995, 1.0):
+            cfg = SolverConfig(alpha=alpha)
+            step = pde_solver._Step(gaussian_bump(grid), cfg)
+            for t in (0.1, 1.0, 7.0):
+                tab = step.multiplier(t ** alpha)
+                assert np.array_equal(tab, propagator_multiplier(cfg, t, xi2))
+                assert np.array_equal(tab, tab.T)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_negative_mass_raises(self, monkeypatch, dim):

@@ -18,7 +18,6 @@ from fracheat.special_functions import (
     DEFAULT_POLICY,
     EvalPolicy,
     _HANKEL_ALPHA_CAP,
-    gamma_fn,
     mittag_leffler_contour,
     mittag_leffler_neg,
     mittag_leffler_neg_info,
@@ -93,20 +92,6 @@ class TestAlpha:
 
 
 class TestGammaHelpers:
-    def test_matches_math_gamma(self):
-        for x in (0.1, 0.5, 1.0, 2.5, 10.0):
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-14)
-
-    def test_pole_raises(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-2.0)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            gamma_fn(200.0)
-
     def test_reciprocal_gamma_zero_at_poles(self):
         assert reciprocal_gamma(0.0) == 0.0
         assert reciprocal_gamma(-3.0) == 0.0
