@@ -48,16 +48,8 @@ class QualityFailure(FracHeatError):
     """A verification table exceeded its tolerance (exit code 3)."""
 
 
-def _default_policy(tol: float | None = None) -> EvalPolicy:
-    precision = os.environ.get("FRAC_HEAT_PRECISION", "standard")
-    if precision not in ("standard", "extended"):
-        raise ValueError(
-            f"FRAC_HEAT_PRECISION must be 'standard' or 'extended', got {precision!r}"
-        )
-    kwargs = {"working_precision": precision}
-    if tol is not None:
-        kwargs["series_tol"] = tol
-    return EvalPolicy(**kwargs)
+def _default_policy() -> EvalPolicy:
+    return EvalPolicy(os.environ.get("FRAC_HEAT_PRECISION", "standard"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +147,7 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def cmd_eval_ml(args) -> list[dict]:
-    policy = _default_policy(args.tol)
+    policy = _default_policy()
     value, method = mittag_leffler_neg_info(args.alpha, args.x, policy)
     print(f"E_alpha(-x) = {value!r}   [alpha={args.alpha}, x={args.x}, method={method}]")
     return [{"command": "eval-ml", "alpha": args.alpha, "x": args.x,
@@ -163,7 +155,7 @@ def cmd_eval_ml(args) -> list[dict]:
 
 
 def cmd_eval_wright(args) -> list[dict]:
-    policy = _default_policy(args.tol)
+    policy = _default_policy()
     res = wright_m_info(args.alpha, args.s, policy)
     if not res.reliable:
         raise QualityFailure(f"M_alpha unreliable at alpha={args.alpha}, s={args.s}")
@@ -173,7 +165,7 @@ def cmd_eval_wright(args) -> list[dict]:
 
 
 def cmd_verify_subordination(args) -> list[dict]:
-    policy = _default_policy(args.tol)
+    policy = _default_policy()
     records = []
     worst_overall = 0.0
     for a in _parse_alphas(args.alpha):
@@ -194,8 +186,8 @@ def cmd_verify_subordination(args) -> list[dict]:
 
 
 def cmd_verify_moments(args) -> list[dict]:
-    if args.tol is not None or _default_policy().working_precision != "standard":
-        raise ValueError("verify-moments takes no --tol or FRAC_HEAT_PRECISION=extended: "
+    if _default_policy().working_precision != "standard":
+        raise ValueError("verify-moments takes no FRAC_HEAT_PRECISION=extended: "
                          "wright_moment samples the density at its own precision")
     records = []
     worst = 0.0
@@ -215,7 +207,7 @@ def cmd_verify_moments(args) -> list[dict]:
 
 
 def cmd_verify_special(args) -> list[dict]:
-    policy = _default_policy(args.tol)
+    policy = _default_policy()
     records = []
 
     def check(name: str, worst: float, tol: float) -> None:
@@ -256,7 +248,7 @@ def cmd_decay_sup(args) -> list[dict]:
          "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
         {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
          "value": decay_analysis.sup_ml_numeric(
-             args.alpha, beta, args.t, policy=_default_policy(args.tol))},
+             args.alpha, beta, args.t, policy=_default_policy())},
         {**base, "kernel": "algebraic-bound", "method": "closed-form",
          "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
     ]
@@ -268,7 +260,7 @@ def cmd_decay_sup(args) -> list[dict]:
 def cmd_decay_compare(args) -> list[dict]:
     eps = [float(e) for e in args.eps.split(",") if e.strip()]
     report = decay_analysis.compare_representations(
-        args.alpha, args.lmbda, eps, policy=_default_policy(args.tol))
+        args.alpha, args.lmbda, eps, policy=_default_policy())
     records = []
     for rec in report.records:
         fields = asdict(rec)
@@ -285,8 +277,8 @@ def cmd_decay_compare(args) -> list[dict]:
 # peak resident bytes per grid point of `solve`, interpreter included, in a
 # fresh process: the largest measured peak, 62 B at 1D N = 2^24 on the
 # direct route (998 MiB; 59 B on subordination), rounded up; 2D N = 4096
-# peaks at 610 MiB (38 B) direct and 590 MiB (37 B) by subordination, each
-# reading one (N/2+1) x (N/2+1) table, with no irfftn intermediate
+# peaks at 610 MiB (38 B) direct, at alpha 0.5 and 0.99 alike, and 590 MiB
+# (37 B) by subordination, each reading one (N/2+1) x (N/2+1) table
 _SOLVE_BYTES_PER_POINT = 72
 
 
@@ -317,7 +309,7 @@ def cmd_solve(args) -> list[dict]:
     w0 = pde_solver.gaussian_bump(grid, sigma=args.sigma)
     rep = "direct_ml" if args.rep == "direct" else args.rep
     cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep,
-                                  policy=_default_policy(args.tol))
+                                  policy=_default_policy())
     w = pde_solver.spectral_solve(w0, cfg, args.t)
     if args.field_out:
         pde_solver.write_field(w, args.field_out, time=args.t)
@@ -352,13 +344,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--out", default=None, help="report output path (default stdout)")
         p.add_argument("--format", default="json", choices=("json", "csv"))
-        if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="relative evaluation tolerance")
 
     p = sub.add_parser("eval-ml", help="evaluate E_alpha(-x)")
     p.add_argument("--alpha", type=float, required=True)
@@ -424,7 +413,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("report", help="merge JSON reports into one sorted document")
     p.add_argument("inputs", nargs="+", help="input JSON report files")
-    common(p, tol=False)  # merging evaluates nothing
+    common(p)
     p.set_defaults(func=cmd_report)
 
     return parser, sub.choices

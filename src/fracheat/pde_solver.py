@@ -39,7 +39,7 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a co
 
 from .errors import InsufficientDataError, QuadratureError
 from .special_functions import (
-    Alpha, EvalPolicy, DEFAULT_POLICY, _HANKEL_ALPHA_CAP, _ml_hankel,
+    Alpha, EvalPolicy, DEFAULT_POLICY, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg,
     mittag_leffler_neg,
 )
 from .subordination import QuadratureSpec, DEFAULT_QUAD, wright_mass_nodes
@@ -71,8 +71,8 @@ class PeriodicGrid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.box_length <= 0.0:
-            raise ValueError("box_length must be positive")
+        if not 0.0 < self.box_length < math.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
         n = self.points_per_dim
         if n < 64 or n & (n - 1) != 0:
             raise ValueError("points_per_dim must be a power of two >= 64")
@@ -181,8 +181,8 @@ def _edge_share(a: np.ndarray) -> float:
 
 def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x2 = grid._axis() ** 2
     r2 = x2 if grid.dim == 1 else x2[:, None] + x2[None, :]
     return Field(grid, np.exp(-r2 / (2.0 * sigma ** 2)))
@@ -281,17 +281,17 @@ def _time_scale(cfg: SolverConfig, t: float) -> float:
 def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1D array of distinct values, by the
     route `propagator_multiplier` describes; subordination heat factors go
-    to `work` (see `_heat_factors`)."""
-    a, pol = cfg.alpha.value, cfg.policy
+    to `work` (see `_heat_factors`). The values are distinct, so the scalar
+    route bypasses the E_alpha cache."""
+    a, extended = cfg.alpha.value, cfg.policy.working_precision == "extended"
     if cfg.representation == "subordination":
         nodes, mass = wright_mass_nodes(a, cfg.quad)
         return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x)
     if a == 1.0:
         return np.exp(-x)
-    if (a <= _HANKEL_ALPHA_CAP and pol.working_precision == "standard"
-            and pol.series_tol >= 1e-12):
+    if a <= _HANKEL_ALPHA_CAP and not extended:
         return _blocked(lambda u: _ml_hankel(a, u), x)
-    return np.array([mittag_leffler_neg(a, u, pol) for u in x])
+    return np.array([_ml_neg(a, float(u), extended)[0] for u in x])
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
@@ -306,9 +306,9 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     table, whose heat factors below exp(-345) ~ 1e-150 count as 0 (which
     lowers a multiplier by at most 1e-150 times the table's total mass),
     and the direct route over the Hankel node rule. The node rule serves
-    the default precision (standard, series_tol >= 1e-12, alpha up to the
-    rule's own cap, where it meets 1e-12); a stricter policy, or alpha
-    closer to 1, takes the scalar Mittag-Leffler route.
+    standard precision for alpha up to the rule's own cap, where it meets
+    1e-12; extended precision, or alpha closer to 1, takes the scalar
+    Mittag-Leffler route.
     """
     ta = _time_scale(cfg, t)
     if ta == 0.0:

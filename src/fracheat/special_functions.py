@@ -36,8 +36,6 @@ __all__ = [
     "wright_log_envelope",
 ]
 
-_EPS_BY_PRECISION = {"standard": 2.220446049250313e-16, "extended": 1e-30}
-
 # term budget of every arbitrary-precision sum and of the Wright series
 _SERIES_MAX_TERMS = 200_000
 
@@ -65,22 +63,17 @@ class Alpha:
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Tolerance and precision for E_alpha and M_alpha.
-
-    At standard precision with ``series_tol`` at least 1e-13, E_alpha(-x)
-    takes one double-precision real-axis rule whose step follows
-    ``series_tol``; a stricter ``series_tol``, or extended precision, takes
-    arbitrary-precision sums.
+    """Working precision of E_alpha and M_alpha: "standard" takes one
+    double-precision real-axis rule for E_alpha(-x) and certified double
+    sums for M_alpha; "extended" takes arbitrary-precision sums for both.
     """
 
-    series_tol: float = 1e-12
     working_precision: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.working_precision not in _EPS_BY_PRECISION:
-            raise ValueError(f"unknown working_precision {self.working_precision!r}")
-        if self.series_tol <= _EPS_BY_PRECISION[self.working_precision]:
-            raise ValueError("series_tol must exceed the working-precision epsilon")
+        if self.working_precision not in ("standard", "extended"):
+            raise ValueError("working_precision (FRAC_HEAT_PRECISION) must be 'standard' or "
+                             f"'extended', got {self.working_precision!r}")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -121,15 +114,12 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
 # Mittag-Leffler E_alpha(-x), x >= 0
 # ---------------------------------------------------------------------------
 
-# the real-axis rule certifies this relative error; a stricter series_tol, or
-# extended precision, takes the arbitrary-precision sums
-_RULE_TOL = 1e-13
 # 8 MiB per temporary: at x >= 1e-12 the rule needs at most about 320/alpha
 # nodes, so there it refuses only alpha below 3e-4
 _RULE_MAX_NODES = 1 << 20
 
 
-def _ml_real_axis(alpha: float, x: float, tol: float) -> tuple[float, int]:
+def _ml_real_axis(alpha: float, x: float) -> tuple[float, int]:
     """(E_alpha(-x), node count) for 0 < alpha < 1 and x > 0 by the trapezoid
     rule on Mainardi's spectral integral (Mainardi 2014, DCDS-B 19): with
     t = x^(1/alpha) and s = sin((1-alpha) pi/2),
@@ -145,8 +135,8 @@ def _ml_real_axis(alpha: float, x: float, tol: float) -> tuple[float, int]:
     """
     lt = math.log(x) / alpha  # ln t, finite where t itself would overflow
     # the step resolves the strip |Im u| < pi/2, where exp(-t e^u) stops
-    # decaying, to the tolerance; a step finer than at 1e-12 gains nothing
-    h = 0.9 * math.pi ** 2 / math.log(1e5 / max(tol, 1e-12))
+    # decaying, to 1e-12; a finer step gains nothing
+    h = 0.9 * math.pi ** 2 / math.log(1e5 / 1e-12)
     # the left cut lies e^-45 below the integrand's scale, and its e^(alpha u)
     # tail is added in closed form; past the right cut exp(-t e^u) < e^-40
     lo = h * (math.floor((min(-lt, 0.0) - 45.0 / alpha) / h) + 0.5)
@@ -263,18 +253,20 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
     raise ConvergenceError(failure)
 
 
-@lru_cache(maxsize=300_000)
-def _ml_neg_cached(alpha: float, x: float, tol: float, extended: bool) -> tuple[float, str]:
+def _ml_neg(alpha: float, x: float, extended: bool) -> tuple[float, str]:
     if x == 0.0:
         return 1.0, "exact"
     if alpha == 1.0:
         # classical limit; the general engine is exercised against this
         # identity in the test suite
         return math.exp(-x), "exp"
-    if extended or tol < _RULE_TOL:
+    if extended:
         return _ml_sums_mp(alpha, x)
-    value, n = _ml_real_axis(alpha, x, tol)
+    value, n = _ml_real_axis(alpha, x)
     return value, f"real-axis[{n}]"
+
+
+_ml_neg_cached = lru_cache(maxsize=300_000)(_ml_neg)  # the solver's distinct modes skip it
 
 
 def mittag_leffler_neg_info(
@@ -285,7 +277,7 @@ def mittag_leffler_neg_info(
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return _ml_neg_cached(a, x, policy.series_tol, policy.working_precision == "extended")
+    return _ml_neg_cached(a, x, policy.working_precision == "extended")
 
 
 def mittag_leffler_neg(
@@ -360,6 +352,8 @@ def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 _WRIGHT_ALPHA_CAP = 0.995  # series conditioning degrades as alpha -> 1
+# relative error to which a double-precision series sum is certified
+_WRIGHT_SERIES_TOL = 1e-12
 
 # trapezoid points on the saddle contour (geometric convergence, Weideman &
 # Trefethen 2007): against 4000 points, 256 match the 600-point error (7e-14
@@ -458,10 +452,11 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(table)
 
 
-def _wright_series(alpha: float, s: np.ndarray, log_env: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wright_series(alpha: float, s: np.ndarray,
+                   log_env: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, certified, log largest term) of the series at each s > 0: one
     term per step for all nodes, Neumaier summation, a stop per node."""
+    tol = _WRIGHT_SERIES_TOL
     ls = np.log(s)
     tol_abs = max(tol * 1e-2, 1e-15) * np.maximum(np.exp(log_env), 1e-4)
     log_cut = np.log(tol_abs) - 5.0
@@ -521,7 +516,7 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     if alpha > _WRIGHT_ALPHA_CAP:
         raise ValueError(f"alpha={alpha} too close to 1 for reliable Wright evaluation; "
                          f"cap is {_WRIGHT_ALPHA_CAP}")
-    tol, extended = policy.series_tol, policy.working_precision == "extended"
+    extended = policy.working_precision == "extended"
     value = np.full(s.shape, np.nan)
     log_env = wright_log_envelope(alpha, s)
     value[s == 0.0] = reciprocal_gamma(1.0 - alpha)
@@ -533,12 +528,13 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     method = np.select([s == 0.0, under, big], ["exact", "envelope-underflow", "contour-saddle"],
                        "series").astype(object)
     rest = np.flatnonzero((s > 0.0) & ~big | declined & ~under)
-    series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest], tol)
+    series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest])
     certified &= not extended  # extended precision certifies no double sum
     value[rest[certified]] = series[certified]
     # never resolve below the envelope floor
     floor = np.minimum(np.maximum(log_env[rest], -140.0), 0.0)
-    digits = ((log_largest - floor) / math.log(10.0)).astype(int) + int(-math.log10(tol)) + 8
+    digits = ((log_largest - floor) / math.log(10.0)).astype(int) \
+        + int(-math.log10(_WRIGHT_SERIES_TOL)) + 8
     for i, dps in zip(rest[~certified], digits[~certified]):
         dps = max(int(dps), 35) if extended else int(dps)
         if dps > _MAX_ESCALATION_DPS:

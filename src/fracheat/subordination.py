@@ -19,7 +19,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 from .special_functions import (
     Alpha,
-    EvalPolicy,
     _wright_m_array,
     reciprocal_gamma,
     wright_log_envelope,
@@ -42,7 +41,7 @@ class QuadratureSpec:
 
     ``upper_cut`` is a ceiling; the effective truncation point is chosen
     adaptively from the stretched-exponential decay envelope of M_alpha.
-    The tail beyond it is dropped only when its envelope bound is at most
+    The tail beyond it is dropped only when its sampled bound is at most
     target_tol; otherwise the integral is refused with QuadratureError.
     """
 
@@ -80,28 +79,44 @@ def _adaptive_cut(alpha: float, spec: QuadratureSpec, weight_exp: float) -> floa
 
 
 @lru_cache(maxsize=512)
-def _envelope_tail(alpha: float, s_from: float, weight_exp: float) -> float:
-    """Upper estimate of int_{s_from}^inf s^weight_exp M_alpha(s) ds from
-    the decay envelope, by geometric-grid summation up to the first step
-    past 50 s_from + 200 (at most 400 steps)."""
-    s = np.cumprod(np.r_[s_from, np.full(400, 1.05)])
-    past = np.flatnonzero(s[1:] > 50.0 * s_from + 200.0)
-    n = past[0] + 1 if past.size else 400
-    lo, hi = s[:n], s[1:n + 1]
-    mid = 0.5 * (lo + hi)
-    return float(np.sum(np.exp(wright_log_envelope(alpha, mid) + weight_exp * np.log(mid))
-                        * (hi - lo)))
+def _tail_sample(alpha: float, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, M_alpha(s)) on the grid s_k = cut 1.05^k up to the first node past
+    50 cut + 200, sampled once per (alpha, cut) for every weight. It ends one
+    node past the first below an e^-700 envelope: beyond, M_alpha is 0 in
+    double precision."""
+    s = cut * 1.05 ** np.arange(int(math.log(50.0 + 200.0 / cut) / math.log(1.05)) + 2)
+    s = s[:np.argmax(np.r_[wright_log_envelope(alpha, s), -np.inf] < -700.0) + 2]
+    m = _wright_m_array(alpha, s)
+    s.setflags(write=False)
+    m.setflags(write=False)
+    return s, m
+
+
+def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
+    """Upper bound on int_cut^inf f(s) ds, f(s) = s^weight_exp M_alpha(s);
+    inf where f does not fall across the sampled nodes. Where it falls,
+    f(s_k)(s_k+1 - s_k) bounds each cell's integral; past the last node
+    these terms fall at least as fast as their last ratio r < 1 (the
+    stretched exponential decays ever faster): r / (1 - r) last terms."""
+    s, m = _tail_sample(alpha, cut)
+    f = m * s ** weight_exp
+    terms = f * (0.05 * s)
+    prev, last = terms[-2:]
+    if np.any(np.diff(f) > 0.0) or 0.0 < prev <= last:
+        return math.inf
+    return float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
 
 
 def _certify_tail(alpha: float, spec: QuadratureSpec, cut: float, weight_exp: float,
                   factor: float = 1.0) -> None:
-    """Refuse an integral over [., inf) truncated at cut unless the envelope
-    bound on its dropped tail, factor * int_cut^inf s^weight_exp M_alpha(s) ds
+    """Refuse an integral over [., inf) truncated at cut unless the bound on
+    its dropped tail, factor * int_cut^inf s^weight_exp M_alpha(s) ds
     (factor bounds any further weight beyond cut), is at most target_tol."""
-    bound = factor * _envelope_tail(alpha, cut, weight_exp)
+    bound = _tail_bound(alpha, cut, weight_exp)
+    bound = factor * bound if bound < math.inf else bound  # inf * 0 is nan: it would pass
     if bound > spec.target_tol:
         raise QuadratureError(
-            f"estimated tail {bound:.3e} beyond s={cut:.2f} exceeds "
+            f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds "
             f"target_tol={spec.target_tol}; raise upper_cut"
         )
 
@@ -157,16 +172,15 @@ def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndar
 
 
 def _sample_density(alpha: float, nodes: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """M_alpha at the nodes, at a precision matched to spec.target_tol.
+    """M_alpha at the nodes.
 
     Nodes whose envelope value is negligible for the integral (below
     target_tol * 1e-4) are zeroed without summing the (ill-conditioned)
     series there; the envelope only over-estimates in that regime.
     """
-    tol = max(min(spec.target_tol * 1e-2, 1e-12), 2.3e-15)
     skip = (wright_log_envelope(alpha, nodes) < math.log(spec.target_tol * 1e-4)) & (nodes > 1.0)
     out = np.zeros(nodes.shape)
-    out[~skip] = _wright_m_array(alpha, nodes[~skip], EvalPolicy(series_tol=tol))
+    out[~skip] = _wright_m_array(alpha, nodes[~skip])
     return out
 
 

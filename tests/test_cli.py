@@ -3,13 +3,10 @@ determinism, config handling, and file outputs."""
 
 import json
 
-import numpy as np
 import pytest
 
-from fracheat import cli, decay_analysis
-from fracheat.pde_solver import (
-    PeriodicGrid, SolverConfig, gaussian_bump, read_field, spectral_solve,
-)
+from fracheat import cli
+from fracheat.pde_solver import read_field
 from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
 
 
@@ -83,10 +80,8 @@ class TestVerifyCommands:
         assert all(r["passed"] for r in recs)
 
     def test_verify_moments_refuses_policy(self, tmp_path, monkeypatch, capsys):
-        # wright_moment takes no evaluation policy, so neither knob can be honoured
+        # wright_moment takes no evaluation policy, so the precision cannot be honoured
         out = tmp_path / "mom.json"
-        assert run(["verify-moments", "--alpha", "0.5", "--tol", "1e-6",
-                    "--out", str(out)]) == 2
         monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
         assert run(["verify-moments", "--alpha", "0.5", "--out", str(out)]) == 2
         assert "error code=2" in capsys.readouterr().err
@@ -159,15 +154,16 @@ class TestConfig:
                     "--config", str(tmp_path / "absent.cfg")]) == 2
 
     def test_config_value_is_parsed_like_its_flag(self, tmp_path):
-        # tol has no default to take a type from: the flag's float type
-        # parses it, and the report matches the one made with --tol
-        cfg = tmp_path / "tol.cfg"
-        cfg.write_text("tol = 1e-6\n")
+        # the flag's float type parses the config value, and the report
+        # matches the one made with --t
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("t = 2.5\n")
         argv = ["decay-sup", "--alpha", "0.3", "--lambda", "1.5"]
         by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
         assert run(argv + ["--config", str(cfg), "--out", str(by_config)]) == 0
-        assert run(argv + ["--tol", "1e-6", "--out", str(by_flag)]) == 0
+        assert run(argv + ["--t", "2.5", "--out", str(by_flag)]) == 0
         assert by_config.read_text() == by_flag.read_text()
+        assert all(r["t"] == 2.5 for r in json.loads(by_flag.read_text())["records"])
 
     def test_flag_set_to_its_default_wins(self, tmp_path):
         cfg = tmp_path / "fmt.cfg"
@@ -216,61 +212,65 @@ class TestSolveAndReport:
             outs.append(json.loads(out.read_text())["records"][0])
         assert outs[0]["norm_l2"] == pytest.approx(outs[1]["norm_l2"], rel=1e-9)
 
-    def test_solve_honours_tol(self, tmp_path):
-        # a stricter series_tol takes the scalar E_alpha route, whose
-        # field differs from the node rule's in the last digits
-        alpha, t = 0.5, 1.0
-        paths = {tol: tmp_path / f"field-{tol}.bin" for tol in ("1e-13", "1e-12")}
-        for tol, path in paths.items():
-            assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256",
-                        "--tol", tol, "--field-out", str(path)]) == 0
-        w0 = gaussian_bump(PeriodicGrid(dim=1, box_length=200.0, points_per_dim=256))
-        strict = spectral_solve(
-            w0, SolverConfig(alpha=alpha, policy=EvalPolicy(series_tol=1e-13)), t)
-        default = spectral_solve(w0, SolverConfig(alpha=alpha), t)
-        assert not np.array_equal(strict.samples, default.samples)
-        assert np.array_equal(read_field(paths["1e-13"])[0].samples, strict.samples)
-        assert np.array_equal(read_field(paths["1e-12"])[0].samples, default.samples)
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["eval-ml", "--alpha", "0.5", "--x", "1.0"],
+        ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
+        ["verify-subordination", "--alpha", "0.5"],
+        ["verify-moments", "--alpha", "0.5"],
+        ["verify-special"],
+        ["decay-sup", "--alpha", "0.5", "--lambda", "1.0"],
+        ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
+        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
+        ["report", "REPORT"],
+    ], ids=lambda argv: argv[0])
+    def test_tol_is_refused(self, tmp_path, capsys, argv, how):
+        # FRAC_HEAT_PRECISION is the one evaluation knob: a tolerance flag
+        # or config key is refused before anything runs or is written
+        if argv == ["report", "REPORT"]:
+            argv = ["report", str(tmp_path / "a.json")]
+            assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", argv[1]]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        argv = [*argv, "--out", str(work / "out.json")]
+        if argv[0] == "solve":
+            argv += ["--field-out", str(work / "field.bin")]
+        if how == "flag":
+            argv += ["--tol", "1e-6"]
+        else:
+            cfg = tmp_path / "tol.cfg"
+            cfg.write_text("tol = 1e-6\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --tol" if how == "flag"
+                else "unknown config key 'tol'") in err
+        assert list(work.iterdir()) == []
 
-    def test_decay_commands_honour_tol(self, tmp_path):
-        # beta = 1.5 (1/p - 1/q) = 0.75 at alpha 0.3: the coarser real-axis
-        # step at 1e-6 moves the E_alpha supremum in the 13th digit
-        loose = EvalPolicy(series_tol=1e-6)
-        sups = {}
-        for tol in (None, "1e-6"):
-            out = tmp_path / f"sup-{tol}.json"
-            argv = ["decay-sup", "--alpha", "0.3", "--lambda", "1.5", "--out", str(out)]
-            assert run(argv + (["--tol", tol] if tol else [])) == 0
-            (rec,) = [r for r in json.loads(out.read_text())["records"]
-                      if r["kernel"] == "mittag-leffler"]
-            sups[tol] = rec["value"]
-        assert sups["1e-6"] == decay_analysis.sup_ml_numeric(0.3, 0.75, 1.0, policy=loose)
-        assert sups[None] == decay_analysis.sup_ml_numeric(0.3, 0.75, 1.0)
-        assert sups["1e-6"] != sups[None]
-        out = tmp_path / "cmp.json"
-        assert run(["decay-compare", "--alpha", "0.3", "--lambda", "1.5", "--eps", "0.2",
-                    "--tol", "1e-6", "--out", str(out)]) == 0
-        direct = {r["eps"]: r["constant"] for r in json.loads(out.read_text())["records"]
-                  if r.get("representation") == "direct_ml"}
-        report = decay_analysis.compare_representations(0.3, 1.5, [0.2], policy=loose)
-        assert direct == {r.eps: r.constant for r in report.records
-                          if r.representation == "direct_ml"}
-
-    @pytest.mark.parametrize("tol, precision", [("1e-6", None), (None, "extended")])
     def test_subordination_solve_refuses_a_policy_it_ignores(self, tmp_path, monkeypatch,
-                                                             capsys, tol, precision):
-        # the route evaluates no E_alpha: a policy would change nothing
-        if precision:
-            monkeypatch.setenv("FRAC_HEAT_PRECISION", precision)
+                                                             capsys):
+        # the route evaluates no E_alpha: a precision would change nothing
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", "subordination",
                 "--field-out", str(tmp_path / "field.bin"), "--out", str(tmp_path / "solve.json")]
-        assert run(argv + (["--tol", tol] if tol else [])) == 2
+        assert run(argv) == 2
         assert "error code=2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
         assert "error code=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--L", "nan", "box_length"), ("--L", "inf", "box_length"), ("--sigma", "nan", "sigma"),
+    ])
+    def test_solve_rejects_non_finite_box_or_width(self, tmp_path, capsys, flag, value, name):
+        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", flag, value,
+                "--field-out", str(tmp_path / "field.bin"), "--out", str(tmp_path / "solve.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error code=2" in err and f"{name} must be positive and finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_solve_refuses_a_grid_beyond_available_memory(self, tmp_path, monkeypatch,
                                                           capsys):
@@ -330,8 +330,3 @@ class TestSolveAndReport:
         bad.write_text(json.dumps({"schema_version": 99, "records": []}))
         assert run(["report", str(bad)]) == 2
 
-    def test_report_rejects_tol(self, tmp_path):
-        # merging evaluates nothing, so a tolerance it would ignore is refused
-        a = tmp_path / "a.json"
-        assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", str(a)]) == 0
-        assert run(["report", str(a), "--tol", "-5"]) == 2

@@ -22,7 +22,9 @@ from fracheat.pde_solver import (
     spectral_solve,
     write_field,
 )
-from fracheat.special_functions import _HANKEL_ALPHA_CAP, EvalPolicy, mittag_leffler_neg
+from fracheat.special_functions import (
+    _HANKEL_ALPHA_CAP, DEFAULT_POLICY, EvalPolicy, _ml_neg_cached, mittag_leffler_neg,
+)
 from fracheat.subordination import DEFAULT_QUAD, wright_mass_nodes
 
 
@@ -115,14 +117,25 @@ class TestGrid:
         assert uniq.size == (distinct or uniq.size)
 
     @pytest.mark.parametrize("kwargs", [
-        {"dim": 3, "box_length": 10.0, "points_per_dim": 64},
-        {"dim": 1, "box_length": -1.0, "points_per_dim": 64},
-        {"dim": 1, "box_length": 10.0, "points_per_dim": 100},  # not power of 2
-        {"dim": 1, "box_length": 10.0, "points_per_dim": 32},   # too small
+        {"dim": 3},
+        {"box_length": -1.0},
+        {"points_per_dim": 100},  # not power of 2
+        {"points_per_dim": 32},   # too small
+        {"points_per_dim": 96},
+        {"box_length": 0.0},
+        {"box_length": math.nan},
+        {"box_length": math.inf},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PeriodicGrid(**kwargs)
+        # one parameter off a valid grid; the message names it
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            PeriodicGrid(**{"dim": 1, "box_length": 10.0, "points_per_dim": 64, **kwargs})
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_bump_width_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            gaussian_bump(PeriodicGrid(dim=1, box_length=10.0, points_per_dim=64), sigma)
 
 
 class TestField:
@@ -244,11 +257,11 @@ class TestSolve:
             SolverConfig(alpha=1.0, representation="subordination")
 
     def test_subordination_takes_only_the_default_policy(self):
-        # the route evaluates no E_alpha, so a policy would be ignored
-        for policy in (EvalPolicy(series_tol=1e-6), EvalPolicy(working_precision="extended")):
-            SolverConfig(alpha=0.5, policy=policy)
-            with pytest.raises(ValueError, match="default policy"):
-                SolverConfig(alpha=0.5, representation="subordination", policy=policy)
+        # the route evaluates no E_alpha, so a precision would be ignored
+        policy = EvalPolicy(working_precision="extended")
+        SolverConfig(alpha=0.5, policy=policy)
+        with pytest.raises(ValueError, match="default policy"):
+            SolverConfig(alpha=0.5, representation="subordination", policy=policy)
 
     def test_rejects_negative_time(self, bump_1d):
         for t in (-1.0, math.nan, math.inf):
@@ -340,10 +353,7 @@ class TestMultiplier:
     def test_node_rule_matches_scalar_route(self, alpha, log_x):
         x = np.concatenate(([0.0], 10.0 ** np.array(log_x)))
         got = propagator_multiplier(SolverConfig(alpha=alpha), 1.0, x)
-        # reference at series_tol 1e-13, which the scalar real-axis rule
-        # certifies (its step is the default one)
-        ref = np.array([mittag_leffler_neg(alpha, float(v), EvalPolicy(series_tol=1e-13))
-                        for v in x])
+        ref = np.array([mittag_leffler_neg(alpha, float(v)) for v in x])
         # the rule's 1e-12 plus the reference's allowance of 1e-12
         assert np.all(np.abs(got - ref) <= 2e-12 * ref)
 
@@ -354,7 +364,7 @@ class TestMultiplier:
         x = np.concatenate(([0.0], np.logspace(-3.0, 2.0, 11)))
         got = propagator_multiplier(SolverConfig(alpha=alpha, representation="subordination"),
                                     1.0, x)
-        ref = [mittag_leffler_neg(alpha, float(v), EvalPolicy(series_tol=1e-13)) for v in x]
+        ref = [mittag_leffler_neg(alpha, float(v)) for v in x]
         assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_zero_mode_is_exactly_one(self):
@@ -364,15 +374,22 @@ class TestMultiplier:
                                          g.frequencies_squared())
             assert mult[0, 0] == 1.0
 
-    @pytest.mark.parametrize("policy", [
-        EvalPolicy(working_precision="extended"),
-        EvalPolicy(series_tol=1e-13),
-    ])
-    def test_strict_policy_keeps_scalar_route(self, policy):
+    @pytest.mark.parametrize("alpha, policy", [
+        (0.6, EvalPolicy(working_precision="extended")),
+        (0.99, DEFAULT_POLICY),  # above the node rule's cap
+    ], ids=["policy0", "policy1"])
+    def test_strict_policy_keeps_scalar_route(self, alpha, policy):
         x = np.array([0.0, 0.5, 3.0, 40.0])
-        got = propagator_multiplier(SolverConfig(alpha=0.6, policy=policy), 1.0, x)
-        ref = [mittag_leffler_neg(0.6, float(v), policy) for v in x]
+        got = propagator_multiplier(SolverConfig(alpha=alpha, policy=policy), 1.0, x)
+        ref = [mittag_leffler_neg(alpha, float(v), policy) for v in x]
         assert np.array_equal(got, ref)
+
+    def test_scalar_route_leaves_the_scalar_cache_alone(self):
+        # each distinct mode is evaluated once, so caching them only holds memory
+        w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=16.0, points_per_dim=64))
+        before = _ml_neg_cached.cache_info().currsize
+        spectral_solve(w0, SolverConfig(alpha=0.99), 1.0)
+        assert _ml_neg_cached.cache_info().currsize == before
 
     def test_alpha_above_rule_cap_keeps_scalar_route(self):
         x = np.array([0.0, 0.5, 3.0, 16.4, 40.0])
@@ -429,7 +446,6 @@ class TestMultiplier:
         for dim, n, box in ((1, 1024, 200.0), (2, 64, 16.0)):
             w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
             for cfg in (SolverConfig(0.6), SolverConfig(1.0), SolverConfig(0.995),
-                        SolverConfig(0.6, policy=EvalPolicy(series_tol=1e-13)),
                         SolverConfig(0.6, "subordination")):
                 spectral_solve(w0, cfg, 1.0)
                 decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),

@@ -139,7 +139,6 @@ class TestMittagLeffler:
         lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * x)
         upper = 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
         values = [(mittag_leffler_neg(alpha, x), 1e-13),
-                  (mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-6)), 1e-13),
                   (mittag_leffler_neg(alpha, x, EXTENDED), 1e-13)]
         if x > 0.0 and alpha <= _HANKEL_ALPHA_CAP:
             values.append((mittag_leffler_contour(alpha, x), 1e-12))
@@ -356,8 +355,12 @@ class TestEvalPolicy:
     def test_frozen(self):
         p = EvalPolicy()
         with pytest.raises(Exception):
-            p.series_tol = 1e-6
+            p.working_precision = "extended"
 
     def test_default_policy_sane(self):
-        assert DEFAULT_POLICY.series_tol == 1e-12
+        assert DEFAULT_POLICY == EvalPolicy() == EvalPolicy("standard")
         assert DEFAULT_POLICY.working_precision == "standard"
+
+    def test_unknown_precision_refused(self):
+        with pytest.raises(ValueError, match="must be 'standard' or 'extended', got 'quad'"):
+            EvalPolicy("quad")

@@ -9,12 +9,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracheat import cli, subordination
 from fracheat.errors import QuadratureError
 from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
-from fracheat.special_functions import EvalPolicy, mittag_leffler_neg, wright_log_envelope
+from fracheat.special_functions import _wright_m_array, mittag_leffler_neg, wright_log_envelope
 from fracheat.subordination import (
     DEFAULT_QUAD,
     _gauss_jacobi,
@@ -75,8 +75,23 @@ class TestTailCertificate:
             sub = subordinate_scalar(alpha, x, spec)
         except QuadratureError:
             return
-        direct = mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-13))
+        direct = mittag_leffler_neg(alpha, x)
         assert abs(sub - direct) <= 1e-8
+
+    @given(alpha=st.floats(min_value=0.05, max_value=0.95),
+           cut=st.floats(min_value=1.0, max_value=40.0, exclude_min=True),
+           weight_exp=st.sampled_from([-1.0, 0.0, 3.0]))
+    @example(alpha=0.75, cut=3.0, weight_exp=0.0)
+    @example(alpha=0.85, cut=2.0, weight_exp=0.0)
+    @settings(max_examples=25, deadline=None)
+    def test_certificate_bounds_the_tail(self, alpha, cut, weight_exp):
+        # Gauss-Legendre on 160 geometric panels over [cut, 50 cut + 200]:
+        # past it s^3 M_alpha(s) < 1e-100 for every alpha drawn. The
+        # leading-order envelope the certificate once summed fell 14% below
+        # this at (0.75, 3) and 20% below at (0.85, 2); inf means refused
+        nodes, weights = _gauss_panels(list(np.geomspace(cut, 50.0 * cut + 200.0, 161)), 16)
+        tail = float(np.dot(weights, _wright_m_array(alpha, nodes) * nodes ** weight_exp))
+        assert subordination._tail_bound(alpha, cut, weight_exp) >= tail
 
 
 class TestMassNodes:
@@ -174,7 +189,7 @@ class TestSubordinateScalar:
            x=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=12, deadline=None)
     def test_identity_property(self, alpha, x):
-        direct = mittag_leffler_neg(alpha, x, EvalPolicy(series_tol=1e-13))
+        direct = mittag_leffler_neg(alpha, x)
         assert abs(subordinate_scalar(alpha, x) - direct) <= 1e-8
 
     def test_x_zero_gives_total_mass(self):
@@ -276,7 +291,7 @@ class TestEndpointDivergence:
         endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
         cut = subordination._adaptive_cut(alpha, DEFAULT_QUAD, 3.0)
         assert certified == [(cut, -1.0, 1.0)]
-        assert subordination._envelope_tail(alpha, cut, -1.0) <= DEFAULT_QUAD.target_tol
+        assert subordination._tail_bound(alpha, cut, -1.0) <= DEFAULT_QUAD.target_tol
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
