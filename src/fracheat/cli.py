@@ -275,11 +275,12 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process: the largest measured peak, 62 B at 1D N = 2^24 on the
-# direct route (998 MiB; 59 B on subordination), rounded up; 2D N = 4096
-# peaks at 610 MiB (38 B) direct, at alpha 0.5 and 0.99 alike, and 590 MiB
-# (37 B) by subordination, each reading one (N/2+1) x (N/2+1) table
-_SOLVE_BYTES_PER_POINT = 72
+# fresh process: the largest measured peak, 50.8 B at 1D N = 2^24, L = 2e5
+# by subordination at alpha 0.95 (813 MiB; 810 at alpha 0.5, 805 direct),
+# rounded up; 2D N = 4096 peaks at 471 MiB (29 B) direct (473 at alpha
+# 0.99) and 474-486 MiB by subordination. A solve holds w0, its spectrum
+# (the product is written over it) and the field, plus one (N/2+1)^2 table
+_SOLVE_BYTES_PER_POINT = 51
 
 
 def _available_memory() -> int | None:

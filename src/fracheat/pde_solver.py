@@ -22,7 +22,8 @@ underflows and no table product is subnormal. The direct kernel
 1/(g^alpha + x) does not factorize: it runs on the distinct n = i^2 + j^2,
 found by an occupancy table (no float sort), and is gathered into the
 table. A sweep's one `_Step` owns every buffer its steps write, so no step
-allocates a full-size array.
+allocates a full-size array; a one-step solve writes its product over its
+own spectrum.
 """
 
 from __future__ import annotations
@@ -180,12 +181,16 @@ def _edge_share(a: np.ndarray) -> float:
 
 
 def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
-    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data."""
+    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: in
+    2D the outer product of its axis profile exp(-x^2 / (2 sigma^2)). The
+    profile is flushed to exact 0 below exp(-_FLUSH) ~ 1e-150, as the heat
+    factors are, so no exp underflows and no product is subnormal."""
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    x2 = grid._axis() ** 2
-    r2 = x2 if grid.dim == 1 else x2[:, None] + x2[None, :]
-    return Field(grid, np.exp(-r2 / (2.0 * sigma ** 2)))
+    e = -grid._axis() ** 2 / (2.0 * sigma ** 2)
+    profile = np.exp(np.maximum(e, -_FLUSH))
+    profile[e < -_FLUSH] = 0.0
+    return Field._adopt(grid, profile if grid.dim == 1 else np.multiply.outer(profile, profile))
 
 
 def write_field(field: Field, path: str | Path, time: float = 0.0) -> None:
@@ -330,13 +335,16 @@ class _Step:
     `_gram` into a buffer of the step; the direct table is the kernel
     gathered through the index, a temporary dropped before the inverse
     FFT. A float arena holds the subordination heat factors while the
-    table is built (all U rows in 2D, a row block in 1D), then the complex
-    product `prod`. The inverse real FFT is irfftn's own sequence: an
-    in-place inverse FFT over axis 0 (2D), then an inverse real FFT into
-    `field`.
+    table is built (all U rows in 2D, a row block in 1D). A sweep keeps
+    its spectrum for every step, so the arena then holds the complex
+    product `prod`; a one-step solve (`sweep=False`) writes the product
+    over its own spectrum instead, and its arena holds heat factors only
+    (none on the direct route). The inverse real FFT is irfftn's own
+    sequence: an in-place inverse FFT over axis 0 (2D), then an inverse
+    real FFT into `field`.
     """
 
-    def __init__(self, w0: Field, cfg: SolverConfig) -> None:
+    def __init__(self, w0: Field, cfg: SolverConfig, sweep: bool = True) -> None:
         self.grid, self.cfg = w0.grid, cfg
         self.spectrum = np.fft.rfftn(w0.samples)
         if self.grid.dim == 2 and cfg.representation != "subordination":
@@ -353,9 +361,10 @@ class _Step:
             if self.grid.dim == 2:
                 self.root, self.table = np.sqrt(mass), np.empty((rows, rows))
             heat = self.nodes.size * (rows if self.grid.dim == 2 else min(rows, _BLOCK_ROWS))
-        arena = np.empty(max(heat, 2 * self.spectrum.size))
+        arena = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
         self.work = arena, np.empty(heat, dtype=bool)
-        self.prod = arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
+        self.prod = (arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
+                     if sweep else self.spectrum)
         self.field = np.empty((n,) * self.grid.dim)
 
     def multiplier(self, ta: float) -> np.ndarray:
@@ -385,9 +394,9 @@ class _Step:
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
     """Evolve w0 to time t: real FFT, per-mode propagator multiplier on
-    the half spectrum, inverse real FFT; a one-step sweep whose field
+    the half spectrum, inverse real FFT; a one-step `_Step` whose field
     buffer the returned Field adopts."""
-    out = _Step(w0, cfg)(t)
+    out = _Step(w0, cfg, sweep=False)(t)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in the spectral solve")
     return Field._adopt(w0.grid, out)

@@ -97,14 +97,18 @@ def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
     inf where f does not fall across the sampled nodes. Where it falls,
     f(s_k)(s_k+1 - s_k) bounds each cell's integral; past the last node
     these terms fall at least as fast as their last ratio r < 1 (the
-    stretched exponential decays ever faster): r / (1 - r) last terms."""
+    stretched exponential decays ever faster): r / (1 - r) last terms. At
+    weight 0 the bound is at most 1, the density's total mass (M_alpha >= 0
+    integrates to 1), which holds wherever the sampled bound does not."""
     s, m = _tail_sample(alpha, cut)
     f = m * s ** weight_exp
     terms = f * (0.05 * s)
     prev, last = terms[-2:]
     if np.any(np.diff(f) > 0.0) or 0.0 < prev <= last:
-        return math.inf
-    return float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
+        bound = math.inf
+    else:
+        bound = float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
+    return min(bound, 1.0) if weight_exp == 0.0 else bound
 
 
 def _certify_tail(alpha: float, spec: QuadratureSpec, cut: float, weight_exp: float,

@@ -274,15 +274,15 @@ class TestSolveAndReport:
 
     def test_solve_refuses_a_grid_beyond_available_memory(self, tmp_path, monkeypatch,
                                                           capsys):
-        # 2D N = 256 needs about 4.5 MiB at 72 B per point
+        # 2D N = 256 needs about 3.2 MiB at 51 B per point
         field_path, out = tmp_path / "field.bin", tmp_path / "solve.json"
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
                 "--L", "64", "--field-out", str(field_path), "--out", str(out)]
-        monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 2 ** 20)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 3 * 2 ** 20)
         assert run(argv) == 2
-        assert "needs about 4.5 MiB; 4.0 MiB available" in capsys.readouterr().err
+        assert "needs about 3.2 MiB; 3.0 MiB available" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(cli, "_available_memory", lambda: 5 * 2 ** 20)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 2 ** 20)
         assert run(argv) == 0
         assert field_path.exists() and out.exists()
 

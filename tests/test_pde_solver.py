@@ -47,20 +47,38 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_broadcast_grids_match_meshgrid_formulas(self, dim):
-        # the meshgrid formulas gaussian_bump and frequencies_squared used
+        # the meshgrid formulas gaussian_bump and frequencies_squared used;
+        # the 2D bump is the product of two flushed axis profiles, bit for
+        # bit, within round-off of the meshgrid exponential
         g = PeriodicGrid(dim=dim, box_length=20.0, points_per_dim=128)
         x = g.dx * np.arange(128) - 10.0
         xi = 2.0 * math.pi * np.fft.fftfreq(128, d=g.dx)
+        bump = gaussian_bump(g, sigma=0.7).samples
         if dim == 1:
             r2, k2 = x ** 2, xi ** 2
+            assert np.array_equal(bump, np.exp(-r2 / (2.0 * 0.7 ** 2)))
         else:
             xx, yy = np.meshgrid(x, x, indexing="ij")
             r2 = sum(c ** 2 for c in (xx, yy))
             kx, ky = np.meshgrid(xi, xi, indexing="ij")
             k2 = kx ** 2 + ky ** 2
-        assert np.array_equal(gaussian_bump(g, sigma=0.7).samples,
-                              np.exp(-r2 / (2.0 * 0.7 ** 2)))
+            e = -x ** 2 / (2.0 * 0.7 ** 2)
+            profile = np.where(e < -345.0, 0.0, np.exp(np.maximum(e, -345.0)))
+            assert np.array_equal(bump, np.outer(profile, profile))
+            ref = np.exp(-r2 / (2.0 * 0.7 ** 2))
+            assert np.max(np.abs(bump - ref)) <= 4e-16 * np.max(ref)
         assert np.array_equal(g.frequencies_squared(), k2)
+
+    def test_bump_profile_is_flushed_below_the_heat_factor_floor(self):
+        # exp(-x^2 / (2 sigma^2)) below exp(-345) ~ 1e-150 is exact 0, so no
+        # product of two profile values is subnormal
+        g = PeriodicGrid(dim=2, box_length=64.0, points_per_dim=256)
+        x = g._axis()
+        e = -x ** 2 / (2.0 * 0.5 ** 2)
+        bump = gaussian_bump(g).samples
+        row = bump[128]  # x = 0, where the profile is 1
+        assert np.all(row[e < -345.0] == 0.0) and np.all(row[e >= -345.0] > 0.0)
+        assert (e < -345.0).any() and bump[bump > 0.0].min() >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_half_spectrum_is_a_slice_of_the_full_one(self, dim):
@@ -208,6 +226,22 @@ class TestField:
             assert all(type(v) is float for row in m.rows for v in row)
             assert all(type(v) in (float, bool, type(None)) for v in vars(m).values()
                        if v is not m.rows)
+
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    @pytest.mark.parametrize("dim, n, box", [(1, 1024, 200.0), (2, 64, 16.0)])
+    def test_one_step_solve_is_a_sweep_step(self, rep, dim, n, box):
+        # a solve writes its product over its own spectrum, a sweep step into
+        # its arena: the same field bit for bit, w0 untouched, and a sweep's
+        # spectrum the same after each step
+        w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
+        before = w0.samples.copy()
+        cfg = SolverConfig(alpha=0.6, representation=rep)
+        step = pde_solver._Step(w0, cfg)
+        spectrum = step.spectrum.copy()
+        for t in (0.0, 1.0, 3.0):
+            assert np.array_equal(spectral_solve(w0, cfg, t).samples, step(t))
+            assert np.array_equal(step.spectrum, spectrum)
+        assert np.array_equal(w0.samples, before)
 
     @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
     def test_non_finite_solve_raises(self, rep):

@@ -78,6 +78,20 @@ class TestTailCertificate:
         direct = mittag_leffler_neg(alpha, x)
         assert abs(sub - direct) <= 1e-8
 
+    def test_heat_weight_certifies_a_low_ceiling_at_large_x(self):
+        # M_alpha still rises past s = 1.01 at alpha 0.9, so the sampled bound
+        # is inf; at weight 0 the tail is at most the total mass 1, and the
+        # heat weight exp(-1.01 * 100) certifies it
+        spec = QuadratureSpec(upper_cut=1.01)
+        assert subordination._tail_bound(0.9, 1.01, 0.0) == 1.0
+        assert subordinate_scalar(0.9, 100.0, spec) == pytest.approx(
+            mittag_leffler_neg(0.9, 100.0), rel=1e-12)
+
+    def test_mass_table_is_refused_at_a_low_ceiling(self):
+        # the mass table has no heat weight: a tail of up to 1 is refused
+        with pytest.raises(QuadratureError, match="raise upper_cut"):
+            wright_mass_nodes(0.9, QuadratureSpec(upper_cut=1.01))
+
     @given(alpha=st.floats(min_value=0.05, max_value=0.95),
            cut=st.floats(min_value=1.0, max_value=40.0, exclude_min=True),
            weight_exp=st.sampled_from([-1.0, 0.0, 3.0]))
