@@ -23,7 +23,6 @@ from .special_functions import (
     wright_m,
 )
 from .subordination import (
-    QuadratureSpec,
     endpoint_divergence_profile,
     subordinate_scalar,
     subordination_constant,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alpha",
     "EvalPolicy",
-    "QuadratureSpec",
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_contour",

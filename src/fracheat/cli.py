@@ -52,6 +52,13 @@ def _default_policy() -> EvalPolicy:
     return EvalPolicy(os.environ.get("FRAC_HEAT_PRECISION", "standard"))
 
 
+def _refuse_extended(command: str, reason: str) -> None:
+    """Refuse FRAC_HEAT_PRECISION=extended, before anything runs, in a command
+    that computes at a precision of its own."""
+    if _default_policy().working_precision != "standard":
+        raise ValueError(f"{command} takes no FRAC_HEAT_PRECISION=extended: {reason}")
+
+
 # ---------------------------------------------------------------------------
 # config file: flat key=value lines, keyed by argparse destination; the
 # values become the subcommand's defaults, so each flag's type converts its
@@ -186,9 +193,7 @@ def cmd_verify_subordination(args) -> list[dict]:
 
 
 def cmd_verify_moments(args) -> list[dict]:
-    if _default_policy().working_precision != "standard":
-        raise ValueError("verify-moments takes no FRAC_HEAT_PRECISION=extended: "
-                         "wright_moment samples the density at its own precision")
+    _refuse_extended("verify-moments", "wright_moment samples the density at its own precision")
     records = []
     worst = 0.0
     for a in _parse_alphas(args.alpha):
@@ -300,6 +305,8 @@ def _available_memory() -> int | None:
 
 
 def cmd_solve(args) -> list[dict]:
+    _refuse_extended("solve", "the direct multiplier is held to 1e-12 relative, and the "
+                     "subordination mass table samples the density at its own precision")
     grid = pde_solver.PeriodicGrid(dim=args.dim, box_length=args.box_length,
                                    points_per_dim=args.n_points)
     need = grid.points_per_dim ** grid.dim * _SOLVE_BYTES_PER_POINT
@@ -309,8 +316,7 @@ def cmd_solve(args) -> list[dict]:
                          f"{need / 2 ** 20:.1f} MiB; {available / 2 ** 20:.1f} MiB available")
     w0 = pde_solver.gaussian_bump(grid, sigma=args.sigma)
     rep = "direct_ml" if args.rep == "direct" else args.rep
-    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep,
-                                  policy=_default_policy())
+    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep)
     w = pde_solver.spectral_solve(w0, cfg, args.t)
     if args.field_out:
         pde_solver.write_field(w, args.field_out, time=args.t)
@@ -318,7 +324,7 @@ def cmd_solve(args) -> list[dict]:
            "representation": cfg.representation, "dim": args.dim,
            "L": args.box_length, "N": args.n_points,
            "norm_l2": w.norm_lp(2.0), "max_norm": w.max_norm(),
-           "mean": w.mean(), "method": cfg.representation}
+           "mean": w.mean(), "method": pde_solver.multiplier_method(cfg)}
     print(f"t={args.t}: ||w||_2 = {rec['norm_l2']!r}, max = {rec['max_norm']!r}")
     return [rec]
 
@@ -327,9 +333,14 @@ def cmd_report(args) -> list[dict]:
     records: list[dict] = []
     for path in args.inputs:
         doc = json.loads(Path(path).read_text())
+        recs = doc.get("records") if isinstance(doc, dict) else None
+        if not isinstance(recs, list) or not all(isinstance(r, dict) and all(
+                isinstance(v, (str, int, float, type(None))) for v in r.values()) for r in recs):
+            raise ValueError(f"{path}: a report is a JSON object whose 'records' is a list "
+                             "of objects with scalar values")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"{path}: unsupported schema version {doc.get('schema_version')}")
-        records.extend(doc["records"])
+        records.extend(recs)
     return records
 
 

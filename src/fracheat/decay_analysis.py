@@ -28,7 +28,7 @@ from .special_functions import (
     DEFAULT_POLICY,
     mittag_leffler_neg,
 )
-from .subordination import QuadratureSpec, DEFAULT_QUAD, subordination_constant
+from .subordination import subordination_constant
 
 __all__ = [
     "sup_heat_closed_form",
@@ -236,7 +236,6 @@ def compare_representations(
     alpha: Alpha | float,
     lambda_exp: float,
     eps_list: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUAD,
     policy: EvalPolicy = DEFAULT_POLICY,
 ) -> ComparisonReport:
     """Probe the endpoint delta = 1/lambda through delta_k = 1/lambda - eps_k.
@@ -264,7 +263,7 @@ def compare_representations(
             alpha=a, lambda_exp=lambda_exp, delta=delta_k, eps=e, representation="direct_ml",
             constant=direct, slope=-a * beta, method="grid-supremum"))
         if beta < 1.0:
-            sub = subordination_constant(a, beta, quad)
+            sub = subordination_constant(a, beta)
             method = "quadrature"
         else:
             sub = math.inf

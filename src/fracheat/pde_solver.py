@@ -43,7 +43,7 @@ from .special_functions import (
     Alpha, EvalPolicy, DEFAULT_POLICY, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg,
     mittag_leffler_neg,
 )
-from .subordination import QuadratureSpec, DEFAULT_QUAD, wright_mass_nodes
+from .subordination import wright_mass_nodes
 
 __all__ = [
     "PeriodicGrid",
@@ -52,6 +52,7 @@ __all__ = [
     "write_field",
     "read_field",
     "SolverConfig",
+    "multiplier_method",
     "propagator_multiplier",
     "spectral_solve",
     "caputo_residual_l1",
@@ -218,8 +219,6 @@ def read_field(path: str | Path) -> tuple[Field, float]:
 class SolverConfig:
     alpha: Alpha
     representation: str = "direct_ml"  # direct_ml | subordination
-    quad: QuadratureSpec = DEFAULT_QUAD
-    policy: EvalPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         if not isinstance(self.alpha, Alpha):
@@ -228,9 +227,6 @@ class SolverConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.representation == "subordination" and not self.alpha.value < 1.0:
             raise ValueError("subordination representation requires alpha < 1")
-        if self.representation == "subordination" and self.policy != DEFAULT_POLICY:
-            raise ValueError("subordination representation takes only the default policy: "
-                             "it evaluates no E_alpha (its mass table has its own precision)")
 
 
 # modes per block of the per-mode matvec: bounds each (modes x nodes) heat
@@ -283,20 +279,31 @@ def _time_scale(cfg: SolverConfig, t: float) -> float:
     return t ** cfg.alpha.value
 
 
+def multiplier_method(cfg: SolverConfig) -> str:
+    """The algorithm of cfg's multiplier, the route `_kernel` takes: the
+    Wright mass table, exp(-x) at alpha = 1, the Hankel node rule up to its
+    cap, or the scalar real-axis rule per mode for cap < alpha < 1."""
+    a = cfg.alpha.value
+    if cfg.representation == "subordination":
+        return "subordination/wright-mass-table"
+    return ("direct_ml/exp" if a == 1.0 else
+            "direct_ml/hankel-32" if a <= _HANKEL_ALPHA_CAP else "direct_ml/real-axis")
+
+
 def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1D array of distinct values, by the
-    route `propagator_multiplier` describes; subordination heat factors go
-    to `work` (see `_heat_factors`). The values are distinct, so the scalar
+    route `multiplier_method` names; subordination heat factors go to
+    `work` (see `_heat_factors`). The values are distinct, so the scalar
     route bypasses the E_alpha cache."""
-    a, extended = cfg.alpha.value, cfg.policy.working_precision == "extended"
-    if cfg.representation == "subordination":
-        nodes, mass = wright_mass_nodes(a, cfg.quad)
+    a, method = cfg.alpha.value, multiplier_method(cfg)
+    if method == "subordination/wright-mass-table":
+        nodes, mass = wright_mass_nodes(a)
         return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x)
-    if a == 1.0:
+    if method == "direct_ml/exp":
         return np.exp(-x)
-    if a <= _HANKEL_ALPHA_CAP and not extended:
+    if method == "direct_ml/hankel-32":
         return _blocked(lambda u: _ml_hankel(a, u), x)
-    return np.array([_ml_neg(a, float(u), extended)[0] for u in x])
+    return np.array([_ml_neg(a, float(u), extended=False)[0] for u in x])
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
@@ -311,9 +318,8 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     table, whose heat factors below exp(-345) ~ 1e-150 count as 0 (which
     lowers a multiplier by at most 1e-150 times the table's total mass),
     and the direct route over the Hankel node rule. The node rule serves
-    standard precision for alpha up to the rule's own cap, where it meets
-    1e-12; extended precision, or alpha closer to 1, takes the scalar
-    Mittag-Leffler route.
+    alpha up to the rule's own cap, where it meets 1e-12; alpha closer to 1
+    takes the scalar real-axis rule per mode (`multiplier_method`).
     """
     ta = _time_scale(cfg, t)
     if ta == 0.0:
@@ -354,7 +360,7 @@ class _Step:
         n, rows, heat = self.grid.points_per_dim, self.values.size, 0
         self.table = None
         if cfg.representation == "subordination":
-            self.nodes, mass = wright_mass_nodes(cfg.alpha.value, cfg.quad)
+            self.nodes, mass = wright_mass_nodes(cfg.alpha.value)
             if not np.all(mass >= 0.0):
                 raise QuadratureError("the Wright mass table has a negative or NaN mass "
                                       "(the density M_alpha is >= 0)")

@@ -187,23 +187,24 @@ def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
     raise ConvergenceError(failure)
 
 
-# digits of every E_alpha coefficient: the power series runs only below
-# t = x^(1/alpha) = 80, at t/ln 10 + 42 <= 80 digits, the asymptotic one at 42
-_ML_COEFF_DPS = 80
-
-
 @lru_cache(maxsize=8)
 def _ml_rgamma_table(alpha: float) -> list:
-    """1/Gamma(alpha k + 1) at 80 digits for k = 0, 1, ... as far as computed
+    """[digits, [1/Gamma(alpha k + 1) for k = 0, 1, ... as far as computed]]
     (a negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k))."""
-    return []
+    return [0, []]
 
 
-def _ml_rgamma(alpha: float, k: int):
-    """Coefficient k of the table, which grows 64 coefficients at a time."""
-    table = _ml_rgamma_table(alpha)
+def _ml_rgamma(alpha: float, k: int, dps: int):
+    """Coefficient k of the table, at the digits of the first sum that needed
+    it: the table grows 64 coefficients at a time and is rebuilt at dps digits
+    only when a sum needs more than it holds. A sum keeps 34 digits beyond
+    the double, so extra coefficient digits never change a rounded value."""
+    entry = _ml_rgamma_table(alpha)
+    if entry[0] < dps:
+        entry[:] = [dps, []]
+    digits, table = entry
     if k >= len(table):
-        with mp.workdps(_ML_COEFF_DPS):
+        with mp.workdps(digits):
             table.extend(mp.rgamma(mp.mpf(alpha) * j + 1) for j in range(len(table), k + 64))
     return table[k]
 
@@ -214,7 +215,7 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
 
     Below t = x^(1/alpha) = 80 it sums the power series, whose largest term
     is about e^t, at t/ln 10 + 42 digits rounded up to a multiple of 8 (at
-    most 80, the digits of the one cached coefficient table per alpha).
+    most 80).
     Beyond, it sums the asymptotic series E_alpha(-x) =
     sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k) at 42 digits up to the
     smallest smooth envelope term x^-k Gamma(alpha k)/pi
@@ -232,7 +233,7 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
             def terms():
                 power = mp.mpf(1)  # (-z)^k, updated incrementally
                 for k in range(_SERIES_MAX_TERMS):
-                    yield power * _ml_rgamma(alpha, k)
+                    yield power * _ml_rgamma(alpha, k, dps)
                     power *= -z
 
             return _mp_series(terms(), dps, 3, failure), f"series-extended[{dps}dps]"
@@ -249,7 +250,7 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
                 return float(total), f"asymptotic-extended[{dps}dps]"
             prev = lenv
             power /= -z
-            total += power * _ml_rgamma(-alpha, k)
+            total += power * _ml_rgamma(-alpha, k, dps)
     raise ConvergenceError(failure)
 
 

@@ -25,8 +25,6 @@ from .special_functions import (
 )
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "subordinate_scalar",
     "wright_mass_nodes",
     "wright_moment",
@@ -35,47 +33,31 @@ __all__ = [
     "endpoint_divergence_profile",
 ]
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel schedule for improper integrals of M_alpha over s in (0, inf).
-
-    ``upper_cut`` is a ceiling; the effective truncation point is chosen
-    adaptively from the stretched-exponential decay envelope of M_alpha.
-    The tail beyond it is dropped only when its sampled bound is at most
-    target_tol; otherwise the integral is refused with QuadratureError.
-    """
-
-    upper_cut: float = 40.0
-    panels: int = 48
-    nodes_per_panel: int = 16
-    target_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.upper_cut > 1.0:
-            raise ValueError("upper_cut must exceed 1 (the Wright mass concentrates near s=1)")
-        if self.panels < 4 or self.nodes_per_panel < 2:
-            raise ValueError("panels must be >= 4 and nodes_per_panel >= 2")
-        if not 0.0 < self.target_tol < 1.0:
-            raise ValueError("target_tol must lie in (0, 1)")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# the one panel schedule of every integral of M_alpha over s in (0, inf): the
+# truncation point adapts to the density's decay envelope up to the ceiling
+# _UPPER_CUT, and the tail beyond it is dropped only when its sampled bound is
+# at most _TARGET_TOL (QuadratureError otherwise); _PANELS Gauss-Legendre
+# panels of _NODES_PER_PANEL nodes, doubled to verify convergence
+_UPPER_CUT = 40.0
+_PANELS = 48
+_NODES_PER_PANEL = 16
+_TARGET_TOL = 1e-10
 
 _S_FLOOR = 1e-6  # first panel covers [0, _S_FLOOR]; integrands are bounded there
 
 
 @lru_cache(maxsize=512)
-def _adaptive_cut(alpha: float, spec: QuadratureSpec, weight_exp: float) -> float:
-    """Smallest s (up to spec.upper_cut) beyond which the envelope tail of
-    s^weight_exp * M_alpha(s) is negligible at spec.target_tol * 1e-3."""
-    log_target = math.log(spec.target_tol * 1e-3) - 7.0
-    cap = spec.upper_cut
-    # s = 1.01 * 1.05^j < cap by repeated products (alpha near 1 collapses past 1)
-    s = np.cumprod(np.r_[1.01, np.full(int(math.log(cap) / math.log(1.05)) + 2, 1.05)])
-    s = s[s < cap]
+def _adaptive_cut(alpha: float, weight_exp: float) -> float:
+    """Smallest s (up to _UPPER_CUT) beyond which the envelope tail of
+    s^weight_exp * M_alpha(s) is negligible at _TARGET_TOL * 1e-3."""
+    log_target = math.log(_TARGET_TOL * 1e-3) - 7.0
+    # s = 1.01 * 1.05^j < _UPPER_CUT by repeated products (alpha near 1
+    # collapses past 1)
+    s = np.cumprod(np.r_[1.01, np.full(int(math.log(_UPPER_CUT) / math.log(1.05)) + 2, 1.05)])
+    s = s[s < _UPPER_CUT]
     ls = np.log(s)
     hit = np.flatnonzero(wright_log_envelope(alpha, s) + weight_exp * ls + ls < log_target)
-    return float(s[hit[0]]) if hit.size else cap
+    return float(s[hit[0]]) if hit.size else _UPPER_CUT
 
 
 @lru_cache(maxsize=512)
@@ -111,46 +93,35 @@ def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
     return min(bound, 1.0) if weight_exp == 0.0 else bound
 
 
-def _certify_tail(alpha: float, spec: QuadratureSpec, cut: float, weight_exp: float,
-                  factor: float = 1.0) -> None:
+def _certify_tail(alpha: float, cut: float, weight_exp: float, factor: float = 1.0) -> None:
     """Refuse an integral over [., inf) truncated at cut unless the bound on
     its dropped tail, factor * int_cut^inf s^weight_exp M_alpha(s) ds
-    (factor bounds any further weight beyond cut), is at most target_tol."""
+    (factor bounds any further weight beyond cut), is at most _TARGET_TOL."""
     bound = _tail_bound(alpha, cut, weight_exp)
     bound = factor * bound if bound < math.inf else bound  # inf * 0 is nan: it would pass
-    if bound > spec.target_tol:
+    if bound > _TARGET_TOL:
         raise QuadratureError(
-            f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds "
-            f"target_tol={spec.target_tol}; raise upper_cut"
-        )
+            f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds the target {_TARGET_TOL}")
 
 
-def _geometric_edges(lo: float, hi: float, panels: int) -> list[float]:
-    return [float(e) for e in np.geomspace(lo, hi, panels + 1)]
+def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
+    """Panel edges on [lo, hi] adapted to M_alpha, refined by scale.
 
-
-def _panel_edges(alpha: float, lo: float, hi: float, panels: int,
-                 scale: int = 1) -> list[float]:
-    """Panel edges on [lo, hi] adapted to M_alpha.
-
-    For moderate alpha, geometric spacing suffices. Close to alpha = 1 the
-    density spikes toward a Dirac profile at s = 1: it rises like s^m with
-    m = (alpha-1/2)/(1-alpha) and collapses like exp(-b s^{1/(1-alpha)}),
-    both extremely steep. There the edges advance in equal increments of
-    phi(s) = m log s + b s^{1/(1-alpha)} (the log-variation of the
-    envelope), which clusters panels exactly where the integrand moves.
+    For moderate alpha, _PANELS * scale geometric panels suffice. Close to
+    alpha = 1 the density spikes toward a Dirac profile at s = 1: it rises
+    like s^m with m = (alpha-1/2)/(1-alpha) and collapses like
+    exp(-b s^{1/(1-alpha)}), both extremely steep. There the edges advance
+    in equal increments of phi(s) = m log s + b s^{1/(1-alpha)} (the
+    log-variation of the envelope), which clusters panels exactly where the
+    integrand moves; geometric panels cover [lo, 0.5].
     """
     if alpha <= 0.85:
-        return _geometric_edges(lo, hi, panels)
+        return np.geomspace(lo, hi, _PANELS * scale + 1).tolist()
     m = (alpha - 0.5) / (1.0 - alpha)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     inv = 1.0 / (1.0 - alpha)
     step = 1.5 / scale
-    s0 = 0.5
-    if lo < s0 < hi:
-        edges = _geometric_edges(lo, s0, panels)
-    else:
-        edges = [lo]
+    edges = np.geomspace(lo, 0.5, _PANELS * scale + 1).tolist() if lo < 0.5 < hi else [lo]
     s = edges[-1]
     while s < hi:
         dphi = m / s + b * inv * s ** (inv - 1.0)
@@ -175,61 +146,57 @@ def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndar
     return (mid + hl * xg).ravel(), (hl * wg).ravel()
 
 
-def _sample_density(alpha: float, nodes: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+def _sample_density(alpha: float, nodes: np.ndarray) -> np.ndarray:
     """M_alpha at the nodes.
 
     Nodes whose envelope value is negligible for the integral (below
-    target_tol * 1e-4) are zeroed without summing the (ill-conditioned)
+    _TARGET_TOL * 1e-4) are zeroed without summing the (ill-conditioned)
     series there; the envelope only over-estimates in that regime.
     """
-    skip = (wright_log_envelope(alpha, nodes) < math.log(spec.target_tol * 1e-4)) & (nodes > 1.0)
+    skip = (wright_log_envelope(alpha, nodes) < math.log(_TARGET_TOL * 1e-4)) & (nodes > 1.0)
     out = np.zeros(nodes.shape)
     out[~skip] = _wright_m_array(alpha, nodes[~skip])
     return out
 
 
 @lru_cache(maxsize=512)
-def _density_table(alpha: float, spec: QuadratureSpec, scale: int,
-                   lo: float, cut: float) -> tuple[np.ndarray, np.ndarray]:
+def _density_table(alpha: float, scale: int, lo: float,
+                   cut: float) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, Gauss weight * M_alpha(node)) of the panels on [lo, cut].
 
-    Cached per (alpha, spec, refinement scale, interval): every weight
+    Cached per (alpha, refinement scale, interval): every weight
     s^gamma, x and Fourier mode integrated against the density over the
     same interval shares one sampling and applies its weight at use.
     lo = 0 puts one panel [0, _S_FLOOR] ahead of the adapted ones.
     """
     edges = ([0.0] if lo == 0.0 else []) + _panel_edges(
-        alpha, lo if lo > 0.0 else _S_FLOOR, cut, spec.panels * scale, scale)
-    nodes, weights = _gauss_panels(edges, spec.nodes_per_panel)
-    mass = weights * _sample_density(alpha, nodes, spec)
+        alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale)
+    nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
+    mass = weights * _sample_density(alpha, nodes)
     nodes.setflags(write=False)
     mass.setflags(write=False)
     return nodes, mass
 
 
-def wright_mass_nodes(
-    alpha: Alpha | float, quad: QuadratureSpec = DEFAULT_QUAD, scale: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes s_i and masses w_i M_alpha(s_i) such that
     int_0^inf M_alpha(s) f(s) ds ~= sum_i mass_i f(s_i).
 
     Shared machinery for the scalar identity checks and the per-mode
-    subordination solves (the density is sampled once per (alpha, quad))."""
+    subordination solves (the density is sampled once per alpha)."""
     a = Alpha.coerce(alpha)
     if not a < 1.0:
         raise ValueError("subordination requires 0 < alpha < 1")
-    cut = _adaptive_cut(a, quad, 0.0)
-    _certify_tail(a, quad, cut, 0.0)
-    return _density_table(a, quad, scale, 0.0, cut)
+    cut = _adaptive_cut(a, 0.0)
+    _certify_tail(a, cut, 0.0)
+    return _density_table(a, 1, 0.0, cut)
 
 
-def subordinate_scalar(
-    alpha: Alpha | float, x: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     """int_0^inf M_alpha(s) exp(-s x) ds, the subordination representation
     of E_alpha(-x) built from the heat kernel exp(-s x).
 
-    Converges to within quad.target_tol, verified by panel doubling;
+    Converges to within _TARGET_TOL, verified by panel doubling;
     failure to stabilize after doubling raises QuadratureError.
     """
     a = Alpha.coerce(alpha)
@@ -239,23 +206,23 @@ def subordinate_scalar(
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
 
-    cut = _adaptive_cut(a, quad, 0.0)
+    cut = _adaptive_cut(a, 0.0)
     # beyond the cut the heat weight exp(-s x) is at most exp(-cut x)
-    _certify_tail(a, quad, cut, 0.0, math.exp(-cut * x))
+    _certify_tail(a, cut, 0.0, math.exp(-cut * x))
 
     def value(scale: int) -> float:
-        nodes, mass = _density_table(a, quad, scale, 0.0, cut)
+        nodes, mass = _density_table(a, scale, 0.0, cut)
         return float(np.dot(mass, np.exp(-nodes * x)))
 
     v1, v2 = value(1), value(2)
-    if abs(v1 - v2) <= quad.target_tol:
+    if abs(v1 - v2) <= _TARGET_TOL:
         return v2
     v4 = value(4)
-    if abs(v2 - v4) <= quad.target_tol:
+    if abs(v2 - v4) <= _TARGET_TOL:
         return v4
     raise QuadratureError(
         f"subordination quadrature did not stabilize at alpha={a}, x={x}: "
-        f"doubling changes {abs(v2 - v4):.3e} > {quad.target_tol}"
+        f"doubling changes {abs(v2 - v4):.3e} > {_TARGET_TOL}"
     )
 
 
@@ -274,28 +241,26 @@ def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
 
 
-def _upper_moment(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) -> float:
+def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
     """int_1^inf s^gamma M_alpha(s) ds. The cut is adapted to the weight
     max(gamma, 3), so every built-in weight (gamma <= 3) shares one [1, S]
     table per scale; a larger gamma gets its own longer table."""
-    cut = _adaptive_cut(alpha, quad, max(gamma, 3.0))
-    _certify_tail(alpha, quad, cut, gamma)
-    nodes, mass = _density_table(alpha, quad, scale, 1.0, cut)
+    cut = _adaptive_cut(alpha, max(gamma, 3.0))
+    _certify_tail(alpha, cut, gamma)
+    nodes, mass = _density_table(alpha, scale, 1.0, cut)
     return float(np.dot(mass, nodes ** gamma))
 
 
-def _moment_value(alpha: float, gamma: float, quad: QuadratureSpec, scale: int) -> float:
+def _moment_value(alpha: float, gamma: float, scale: int) -> float:
     # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
     xj, wj = _gauss_jacobi(40 * scale, gamma)
     sj = 0.5 * (xj + 1.0)
     mj = _wright_m_array(alpha, sj)
     part_unit = 0.5 ** (gamma + 1.0) * float(np.dot(wj, mj))
-    return part_unit + _upper_moment(alpha, gamma, quad, scale)
+    return part_unit + _upper_moment(alpha, gamma, scale)
 
 
-def wright_moment(
-    alpha: Alpha | float, gamma: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def wright_moment(alpha: Alpha | float, gamma: float) -> float:
     """int_0^inf s^gamma M_alpha(s) ds, gamma > -1.
 
     The identity value is Gamma(gamma+1)/Gamma(gamma*alpha+1); this routine
@@ -311,9 +276,9 @@ def wright_moment(
             f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
             "at s=0 for gamma <= -1 (the endpoint mechanism)"
         )
-    v1 = _moment_value(a, gamma, quad, 1)
-    v2 = _moment_value(a, gamma, quad, 2)
-    tol = max(quad.target_tol, 1e-9 * abs(v2))
+    v1 = _moment_value(a, gamma, 1)
+    v2 = _moment_value(a, gamma, 2)
+    tol = max(_TARGET_TOL, 1e-9 * abs(v2))
     if abs(v1 - v2) > tol:
         raise QuadratureError(
             f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}: "
@@ -322,9 +287,7 @@ def wright_moment(
     return v2
 
 
-def subordination_constant(
-    alpha: Alpha | float, beta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def subordination_constant(alpha: Alpha | float, beta: float) -> float:
     """The subordination-route decay constant int_0^inf M_alpha(s) s^{-beta} ds.
 
     Finite exactly for beta < 1 and strictly increasing in beta; it blows
@@ -337,7 +300,7 @@ def subordination_constant(
             f"beta must lie in (0, 1), got {beta}: at beta >= 1 the integral "
             "diverges — the endpoint restriction of the subordination route"
         )
-    return wright_moment(alpha, -beta, quad)
+    return wright_moment(alpha, -beta)
 
 
 @dataclass(frozen=True)
@@ -357,11 +320,8 @@ class EndpointDivergenceProfile:
     expected_slope: float
 
 
-def endpoint_divergence_profile(
-    alpha: Alpha | float,
-    eps_list: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> EndpointDivergenceProfile:
+def endpoint_divergence_profile(alpha: Alpha | float,
+                                eps_list: Sequence[float]) -> EndpointDivergenceProfile:
     a = Alpha.coerce(alpha)
     if not a < 1.0:
         raise ValueError("requires 0 < alpha < 1")
@@ -374,10 +334,10 @@ def endpoint_divergence_profile(
         raise ValueError("eps values must decrease toward 0")
 
     # each eps sums its own [eps, 1] (series nodes only) onto one shared [1, inf)
-    upper = _upper_moment(a, -1.0, quad, 2)
+    upper = _upper_moment(a, -1.0, 2)
     values = []
     for e in eps:
-        nodes, mass = _density_table(a, quad, 2, e, 1.0)
+        nodes, mass = _density_table(a, 2, e, 1.0)
         values.append(float(np.dot(mass, 1.0 / nodes)) + upper)
     lx = np.log(1.0 / np.asarray(eps))
     slope, intercept = np.polyfit(lx, np.asarray(values), 1)

@@ -247,15 +247,35 @@ class TestSolveAndReport:
                 else "unknown config key 'tol'") in err
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("rep", ["direct", "subordination"])
     def test_subordination_solve_refuses_a_policy_it_ignores(self, tmp_path, monkeypatch,
-                                                             capsys):
-        # the route evaluates no E_alpha: a precision would change nothing
+                                                             capsys, rep):
+        # neither route has an extended precision to honour: the direct
+        # multiplier is held to 1e-12 relative, and the subordination route
+        # evaluates no E_alpha. Refused before the memory preflight, with
+        # no memory reading that could pass
         monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", "subordination",
+        monkeypatch.setattr(cli, "_available_memory", lambda: 0)
+        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", rep,
                 "--field-out", str(tmp_path / "field.bin"), "--out", str(tmp_path / "solve.json")]
         assert run(argv) == 2
-        assert "error code=2" in capsys.readouterr().err
+        assert "solve takes no FRAC_HEAT_PRECISION=extended" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alpha, rep, method", [
+        ("0.5", "direct", "direct_ml/hankel-32"),
+        ("0.99", "direct", "direct_ml/real-axis"),
+        ("1.0", "direct", "direct_ml/exp"),
+        ("0.5", "subordination", "subordination/wright-mass-table"),
+    ])
+    def test_solve_method_names_the_algorithm(self, tmp_path, alpha, rep, method):
+        out = tmp_path / "solve.json"
+        assert run(["solve", "--alpha", alpha, "--t", "1.0", "--N", "256", "--rep", rep,
+                    "--out", str(out)]) == 0
+        (rec,) = json.loads(out.read_text())["records"]
+        assert rec["method"] == method
+        assert rec["representation"] == ("subordination" if rep == "subordination"
+                                         else "direct_ml")
 
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
@@ -329,4 +349,19 @@ class TestSolveAndReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99, "records": []}))
         assert run(["report", str(bad)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1},  # no records
+        [{"schema_version": 1, "records": []}],  # a list, not a report object
+        {"schema_version": 1, "records": [1.5]},  # a record that is no object
+        # values the record sort cannot order against each other
+        {"schema_version": 1, "records": [{"alpha": {"a": 1}}, {"alpha": {"b": 2}}]},
+    ], ids=["no-records", "top-level-list", "non-object-record", "non-scalar-value"])
+    def test_report_rejects_malformed_input(self, tmp_path, capsys, doc):
+        bad, out = tmp_path / "bad.json", tmp_path / "merged.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["report", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error code=2 type=ValueError" in err and "'records' is a list of objects" in err
+        assert not out.exists()
 

@@ -23,9 +23,9 @@ from fracheat.pde_solver import (
     write_field,
 )
 from fracheat.special_functions import (
-    _HANKEL_ALPHA_CAP, DEFAULT_POLICY, EvalPolicy, _ml_neg_cached, mittag_leffler_neg,
+    _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg_cached, mittag_leffler_neg,
 )
-from fracheat.subordination import DEFAULT_QUAD, wright_mass_nodes
+from fracheat.subordination import wright_mass_nodes
 
 
 @pytest.fixture(scope="module")
@@ -290,13 +290,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.0, representation="subordination")
 
-    def test_subordination_takes_only_the_default_policy(self):
-        # the route evaluates no E_alpha, so a precision would be ignored
-        policy = EvalPolicy(working_precision="extended")
-        SolverConfig(alpha=0.5, policy=policy)
-        with pytest.raises(ValueError, match="default policy"):
-            SolverConfig(alpha=0.5, representation="subordination", policy=policy)
-
     def test_rejects_negative_time(self, bump_1d):
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -364,7 +357,7 @@ def _spy_steps(monkeypatch):
 
 def _blocked_subordination(alpha, t, x):
     """The per-mode subordination matvec, block for block."""
-    nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+    nodes, mass = wright_mass_nodes(alpha)
     u = t ** alpha * x
     return np.concatenate([np.exp(np.outer(-u[i:i + 512], nodes)) @ mass
                            for i in range(0, u.size, 512)])
@@ -408,15 +401,39 @@ class TestMultiplier:
                                          g.frequencies_squared())
             assert mult[0, 0] == 1.0
 
-    @pytest.mark.parametrize("alpha, policy", [
-        (0.6, EvalPolicy(working_precision="extended")),
-        (0.99, DEFAULT_POLICY),  # above the node rule's cap
-    ], ids=["policy0", "policy1"])
-    def test_strict_policy_keeps_scalar_route(self, alpha, policy):
+    @pytest.mark.parametrize("alpha", [0.99], ids=["policy1"])  # above the node rule's cap
+    def test_strict_policy_keeps_scalar_route(self, alpha):
         x = np.array([0.0, 0.5, 3.0, 40.0])
-        got = propagator_multiplier(SolverConfig(alpha=alpha, policy=policy), 1.0, x)
-        ref = [mittag_leffler_neg(alpha, float(v), policy) for v in x]
+        got = propagator_multiplier(SolverConfig(alpha=alpha), 1.0, x)
+        ref = [mittag_leffler_neg(alpha, float(v)) for v in x]
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("alpha, rep, method", [
+        (0.5, "direct_ml", "direct_ml/hankel-32"),
+        (_HANKEL_ALPHA_CAP, "direct_ml", "direct_ml/hankel-32"),
+        (0.99, "direct_ml", "direct_ml/real-axis"),
+        (1.0, "direct_ml", "direct_ml/exp"),
+        (0.5, "subordination", "subordination/wright-mass-table"),
+    ])
+    def test_kernel_runs_the_method_it_names(self, alpha, rep, method):
+        cfg = SolverConfig(alpha=alpha, representation=rep)
+        assert pde_solver.multiplier_method(cfg) == method
+        x = np.concatenate(([0.0], np.logspace(-3.0, 3.0, 700)))
+        reference = {
+            "direct_ml/hankel-32": lambda: _ml_hankel(alpha, x),
+            "direct_ml/real-axis": lambda: [mittag_leffler_neg(alpha, float(v)) for v in x],
+            "direct_ml/exp": lambda: np.exp(-x),
+            "subordination/wright-mass-table": lambda: _blocked_subordination(alpha, 1.0, x),
+        }[method]()
+        assert np.array_equal(pde_solver._kernel(cfg, x), reference)
+
+    def test_kernel_dispatches_on_the_method(self, monkeypatch):
+        # the method tag chooses the branch, so the two cannot disagree
+        cfg, x = SolverConfig(alpha=0.5), np.array([0.0, 0.5, 3.0, 40.0])
+        monkeypatch.setattr(pde_solver, "multiplier_method", lambda c: "direct_ml/real-axis")
+        ref = [mittag_leffler_neg(0.5, float(v)) for v in x]
+        assert np.array_equal(pde_solver._kernel(cfg, x), ref)
+        assert not np.array_equal(_ml_hankel(0.5, x), ref)
 
     def test_scalar_route_leaves_the_scalar_cache_alone(self):
         # each distinct mode is evaluated once, so caching them only holds memory
@@ -437,7 +454,7 @@ class TestMultiplier:
         xi2 = grid_1d.frequencies_squared()
         cfg = SolverConfig(alpha=alpha, representation="subordination")
         got = propagator_multiplier(cfg, t, xi2)
-        nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+        nodes, mass = wright_mass_nodes(alpha)
         dense = np.exp(-np.outer(xi2, t ** alpha * nodes)) @ mass
         assert np.max(np.abs(got - dense)) <= 1e-15
         uniq, inverse = np.unique(xi2, return_inverse=True)
@@ -497,7 +514,7 @@ class TestMultiplier:
         # never above it, never below by more than exp(-345) times the
         # table's total mass
         cfg = SolverConfig(alpha=alpha, representation="subordination")
-        nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+        nodes, mass = wright_mass_nodes(alpha)
         bound = math.exp(-345.0) * float(mass.sum())
         ta = t ** alpha
         if ta > 0.0:
@@ -520,7 +537,7 @@ class TestMultiplier:
         axis = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)._axis_values()
         for alpha in (0.3, 0.6, 0.84, 0.95):
             cfg = SolverConfig(alpha=alpha, representation="subordination")
-            nodes, mass = wright_mass_nodes(alpha, DEFAULT_QUAD)
+            nodes, mass = wright_mass_nodes(alpha)
             for t in np.geomspace(1.0, 50.0, 10):
                 if dim == 1:
                     got = pde_solver._kernel(cfg, t ** alpha * axis)
@@ -566,8 +583,8 @@ class TestMultiplier:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_negative_mass_raises(self, monkeypatch, dim):
         # sqrt(mass) would turn a negative mass into NaN
-        def negative(alpha, quad):
-            nodes, mass = wright_mass_nodes(alpha, quad)
+        def negative(alpha):
+            nodes, mass = wright_mass_nodes(alpha)
             return nodes, np.where(np.arange(mass.size) == 3, -mass, mass)
 
         monkeypatch.setattr(pde_solver, "wright_mass_nodes", negative)

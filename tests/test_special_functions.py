@@ -30,6 +30,7 @@ from fracheat.special_functions import (
     wright_m,
     wright_m_info,
 )
+from fracheat import subordination
 from fracheat.subordination import wright_mass_nodes
 
 # (alpha, x, E_alpha(-x)) frozen from 50-digit series summation
@@ -353,7 +354,9 @@ class TestWrightBatch:
 
     @pytest.mark.parametrize("scale", [1, 2, 4])
     def test_half_alpha_closed_form_on_table_nodes(self, scale):
-        nodes, _ = wright_mass_nodes(0.5, scale=scale)
+        # the panel-doubled tables of the subordination identity
+        nodes, _ = subordination._density_table(0.5, scale, 0.0,
+                                                subordination._adaptive_cut(0.5, 0.0))
         exact = np.exp(-nodes ** 2 / 4.0) / math.sqrt(math.pi)
         err = np.abs(_wright_m_array(0.5, nodes) - exact)
         assert err.max() <= 1e-15

@@ -5,6 +5,7 @@ standard library; the quadrature must reproduce them independently.
 """
 
 import math
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
@@ -16,12 +17,10 @@ from fracheat.errors import QuadratureError
 from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
 from fracheat.special_functions import _wright_m_array, mittag_leffler_neg, wright_log_envelope
 from fracheat.subordination import (
-    DEFAULT_QUAD,
     _gauss_jacobi,
     _gauss_panels,
     _panel_edges,
     _sample_density,
-    QuadratureSpec,
     endpoint_divergence_profile,
     subordinate_scalar,
     subordination_constant,
@@ -34,47 +33,57 @@ E_QUARTER_AT_1 = 0.46385276080171328694
 E_HALF_AT_1 = 0.42758357615580700441
 
 
-class TestQuadratureSpec:
-    @pytest.mark.parametrize("kwargs", [
-        {"upper_cut": 0.5},
-        {"panels": 2},
-        {"nodes_per_panel": 1},
-        {"target_tol": 0.0},
-        {"target_tol": 1.0},
-    ])
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+@contextmanager
+def lowered_ceiling(upper_cut):
+    """The truncation ceiling of every integral over M_alpha lowered from 40
+    to upper_cut inside the block, with the cuts, tables and tail samples
+    cached at the other ceiling dropped on the way in and out."""
+    caches = (subordination._adaptive_cut, subordination._density_table,
+              subordination._tail_sample)
+    saved = subordination._UPPER_CUT
+    for cache in caches:
+        cache.cache_clear()
+    subordination._UPPER_CUT = upper_cut
+    try:
+        yield
+    finally:
+        subordination._UPPER_CUT = saved
+        for cache in caches:
+            cache.cache_clear()
+
+
+# the refusal of an integral whose dropped tail is not certified
+TAIL_REFUSED = "tail bound .* exceeds the target 1e-10"
 
 
 class TestTailCertificate:
     def test_low_ceiling_is_refused_at_every_entry_point(self):
         # at alpha 0.5 a ceiling of 2 drops several percent of the density's
         # mass: every integral over it is refused, none returned short
-        spec = QuadratureSpec(upper_cut=2.0)
         grid = PeriodicGrid(dim=1, box_length=200.0, points_per_dim=1024)
-        cfg = SolverConfig(0.5, "subordination", quad=spec)
+        cfg = SolverConfig(0.5, "subordination")
         calls = [
-            lambda: subordinate_scalar(0.5, 0.1, spec),
-            lambda: wright_moment(0.5, 1.0, spec),
-            lambda: endpoint_divergence_profile(0.5, [1e-2, 1e-3], spec),
-            lambda: wright_mass_nodes(0.5, spec),
+            lambda: subordinate_scalar(0.5, 0.1),
+            lambda: wright_moment(0.5, 1.0),
+            lambda: endpoint_divergence_profile(0.5, [1e-2, 1e-3]),
+            lambda: wright_mass_nodes(0.5),
             lambda: spectral_solve(gaussian_bump(grid), cfg, 1.0),
         ]
-        for call in calls:
-            with pytest.raises(QuadratureError, match="raise upper_cut"):
-                call()
+        with lowered_ceiling(2.0):
+            for call in calls:
+                with pytest.raises(QuadratureError, match=TAIL_REFUSED):
+                    call()
 
     @given(upper_cut=st.floats(min_value=1.0, max_value=40.0, exclude_min=True),
            alpha=st.floats(min_value=0.1, max_value=0.95),
            x=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=15, deadline=None)
     def test_any_ceiling_is_verified_or_refused(self, upper_cut, alpha, x):
-        spec = QuadratureSpec(upper_cut=upper_cut)
-        try:
-            sub = subordinate_scalar(alpha, x, spec)
-        except QuadratureError:
-            return
+        with lowered_ceiling(upper_cut):
+            try:
+                sub = subordinate_scalar(alpha, x)
+            except QuadratureError:
+                return
         direct = mittag_leffler_neg(alpha, x)
         assert abs(sub - direct) <= 1e-8
 
@@ -82,15 +91,15 @@ class TestTailCertificate:
         # M_alpha still rises past s = 1.01 at alpha 0.9, so the sampled bound
         # is inf; at weight 0 the tail is at most the total mass 1, and the
         # heat weight exp(-1.01 * 100) certifies it
-        spec = QuadratureSpec(upper_cut=1.01)
         assert subordination._tail_bound(0.9, 1.01, 0.0) == 1.0
-        assert subordinate_scalar(0.9, 100.0, spec) == pytest.approx(
-            mittag_leffler_neg(0.9, 100.0), rel=1e-12)
+        with lowered_ceiling(1.01):
+            assert subordinate_scalar(0.9, 100.0) == pytest.approx(
+                mittag_leffler_neg(0.9, 100.0), rel=1e-12)
 
     def test_mass_table_is_refused_at_a_low_ceiling(self):
         # the mass table has no heat weight: a tail of up to 1 is refused
-        with pytest.raises(QuadratureError, match="raise upper_cut"):
-            wright_mass_nodes(0.9, QuadratureSpec(upper_cut=1.01))
+        with lowered_ceiling(1.01), pytest.raises(QuadratureError, match=TAIL_REFUSED):
+            wright_mass_nodes(0.9)
 
     @given(alpha=st.floats(min_value=0.05, max_value=0.95),
            cut=st.floats(min_value=1.0, max_value=40.0, exclude_min=True),
@@ -132,28 +141,32 @@ class TestMassNodes:
     @pytest.mark.parametrize("scale", [1, 2])
     def test_solver_table_is_frozen(self, alpha, scale):
         # the 2D subordination GEMM grows with the node count, so the
-        # solver's table is pinned bit for bit to this construction: the cut
-        # adapted to weight 0, one panel [0, 1e-6] ahead of the adapted ones
-        spec = DEFAULT_QUAD
-        s = np.cumprod(np.r_[1.01, np.full(int(math.log(spec.upper_cut) / math.log(1.05)) + 2,
-                                           1.05)])
-        s = s[s < spec.upper_cut]
+        # solver's table (scale 1) and its panel doubling (scale 2) are
+        # pinned bit for bit to this construction: the cut adapted to weight
+        # 0 below the ceiling 40 at 1e-10, one panel [0, 1e-6] ahead of the
+        # adapted ones, 48 * scale panels (geometric ones) of 16 nodes
+        s = np.cumprod(np.r_[1.01, np.full(int(math.log(40.0) / math.log(1.05)) + 2, 1.05)])
+        s = s[s < 40.0]
         ls = np.log(s)
         hit = np.flatnonzero(wright_log_envelope(alpha, s) + 0.0 * ls + ls
-                             < math.log(spec.target_tol * 1e-3) - 7.0)
-        cut = float(s[hit[0]]) if hit.size else spec.upper_cut
-        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, spec.panels * scale, scale)
-        nodes, weights = _gauss_panels(edges, spec.nodes_per_panel)
-        mass = weights * _sample_density(alpha, nodes, spec)
-        got_nodes, got_mass = wright_mass_nodes(alpha, spec, scale)
+                             < math.log(1e-10 * 1e-3) - 7.0)
+        cut = float(s[hit[0]]) if hit.size else 40.0
+        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, scale)
+        if alpha <= 0.85:
+            assert len(edges) == 48 * scale + 2
+        nodes, weights = _gauss_panels(edges, 16)
+        mass = weights * _sample_density(alpha, nodes)
+        got_nodes, got_mass = (wright_mass_nodes(alpha) if scale == 1 else
+                               subordination._density_table(
+                                   alpha, scale, 0.0, subordination._adaptive_cut(alpha, 0.0)))
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_mass, mass)
 
     def test_legendre_rule_is_computed_once_per_node_count(self, monkeypatch):
         # two table builds share one Gauss-Legendre rule and reproduce the
         # tables of a build that computed its own
-        builds = [(a, 0.0, subordination._adaptive_cut(a, DEFAULT_QUAD, 0.0)) for a in (0.3, 0.9)]
-        before = [subordination._density_table.__wrapped__(a, DEFAULT_QUAD, 1, lo, cut)
+        builds = [(a, 0.0, subordination._adaptive_cut(a, 0.0)) for a in (0.3, 0.9)]
+        before = [subordination._density_table.__wrapped__(a, 1, lo, cut)
                   for a, lo, cut in builds]
         calls = []
 
@@ -164,12 +177,11 @@ class TestMassNodes:
         subordination._legendre_rule.cache_clear()
         monkeypatch.setattr(subordination, "leggauss", counting)
         for (a, lo, cut), (nodes, mass) in zip(builds, before):
-            got_nodes, got_mass = subordination._density_table.__wrapped__(
-                a, DEFAULT_QUAD, 1, lo, cut)
+            got_nodes, got_mass = subordination._density_table.__wrapped__(a, 1, lo, cut)
             assert np.array_equal(got_nodes, nodes)
             assert np.array_equal(got_mass, mass)
-        assert calls == [DEFAULT_QUAD.nodes_per_panel]
-        xg, wg = subordination._legendre_rule(DEFAULT_QUAD.nodes_per_panel)
+        assert calls == [16]
+        xg, wg = subordination._legendre_rule(16)
         assert not xg.flags.writeable and not wg.flags.writeable
 
 
@@ -216,9 +228,8 @@ class TestSubordinateScalar:
     def test_neglect_policy_rejects_heavy_tail(self):
         # a cut far below the density support leaves a tail that must be
         # refused, not dropped silently
-        spec = QuadratureSpec(upper_cut=1.5, panels=8, nodes_per_panel=8, target_tol=1e-10)
-        with pytest.raises(QuadratureError):
-            subordinate_scalar(0.9, 1.0, spec)
+        with lowered_ceiling(1.5), pytest.raises(QuadratureError, match=TAIL_REFUSED):
+            subordinate_scalar(0.9, 1.0)
 
 
 class TestMoments:
@@ -241,8 +252,8 @@ class TestMoments:
         assert wright_moment(alpha, 10.0) == pytest.approx(exact, rel=1e-8)
 
     def test_gamma_beyond_reach_is_refused(self):
-        # at alpha 0.25 the s^10 weight pushes the cut to the upper_cut
-        # ceiling, where panel doubling no longer agrees: refused, not returned
+        # at alpha 0.25 the s^10 weight pushes the cut to the ceiling s = 40,
+        # where panel doubling no longer agrees: refused, not returned
         with pytest.raises(QuadratureError):
             wright_moment(0.25, 10.0)
 
@@ -250,9 +261,9 @@ class TestMoments:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(alpha, nodes, spec):
+        def counting(alpha, nodes):
             calls.append(float(nodes.min()))
-            return _sample_density(alpha, nodes, spec)
+            return _sample_density(alpha, nodes)
 
         subordination._density_table.cache_clear()
         monkeypatch.setattr(subordination, "_sample_density", counting)
@@ -297,15 +308,15 @@ class TestEndpointDivergence:
         # the cut of the [1, inf) table it shares with the moments
         certified, certify = [], subordination._certify_tail
 
-        def spy(a, spec, cut, weight_exp, factor=1.0):
+        def spy(a, cut, weight_exp, factor=1.0):
             certified.append((cut, weight_exp, factor))
-            return certify(a, spec, cut, weight_exp, factor)
+            return certify(a, cut, weight_exp, factor)
 
         monkeypatch.setattr(subordination, "_certify_tail", spy)
         endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
-        cut = subordination._adaptive_cut(alpha, DEFAULT_QUAD, 3.0)
+        cut = subordination._adaptive_cut(alpha, 3.0)
         assert certified == [(cut, -1.0, 1.0)]
-        assert subordination._tail_bound(alpha, cut, -1.0) <= DEFAULT_QUAD.target_tol
+        assert subordination._tail_bound(alpha, cut, -1.0) <= 1e-10
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
