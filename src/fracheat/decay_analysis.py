@@ -26,7 +26,7 @@ from .special_functions import (
     Alpha,
     EvalPolicy,
     DEFAULT_POLICY,
-    mittag_leffler_neg,
+    _ml_neg_cached,
 )
 from .subordination import subordination_constant
 
@@ -135,8 +135,10 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, policy: EvalP
     if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
         return math.inf
     if exact_kernel:
-        def f(u: float) -> float:
-            return u ** beta * mittag_leffler_neg(alpha, u, policy)
+        extended = policy.working_precision == "extended"
+
+        def f(u: float) -> float:  # alpha validated by the caller, u > 0 finite
+            return u ** beta * _ml_neg_cached(alpha, u, extended)[0]
     else:
         def f(u: float) -> float:
             return u ** beta / (1.0 + u)

@@ -229,11 +229,15 @@ class SolverConfig:
             raise ValueError("subordination representation requires alpha < 1")
 
 
-# modes per block of the per-mode matvec: bounds each (modes x nodes) heat
-# factor to 7.5 MB, plus a 0.9 MB flush mask, at the 1,824 nodes of the
-# largest mass table; the 2D subordination table needs no blocks, its
-# (N//2 + 1) x nodes factor is half that size at N = 512
+# modes per block of the Hankel kernel, whose few (rows, 16) temporaries
+# take half the time in blocks of 512 rows as in blocks of 128
 _BLOCK_ROWS = 512
+# modes per block of the 1D subordination matvec: its (modes x nodes) heat
+# factors and flush mask take 0.9 MB at a 784-node mass table (2.1 MB at the
+# largest, 1,824 nodes), about the 2 MiB of L2 cache of a core, where 512
+# rows took 1.3-1.4 times as long; the 2D subordination table needs no
+# blocks, its (N//2 + 1) x nodes factor is built once per step
+_HEAT_BLOCK_ROWS = 128
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
 # numpy's slow underflow path, no table product is subnormal, and a flushed
@@ -241,9 +245,8 @@ _BLOCK_ROWS = 512
 _FLUSH = 345.0
 
 
-def _blocked(kernel, x: np.ndarray) -> np.ndarray:
-    return np.concatenate([kernel(x[i:i + _BLOCK_ROWS])
-                           for i in range(0, x.size, _BLOCK_ROWS)])
+def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
+    return np.concatenate([kernel(x[i:i + rows]) for i in range(0, x.size, rows)])
 
 
 def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
@@ -298,7 +301,7 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
     a, method = cfg.alpha.value, multiplier_method(cfg)
     if method == "subordination/wright-mass-table":
         nodes, mass = wright_mass_nodes(a)
-        return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x)
+        return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x, _HEAT_BLOCK_ROWS)
     if method == "direct_ml/exp":
         return np.exp(-x)
     if method == "direct_ml/hankel-32":
@@ -366,7 +369,7 @@ class _Step:
                                       "(the density M_alpha is >= 0)")
             if self.grid.dim == 2:
                 self.root, self.table = np.sqrt(mass), np.empty((rows, rows))
-            heat = self.nodes.size * (rows if self.grid.dim == 2 else min(rows, _BLOCK_ROWS))
+            heat = self.nodes.size * (rows if self.grid.dim == 2 else min(rows, _HEAT_BLOCK_ROWS))
         arena = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
         self.work = arena, np.empty(heat, dtype=bool)
         self.prod = (arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)

@@ -373,12 +373,14 @@ _WRIGHT_ALPHA_CAP = 0.995  # series conditioning degrades as alpha -> 1
 _WRIGHT_SERIES_TOL = 1e-12
 
 # trapezoid points on the saddle contour (geometric convergence, Weideman &
-# Trefethen 2007): against 4000 points, 256 match the 600-point error (7e-14
-# up to alpha 0.995); 200 lose a digit above alpha 0.95 near s = 1
-_WRIGHT_CONTOUR_POINTS = 256
+# Trefethen 2007): against arbitrary-precision series sums at alpha
+# 0.05-0.995 and s in [1, 20] wherever M_alpha > 1e-250, 320 points stay
+# within 6.2e-13; 256 reach 1.9e-12 at alpha 0.995 and 1 < s < 1/alpha, whose
+# wide half-width (52) they under-resolve
+_WRIGHT_CONTOUR_POINTS = 320
 # contour half-widths scanned for the decay of the integrand (0.1 * 1.25^j)
 _WRIGHT_HALF_WIDTHS = 0.1 * 1.25 ** np.arange(30)
-_WRIGHT_BLOCK_ROWS = 64  # contour nodes per block: 64 KiB per temporary
+_WRIGHT_BLOCK_ROWS = 64  # contour nodes per block: 80 KiB per temporary
 
 
 def wright_log_envelope(alpha: float, s):
@@ -409,44 +411,70 @@ class WrightEval:
     reliable: bool
 
 
+@lru_cache(maxsize=8)
+def _wright_contour_geometry(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The s-free part of the saddle contour g = mu (1 + iu)^2 at one alpha:
+    read-only tables (1 - u^2, 2u, R cos(ang), R sin(ang), ang - atan(u),
+    (alpha - 1/2) log1p(u^2)), R = (1+u^2)^alpha and ang = 2 alpha atan(u)
+    = arg g^alpha, at u = hw_j t_k for every half-width hw_j (axis 1) and
+    trapezoid point t_k > 0 (axis 2), and the scan's (1 - u^2, R cos(ang))
+    at u = hw_j, j < 29."""
+    n = _WRIGHT_CONTOUR_POINTS
+    t = (2.0 * np.arange(n // 2) + 1.0) / (n - 1)  # u > 0 of linspace(-1, 1, n)
+
+    def tables(u):
+        l1 = np.log1p(u * u)
+        ang = 2.0 * alpha * np.arctan(u)
+        r = np.exp(alpha * l1)
+        return np.stack([1.0 - u * u, 2.0 * u, r * np.cos(ang), r * np.sin(ang),
+                         ang - np.arctan(u), (alpha - 0.5) * l1])
+
+    points, scan = tables(_WRIGHT_HALF_WIDTHS[:, None] * t), tables(_WRIGHT_HALF_WIDTHS[:-1])[[0, 2]]
+    points.setflags(write=False)  # shared by every caller through the cache
+    scan.setflags(write=False)
+    return points, scan
+
+
 def _wright_contour(alpha: float, s: np.ndarray) -> np.ndarray:
     """M_alpha at each s >= 1 from (1/2 pi i) int e^{g - s g^alpha} g^{alpha-1} dg
     on g = mu (1 + iu)^2 through the saddle mu = (s alpha)^{1/(1-alpha)}; NaN
     (declined) where the integrand rises by e^25. With log g = log mu +
     log(1+u^2) + 2i atan(u), g^{alpha-1} dg = 2i g^alpha / (1+iu), and the
-    integrand is odd-conjugate in u, so a real sum over u > 0 suffices."""
+    integrand is odd-conjugate in u, so a real sum over u > 0 suffices.
+    With P = s mu^alpha, g - s g^alpha = mu (1 - u^2 + 2iu) - P R e^{i ang}
+    on the per-alpha tables of `_wright_contour_geometry`: a point costs one
+    exp and one cos, the half-width scan none. Past mu = 1, P is mu / alpha,
+    which holds at the saddle and keeps P consistent with mu to one rounding
+    (s e^{alpha log mu} carries the rounding of alpha log mu, times P: up to
+    3e-12 of M_alpha near alpha = 1)."""
     n = _WRIGHT_CONTOUR_POINTS
-    t = (2.0 * np.arange(n // 2) + 1.0) / (n - 1)  # u > 0 of linspace(-1, 1, n)
+    (a, b, c, d, e, f), (scan_a, scan_c) = _wright_contour_geometry(alpha)
 
     def block(sb):
         log_mu = np.log(sb * alpha) / (1.0 - alpha)
         lmu = np.where(log_mu > 690.0, 0.0, np.maximum(log_mu, 0.0))
         mu = np.exp(lmu)
-
-        def exponent(u):
-            # Re(g - s g^alpha) with the pieces the integrand reuses
-            l1 = np.log1p(u * u)
-            la = alpha * (lmu + l1)  # log |g|^alpha
-            p = sb * np.exp(la)
-            ang = 2.0 * alpha * np.arctan(u)  # arg g^alpha
-            return mu * (1.0 - u * u) - p * np.cos(ang), l1, la, p, ang
-
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = mu - sb * np.exp(alpha * lmu)
-            scan = exponent(_WRIGHT_HALF_WIDTHS[:-1])[0]
+            p = np.where(lmu > 0.0, mu / alpha, sb)  # s mu^alpha
+            f0 = mu - p
+            scan = mu * scan_a - p * scan_c  # Re(g - s g^alpha) at u = hw_j
             fmax = np.maximum.accumulate(np.maximum(scan, f0), axis=1)
             drop = scan < fmax - 60.0
-            j = np.where(drop.any(axis=1), drop.argmax(axis=1), scan.shape[1])[:, None]
-            fmax = np.take_along_axis(fmax, np.minimum(j, scan.shape[1] - 1), axis=1)
-            hw = _WRIGHT_HALF_WIDTHS[j]
-            u = hw * t
-            re, l1, la, p, ang = exponent(u)
-            phase = 2.0 * mu * u - p * np.sin(ang) + ang - np.arctan(u)
-            f = np.exp(re + la - 0.5 * l1) * np.cos(phase)
-            val = (4.0 / ((n - 1) * math.pi)) * hw * f.sum(axis=1, keepdims=True)
-        val[fmax > f0 + 25.0] = np.nan
-        val[(log_mu > 690.0) | (f0 < -700.0)] = 0.0  # far below underflow
-        return val[:, 0]
+            j = np.where(drop.any(axis=1), drop.argmax(axis=1), scan.shape[1])
+            fmax = fmax[np.arange(j.size), np.minimum(j, scan.shape[1] - 1)][:, None]
+            # Re and Im of the log of the integrand, in place on gathered rows
+            re, phase, pc, pd = a[j], b[j], c[j], d[j]
+            re *= mu
+            re -= np.multiply(pc, p, out=pc)
+            re += f[j] + alpha * lmu
+            phase *= mu
+            phase -= np.multiply(pd, p, out=pd)
+            phase += e[j]
+            f_u = np.exp(re, out=re) * np.cos(phase, out=phase)
+            val = (4.0 / ((n - 1) * math.pi)) * _WRIGHT_HALF_WIDTHS[j] * f_u.sum(axis=1)
+        val[(fmax > f0 + 25.0)[:, 0]] = np.nan
+        val[((log_mu > 690.0) | (f0 < -700.0))[:, 0]] = 0.0  # far below underflow
+        return val
 
     return np.concatenate([block(s[i:i + _WRIGHT_BLOCK_ROWS, None])
                            for i in range(0, s.size, _WRIGHT_BLOCK_ROWS)] + [np.empty(0)])
@@ -542,8 +570,10 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     declined = big & ~np.isfinite(value)
     under = declined & (log_env < -80.0)
     value[under] = 0.0
-    method = np.select([s == 0.0, under, big], ["exact", "envelope-underflow", "contour-saddle"],
-                       "series").astype(object)
+    # tags by index into their names: a fixed-width string array of a batch
+    # of 12,288 nodes takes 0.9 MB
+    method = np.array(["exact", "envelope-underflow", "contour-saddle", "series"],
+                      dtype=object)[np.select([s == 0.0, under, big], [0, 1, 2], 3)]
     rest = np.flatnonzero((s > 0.0) & ~big | declined & ~under)
     series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest])
     certified &= not extended  # extended precision certifies no double sum

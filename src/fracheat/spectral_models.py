@@ -18,7 +18,7 @@ import numpy as np
 
 from .decay_analysis import _exponent_gap, _log_grid_sup
 from .errors import InsufficientDataError
-from .special_functions import Alpha, EvalPolicy, DEFAULT_POLICY, mittag_leffler_neg
+from .special_functions import Alpha, EvalPolicy, DEFAULT_POLICY, _ml_neg_cached
 
 __all__ = [
     "DiscreteSpectrum",
@@ -224,10 +224,13 @@ def condition_supremum(
         def kernel(s: float) -> float:
             return math.exp(-t * s)
     else:
-        ta = t ** a
+        ta, extended = t ** a, policy.working_precision == "extended"
 
-        def kernel(s: float) -> float:
-            return mittag_leffler_neg(a, ta * s, policy)
+        def kernel(s: float) -> float:  # alpha validated once, above
+            x = ta * s
+            if not x < math.inf:  # t near the double range
+                raise ValueError(f"x must be finite and nonnegative, got {x}")
+            return _ml_neg_cached(a, x, extended)[0]
 
     def objective(s: float) -> float:
         tau = trace_counting(model, s)

@@ -159,20 +159,28 @@ def _sample_density(alpha: float, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _density_tables(alpha: float, scale: int,
+                    intervals: Sequence[tuple[float, float]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, Gauss weight * M_alpha(node)) of the panels on each [lo, cut],
+    the density sampled at the nodes of all of them in one pass (a node's
+    value does not depend on the others in the pass). lo = 0 puts one panel
+    [0, _S_FLOOR] ahead of the adapted ones."""
+    rules = [_gauss_panels(([0.0] if lo == 0.0 else []) + _panel_edges(
+        alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale), _NODES_PER_PANEL)
+        for lo, cut in intervals]
+    m = _sample_density(alpha, np.concatenate([nodes for nodes, _ in rules]))
+    parts = np.split(m, np.cumsum([nodes.size for nodes, _ in rules])[:-1])
+    return [(nodes, weights * part) for (nodes, weights), part in zip(rules, parts)]
+
+
 @lru_cache(maxsize=512)
 def _density_table(alpha: float, scale: int, lo: float,
                    cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, Gauss weight * M_alpha(node)) of the panels on [lo, cut].
-
-    Cached per (alpha, refinement scale, interval): every weight
-    s^gamma, x and Fourier mode integrated against the density over the
-    same interval shares one sampling and applies its weight at use.
-    lo = 0 puts one panel [0, _S_FLOOR] ahead of the adapted ones.
-    """
-    edges = ([0.0] if lo == 0.0 else []) + _panel_edges(
-        alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale)
-    nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
-    mass = weights * _sample_density(alpha, nodes)
+    """The read-only table of `_density_tables` on one [lo, cut], cached per
+    (alpha, refinement scale, interval): every weight s^gamma, x and Fourier
+    mode integrated against the density over the same interval shares one
+    sampling and applies its weight at use."""
+    (nodes, mass), = _density_tables(alpha, scale, [(lo, cut)])
     nodes.setflags(write=False)
     mass.setflags(write=False)
     return nodes, mass
@@ -251,15 +259,6 @@ def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
     return float(np.dot(mass, nodes ** gamma))
 
 
-def _moment_value(alpha: float, gamma: float, scale: int) -> float:
-    # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
-    xj, wj = _gauss_jacobi(40 * scale, gamma)
-    sj = 0.5 * (xj + 1.0)
-    mj = _wright_m_array(alpha, sj)
-    part_unit = 0.5 ** (gamma + 1.0) * float(np.dot(wj, mj))
-    return part_unit + _upper_moment(alpha, gamma, scale)
-
-
 def wright_moment(alpha: Alpha | float, gamma: float) -> float:
     """int_0^inf s^gamma M_alpha(s) ds, gamma > -1.
 
@@ -276,8 +275,12 @@ def wright_moment(alpha: Alpha | float, gamma: float) -> float:
             f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
             "at s=0 for gamma <= -1 (the endpoint mechanism)"
         )
-    v1 = _moment_value(a, gamma, 1)
-    v2 = _moment_value(a, gamma, 2)
+    # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0);
+    # the nodes of both scales are sampled in one pass
+    rules = [_gauss_jacobi(40 * scale, gamma) for scale in (1, 2)]
+    m = _wright_m_array(a, 0.5 * (np.concatenate([xj for xj, _ in rules]) + 1.0))
+    v1, v2 = (0.5 ** (gamma + 1.0) * float(np.dot(wj, mj)) + _upper_moment(a, gamma, scale)
+              for (_, wj), mj, scale in zip(rules, np.split(m, [rules[0][0].size]), (1, 2)))
     tol = max(_TARGET_TOL, 1e-9 * abs(v2))
     if abs(v1 - v2) > tol:
         raise QuadratureError(
@@ -333,12 +336,11 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     if not all(b < a0 for a0, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps values must decrease toward 0")
 
-    # each eps sums its own [eps, 1] (series nodes only) onto one shared [1, inf)
+    # each eps sums its own [eps, 1] (series nodes only, all sampled in one
+    # pass) onto one shared [1, inf)
     upper = _upper_moment(a, -1.0, 2)
-    values = []
-    for e in eps:
-        nodes, mass = _density_table(a, 2, e, 1.0)
-        values.append(float(np.dot(mass, 1.0 / nodes)) + upper)
+    values = [float(np.dot(mass, 1.0 / nodes)) + upper
+              for nodes, mass in _density_tables(a, 2, [(e, 1.0) for e in eps])]
     lx = np.log(1.0 / np.asarray(eps))
     slope, intercept = np.polyfit(lx, np.asarray(values), 1)
     return EndpointDivergenceProfile(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracheat.errors import InsufficientDataError
+from fracheat.special_functions import mittag_leffler_neg
 from fracheat.decay_analysis import (
     _log_grid_sup,
     compare_representations,
@@ -84,6 +85,13 @@ class TestSupremumProfiles:
         # limit (as u E_alpha(-u) at the endpoint) is not divergence
         assert math.isinf(_log_grid_sup(lambda s: s ** 0.01))
         assert _log_grid_sup(lambda s: s / (1.0 + s)) == pytest.approx(1.0, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.5, 0.9), (0.9, 1.0), (1.0, 1.5)])
+    def test_profile_is_the_grid_search_of_the_public_kernel(self, alpha, beta):
+        # the objective reads the cached scalar route directly, alpha
+        # validated once: bit for bit the search over mittag_leffler_neg
+        ref = _log_grid_sup(lambda u: u ** beta * mittag_leffler_neg(alpha, u))
+        assert ml_supremum_profile(alpha, beta) == ref
 
     def test_finite_at_beta_one(self):
         # u E_alpha(-u) -> 1/Gamma(1-alpha): finite endpoint constant

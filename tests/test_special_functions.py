@@ -25,8 +25,14 @@ from fracheat.special_functions import (
     _ml_hankel,
     _ml_neg_cached,
     _wright_batch,
+    _wright_contour,
+    _wright_contour_geometry,
     _wright_m_array,
+    _wright_series_coeffs,
+    _wright_series_mp,
+    _WRIGHT_SERIES_TOL,
     reciprocal_gamma,
+    wright_log_envelope,
     wright_m,
     wright_m_info,
 )
@@ -386,6 +392,46 @@ class TestWrightBatch:
     def test_rejects_alpha_above_cap(self):
         with pytest.raises(ValueError):
             _wright_m_array(0.999, np.array([0.5, 2.0]))
+
+
+class TestWrightContour:
+    """The saddle contour that evaluates every s >= 1, on its per-alpha
+    geometry tables."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995])
+    def test_matches_arbitrary_precision_series(self, alpha):
+        # 1.0026 lies in the band 1 < s < 1/alpha where alpha 0.995 needs
+        # more than 256 trapezoid points
+        s = np.array([1.0, 1.0026, 1.1, 1.5, 2.5, 5.0, 10.0, 20.0])
+        value = _wright_contour(alpha, s)
+        log_c, sign, _ = _wright_series_coeffs(alpha, 4096)
+        checked = 0
+        for si, v in zip(s, value):
+            log_env = float(wright_log_envelope(alpha, si))
+            log_terms = np.where(sign != 0.0, log_c + np.arange(log_c.size) * math.log(si), -np.inf)
+            # for run time, no reference sums past a largest term beyond term
+            # 500 (the deep tails at alpha >= 0.7, 1-10 s each)
+            if log_env < math.log(1e-250) - 10.0 or log_terms.argmax() > 500:
+                continue
+            # 60 digits beyond the cancellation of the largest series term
+            dps = 60 + int((log_terms.max() - log_env) / math.log(10.0))
+            ref = _wright_series_mp(alpha, float(si), dps)
+            if ref > 1e-250:
+                assert abs(v - ref) <= _WRIGHT_SERIES_TOL * ref, (si, v, ref)
+                checked += 1
+        assert checked >= 2
+
+    def test_geometry_is_built_once_per_alpha_and_read_only(self):
+        _wright_contour_geometry.cache_clear()
+        first = _wright_contour(0.6, np.array([1.5, 3.0]))
+        assert np.array_equal(_wright_contour(0.6, np.array([1.5, 3.0])), first)
+        _wright_contour(0.6, np.linspace(1.0, 9.0, 200))  # several blocks
+        info = _wright_contour_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for table in _wright_contour_geometry(0.6):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
 
 
 class TestUniformBound:

@@ -18,7 +18,7 @@ from fracheat.spectral_models import (
     trace_counting,
     verify_trace_growth,
 )
-from fracheat.decay_analysis import sup_heat_closed_form
+from fracheat.decay_analysis import _log_grid_sup, sup_heat_closed_form
 from fracheat.special_functions import mittag_leffler_neg
 
 
@@ -123,10 +123,25 @@ class TestConditionSupremum:
         got = condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t)
         assert 0.0 <= (exact - got) / exact <= 0.05
 
+    @pytest.mark.parametrize("alpha,t", [(0.3, 0.5), (0.75, 2.0), (1.0, 1.0)])
+    def test_direct_route_is_the_grid_search_of_the_public_kernel(self, alpha, t):
+        # the objective reads the cached scalar route directly, alpha
+        # validated once: bit for bit the search over mittag_leffler_neg
+        m = torus_laplacian_2d()
+        delta = 1.0 / (4.0 / 3.0) - 1.0 / 4.0
+
+        def objective(s):
+            tau = trace_counting(m, s)
+            return tau ** delta * mittag_leffler_neg(alpha, t ** alpha * s) if tau > 0.0 else 0.0
+
+        assert condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t) == _log_grid_sup(objective)
+
     def test_validation(self):
         m = SpectralModel(PowerLawSpectrum(1.0, 1.0))
         with pytest.raises(ValueError):
             condition_supremum(m, 4.0 / 3.0, 4.0, 0.5, 1.0, "bogus")
+        with pytest.raises(ValueError):
+            condition_supremum(m, 4.0 / 3.0, 4.0, 0.99, 1e308)  # t^alpha s overflows
         with pytest.raises(ValueError):
             condition_supremum(m, 3.0, 4.0, 0.5, 1.0)  # p > 2
         with pytest.raises(ValueError):

@@ -271,6 +271,31 @@ class TestMoments:
                          "--out", str(tmp_path / "mom.json")]) == 0
         assert len(calls) == 2 and min(calls) >= 1.0
 
+    @pytest.mark.parametrize("alpha,gamma", [(0.25, -0.5), (0.6, 0.5), (0.75, 3.0), (0.95, 1.0)])
+    def test_both_scales_are_sampled_in_one_pass(self, alpha, gamma, monkeypatch):
+        # the [0, 1] Gauss-Jacobi nodes of scales 1 and 2 go through one
+        # batched call, and each scale's values equal its table sampled alone
+        passes = []
+
+        def recording(a, s):
+            m = _wright_m_array(a, s)
+            passes.append((s, m))
+            return m
+
+        monkeypatch.setattr(subordination, "_wright_m_array", recording)
+        numeric = wright_moment(alpha, gamma)
+        (s, m), = [(s, m) for s, m in passes if s.max() < 1.0]
+        start, values = 0, []
+        for scale in (1, 2):
+            xj, wj = _gauss_jacobi(40 * scale, gamma)
+            alone = _wright_m_array(alpha, 0.5 * (xj + 1.0))
+            assert np.array_equal(m[start:start + xj.size], alone)
+            start += xj.size
+            values.append(0.5 ** (gamma + 1.0) * float(np.dot(wj, alone))
+                          + subordination._upper_moment(alpha, gamma, scale))
+        assert start == s.size
+        assert numeric == values[1]
+
     def test_rejects_divergent_gamma(self):
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.0)
@@ -317,6 +342,25 @@ class TestEndpointDivergence:
         cut = subordination._adaptive_cut(alpha, 3.0)
         assert certified == [(cut, -1.0, 1.0)]
         assert subordination._tail_bound(alpha, cut, -1.0) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_eps_tables_are_sampled_in_one_pass(self, alpha, monkeypatch):
+        # every [eps, 1] table goes through one batched call, and each
+        # integral equals the one from its table built alone
+        eps = list(np.logspace(-2, -5, 8))
+        calls = []
+
+        def counting(a, nodes):
+            calls.append(float(nodes.max()))
+            return _sample_density(a, nodes)
+
+        monkeypatch.setattr(subordination, "_sample_density", counting)
+        prof = endpoint_divergence_profile(alpha, eps)
+        assert sum(top <= 1.0 for top in calls) == 1
+        upper = subordination._upper_moment(alpha, -1.0, 2)
+        for e, value in zip(eps, prof.integral):
+            nodes, mass = subordination._density_table(alpha, 2, e, 1.0)
+            assert value == float(np.dot(mass, 1.0 / nodes)) + upper
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
