@@ -16,7 +16,6 @@ from .errors import (
 )
 from .special_functions import (
     Alpha,
-    EvalPolicy,
     mittag_leffler_contour,
     mittag_leffler_neg,
     reciprocal_gamma,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alpha",
-    "EvalPolicy",
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_contour",

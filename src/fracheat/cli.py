@@ -28,7 +28,6 @@ from .errors import (
 )
 from .special_functions import (
     Alpha,
-    EvalPolicy,
     mittag_leffler_contour,
     mittag_leffler_neg,
     mittag_leffler_neg_info,
@@ -48,15 +47,33 @@ class QualityFailure(FracHeatError):
     """A verification table exceeded its tolerance (exit code 3)."""
 
 
-def _default_policy() -> EvalPolicy:
-    return EvalPolicy(os.environ.get("FRAC_HEAT_PRECISION", "standard"))
+# FRAC_HEAT_PRECISION=extended sums E_alpha in arbitrary precision. eval-ml
+# and decay-sup print only E_alpha values and closed forms and honour it,
+# report computes nothing, and these commands refuse it: M_alpha has one
+# precision, a double certified to 1e-12 relative
+_STANDARD_ONLY = {
+    "eval-wright": "M_alpha has one precision",
+    "verify-subordination": "its quadrature samples M_alpha, which has one precision",
+    "verify-moments": "wright_moment samples the density at its own precision",
+    "verify-special": "its Wright identity evaluates M_alpha, which has one precision",
+    "decay-compare": "its subordination constants sample M_alpha, which has one precision",
+    "solve": "the direct multiplier is held to 1e-12 relative, and the "
+             "subordination mass table samples the density at its own precision",
+}
 
 
-def _refuse_extended(command: str, reason: str) -> None:
-    """Refuse FRAC_HEAT_PRECISION=extended, before anything runs, in a command
-    that computes at a precision of its own."""
-    if _default_policy().working_precision != "standard":
-        raise ValueError(f"{command} takes no FRAC_HEAT_PRECISION=extended: {reason}")
+def _extended_precision(command: str) -> bool:
+    """Whether FRAC_HEAT_PRECISION asks `command` for extended precision;
+    ValueError for any value but standard or extended, and for extended
+    in a command that cannot honour it."""
+    precision = os.environ.get("FRAC_HEAT_PRECISION", "standard")
+    if precision not in ("standard", "extended"):
+        raise ValueError("FRAC_HEAT_PRECISION must be 'standard' or 'extended', "
+                         f"got {precision!r}")
+    if precision == "extended" and command in _STANDARD_ONLY:
+        raise ValueError(f"{command} takes no FRAC_HEAT_PRECISION=extended: "
+                         f"{_STANDARD_ONLY[command]}")
+    return precision == "extended"
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +171,14 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def cmd_eval_ml(args) -> list[dict]:
-    policy = _default_policy()
-    value, method = mittag_leffler_neg_info(args.alpha, args.x, policy)
+    value, method = mittag_leffler_neg_info(args.alpha, args.x, args.extended)
     print(f"E_alpha(-x) = {value!r}   [alpha={args.alpha}, x={args.x}, method={method}]")
     return [{"command": "eval-ml", "alpha": args.alpha, "x": args.x,
              "value": value, "method": method}]
 
 
 def cmd_eval_wright(args) -> list[dict]:
-    policy = _default_policy()
-    res = wright_m_info(args.alpha, args.s, policy)
+    res = wright_m_info(args.alpha, args.s)
     if not res.reliable:
         raise QualityFailure(f"M_alpha unreliable at alpha={args.alpha}, s={args.s}")
     print(f"M_alpha(s) = {res.value!r}   [alpha={args.alpha}, s={args.s}, method={res.method}]")
@@ -172,7 +187,6 @@ def cmd_eval_wright(args) -> list[dict]:
 
 
 def cmd_verify_subordination(args) -> list[dict]:
-    policy = _default_policy()
     records = []
     worst_overall = 0.0
     for a in _parse_alphas(args.alpha):
@@ -180,7 +194,7 @@ def cmd_verify_subordination(args) -> list[dict]:
         worst = 0.0
         for x in xs:
             sub = subordination.subordinate_scalar(a, float(x))
-            direct = mittag_leffler_neg(a, float(x), policy)
+            direct = mittag_leffler_neg(a, float(x))
             worst = max(worst, abs(sub - direct))
         records.append({"command": "verify-subordination", "alpha": a,
                         "worst_abs_error": worst, "n_points": 30,
@@ -193,7 +207,6 @@ def cmd_verify_subordination(args) -> list[dict]:
 
 
 def cmd_verify_moments(args) -> list[dict]:
-    _refuse_extended("verify-moments", "wright_moment samples the density at its own precision")
     records = []
     worst = 0.0
     for a in _parse_alphas(args.alpha):
@@ -212,7 +225,6 @@ def cmd_verify_moments(args) -> list[dict]:
 
 
 def cmd_verify_special(args) -> list[dict]:
-    policy = _default_policy()
     records = []
 
     def check(name: str, worst: float, tol: float) -> None:
@@ -226,18 +238,17 @@ def cmd_verify_special(args) -> list[dict]:
 
     xs = np.linspace(0.0, 30.0, 61)
     check("alpha-1-exponential-reduction",
-          max(abs(mittag_leffler_neg(1.0, float(x), policy) - math.exp(-x)) for x in xs),
+          max(abs(mittag_leffler_neg(1.0, float(x)) - math.exp(-x)) for x in xs),
           1e-12)
     worst = 0.0
     for a in (0.5, 0.75, 0.9):
         for x in (0.1, 1.0, 10.0):
-            worst = max(worst, abs(mittag_leffler_contour(a, x)
-                                   - mittag_leffler_neg(a, x, policy)))
+            worst = max(worst, abs(mittag_leffler_contour(a, x) - mittag_leffler_neg(a, x)))
     check("contour-vs-reference-agreement", worst, 1e-10)
     worst = 0.0
     for s in np.linspace(0.0, 8.0, 81):
         exact = math.exp(-s * s / 4.0) / math.sqrt(math.pi)
-        worst = max(worst, abs(wright_m(0.5, float(s), policy) - exact))
+        worst = max(worst, abs(wright_m(0.5, float(s)) - exact))
     check("wright-half-gaussian-identity", worst, 1e-10)
     return records
 
@@ -252,8 +263,8 @@ def cmd_decay_sup(args) -> list[dict]:
         {**base, "kernel": "heat", "method": "closed-form",
          "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
         {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
-         "value": decay_analysis.sup_ml_numeric(
-             args.alpha, beta, args.t, policy=_default_policy())},
+         "value": decay_analysis.sup_ml_numeric(args.alpha, beta, args.t,
+                                                extended=args.extended)},
         {**base, "kernel": "algebraic-bound", "method": "closed-form",
          "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
     ]
@@ -264,8 +275,7 @@ def cmd_decay_sup(args) -> list[dict]:
 
 def cmd_decay_compare(args) -> list[dict]:
     eps = [float(e) for e in args.eps.split(",") if e.strip()]
-    report = decay_analysis.compare_representations(
-        args.alpha, args.lmbda, eps, policy=_default_policy())
+    report = decay_analysis.compare_representations(args.alpha, args.lmbda, eps)
     records = []
     for rec in report.records:
         fields = asdict(rec)
@@ -305,8 +315,6 @@ def _available_memory() -> int | None:
 
 
 def cmd_solve(args) -> list[dict]:
-    _refuse_extended("solve", "the direct multiplier is held to 1e-12 relative, and the "
-                     "subordination mass table samples the density at its own precision")
     grid = pde_solver.PeriodicGrid(dim=args.dim, box_length=args.box_length,
                                    points_per_dim=args.n_points)
     need = grid.points_per_dim ** grid.dim * _SOLVE_BYTES_PER_POINT
@@ -448,6 +456,7 @@ def main(argv: list[str] | None = None) -> int:
                                     f"(choose from {', '.join(map(repr, choices))})")
             subparser.set_defaults(**config)
             args = parser.parse_args(argv)
+        args.extended = _extended_precision(args.command)
         records = args.func(args)
         emit_report(records, args.format, args.out)
         return EXIT_OK

@@ -22,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .special_functions import (
-    Alpha,
-    EvalPolicy,
-    DEFAULT_POLICY,
-    _ml_neg_cached,
-)
+from .special_functions import Alpha, _ml_neg_cached
 from .subordination import subordination_constant
 
 __all__ = [
@@ -124,7 +119,8 @@ def sup_heat_numeric(beta: float, t: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, policy: EvalPolicy) -> float:
+def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool,
+                    extended: bool = False) -> float:
     """sup over u > 0 of u^beta E_alpha(-u) (exact) or u^beta/(1+u) (bound).
 
     Both kernels decay like 1/u for alpha < 1 (E_alpha(-u) ~
@@ -135,8 +131,6 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, policy: EvalP
     if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
         return math.inf
     if exact_kernel:
-        extended = policy.working_precision == "extended"
-
         def f(u: float) -> float:  # alpha validated by the caller, u > 0 finite
             return u ** beta * _ml_neg_cached(alpha, u, extended)[0]
     else:
@@ -145,10 +139,7 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool, policy: EvalP
     return _log_grid_sup(f)
 
 
-def ml_supremum_profile(
-    alpha: Alpha | float, beta: float, exact_kernel: bool = True,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
+def ml_supremum_profile(alpha: Alpha | float, beta: float, exact_kernel: bool = True) -> float:
     """The t-free factor U(beta) = sup_u u^beta K(u).
 
     Substituting u = t^alpha s shows sup_s s^beta K(t^alpha s) =
@@ -159,24 +150,25 @@ def ml_supremum_profile(
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    return _ml_profile_sup(a, beta, bool(exact_kernel), policy)
+    return _ml_profile_sup(a, beta, bool(exact_kernel), False)  # sup_ml_numeric's cache key
 
 
 def sup_ml_numeric(
     alpha: Alpha | float, beta: float, t: float, exact_kernel: bool = True,
-    policy: EvalPolicy = DEFAULT_POLICY,
+    extended: bool = False,
 ) -> float:
     """sup over s > 0 of s^beta * kernel(t^alpha s) by grid search.
 
-    kernel is E_alpha(-.) when exact_kernel, else the algebraic bound
-    1/(1 + .). beta > 1 makes the supremum infinite (reported as inf),
-    except for the exact kernel at alpha = 1, exp(-.).
+    kernel is E_alpha(-.) when exact_kernel (at extended precision if
+    extended), else the algebraic bound 1/(1 + .). beta > 1 makes the
+    supremum infinite (reported as inf), except for the exact kernel at
+    alpha = 1, exp(-.).
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
     if not (beta > 0.0 and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and t positive and finite")
-    u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), policy)
+    u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), bool(extended))
     if not math.isfinite(u_sup):
         return math.inf
     return t ** (-a * beta) * u_sup
@@ -238,7 +230,6 @@ def compare_representations(
     alpha: Alpha | float,
     lambda_exp: float,
     eps_list: Sequence[float],
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> ComparisonReport:
     """Probe the endpoint delta = 1/lambda through delta_k = 1/lambda - eps_k.
 
@@ -260,7 +251,7 @@ def compare_representations(
     for e in eps:
         delta_k = 1.0 / lambda_exp - e
         beta = lambda_exp * delta_k  # = 1 - lambda*eps, the endpoint at eps=0
-        direct = ml_supremum_profile(a, beta, exact_kernel=True, policy=policy)
+        direct = ml_supremum_profile(a, beta, exact_kernel=True)
         records.append(RepresentationRecord(
             alpha=a, lambda_exp=lambda_exp, delta=delta_k, eps=e, representation="direct_ml",
             constant=direct, slope=-a * beta, method="grid-supremum"))

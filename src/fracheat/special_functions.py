@@ -5,7 +5,10 @@ negative real axis (one pole-corrected real-axis rule in double precision,
 arbitrary-precision power and asymptotic sums in extended precision, and
 the batched Hankel node rule of the propagator, checked against them), and
 the Wright-type density M_alpha(s) that subordinates the fractional
-propagator to the classical heat semigroup.
+propagator to the classical heat semigroup. Extended precision is a
+property of E_alpha alone: M_alpha has one precision, a double certified
+to 1e-12 relative, summed in mpmath only where the double series fails
+its certificate.
 
 All evaluations are pure functions of their arguments; the only global
 state is internal memoization, which never changes a computed value.
@@ -25,8 +28,6 @@ from .errors import ConvergenceError, UnreliableEvaluationError
 
 __all__ = [
     "Alpha",
-    "EvalPolicy",
-    "DEFAULT_POLICY",
     "reciprocal_gamma",
     "mittag_leffler_neg",
     "mittag_leffler_neg_info",
@@ -59,24 +60,6 @@ class Alpha:
         if isinstance(alpha, Alpha):
             return alpha.value
         return Alpha(float(alpha)).value
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Working precision of E_alpha and M_alpha: "standard" takes one
-    double-precision real-axis rule for E_alpha(-x) and certified double
-    sums for M_alpha; "extended" takes arbitrary-precision sums for both.
-    """
-
-    working_precision: str = "standard"
-
-    def __post_init__(self) -> None:
-        if self.working_precision not in ("standard", "extended"):
-            raise ValueError("working_precision (FRAC_HEAT_PRECISION) must be 'standard' or "
-                             f"'extended', got {self.working_precision!r}")
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +253,20 @@ def _ml_neg(alpha: float, x: float, extended: bool) -> tuple[float, str]:
 _ml_neg_cached = lru_cache(maxsize=300_000)(_ml_neg)  # the solver's distinct modes skip it
 
 
-def mittag_leffler_neg_info(
-    alpha: Alpha | float, x: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> tuple[float, str]:
-    """E_alpha(-x) together with the evaluation method actually used."""
+def mittag_leffler_neg_info(alpha: Alpha | float, x: float,
+                            extended: bool = False) -> tuple[float, str]:
+    """E_alpha(-x) together with the evaluation method actually used:
+    extended takes the arbitrary-precision sums, correctly rounded."""
     a = Alpha.coerce(alpha)
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return _ml_neg_cached(a, x, policy.working_precision == "extended")
+    return _ml_neg_cached(a, x, bool(extended))
 
 
-def mittag_leffler_neg(
-    alpha: Alpha | float, x: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> float:
+def mittag_leffler_neg(alpha: Alpha | float, x: float, extended: bool = False) -> float:
     """Mittag-Leffler function E_alpha(-x) for x >= 0; lies in (0, 1]."""
-    return mittag_leffler_neg_info(alpha, x, policy)[0]
+    return mittag_leffler_neg_info(alpha, x, extended)[0]
 
 
 # Weideman & Trefethen (2007) optimal parabola for the Bromwich integral at
@@ -549,19 +530,18 @@ def _wright_series_mp(alpha: float, s: float, dps: int) -> float:
                           f"{_SERIES_MAX_TERMS} terms (alpha={alpha}, s={s})")
 
 
-def _wright_batch(alpha: Alpha | float, s: np.ndarray,
-                  policy: EvalPolicy) -> tuple[np.ndarray, np.ndarray]:
+def _wright_batch(alpha: Alpha | float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M_alpha and method tag at each node of a 1-D array s >= 0 (NaN:
     "unreliable"). s >= 1 takes the contour, where the series cancels; a
     declined node is 0 below an e^-80 envelope, else joins 0 < s < 1 in the
-    series; an uncertified series node is summed in mpmath."""
+    series (and is tagged by it); an uncertified series node is summed in
+    mpmath."""
     alpha = Alpha.coerce(alpha)
     if not alpha < 1.0:
         raise ValueError("wright_m requires 0 < alpha < 1")
     if alpha > _WRIGHT_ALPHA_CAP:
         raise ValueError(f"alpha={alpha} too close to 1 for reliable Wright evaluation; "
                          f"cap is {_WRIGHT_ALPHA_CAP}")
-    extended = policy.working_precision == "extended"
     value = np.full(s.shape, np.nan)
     log_env = wright_log_envelope(alpha, s)
     value[s == 0.0] = reciprocal_gamma(1.0 - alpha)
@@ -573,17 +553,15 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     # tags by index into their names: a fixed-width string array of a batch
     # of 12,288 nodes takes 0.9 MB
     method = np.array(["exact", "envelope-underflow", "contour-saddle", "series"],
-                      dtype=object)[np.select([s == 0.0, under, big], [0, 1, 2], 3)]
+                      dtype=object)[np.select([s == 0.0, under, big & ~declined], [0, 1, 2], 3)]
     rest = np.flatnonzero((s > 0.0) & ~big | declined & ~under)
     series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest])
-    certified &= not extended  # extended precision certifies no double sum
     value[rest[certified]] = series[certified]
     # never resolve below the envelope floor
     floor = np.minimum(np.maximum(log_env[rest], -140.0), 0.0)
     digits = ((log_largest - floor) / math.log(10.0)).astype(int) \
         + int(-math.log10(_WRIGHT_SERIES_TOL)) + 8
-    for i, dps in zip(rest[~certified], digits[~certified]):
-        dps = max(int(dps), 35) if extended else int(dps)
+    for i, dps in zip(rest[~certified], digits[~certified].tolist()):
         if dps > _MAX_ESCALATION_DPS:
             method[i] = "unreliable"
         else:
@@ -592,34 +570,30 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray,
     return value, method
 
 
-def _wright_m_array(alpha: float, s: np.ndarray, policy: EvalPolicy = DEFAULT_POLICY) -> np.ndarray:
+def _wright_m_array(alpha: float, s: np.ndarray) -> np.ndarray:
     """M_alpha at every node of a quadrature table in one batched pass."""
-    value, _ = _wright_batch(alpha, s, policy)
+    value, _ = _wright_batch(alpha, s)
     if np.isnan(value).any():
         raise UnreliableEvaluationError(f"M_alpha unreliable at alpha={alpha}, s={s[np.isnan(value)]}")
     return value
 
 
-def wright_m_info(
-    alpha: Alpha | float, s: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> WrightEval:
+def wright_m_info(alpha: Alpha | float, s: float) -> WrightEval:
     """M_alpha(s) with method and reliability metadata (a one-node batched pass)."""
     s = float(s)
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s must be finite and nonnegative, got {s}")
-    value, method = _wright_batch(alpha, np.array([s]), policy)
+    value, method = _wright_batch(alpha, np.array([s]))
     return WrightEval(float(value[0]), method[0], not math.isnan(value[0]))
 
 
-def wright_m(
-    alpha: Alpha | float, s: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> float:
+def wright_m(alpha: Alpha | float, s: float) -> float:
     """Wright-type density M_alpha(s) >= 0 on s >= 0.
 
     Raises UnreliableEvaluationError when cancellation exceeds the
     recoverable precision, never returning a silently wrong number.
     """
-    res = wright_m_info(alpha, s, policy)
+    res = wright_m_info(alpha, s)
     if not res.reliable:
         raise UnreliableEvaluationError(f"M_alpha unreliable at alpha={Alpha.coerce(alpha)}, s={s}")
     return res.value

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decay_analysis import _exponent_gap, _log_grid_sup
 from .errors import InsufficientDataError
-from .special_functions import Alpha, EvalPolicy, DEFAULT_POLICY, _ml_neg_cached
+from .special_functions import Alpha, _ml_neg_cached
 
 __all__ = [
     "DiscreteSpectrum",
@@ -125,15 +125,10 @@ def torus_laplacian_1d(k_max: int = 200) -> SpectralModel:
 def torus_laplacian_2d(k_max: int = 60) -> SpectralModel:
     """Laplacian on the square 2-torus: eigenvalues j^2 + k^2 with lattice
     multiplicities, truncated at frequency k_max per axis."""
-    counts: dict[int, int] = {}
-    for j in range(-k_max, k_max + 1):
-        for k in range(-k_max, k_max + 1):
-            mu = j * j + k * k
-            if mu > 0:
-                counts[mu] = counts.get(mu, 0) + 1
-    ev = sorted(counts)
-    return SpectralModel(
-        DiscreteSpectrum(tuple(float(e) for e in ev), tuple(counts[e] for e in ev)),
+    k2 = np.arange(-k_max, k_max + 1) ** 2
+    ev, counts = np.unique(k2[:, None] + k2[None, :], return_counts=True)
+    return SpectralModel(  # ev[0] = 0 is the zero mode
+        DiscreteSpectrum(tuple(ev[1:]), tuple(counts[1:])),
         label="torus-laplacian-2d",
     )
 
@@ -200,7 +195,6 @@ def condition_supremum(
     alpha: Alpha | float,
     t: float,
     representation: str = "direct_ml",
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> float:
     """sup over s of tau(s)^(1/p - 1/q) * K(t, s), where K is the
     fractional multiplier E_alpha(-t^alpha s) ("direct_ml") or the heat
@@ -224,13 +218,13 @@ def condition_supremum(
         def kernel(s: float) -> float:
             return math.exp(-t * s)
     else:
-        ta, extended = t ** a, policy.working_precision == "extended"
+        ta = t ** a
 
         def kernel(s: float) -> float:  # alpha validated once, above
             x = ta * s
             if not x < math.inf:  # t near the double range
                 raise ValueError(f"x must be finite and nonnegative, got {x}")
-            return _ml_neg_cached(a, x, extended)[0]
+            return _ml_neg_cached(a, x, False)[0]
 
     def objective(s: float) -> float:
         tau = trace_counting(model, s)

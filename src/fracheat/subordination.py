@@ -234,19 +234,23 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     )
 
 
+@lru_cache(maxsize=64)
 def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule for the weight (1+x)^b,
-    b > -1, on [-1, 1] (Golub & Welsch 1969): the nodes are the eigenvalues
-    of the symmetric tridiagonal Jacobi matrix of the polynomials P_k^(0,b),
-    the weights mu0 v_0^2 with v the unit eigenvectors and
-    mu0 = int (1+x)^b dx = 2^(b+1)/(b+1)."""
+    """Read-only nodes and weights of the n-point Gauss rule for the weight
+    (1+x)^b, b > -1, on [-1, 1] (Golub & Welsch 1969), once per (n, b): the
+    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the polynomials P_k^(0,b), the weights mu0 v_0^2 with v the unit
+    eigenvectors and mu0 = int (1+x)^b dx = 2^(b+1)/(b+1)."""
     k = np.arange(1.0, n)
     t = 2.0 * k + b
     # row k = 0 apart: its entry b^2 / (t (t + 2)) at t = b is 0/0 for b = 0
     diag = np.r_[b / (b + 2.0), b * b / (t * (t + 2.0))]
     off = 2.0 * k * (k + b) / (t * np.sqrt((t - 1.0) * (t + 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _upper_moment(alpha: float, gamma: float, scale: int) -> float:

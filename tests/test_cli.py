@@ -5,13 +5,41 @@ import json
 
 import pytest
 
-from fracheat import cli
+from fracheat import cli, decay_analysis
 from fracheat.pde_solver import read_field
-from fracheat.special_functions import EvalPolicy, mittag_leffler_neg
+from fracheat.special_functions import mittag_leffler_neg
+
+# one small invocation of each of the nine commands; REPORT stands for a
+# report file made first (see `in_workdir`)
+COMMANDS = [
+    ["eval-ml", "--alpha", "0.5", "--x", "1.0"],
+    ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
+    ["verify-subordination", "--alpha", "0.5"],
+    ["verify-moments", "--alpha", "0.5"],
+    ["verify-special"],
+    ["decay-sup", "--alpha", "0.5", "--lambda", "1.0"],
+    ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
+    ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
+    ["report", "REPORT"],
+]
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def in_workdir(argv, tmp_path):
+    """(argv, work): argv with a report made for REPORT, and every file it
+    writes directed into the fresh directory work."""
+    if argv == ["report", "REPORT"]:
+        argv = ["report", str(tmp_path / "a.json")]
+        assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", argv[1]]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = [*argv, "--out", str(work / "out.json")]
+    if argv[0] == "solve":
+        argv += ["--field-out", str(work / "field.bin")]
+    return argv, work
 
 
 class TestEval:
@@ -30,7 +58,7 @@ class TestEval:
         out = tmp_path / "ml.json"
         assert run(["eval-ml", "--alpha", "0.25", "--x", "3.5e8", "--out", str(out)]) == 0
         (rec,) = json.loads(out.read_text())["records"]
-        assert rec["value"] == mittag_leffler_neg(0.25, 3.5e8, EvalPolicy(working_precision="extended"))
+        assert rec["value"] == mittag_leffler_neg(0.25, 3.5e8, extended=True)
 
     def test_eval_wright_value(self, tmp_path):
         out = tmp_path / "w.json"
@@ -79,14 +107,6 @@ class TestVerifyCommands:
         }
         assert all(r["passed"] for r in recs)
 
-    def test_verify_moments_refuses_policy(self, tmp_path, monkeypatch, capsys):
-        # wright_moment takes no evaluation policy, so the precision cannot be honoured
-        out = tmp_path / "mom.json"
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        assert run(["verify-moments", "--alpha", "0.5", "--out", str(out)]) == 2
-        assert "error code=2" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_quality_failure_exit_code(self, monkeypatch, capsys):
         # force the identity check to miss its tolerance
         original = cli.subordination.subordinate_scalar
@@ -94,6 +114,55 @@ class TestVerifyCommands:
                             lambda a, x: original(a, x) + 1e-6)
         assert run(["verify-subordination", "--alpha", "0.5"]) == 3
         assert "error code=3" in capsys.readouterr().err
+
+
+class TestPrecision:
+    """FRAC_HEAT_PRECISION is read once, before any command runs. eval-ml
+    and decay-sup print only E_alpha values and closed forms and honour
+    extended; M_alpha has one precision, so the commands that print
+    anything else refuse it."""
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_unknown_precision_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        argv, work = in_workdir(argv, tmp_path)
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "quad")
+        assert run(argv) == 2
+        assert ("FRAC_HEAT_PRECISION must be 'standard' or 'extended', got 'quad'"
+                in capsys.readouterr().err)
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
+        ["verify-subordination", "--alpha", "0.5"],
+        ["verify-moments", "--alpha", "0.5"],
+        ["verify-special"],
+        ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
+        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
+        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", "subordination"],
+    ], ids=["eval-wright", "verify-subordination", "verify-moments", "verify-special",
+            "decay-compare", "solve-direct", "solve-subordination"])
+    def test_extended_precision_is_refused_before_the_command_runs(
+            self, tmp_path, monkeypatch, capsys, argv):
+        # the command itself (and so solve's memory preflight) never runs
+        argv, work = in_workdir(argv, tmp_path)
+        command = argv[0]
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
+        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
+                            lambda args: pytest.fail(f"{command} ran"))
+        assert run(argv) == 2
+        assert (f"{command} takes no FRAC_HEAT_PRECISION=extended: "
+                f"{cli._STANDARD_ONLY[command]}" in capsys.readouterr().err)
+        assert list(work.iterdir()) == []
+
+    def test_decay_sup_honours_extended_precision(self, tmp_path, monkeypatch):
+        out = tmp_path / "sup.json"
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
+        assert run(["decay-sup", "--alpha", "0.5", "--lambda", "1.5", "--out", str(out)]) == 0
+        (rec,) = [r for r in json.loads(out.read_text())["records"]
+                  if r["kernel"] == "mittag-leffler"]
+        extended = decay_analysis.sup_ml_numeric(0.5, rec["beta"], 1.0, extended=True)
+        assert rec["value"] == extended
+        assert extended != decay_analysis.sup_ml_numeric(0.5, rec["beta"], 1.0)
 
 
 class TestDeterminism:
@@ -213,28 +282,11 @@ class TestSolveAndReport:
         assert outs[0]["norm_l2"] == pytest.approx(outs[1]["norm_l2"], rel=1e-9)
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("argv", [
-        ["eval-ml", "--alpha", "0.5", "--x", "1.0"],
-        ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
-        ["verify-subordination", "--alpha", "0.5"],
-        ["verify-moments", "--alpha", "0.5"],
-        ["verify-special"],
-        ["decay-sup", "--alpha", "0.5", "--lambda", "1.0"],
-        ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
-        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
-        ["report", "REPORT"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_tol_is_refused(self, tmp_path, capsys, argv, how):
         # FRAC_HEAT_PRECISION is the one evaluation knob: a tolerance flag
         # or config key is refused before anything runs or is written
-        if argv == ["report", "REPORT"]:
-            argv = ["report", str(tmp_path / "a.json")]
-            assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", argv[1]]) == 0
-        work = tmp_path / "work"
-        work.mkdir()
-        argv = [*argv, "--out", str(work / "out.json")]
-        if argv[0] == "solve":
-            argv += ["--field-out", str(work / "field.bin")]
+        argv, work = in_workdir(argv, tmp_path)
         if how == "flag":
             argv += ["--tol", "1e-6"]
         else:
@@ -246,21 +298,6 @@ class TestSolveAndReport:
         assert ("unrecognized arguments: --tol" if how == "flag"
                 else "unknown config key 'tol'") in err
         assert list(work.iterdir()) == []
-
-    @pytest.mark.parametrize("rep", ["direct", "subordination"])
-    def test_subordination_solve_refuses_a_policy_it_ignores(self, tmp_path, monkeypatch,
-                                                             capsys, rep):
-        # neither route has an extended precision to honour: the direct
-        # multiplier is held to 1e-12 relative, and the subordination route
-        # evaluates no E_alpha. Refused before the memory preflight, with
-        # no memory reading that could pass
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        monkeypatch.setattr(cli, "_available_memory", lambda: 0)
-        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", rep,
-                "--field-out", str(tmp_path / "field.bin"), "--out", str(tmp_path / "solve.json")]
-        assert run(argv) == 2
-        assert "solve takes no FRAC_HEAT_PRECISION=extended" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("alpha, rep, method", [
         ("0.5", "direct", "direct_ml/hankel-32"),

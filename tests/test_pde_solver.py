@@ -637,6 +637,18 @@ class TestCaputo:
         exact = t[1:] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         assert np.max(np.abs(deriv - exact)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_l1_sum_is_the_convolution_of_weights_and_differences(self, alpha):
+        # D_j = c sum_{k < j} b_k (u_{j-k} - u_{j-k-1}), term by term
+        t = np.linspace(0.0, 2.0, 129)
+        u = np.array([mittag_leffler_neg(alpha, ti ** alpha) for ti in t])
+        k = np.arange(t.size - 1.0)
+        b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
+        c = (t[1] - t[0]) ** (-alpha) / math.gamma(2.0 - alpha)
+        du = np.diff(u)
+        direct = [c * float(np.dot(b[:j], du[j - 1::-1])) for j in range(1, t.size)]
+        assert np.allclose(caputo_l1_apply(alpha, u, t[1] - t[0]), direct, rtol=1e-14, atol=0.0)
+
     def test_residual_refines_at_first_order(self):
         r_coarse = caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 2.0, 129))
         r_fine = caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 2.0, 257))

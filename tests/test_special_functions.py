@@ -15,8 +15,6 @@ from scipy.special import erfcx
 from fracheat.errors import UnreliableEvaluationError
 from fracheat.special_functions import (
     Alpha,
-    DEFAULT_POLICY,
-    EvalPolicy,
     _HANKEL_ALPHA_CAP,
     mittag_leffler_contour,
     mittag_leffler_neg,
@@ -36,7 +34,7 @@ from fracheat.special_functions import (
     wright_m,
     wright_m_info,
 )
-from fracheat import subordination
+from fracheat import special_functions, subordination
 from fracheat.subordination import wright_mass_nodes
 
 # (alpha, x, E_alpha(-x)) frozen from 50-digit series summation
@@ -70,8 +68,6 @@ ML_NEAR_ONE_REFERENCE = [
     (0.9999, 1.0, 0.36788594845385097629),
     (0.9999, 30.0, 3.5815308894603460274e-6),
 ]
-
-EXTENDED = EvalPolicy(working_precision="extended")
 
 # (alpha, s, M_alpha(s)) frozen from 80-digit series summation
 WRIGHT_REFERENCE = [
@@ -147,7 +143,7 @@ class TestMittagLeffler:
         lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * x)
         upper = 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
         values = [(mittag_leffler_neg(alpha, x), 1e-13),
-                  (mittag_leffler_neg(alpha, x, EXTENDED), 1e-13)]
+                  (mittag_leffler_neg(alpha, x, extended=True), 1e-13)]
         if x > 0.0 and alpha <= _HANKEL_ALPHA_CAP:
             values.append((mittag_leffler_contour(alpha, x), 1e-12))
         for v, slack in values:
@@ -160,16 +156,16 @@ class TestMittagLeffler:
             a, z = mp.mpf(alpha), mp.mpf(x)
             # the asymptotic series: its 59th term is below 1e-60 of the sum here
             ref = mp.fsum((-1) ** (k + 1) * z ** -k * mp.rgamma(1 - a * k) for k in range(1, 60))
-        assert mittag_leffler_neg(alpha, x, EXTENDED) == float(ref)
+        assert mittag_leffler_neg(alpha, x, extended=True) == float(ref)
 
     def test_repeat_extended_sum_computes_no_new_coefficient(self, monkeypatch):
         # the power series at alpha 0.02, x 1.09 needs about 15,000 coefficients
-        first = mittag_leffler_neg_info(0.02, 1.09, EXTENDED)
+        first = mittag_leffler_neg_info(0.02, 1.09, extended=True)
         _ml_neg_cached.cache_clear()  # repeat the sum, not the lookup
         calls = []
         rgamma = mp.rgamma
         monkeypatch.setattr(mp, "rgamma", lambda z: calls.append(z) or rgamma(z))
-        assert mittag_leffler_neg_info(0.02, 1.09, EXTENDED) == first
+        assert mittag_leffler_neg_info(0.02, 1.09, extended=True) == first
         assert calls == []
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.99])
@@ -369,18 +365,18 @@ class TestWrightBatch:
         resolved = exact >= 1e-200
         assert (err[resolved] / exact[resolved]).max() <= 1e-13
 
-    def test_uncertified_node_escalates_to_arbitrary_precision(self):
-        # extended precision certifies no double-precision series sum, so
-        # every 0 < s < 1 takes the mpmath route; s >= 1 stays on the contour
-        policy = EvalPolicy(working_precision="extended")
-        s = np.array([0.0, 0.05, 0.4, 0.95, 1.5, 3.0])
-        value, method = _wright_batch(0.5, s, policy)
-        assert method[0] == "exact"
-        assert all(m.startswith("series-extended[") for m in method[1:4])
-        assert list(method[4:]) == ["contour-saddle"] * 2
+    def test_declined_contour_node_is_tagged_by_the_series(self, monkeypatch):
+        # a node the contour declines joins the series and carries its tag:
+        # s = 2 is certified in double precision, s = 5 cancels past the
+        # double's digits and escalates to mpmath
+        monkeypatch.setattr(special_functions, "_wright_contour",
+                            lambda alpha, s: np.full(s.shape, np.nan))
+        s = np.array([0.0, 2.0, 5.0])
+        value, method = _wright_batch(0.5, s)
+        assert list(method) == ["exact", "series", "series-extended[24dps]"]
         exact = np.exp(-s ** 2 / 4.0) / math.sqrt(math.pi)
         assert np.abs(value - exact).max() <= 1e-15
-        res = wright_m_info(0.5, 0.4, policy)
+        res = wright_m_info(0.5, 5.0)
         assert res.method == method[2] and res.value == value[2] and res.reliable
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.95])
@@ -445,18 +441,3 @@ class TestUniformBound:
             profile = np.array([(1.0 + x) * mittag_leffler_neg(alpha, float(x)) for x in xs])
             assert profile[0] == 1.0, alpha
             assert np.all(profile[1:] < 1.0), alpha
-
-
-class TestEvalPolicy:
-    def test_frozen(self):
-        p = EvalPolicy()
-        with pytest.raises(Exception):
-            p.working_precision = "extended"
-
-    def test_default_policy_sane(self):
-        assert DEFAULT_POLICY == EvalPolicy() == EvalPolicy("standard")
-        assert DEFAULT_POLICY.working_precision == "standard"
-
-    def test_unknown_precision_refused(self):
-        with pytest.raises(ValueError, match="must be 'standard' or 'extended', got 'quad'"):
-            EvalPolicy("quad")

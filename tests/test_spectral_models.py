@@ -57,6 +57,17 @@ class TestTraceCounting:
         with pytest.raises(ValueError):
             trace_counting(torus_laplacian_1d(10), 0.0)
 
+    def test_torus_2d_lattice_counts(self):
+        # r_2(n), the lattice points on the circle j^2 + k^2 = n, all inside
+        # the truncation |j|, |k| <= 60 for n <= 60^2
+        v = torus_laplacian_2d().variant
+        mult = dict(zip(v.eigenvalues, v.multiplicities))
+        assert [mult[n] for n in (1.0, 2.0, 5.0, 25.0)] == [4, 4, 8, 12]
+        assert 3.0 not in mult and 0.0 not in mult
+        assert sum(v.multiplicities) == 121 ** 2 - 1  # the zero mode dropped
+        assert all(type(e) is float for e in v.eigenvalues)
+        assert all(type(m) is int for m in v.multiplicities)
+
 
 class TestTraceGrowth:
     def test_torus_1d_weyl_slope(self):

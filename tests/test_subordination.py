@@ -196,6 +196,17 @@ class TestGaussJacobi:
         exact = float(mp.gammainc(b + 1.0, 0, 2.0 * c) / mp.mpf(c) ** (b + 1.0))
         assert float(np.dot(w, np.exp(-c * (1.0 + x)))) == pytest.approx(exact, rel=1e-14)
 
+    def test_rule_is_solved_once_per_size_and_exponent(self, monkeypatch):
+        # a repeated moment reads both cached rules: no eigenproblem is solved
+        first = wright_moment(0.45, 1.5)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        assert wright_moment(0.45, 1.5) == first
+        assert calls == []
+        for arr in _gauss_jacobi(40, 1.5):
+            assert not arr.flags.writeable
+
 
 class TestSubordinateScalar:
     def test_reproduces_mittag_leffler(self):
