@@ -28,10 +28,10 @@ from .errors import (
 )
 from .special_functions import (
     Alpha,
-    mittag_leffler_contour,
-    mittag_leffler_neg,
+    _ml_hankel,
+    _ml_neg,
+    _wright_m_array,
     mittag_leffler_neg_info,
-    wright_m,
     wright_m_info,
 )
 
@@ -191,11 +191,8 @@ def cmd_verify_subordination(args) -> list[dict]:
     worst_overall = 0.0
     for a in _parse_alphas(args.alpha):
         xs = np.logspace(-3, 2, 30)
-        worst = 0.0
-        for x in xs:
-            sub = subordination.subordinate_scalar(a, float(x))
-            direct = mittag_leffler_neg(a, float(x))
-            worst = max(worst, abs(sub - direct))
+        sub = np.array([subordination.subordinate_scalar(a, x) for x in xs.tolist()])
+        worst = float(np.max(np.abs(sub - _ml_neg(Alpha.coerce(a), xs))))
         records.append({"command": "verify-subordination", "alpha": a,
                         "worst_abs_error": worst, "n_points": 30,
                         "tolerance": 1e-8, "method": "quadrature-vs-reference"})
@@ -238,18 +235,14 @@ def cmd_verify_special(args) -> list[dict]:
 
     xs = np.linspace(0.0, 30.0, 61)
     check("alpha-1-exponential-reduction",
-          max(abs(mittag_leffler_neg(1.0, float(x)) - math.exp(-x)) for x in xs),
-          1e-12)
-    worst = 0.0
-    for a in (0.5, 0.75, 0.9):
-        for x in (0.1, 1.0, 10.0):
-            worst = max(worst, abs(mittag_leffler_contour(a, x) - mittag_leffler_neg(a, x)))
-    check("contour-vs-reference-agreement", worst, 1e-10)
-    worst = 0.0
-    for s in np.linspace(0.0, 8.0, 81):
-        exact = math.exp(-s * s / 4.0) / math.sqrt(math.pi)
-        worst = max(worst, abs(wright_m(0.5, float(s)) - exact))
-    check("wright-half-gaussian-identity", worst, 1e-10)
+          max(abs(v - math.exp(-x)) for v, x in zip(_ml_neg(1.0, xs).tolist(), xs.tolist())), 1e-12)
+    xs = np.array([0.1, 1.0, 10.0])
+    check("contour-vs-reference-agreement", max(float(np.max(np.abs(
+        _ml_hankel(a, xs) - _ml_neg(a, xs)))) for a in (0.5, 0.75, 0.9)), 1e-10)
+    s = np.linspace(0.0, 8.0, 81)
+    exact = np.array([math.exp(-v * v / 4.0) for v in s.tolist()]) / math.sqrt(math.pi)
+    check("wright-half-gaussian-identity", float(np.max(np.abs(_wright_m_array(0.5, s) - exact))),
+          1e-10)
     return records
 
 
@@ -292,7 +285,7 @@ def cmd_decay_compare(args) -> list[dict]:
 # peak resident bytes per grid point of `solve`, interpreter included, in a
 # fresh process: the largest measured peak, 50.8 B at 1D N = 2^24, L = 2e5
 # by subordination at alpha 0.95 (813 MiB; 810 at alpha 0.5, 805 direct),
-# rounded up; 2D N = 4096 peaks at 471 MiB (29 B) direct (473 at alpha
+# rounded up; 2D N = 4096 peaks at 471 MiB (29 B) direct (474 at alpha
 # 0.99) and 474-486 MiB by subordination. A solve holds w0, its spectrum
 # (the product is written over it) and the field, plus one (N/2+1)^2 table
 _SOLVE_BYTES_PER_POINT = 51

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .special_functions import Alpha, _ml_neg_cached
+from .special_functions import Alpha, _ml_neg
 from .subordination import subordination_constant
 
 __all__ = [
@@ -72,10 +72,19 @@ def sup_bound_kernel_closed_form(alpha: Alpha | float, beta: float, t: float) ->
     return (1.0 - beta) * (beta / (1.0 - beta)) ** beta * t ** (-a * beta)
 
 
-def _log_grid_sup(f) -> float:
-    """sup over s > 0 of f(s): the maximum of f on 400 log-spaced points in
-    [1e-8, 1e8], refined by 60 golden-section steps on log s around the
-    grid argmax.
+# the search grid: 400 log-spaced points in [1e-8, 1e8]
+_GRID_LOG_S = np.linspace(math.log(1e-8), math.log(1e8), 400)
+_GRID_S = np.exp(_GRID_LOG_S)
+# each 33-point refinement grid spans the two steps around the last argmax,
+# so a level narrows the step 16-fold: from 0.09 to 5e-15 in log s
+_REFINE_LEVELS = 11
+
+
+def _log_grid_sup(f, on_grid: np.ndarray | None = None) -> float:
+    """sup over s > 0 of f(s), where f maps an array of s to its values:
+    the maximum of f on the 400 points of `_GRID_S` (`on_grid`, if given,
+    holds f there), refined by nested 33-point grids on log s around the
+    argmax.
 
     Divergence rule: when the argmax lies among the last 3 points and the
     positive values of the last 20 points never fall (log-differences
@@ -84,8 +93,8 @@ def _log_grid_sup(f) -> float:
     a finite limit, such as the endpoint exponent of a 1/s kernel, does
     not trip it.
     """
-    lls = np.linspace(math.log(1e-8), math.log(1e8), 400)
-    vals = np.array([f(math.exp(l)) for l in lls])
+    lls = _GRID_LOG_S
+    vals = f(_GRID_S) if on_grid is None else on_grid
     i = int(vals.argmax())
     if i >= lls.size - 3:
         tail = vals[-20:]
@@ -93,21 +102,13 @@ def _log_grid_sup(f) -> float:
         if (tail.size >= 2 and np.all(np.diff(np.log(tail)) > -1e-12)
                 and math.log(tail[-1] / tail[0]) > 1e-4):
             return math.inf
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lls[max(i - 1, 0)], lls[min(i + 1, lls.size - 1)]
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(math.exp(d))
-    return max(float(vals[i]), fc, fd)
+    best = float(vals[i])
+    for _ in range(_REFINE_LEVELS):
+        lls = np.linspace(lls[max(i - 1, 0)], lls[min(i + 1, lls.size - 1)], 33)
+        vals = f(np.exp(lls))
+        i = int(vals.argmax())
+        best = max(best, float(vals[i]))
+    return best
 
 
 def sup_heat_numeric(beta: float, t: float) -> float:
@@ -115,7 +116,7 @@ def sup_heat_numeric(beta: float, t: float) -> float:
     beta, t = float(beta), float(t)
     if not (beta > 0.0 and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and t positive and finite")
-    return _log_grid_sup(lambda s: s ** beta * math.exp(-t * s))
+    return _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
 
 
 @lru_cache(maxsize=4096)
@@ -130,13 +131,18 @@ def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool,
     """
     if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
         return math.inf
-    if exact_kernel:
-        def f(u: float) -> float:  # alpha validated by the caller, u > 0 finite
-            return u ** beta * _ml_neg_cached(alpha, u, extended)[0]
-    else:
-        def f(u: float) -> float:
-            return u ** beta / (1.0 + u)
-    return _log_grid_sup(f)
+    if not exact_kernel:
+        return _log_grid_sup(lambda u: u ** beta / (1.0 + u))
+    return _log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u, extended),  # alpha validated
+                         _GRID_S ** beta * _ml_on_grid(alpha, extended))
+
+
+@lru_cache(maxsize=8)
+def _ml_on_grid(alpha: float, extended: bool) -> np.ndarray:
+    """E_alpha(-u) on the search grid, shared by every beta of one alpha."""
+    values = _ml_neg(alpha, _GRID_S, extended)
+    values.setflags(write=False)
+    return values
 
 
 def ml_supremum_profile(alpha: Alpha | float, beta: float, exact_kernel: bool = True) -> float:

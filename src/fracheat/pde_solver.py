@@ -39,7 +39,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
 from .errors import InsufficientDataError, QuadratureError
-from .special_functions import Alpha, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg, mittag_leffler_neg
+from .special_functions import Alpha, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg
 from .subordination import wright_mass_nodes
 
 __all__ = [
@@ -230,10 +230,9 @@ class SolverConfig:
 # take half the time in blocks of 512 rows as in blocks of 128
 _BLOCK_ROWS = 512
 # modes per block of the 1D subordination matvec: its (modes x nodes) heat
-# factors and flush mask take 0.9 MB at a 784-node mass table (2.1 MB at the
-# largest, 1,824 nodes), about the 2 MiB of L2 cache of a core, where 512
-# rows took 1.3-1.4 times as long; the 2D subordination table needs no
-# blocks, its (N//2 + 1) x nodes factor is built once per step
+# factors and flush mask take at most 0.9 MB at a 784-node mass table (2.1 MB
+# at 1,824 nodes), about a core's 2 MiB of L2 cache, where 512 rows took
+# 1.3-1.4 times as long; the 2D table's factor is built once per step
 _HEAT_BLOCK_ROWS = 128
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
@@ -282,7 +281,7 @@ def _time_scale(cfg: SolverConfig, t: float) -> float:
 def multiplier_method(cfg: SolverConfig) -> str:
     """The algorithm of cfg's multiplier, the route `_kernel` takes: the
     Wright mass table, exp(-x) at alpha = 1, the Hankel node rule up to its
-    cap, or the scalar real-axis rule per mode for cap < alpha < 1."""
+    cap, or the real-axis rule of `mittag_leffler_neg` for cap < alpha < 1."""
     a = cfg.alpha.value
     if cfg.representation == "subordination":
         return "subordination/wright-mass-table"
@@ -293,17 +292,19 @@ def multiplier_method(cfg: SolverConfig) -> str:
 def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1D array of distinct values, by the
     route `multiplier_method` names; subordination heat factors go to
-    `work` (see `_heat_factors`). The values are distinct, so the scalar
-    route bypasses the E_alpha cache."""
+    `work` (see `_heat_factors`)."""
     a, method = cfg.alpha.value, multiplier_method(cfg)
     if method == "subordination/wright-mass-table":
         nodes, mass = wright_mass_nodes(a)
-        return _blocked(lambda u: _heat_factors(u, nodes, work) @ mass, x, _HEAT_BLOCK_ROWS)
-    if method == "direct_ml/exp":
-        return np.exp(-x)
+
+        def block(u):  # x and the nodes ascend: lanes the first row flushes, all rows do
+            m = np.count_nonzero(~(-u[0] * nodes < -_FLUSH))
+            return _heat_factors(u, nodes[:m], work) @ mass[:m]
+
+        return _blocked(block, x, _HEAT_BLOCK_ROWS)
     if method == "direct_ml/hankel-32":
         return _blocked(lambda u: _ml_hankel(a, u), x)
-    return np.array([_ml_neg(a, float(u), extended=False)[0] for u in x])
+    return _ml_neg(a, x)  # exp(-x) at alpha = 1, else the real-axis rule
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
@@ -312,14 +313,8 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
 
     A float array carries no integer keys, so the kernel runs on its
     `np.unique` values and is broadcast back (the solver keys its modes on
-    the exact integer spectrum instead: `_Step`). Both
-    representations are weighted sums over fixed nodes, applied as one
-    matvec in row blocks: the subordination route over the Wright mass
-    table, whose heat factors below exp(-345) ~ 1e-150 count as 0 (which
-    lowers a multiplier by at most 1e-150 times the table's total mass),
-    and the direct route over the Hankel node rule. The node rule serves
-    alpha up to the rule's own cap, where it meets 1e-12; alpha closer to 1
-    takes the scalar real-axis rule per mode (`multiplier_method`).
+    the exact integer spectrum instead: `_Step`), by the route
+    `multiplier_method` names (heat factors flushed as `_FLUSH` says).
     """
     ta = _time_scale(cfg, t)
     if ta == 0.0:
@@ -445,7 +440,7 @@ def caputo_residual_l1(alpha: Alpha | float, mu: float, t_grid: np.ndarray) -> f
         raise ValueError("t_grid must be uniform")
     if t[-1] < 1.0:
         raise ValueError("grid must extend to T >= 1")
-    u = np.array([mittag_leffler_neg(a, mu * ti ** a) for ti in t])
+    u = _ml_neg(a, mu * t ** a)
     if a == 1.0:
         deriv = np.diff(u) / dt
     else:

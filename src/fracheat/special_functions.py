@@ -1,22 +1,21 @@
-"""Scalar special functions for the fractional heat propagator.
+"""Special functions for the fractional heat propagator.
 
 Provides gamma helpers, the Mittag-Leffler function E_alpha(-x) on the
 negative real axis (one pole-corrected real-axis rule in double precision,
 arbitrary-precision power and asymptotic sums in extended precision, and
-the batched Hankel node rule of the propagator, checked against them), and
-the Wright-type density M_alpha(s) that subordinates the fractional
+the Hankel node rule of the propagator, checked against them), and the
+Wright-type density M_alpha(s) that subordinates the fractional
 propagator to the classical heat semigroup. Extended precision is a
 property of E_alpha alone: M_alpha has one precision, a double certified
 to 1e-12 relative, summed in mpmath only where the double series fails
 its certificate.
 
-All evaluations are pure functions of their arguments; the only global
-state is internal memoization, which never changes a computed value.
+The rules take arrays, and the scalar functions are one-element calls. No
+computed value is memoized: the only global state is per-alpha rule tables.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,10 +65,6 @@ class Alpha:
 # gamma helpers
 # ---------------------------------------------------------------------------
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x), defined for every real x (zero at the poles of Gamma)."""
     lr, sign = _log_abs_reciprocal_gamma(float(x))
@@ -82,7 +77,7 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
     """(log|1/Gamma(x)|, sign); sign 0 with log -inf at the poles and where
     log Gamma(x) overflows (x past about 2.5e305). Off the poles, Gamma(x)
     is negative exactly where x < 0 and ceil(-x) is odd."""
-    if _is_nonpositive_integer(x):
+    if x <= 0.0 and x == math.floor(x):
         return -math.inf, 0.0
     try:
         lg = math.lgamma(x)
@@ -100,55 +95,73 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
 # 8 MiB per temporary: at x >= 1e-12 the rule needs at most about 320/alpha
 # nodes, so there it refuses only alpha below 3e-4
 _RULE_MAX_NODES = 1 << 20
+# a row is zero-padded to a multiple of _RULE_PAD lanes and summed with rows of
+# its width in blocks of at most _RULE_BLOCK lanes (0.5 MiB), batch-independent
+_RULE_PAD, _RULE_BLOCK = 32, 1 << 16
 
 
-def _ml_real_axis(alpha: float, x: float) -> tuple[float, int]:
-    """(E_alpha(-x), node count) for 0 < alpha < 1 and x > 0 by the trapezoid
-    rule on Mainardi's spectral integral (Mainardi 2014, DCDS-B 19): with
-    t = x^(1/alpha) and s = sin((1-alpha) pi/2),
+def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E_alpha(-x), node count) at each x > 0 of a 1-D array, 0 < alpha < 1,
+    by the trapezoid rule on Mainardi's spectral integral (Mainardi 2014,
+    DCDS-B 19): with t = x^(1/alpha) and s = sin((1-alpha) pi/2),
 
         E_alpha(-x) = (sin((1-alpha) pi)/pi) int_R exp(-t e^u) du / (4 sinh^2(alpha u/2) + 4 s^2).
 
     The integrand is positive, so nothing cancels at any x. Its nearest poles
     sit at u = +-i theta, theta = pi (1-alpha)/alpha; when theta < pi/2 their
     share of the trapezoid error is subtracted in closed form (Trefethen &
-    Weideman 2014, SIAM Review 56). The nodes are offset by half a step from
-    a multiple of h, which makes the correction's q = -exp(-2 pi theta/h)
-    real with |1 - q| >= 1: without the snap it resonates as alpha -> 1.
+    Weideman 2014, SIAM Review 56). Every x takes its own window of the one
+    lattice u_k = h (k + 1/2): the half-step offset makes the correction's
+    q = -exp(-2 pi theta/h) real with |1 - q| >= 1, where without it the
+    correction resonates as alpha -> 1.
     """
-    lt = math.log(x) / alpha  # ln t, finite where t itself would overflow
+    lt = np.log(x) / alpha  # ln t, finite where t itself would overflow
     # the step resolves the strip |Im u| < pi/2, where exp(-t e^u) stops
     # decaying, to 1e-12; a finer step gains nothing
     h = 0.9 * math.pi ** 2 / math.log(1e5 / 1e-12)
     # the left cut lies e^-45 below the integrand's scale, and its e^(alpha u)
     # tail is added in closed form; past the right cut exp(-t e^u) < e^-40
-    lo = h * (math.floor((min(-lt, 0.0) - 45.0 / alpha) / h) + 0.5)
-    n = int((math.log(40.0) - lt - lo) / h) + 1
-    if n > _RULE_MAX_NODES:
+    lo = h * (np.floor((np.minimum(-lt, 0.0) - 45.0 / alpha) / h) + 0.5)
+    n = ((math.log(40.0) - lt - lo) / h).astype(np.int64) + 1
+    if np.any(n > _RULE_MAX_NODES):
         raise UnreliableEvaluationError(
-            f"E_alpha(-x) needs {n} real-axis nodes at alpha={alpha}, x={x}; "
+            f"E_alpha(-x) needs {n.max()} real-axis nodes at alpha={alpha}, x={x[n.argmax()]}; "
             f"beyond the budget of {_RULE_MAX_NODES}")
-    u = lo + h * np.arange(n)
     s2 = 4.0 * math.sin(0.5 * math.pi * (1.0 - alpha)) ** 2
     # past x = 1 the integrand is summed times x (r^2 = 1/x), so that its
     # left flank, where 4 sinh^2(alpha u/2) ~ x e^45, neither overflows nor
     # goes subnormal as x approaches the double range
-    r = math.exp(-0.5 * alpha * max(lt, 0.0))
-    with np.errstate(over="ignore"):  # right flank at x < 1e-306: 1/inf = 0 loses nothing
-        f = np.exp(-np.exp(lt + u)) / ((2.0 * r * np.sinh(0.5 * alpha * u)) ** 2 + s2 * r * r)
+    r = np.exp(-0.5 * alpha * np.maximum(lt, 0.0))
+    total, width = np.empty(x.shape), -(-n // _RULE_PAD) * _RULE_PAD
+    # two temporaries for every block: fresh ones cost more in page faults
+    work = np.empty((2, max(min(width.sum(), _RULE_BLOCK), width.max(initial=0))))
+    for w in (_RULE_PAD * np.flatnonzero(np.bincount(width // _RULE_PAD))).tolist():
+        rows, k, step = np.flatnonzero(width == w), np.arange(w), max(_RULE_BLOCK // w, 1)
+        for i in (rows[b:b + step, None] for b in range(0, rows.size, step)):
+            u, f = (a[:i.size * w].reshape(i.size, w) for a in work)
+            np.add(lo[i], h * k, out=u)
+            # right flank at x < 1e-306 and the padding: 1/inf = 0 loses nothing
+            with np.errstate(over="ignore"):
+                np.exp(np.negative(np.exp(np.add(lt[i], u, out=f), out=f), out=f), out=f)
+                np.sinh(np.multiply(0.5 * alpha, u, out=u), out=u)
+                np.square(np.multiply(u, 2.0 * r[i], out=u), out=u)
+                f /= np.add(u, s2 * r[i] * r[i], out=u)
+            f[:, -_RULE_PAD:][k[-_RULE_PAD:] >= n[i]] = 0.0  # past the row's own cut
+            total[i[:, 0]] = f.sum(axis=1)
     # 1 - alpha is exact in floating point, while sin(alpha pi) loses about
     # 1e-14 near alpha = 1
     c = math.sin(math.pi * (1.0 - alpha)) / math.pi
-    value = c * (h * r * r * f.sum() + math.exp(alpha * lo) / alpha)
+    value = c * (h * r * r * total + np.exp(alpha * lo) / alpha)
     theta = math.pi * (1.0 - alpha) / alpha
     if theta < 0.5 * math.pi:
         q = -math.exp(-2.0 * math.pi * theta / h)
-        # past t = e^700 the pole term underflows to 0
-        pole = cmath.exp(-math.exp(min(lt, 700.0)) * cmath.exp(1j * theta))
-        value -= 2.0 * pole.real * q / (alpha * (1.0 - q))
+        # Re exp(-t e^(i theta)); past t = e^700 it underflows to 0
+        t = np.exp(np.minimum(lt, 700.0))
+        pole = np.exp(-t * math.cos(theta)) * np.cos(t * math.sin(theta))
+        value -= 2.0 * pole * q / (alpha * (1.0 - q))
     # E_alpha(-x) <= 1/(1 + x/Gamma(1+alpha)) <= 1 (Simon 2014, EJP 19);
     # round-off would otherwise lift tiny x just above 1
-    return min(float(value), 1.0), n
+    return np.minimum(value, 1.0), n
 
 
 def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
@@ -237,20 +250,17 @@ def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
     raise ConvergenceError(failure)
 
 
-def _ml_neg(alpha: float, x: float, extended: bool) -> tuple[float, str]:
-    if x == 0.0:
-        return 1.0, "exact"
+def _ml_neg(alpha: float, x: np.ndarray, extended: bool = False) -> np.ndarray:
+    """E_alpha(-x) at each x >= 0 of a 1-D array, alpha validated: 1 at x = 0,
+    exp(-x) at alpha = 1 (the classical limit, which the tests check the rule
+    against), else the real-axis rule, or under extended the mpmath sums."""
+    value, pos = np.ones(x.shape), np.flatnonzero(x > 0.0)
     if alpha == 1.0:
-        # classical limit; the general engine is exercised against this
-        # identity in the test suite
-        return math.exp(-x), "exp"
-    if extended:
-        return _ml_sums_mp(alpha, x)
-    value, n = _ml_real_axis(alpha, x)
-    return value, f"real-axis[{n}]"
-
-
-_ml_neg_cached = lru_cache(maxsize=300_000)(_ml_neg)  # the solver's distinct modes skip it
+        value[pos] = np.exp(-x[pos])
+    else:
+        value[pos] = ([_ml_sums_mp(alpha, v)[0] for v in x[pos].tolist()] if extended
+                      else _ml_real_axis(alpha, x[pos])[0])
+    return value
 
 
 def mittag_leffler_neg_info(alpha: Alpha | float, x: float,
@@ -261,7 +271,12 @@ def mittag_leffler_neg_info(alpha: Alpha | float, x: float,
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return _ml_neg_cached(a, x, bool(extended))
+    if x == 0.0 or a == 1.0:
+        return float(_ml_neg(a, np.array([x]))[0]), "exact" if x == 0.0 else "exp"
+    if extended:
+        return _ml_sums_mp(a, x)
+    value, nodes = _ml_real_axis(a, np.array([x]))  # its one-row call
+    return float(value[0]), f"real-axis[{nodes[0]}]"
 
 
 def mittag_leffler_neg(alpha: Alpha | float, x: float, extended: bool = False) -> float:
@@ -431,34 +446,38 @@ def _wright_contour(alpha: float, s: np.ndarray) -> np.ndarray:
     n = _WRIGHT_CONTOUR_POINTS
     (a, b, c, d, e, f), (scan_a, scan_c) = _wright_contour_geometry(alpha)
 
-    def block(sb):
-        log_mu = np.log(sb * alpha) / (1.0 - alpha)
-        lmu = np.where(log_mu > 690.0, 0.0, np.maximum(log_mu, 0.0))
-        mu = np.exp(lmu)
+    log_mu = np.log(s[:, None] * alpha) / (1.0 - alpha)
+    lmu = np.where(log_mu > 690.0, 0.0, np.maximum(log_mu, 0.0))
+    mu = np.exp(lmu)
+    p = np.where(lmu > 0.0, mu / alpha, s[:, None])  # s mu^alpha
+    f0 = mu - p
+    # rows far below underflow are 0, and only the others are computed
+    live = np.flatnonzero(~((log_mu > 690.0) | (f0 < -700.0))[:, 0])
+
+    def block(i):
         with np.errstate(over="ignore", invalid="ignore"):
-            p = np.where(lmu > 0.0, mu / alpha, sb)  # s mu^alpha
-            f0 = mu - p
-            scan = mu * scan_a - p * scan_c  # Re(g - s g^alpha) at u = hw_j
-            fmax = np.maximum.accumulate(np.maximum(scan, f0), axis=1)
+            scan = mu[i] * scan_a - p[i] * scan_c  # Re(g - s g^alpha) at u = hw_j
+            fmax = np.maximum.accumulate(np.maximum(scan, f0[i]), axis=1)
             drop = scan < fmax - 60.0
             j = np.where(drop.any(axis=1), drop.argmax(axis=1), scan.shape[1])
             fmax = fmax[np.arange(j.size), np.minimum(j, scan.shape[1] - 1)][:, None]
             # Re and Im of the log of the integrand, in place on gathered rows
             re, phase, pc, pd = a[j], b[j], c[j], d[j]
-            re *= mu
-            re -= np.multiply(pc, p, out=pc)
-            re += f[j] + alpha * lmu
-            phase *= mu
-            phase -= np.multiply(pd, p, out=pd)
+            re *= mu[i]
+            re -= np.multiply(pc, p[i], out=pc)
+            re += f[j] + alpha * lmu[i]
+            phase *= mu[i]
+            phase -= np.multiply(pd, p[i], out=pd)
             phase += e[j]
             f_u = np.exp(re, out=re) * np.cos(phase, out=phase)
             val = (4.0 / ((n - 1) * math.pi)) * _WRIGHT_HALF_WIDTHS[j] * f_u.sum(axis=1)
-        val[(fmax > f0 + 25.0)[:, 0]] = np.nan
-        val[((log_mu > 690.0) | (f0 < -700.0))[:, 0]] = 0.0  # far below underflow
+        val[(fmax > f0[i] + 25.0)[:, 0]] = np.nan
         return val
 
-    return np.concatenate([block(s[i:i + _WRIGHT_BLOCK_ROWS, None])
-                           for i in range(0, s.size, _WRIGHT_BLOCK_ROWS)] + [np.empty(0)])
+    out = np.zeros(s.shape)
+    out[live] = np.concatenate([block(live[k:k + _WRIGHT_BLOCK_ROWS])
+                                for k in range(0, live.size, _WRIGHT_BLOCK_ROWS)] + [np.empty(0)])
+    return out
 
 
 @lru_cache(maxsize=64)

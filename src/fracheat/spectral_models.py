@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decay_analysis import _exponent_gap, _log_grid_sup
 from .errors import InsufficientDataError
-from .special_functions import Alpha, _ml_neg_cached
+from .special_functions import Alpha, _ml_neg
 
 __all__ = [
     "DiscreteSpectrum",
@@ -94,25 +93,16 @@ class TraceCatalogEntry:
                              label=self.name)
 
 
-def _catalog() -> tuple[TraceCatalogEntry, ...]:
-    entries = []
-    for n in (1, 2, 3):
-        entries.append(TraceCatalogEntry(
-            name=f"euclidean-laplacian-{n}d", lambda_exp=n / 2,
-            provenance="Laplacian on R^n: Weyl counting ~ s^{n/2}"))
-    entries.append(TraceCatalogEntry(
-        name="compact-lie-sublaplacian-Q4", lambda_exp=2.0,
-        provenance="sub-Laplacian on a compact Lie group of homogeneous dimension Q=4: lambda=Q/2"))
-    entries.append(TraceCatalogEntry(
-        name="heisenberg-sublaplacian-n1", lambda_exp=2.0,
-        provenance="positive sub-Laplacian on the Heisenberg group H_n, n=1: lambda=n+1"))
-    entries.append(TraceCatalogEntry(
-        name="rockland-Q4-nu2", lambda_exp=2.0,
-        provenance="positive Rockland operator of order nu=2 on a graded group of homogeneous dimension Q=4: lambda=Q/nu"))
-    return tuple(entries)
-
-
-DEFAULT_CATALOG: tuple[TraceCatalogEntry, ...] = _catalog()
+DEFAULT_CATALOG: tuple[TraceCatalogEntry, ...] = (
+    *(TraceCatalogEntry(f"euclidean-laplacian-{n}d", n / 2,
+                        "Laplacian on R^n: Weyl counting ~ s^{n/2}") for n in (1, 2, 3)),
+    TraceCatalogEntry("compact-lie-sublaplacian-Q4", 2.0, "sub-Laplacian on a compact Lie "
+                      "group of homogeneous dimension Q=4: lambda=Q/2"),
+    TraceCatalogEntry("heisenberg-sublaplacian-n1", 2.0,
+                      "positive sub-Laplacian on the Heisenberg group H_n, n=1: lambda=n+1"),
+    TraceCatalogEntry("rockland-Q4-nu2", 2.0, "positive Rockland operator of order nu=2 on a "
+                      "graded group of homogeneous dimension Q=4: lambda=Q/nu"),
+)
 
 
 def torus_laplacian_1d(k_max: int = 200) -> SpectralModel:
@@ -133,16 +123,16 @@ def torus_laplacian_2d(k_max: int = 60) -> SpectralModel:
     )
 
 
-def trace_counting(model: SpectralModel, s: float) -> float:
-    """tau(s): generalized count of spectrum strictly below s."""
-    s = float(s)
-    if s <= 0.0:
+def trace_counting(model: SpectralModel, s):
+    """tau(s): generalized count of spectrum strictly below s (float or array)."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
     v = model.variant
     if isinstance(v, PowerLawSpectrum):
-        return v.c * s ** v.lambda_exp
+        return (v.c * s ** v.lambda_exp)[()]
     # the eigenvalues ascend strictly: those below s are a prefix
-    return float(sum(v.multiplicities[:bisect_left(v.eigenvalues, s)]))
+    return np.cumsum((0.0, *v.multiplicities))[np.searchsorted(v.eigenvalues, s)][()]
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,7 @@ def verify_trace_growth(
     if s_hi / s_lo < 1e3:
         raise ValueError("s_range must span at least 3 decades")
     ss = np.logspace(math.log10(s_lo), math.log10(s_hi), 60)
-    tau = np.array([trace_counting(model, s) for s in ss])
+    tau = trace_counting(model, ss)
     keep = tau > 0.0
     if keep.sum() < 5:
         raise InsufficientDataError(
@@ -214,23 +204,19 @@ def condition_supremum(
         raise ValueError("t must be positive and finite")
     a = Alpha.coerce(alpha)
 
-    if representation == "heat":
-        def kernel(s: float) -> float:
-            return math.exp(-t * s)
-    else:
-        ta = t ** a
+    ta = t ** a
 
-        def kernel(s: float) -> float:  # alpha validated once, above
-            x = ta * s
-            if not x < math.inf:  # t near the double range
-                raise ValueError(f"x must be finite and nonnegative, got {x}")
-            return _ml_neg_cached(a, x, False)[0]
-
-    def objective(s: float) -> float:
+    def objective(s: np.ndarray) -> np.ndarray:
+        if representation == "heat":
+            kernel = np.exp(-t * s)
+        else:
+            with np.errstate(over="ignore"):
+                x = ta * s
+            if not np.all(x < math.inf):  # t near the double range
+                raise ValueError(f"x must be finite and nonnegative, got {x.max()}")
+            kernel = _ml_neg(a, x)  # alpha validated once, above
         tau = trace_counting(model, s)
-        if tau <= 0.0:
-            return 0.0
-        return tau ** delta * kernel(s)
+        return np.where(tau > 0.0, tau ** delta * kernel, 0.0)
 
     v = model.variant
     if (representation == "direct_ml" and a < 1.0

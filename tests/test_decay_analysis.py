@@ -88,9 +88,10 @@ class TestSupremumProfiles:
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.5, 0.9), (0.9, 1.0), (1.0, 1.5)])
     def test_profile_is_the_grid_search_of_the_public_kernel(self, alpha, beta):
-        # the objective reads the cached scalar route directly, alpha
-        # validated once: bit for bit the search over mittag_leffler_neg
-        ref = _log_grid_sup(lambda u: u ** beta * mittag_leffler_neg(alpha, u))
+        # the objective evaluates E_alpha in one array call, alpha validated
+        # once: bit for bit the search over mittag_leffler_neg
+        ref = _log_grid_sup(
+            lambda u: u ** beta * np.array([mittag_leffler_neg(alpha, v) for v in u]))
         assert ml_supremum_profile(alpha, beta) == ref
 
     def test_finite_at_beta_one(self):

@@ -23,7 +23,7 @@ from fracheat.pde_solver import (
     write_field,
 )
 from fracheat.special_functions import (
-    _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg_cached, mittag_leffler_neg,
+    _HANKEL_ALPHA_CAP, _ml_hankel, mittag_leffler_neg,
 )
 from fracheat.subordination import wright_mass_nodes
 
@@ -329,6 +329,15 @@ class TestSolve:
                 ref = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
                 assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_2d_direct_above_the_hankel_cap_agrees_with_subordination(self):
+        # the real-axis rule on all 5,924 distinct modes of the 256 grid,
+        # against the mass table at criterion-07's tolerance
+        f = gaussian_bump(PeriodicGrid(dim=2, box_length=64.0, points_per_dim=256))
+        for t in (0.1, 1.0, 5.0):
+            d = spectral_solve(f, SolverConfig(alpha=0.99), t)
+            s = spectral_solve(f, SolverConfig(alpha=0.99, representation="subordination"), t)
+            assert np.max(np.abs(d.samples - s.samples)) / d.max_norm() <= 1e-7
+
     def test_2d_solve_runs(self):
         g = PeriodicGrid(dim=2, box_length=50.0, points_per_dim=128)
         f = gaussian_bump(g)
@@ -435,13 +444,6 @@ class TestMultiplier:
         assert np.array_equal(pde_solver._kernel(cfg, x), ref)
         assert not np.array_equal(_ml_hankel(0.5, x), ref)
 
-    def test_scalar_route_leaves_the_scalar_cache_alone(self):
-        # each distinct mode is evaluated once, so caching them only holds memory
-        w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=16.0, points_per_dim=64))
-        before = _ml_neg_cached.cache_info().currsize
-        spectral_solve(w0, SolverConfig(alpha=0.99), 1.0)
-        assert _ml_neg_cached.cache_info().currsize == before
-
     def test_alpha_above_rule_cap_keeps_scalar_route(self):
         x = np.array([0.0, 0.5, 3.0, 16.4, 40.0])
         got = propagator_multiplier(SolverConfig(alpha=0.995), 1.0, x)
@@ -547,6 +549,19 @@ class TestMultiplier:
                     g = np.exp(np.outer(-t ** alpha * axis, nodes)) * np.sqrt(mass)
                     ref = g @ g.T
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
+    def test_trimmed_1d_matvec_is_the_untrimmed_one(self, alpha):
+        # each 128-row block stops at the last node its first row keeps;
+        # the full flushed matvec, block for block, bit for bit
+        axis = PeriodicGrid(dim=1, box_length=200.0, points_per_dim=4096)._axis_values()
+        cfg = SolverConfig(alpha=alpha, representation="subordination")
+        nodes, mass = wright_mass_nodes(alpha)
+        for ta in (1.0, 4.0, 20.0):
+            x = ta * axis
+            ref = np.concatenate([pde_solver._heat_factors(x[i:i + 128], nodes) @ mass
+                                  for i in range(0, x.size, 128)])
+            assert np.array_equal(pde_solver._kernel(cfg, x), ref)
 
     def test_2d_table_is_exactly_symmetric(self, monkeypatch):
         # the tables a 2D subordination sweep reads, geometric and

@@ -21,7 +21,8 @@ from fracheat.special_functions import (
     mittag_leffler_neg_info,
     _log_abs_reciprocal_gamma,
     _ml_hankel,
-    _ml_neg_cached,
+    _ml_neg,
+    _ml_real_axis,
     _wright_batch,
     _wright_contour,
     _wright_contour_geometry,
@@ -161,7 +162,6 @@ class TestMittagLeffler:
     def test_repeat_extended_sum_computes_no_new_coefficient(self, monkeypatch):
         # the power series at alpha 0.02, x 1.09 needs about 15,000 coefficients
         first = mittag_leffler_neg_info(0.02, 1.09, extended=True)
-        _ml_neg_cached.cache_clear()  # repeat the sum, not the lookup
         calls = []
         rgamma = mp.rgamma
         monkeypatch.setattr(mp, "rgamma", lambda z: calls.append(z) or rgamma(z))
@@ -173,6 +173,30 @@ class TestMittagLeffler:
         # the 400 points of the supremum grid search
         for x in np.exp(np.linspace(math.log(1e-8), math.log(1e8), 400)):
             assert mittag_leffler_neg_info(alpha, float(x))[1].startswith("real-axis[")
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+                    min_size=1, max_size=24).flatmap(st.permutations),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_real_axis_rule_is_row_independent(self, alpha, xs):
+        # each x on its own lattice window and padded width: a shuffled
+        # batch equals its one-row calls, bit for bit
+        x = np.array(xs)
+        assert np.array_equal(_ml_neg(alpha, x), [mittag_leffler_neg(alpha, v) for v in xs])
+        pos = x[x > 0.0]
+        rows = [_ml_real_axis(alpha, pos[i:i + 1]) for i in range(pos.size)]
+        value, nodes = _ml_real_axis(alpha, pos)
+        assert np.array_equal(value, [v[0] for v, _ in rows])
+        assert np.array_equal(nodes, [n[0] for _, n in rows])
+
+    def test_array_rule_leading_asymptotics_at_the_top_of_the_double_range(self):
+        # the batch form of the scalar check below, x = 1e300 among others
+        x = np.array([1e-12, 1.0, 1e300, 1e6])
+        for alpha in (0.05, 0.3, 0.7, 0.99):
+            lead = 1.0 / x[2] / math.gamma(1.0 - alpha)
+            assert _ml_real_axis(alpha, x)[0][2] == pytest.approx(lead, rel=1e-12, abs=0.0)
 
     def test_alpha_one_is_exp(self):
         for x in np.linspace(0.0, 30.0, 31):
@@ -416,6 +440,19 @@ class TestWrightContour:
                 assert abs(v - ref) <= _WRIGHT_SERIES_TOL * ref, (si, v, ref)
                 checked += 1
         assert checked >= 2
+
+    def test_rows_below_underflow_are_zero_and_the_rest_unchanged(self):
+        # alpha 0.95, s in [1, 30]: 1,530 of the 1,568 rows have f0 < -700
+        # and are 0 without being computed; the 38 others equal, bit for
+        # bit, values frozen from a pass that computed every row
+        s = np.linspace(1.0, 30.0, 1568)
+        value = _wright_contour(0.95, s)
+        assert np.all(value[38:] == 0.0) and np.all(value[:38] > 0.0)
+        frozen = {0: 1.5361137992205613, 6: 2.7852266290008445, 12: 2.485675815950164,
+                  18: 0.039985823113459204, 24: 5.359925290392602e-12,
+                  30: 4.387207674630134e-55, 36: 1.17349812595553e-221}
+        assert {i: float(value[i]) for i in frozen} == frozen
+        assert np.array_equal(value, [_wright_contour(0.95, s[i:i + 1])[0] for i in range(s.size)])
 
     def test_geometry_is_built_once_per_alpha_and_read_only(self):
         _wright_contour_geometry.cache_clear()

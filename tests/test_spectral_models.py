@@ -136,14 +136,15 @@ class TestConditionSupremum:
 
     @pytest.mark.parametrize("alpha,t", [(0.3, 0.5), (0.75, 2.0), (1.0, 1.0)])
     def test_direct_route_is_the_grid_search_of_the_public_kernel(self, alpha, t):
-        # the objective reads the cached scalar route directly, alpha
-        # validated once: bit for bit the search over mittag_leffler_neg
+        # the objective evaluates E_alpha in one array call, alpha validated
+        # once: bit for bit the search over mittag_leffler_neg
         m = torus_laplacian_2d()
         delta = 1.0 / (4.0 / 3.0) - 1.0 / 4.0
 
         def objective(s):
             tau = trace_counting(m, s)
-            return tau ** delta * mittag_leffler_neg(alpha, t ** alpha * s) if tau > 0.0 else 0.0
+            ml = np.array([mittag_leffler_neg(alpha, t ** alpha * v) for v in s])
+            return np.where(tau > 0.0, tau ** delta * ml, 0.0)
 
         assert condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t) == _log_grid_sup(objective)
 
