@@ -172,7 +172,6 @@ def _parse_alphas(text: str) -> list[float]:
 
 def cmd_eval_ml(args) -> list[dict]:
     value, method = mittag_leffler_neg_info(args.alpha, args.x, args.extended)
-    print(f"E_alpha(-x) = {value!r}   [alpha={args.alpha}, x={args.x}, method={method}]")
     return [{"command": "eval-ml", "alpha": args.alpha, "x": args.x,
              "value": value, "method": method}]
 
@@ -181,7 +180,6 @@ def cmd_eval_wright(args) -> list[dict]:
     res = wright_m_info(args.alpha, args.s)
     if not res.reliable:
         raise QualityFailure(f"M_alpha unreliable at alpha={args.alpha}, s={args.s}")
-    print(f"M_alpha(s) = {res.value!r}   [alpha={args.alpha}, s={args.s}, method={res.method}]")
     return [{"command": "eval-wright", "alpha": args.alpha, "s": args.s,
              "value": res.value, "method": res.method}]
 
@@ -197,7 +195,6 @@ def cmd_verify_subordination(args) -> list[dict]:
                         "worst_abs_error": worst, "n_points": 30,
                         "tolerance": 1e-8, "method": "quadrature-vs-reference"})
         worst_overall = max(worst_overall, worst)
-        print(f"alpha={a}: worst |subordination - direct| = {worst:.3e}")
     if worst_overall > 1e-8:
         raise QualityFailure(f"subordination identity error {worst_overall:.3e} > 1e-8")
     return records
@@ -215,7 +212,6 @@ def cmd_verify_moments(args) -> list[dict]:
             records.append({"command": "verify-moments", "alpha": a, "gamma": g,
                             "numeric": numeric, "exact": exact,
                             "relative_error": rel, "method": "quadrature"})
-            print(f"alpha={a} gamma={g:5.1f}: rel error {rel:.3e}")
     if worst > 1e-6:
         raise QualityFailure(f"moment identity error {worst:.3e} > 1e-6")
     return records
@@ -229,7 +225,6 @@ def cmd_verify_special(args) -> list[dict]:
         records.append({"command": "verify-special", "check": name,
                         "worst_error": worst, "tolerance": tol,
                         "passed": ok, "method": "cross-check"})
-        print(f"{name}: worst {worst:.3e} (tol {tol:g}) {'ok' if ok else 'FAIL'}")
         if not ok:
             raise QualityFailure(f"{name}: {worst:.3e} > {tol:g}")
 
@@ -252,7 +247,7 @@ def cmd_decay_sup(args) -> list[dict]:
         raise ValueError(f"lambda*(1/p-1/q) = {beta} must lie in (0, 1]")
     base = {"command": "decay-sup", "alpha": args.alpha, "lambda": args.lmbda,
             "p": args.p, "q": args.q, "beta": beta, "t": args.t}
-    records = [
+    return [
         {**base, "kernel": "heat", "method": "closed-form",
          "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
         {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
@@ -261,9 +256,6 @@ def cmd_decay_sup(args) -> list[dict]:
         {**base, "kernel": "algebraic-bound", "method": "closed-form",
          "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
     ]
-    for r in records:
-        print(f"{r['kernel']}: sup = {r['value']!r} ({r['method']})")
-    return records
 
 
 def cmd_decay_compare(args) -> list[dict]:
@@ -278,7 +270,6 @@ def cmd_decay_compare(args) -> list[dict]:
                     "lambda": args.lmbda, "verdict": report.verdict,
                     "direct_uniform_bound": report.direct_uniform_bound,
                     "method": "simon-2014-bound"})
-    print(report.verdict)
     return records
 
 
@@ -310,14 +301,15 @@ def _available_memory() -> int | None:
 def cmd_solve(args) -> list[dict]:
     grid = pde_solver.PeriodicGrid(dim=args.dim, box_length=args.box_length,
                                    points_per_dim=args.n_points)
+    rep = "direct_ml" if args.rep == "direct" else args.rep
+    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep)
+    pde_solver._time_scale(cfg, args.t)
     need = grid.points_per_dim ** grid.dim * _SOLVE_BYTES_PER_POINT
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"solve on {grid.points_per_dim}^{grid.dim} points needs about "
                          f"{need / 2 ** 20:.1f} MiB; {available / 2 ** 20:.1f} MiB available")
     w0 = pde_solver.gaussian_bump(grid, sigma=args.sigma)
-    rep = "direct_ml" if args.rep == "direct" else args.rep
-    cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep)
     w = pde_solver.spectral_solve(w0, cfg, args.t)
     if args.field_out:
         pde_solver.write_field(w, args.field_out, time=args.t)
@@ -326,7 +318,6 @@ def cmd_solve(args) -> list[dict]:
            "L": args.box_length, "N": args.n_points,
            "norm_l2": w.norm_lp(2.0), "max_norm": w.max_norm(),
            "mean": w.mean(), "method": pde_solver.multiplier_method(cfg)}
-    print(f"t={args.t}: ||w||_2 = {rec['norm_l2']!r}, max = {rec['max_norm']!r}")
     return [rec]
 
 

@@ -39,7 +39,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
 from .errors import InsufficientDataError, QuadratureError
-from .special_functions import Alpha, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg
+from .special_functions import Alpha, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg, _wright_alpha
 from .subordination import wright_mass_nodes
 
 __all__ = [
@@ -222,8 +222,8 @@ class SolverConfig:
             object.__setattr__(self, "alpha", Alpha(float(self.alpha)))
         if self.representation not in ("direct_ml", "subordination"):
             raise ValueError(f"unknown representation {self.representation!r}")
-        if self.representation == "subordination" and not self.alpha.value < 1.0:
-            raise ValueError("subordination representation requires alpha < 1")
+        if self.representation == "subordination":
+            _wright_alpha(self.alpha)
 
 
 # modes per block of the Hankel kernel, whose few (rows, 16) temporaries

@@ -365,6 +365,19 @@ def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 _WRIGHT_ALPHA_CAP = 0.995  # series conditioning degrades as alpha -> 1
+
+
+def _wright_alpha(alpha: Alpha | float) -> float:
+    """alpha as a float where M_alpha is evaluated, 0 < alpha <= the cap;
+    ValueError otherwise. Every entry point that integrates or samples the
+    density calls it first, before any cut, rule or sample is built."""
+    a = Alpha.coerce(alpha)
+    if a > _WRIGHT_ALPHA_CAP:
+        raise ValueError(f"M_alpha requires 0 < alpha <= {_WRIGHT_ALPHA_CAP} (its series "
+                         f"conditioning degrades toward 1), got alpha={a}")
+    return a
+
+
 # relative error to which a double-precision series sum is certified
 _WRIGHT_SERIES_TOL = 1e-12
 
@@ -555,12 +568,7 @@ def _wright_batch(alpha: Alpha | float, s: np.ndarray) -> tuple[np.ndarray, np.n
     declined node is 0 below an e^-80 envelope, else joins 0 < s < 1 in the
     series (and is tagged by it); an uncertified series node is summed in
     mpmath."""
-    alpha = Alpha.coerce(alpha)
-    if not alpha < 1.0:
-        raise ValueError("wright_m requires 0 < alpha < 1")
-    if alpha > _WRIGHT_ALPHA_CAP:
-        raise ValueError(f"alpha={alpha} too close to 1 for reliable Wright evaluation; "
-                         f"cap is {_WRIGHT_ALPHA_CAP}")
+    alpha = _wright_alpha(alpha)
     value = np.full(s.shape, np.nan)
     log_env = wright_log_envelope(alpha, s)
     value[s == 0.0] = reciprocal_gamma(1.0 - alpha)

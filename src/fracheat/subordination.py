@@ -19,6 +19,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 from .special_functions import (
     Alpha,
+    _wright_alpha,
     _wright_m_array,
     reciprocal_gamma,
     wright_log_envelope,
@@ -159,31 +160,34 @@ def _sample_density(alpha: float, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _density_tables(alpha: float, scale: int,
-                    intervals: Sequence[tuple[float, float]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes, Gauss weight * M_alpha(node)) of the panels on each [lo, cut],
-    the density sampled at the nodes of all of them in one pass (a node's
-    value does not depend on the others in the pass). lo = 0 puts one panel
-    [0, _S_FLOOR] ahead of the adapted ones."""
-    rules = [_gauss_panels(([0.0] if lo == 0.0 else []) + _panel_edges(
-        alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale), _NODES_PER_PANEL)
-        for lo, cut in intervals]
-    m = _sample_density(alpha, np.concatenate([nodes for nodes, _ in rules]))
-    parts = np.split(m, np.cumsum([nodes.size for nodes, _ in rules])[:-1])
-    return [(nodes, weights * part) for (nodes, weights), part in zip(rules, parts)]
+def _panel_masses(alpha: float, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, Gauss weight * M_alpha(node)) of the panels between the edges,
+    the density sampled in one pass."""
+    nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
+    return nodes, weights * _sample_density(alpha, nodes)
 
 
 @lru_cache(maxsize=512)
 def _density_table(alpha: float, scale: int, lo: float,
                    cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only table of `_density_tables` on one [lo, cut], cached per
+    """The read-only table of the adapted panels on [lo, cut], cached per
     (alpha, refinement scale, interval): every weight s^gamma, x and Fourier
     mode integrated against the density over the same interval shares one
-    sampling and applies its weight at use."""
-    (nodes, mass), = _density_tables(alpha, scale, [(lo, cut)])
+    sampling and applies its weight at use. lo = 0 puts one panel
+    [0, _S_FLOOR] ahead of the adapted ones."""
+    nodes, mass = _panel_masses(alpha, ([0.0] if lo == 0.0 else [])
+                                + _panel_edges(alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale))
     nodes.setflags(write=False)
     mass.setflags(write=False)
     return nodes, mass
+
+
+def _doubled(v1: float, v2: float, tol: float, failure: str) -> float:
+    """v2, the value on doubled panels, where it is within tol of v1, the
+    value at scale 1; QuadratureError (failure, then the change) otherwise."""
+    if not abs(v1 - v2) <= tol:
+        raise QuadratureError(f"{failure}: doubling changes {abs(v1 - v2):.3e} > {tol:.3e}")
+    return v2
 
 
 def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +196,7 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
 
     Shared machinery for the scalar identity checks and the per-mode
     subordination solves (the density is sampled once per alpha)."""
-    a = Alpha.coerce(alpha)
-    if not a < 1.0:
-        raise ValueError("subordination requires 0 < alpha < 1")
+    a = _wright_alpha(alpha)
     cut = _adaptive_cut(a, 0.0)
     _certify_tail(a, cut, 0.0)
     return _density_table(a, 1, 0.0, cut)
@@ -207,9 +209,7 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     Converges to within _TARGET_TOL, verified by panel doubling;
     failure to stabilize after doubling raises QuadratureError.
     """
-    a = Alpha.coerce(alpha)
-    if not a < 1.0:
-        raise ValueError("subordination requires 0 < alpha < 1")
+    a = _wright_alpha(alpha)
     x = float(x)
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
@@ -218,20 +218,10 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     # beyond the cut the heat weight exp(-s x) is at most exp(-cut x)
     _certify_tail(a, cut, 0.0, math.exp(-cut * x))
 
-    def value(scale: int) -> float:
-        nodes, mass = _density_table(a, scale, 0.0, cut)
-        return float(np.dot(mass, np.exp(-nodes * x)))
-
-    v1, v2 = value(1), value(2)
-    if abs(v1 - v2) <= _TARGET_TOL:
-        return v2
-    v4 = value(4)
-    if abs(v2 - v4) <= _TARGET_TOL:
-        return v4
-    raise QuadratureError(
-        f"subordination quadrature did not stabilize at alpha={a}, x={x}: "
-        f"doubling changes {abs(v2 - v4):.3e} > {_TARGET_TOL}"
-    )
+    tables = (_density_table(a, scale, 0.0, cut) for scale in (1, 2))
+    v1, v2 = (float(np.dot(mass, np.exp(-nodes * x))) for nodes, mass in tables)
+    return _doubled(v1, v2, _TARGET_TOL,
+                    f"subordination quadrature did not stabilize at alpha={a}, x={x}")
 
 
 @lru_cache(maxsize=64)
@@ -270,9 +260,7 @@ def wright_moment(alpha: Alpha | float, gamma: float) -> float:
     computes the integral independently (Gauss-Jacobi near 0 plus panels)
     so the identity can be *checked*, not assumed.
     """
-    a = Alpha.coerce(alpha)
-    if not a < 1.0:
-        raise ValueError("wright_moment requires 0 < alpha < 1")
+    a = _wright_alpha(alpha)
     gamma = float(gamma)
     if gamma <= -1.0:
         raise ValueError(
@@ -285,13 +273,8 @@ def wright_moment(alpha: Alpha | float, gamma: float) -> float:
     m = _wright_m_array(a, 0.5 * (np.concatenate([xj for xj, _ in rules]) + 1.0))
     v1, v2 = (0.5 ** (gamma + 1.0) * float(np.dot(wj, mj)) + _upper_moment(a, gamma, scale)
               for (_, wj), mj, scale in zip(rules, np.split(m, [rules[0][0].size]), (1, 2)))
-    tol = max(_TARGET_TOL, 1e-9 * abs(v2))
-    if abs(v1 - v2) > tol:
-        raise QuadratureError(
-            f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}: "
-            f"doubling changes {abs(v1 - v2):.3e}"
-        )
-    return v2
+    return _doubled(v1, v2, max(_TARGET_TOL, 1e-9 * abs(v2)),
+                    f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}")
 
 
 def subordination_constant(alpha: Alpha | float, beta: float) -> float:
@@ -329,9 +312,17 @@ class EndpointDivergenceProfile:
 
 def endpoint_divergence_profile(alpha: Alpha | float,
                                 eps_list: Sequence[float]) -> EndpointDivergenceProfile:
-    a = Alpha.coerce(alpha)
-    if not a < 1.0:
-        raise ValueError("requires 0 < alpha < 1")
+    """I(eps_k) = int_eps_k^inf s^-1 M_alpha(s) ds at each of at least two
+    eps values in (0, 1), strictly decreasing, with the fit of I against
+    ln(1/eps).
+
+    The integrals are nested, so one table serves them all: the adapted
+    panels on [min eps, 1] with every eps inserted as an edge, sampled in
+    one pass. I(eps_k) is the sum of the panels right of eps_k's edge (a
+    reverse running sum of the panels' integrals) plus the shared
+    int_1^inf, whose dropped tail is certified.
+    """
+    a = _wright_alpha(alpha)
     eps = [float(e) for e in eps_list]
     if len(eps) < 2:
         raise ValueError("need at least two eps values")
@@ -340,11 +331,14 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     if not all(b < a0 for a0, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps values must decrease toward 0")
 
-    # each eps sums its own [eps, 1] (series nodes only, all sampled in one
-    # pass) onto one shared [1, inf)
+    edges = np.sort(np.r_[_panel_edges(a, eps[-1], 1.0, 2), eps])
+    # the sorted union; np.union1d would import numpy.ma on a cold run
+    edges = edges[np.r_[True, edges[1:] > edges[:-1]]]
+    nodes, mass = _panel_masses(a, edges)
+    panels = (mass / nodes).reshape(-1, _NODES_PER_PANEL).sum(axis=1)
+    below_one = np.cumsum(panels[::-1])[::-1]  # int_{edge k}^1, k < last edge
     upper = _upper_moment(a, -1.0, 2)
-    values = [float(np.dot(mass, 1.0 / nodes)) + upper
-              for nodes, mass in _density_tables(a, 2, [(e, 1.0) for e in eps])]
+    values = [float(v) + upper for v in below_one[np.searchsorted(edges, eps)]]
     lx = np.log(1.0 / np.asarray(eps))
     slope, intercept = np.polyfit(lx, np.asarray(values), 1)
     return EndpointDivergenceProfile(

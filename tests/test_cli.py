@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fracheat import cli, decay_analysis
+from fracheat import cli, decay_analysis, pde_solver
 from fracheat.pde_solver import read_field
 from fracheat.special_functions import mittag_leffler_neg
 
@@ -40,6 +40,18 @@ def in_workdir(argv, tmp_path):
     if argv[0] == "solve":
         argv += ["--field-out", str(work / "field.bin")]
     return argv, work
+
+
+class TestStdout:
+    @pytest.mark.parametrize("argv", COMMANDS[:-1], ids=[argv[0] for argv in COMMANDS[:-1]])
+    def test_stdout_carries_only_the_report(self, capsys, argv):
+        # without --out the report is all of stdout: valid JSON, or CSV
+        # whose first line is the header
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run([*argv, "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == ",".join(sorted({key for rec in doc["records"] for key in rec}))
 
 
 class TestEval:
@@ -317,6 +329,19 @@ class TestSolveAndReport:
     def test_solve_rejects_non_finite_time(self, capsys):
         assert run(["solve", "--alpha", "0.5", "--t", "nan", "--N", "256"]) == 2
         assert "error code=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--t=-1"], ["--t", "nan"],
+                                       ["--t", "1", "--rep", "subordination", "--alpha", "0.999"]])
+    def test_solve_validates_before_it_allocates(self, monkeypatch, capsys, extra):
+        # on the default 2D grid (N 4096) a bad t or alpha is refused before
+        # the memory preflight and before the initial field is allocated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past validation")
+
+        monkeypatch.setattr(cli, "_available_memory", unreachable)
+        monkeypatch.setattr(pde_solver, "gaussian_bump", unreachable)
+        assert run(["solve", "--alpha", "0.5", "--dim", "2", *extra]) == 2
+        assert "error code=2 type=ValueError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--L", "nan", "box_length"), ("--L", "inf", "box_length"), ("--sigma", "nan", "sigma"),

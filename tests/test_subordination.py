@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracheat import cli, subordination
+from fracheat import cli, special_functions, subordination
 from fracheat.errors import QuadratureError
 from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
 from fracheat.special_functions import _wright_m_array, mittag_leffler_neg, wright_log_envelope
@@ -115,6 +115,58 @@ class TestTailCertificate:
         nodes, weights = _gauss_panels(list(np.geomspace(cut, 50.0 * cut + 200.0, 161)), 16)
         tail = float(np.dot(weights, _wright_m_array(alpha, nodes) * nodes ** weight_exp))
         assert subordination._tail_bound(alpha, cut, weight_exp) >= tail
+
+
+class TestAlphaGate:
+    # the six entry points that sample or integrate M_alpha refuse an alpha
+    # past the Wright cap 0.995 before any cut, tail sample, Gauss-Jacobi
+    # rule or density sample is built
+    BUILDERS = [(subordination, "_adaptive_cut"), (subordination, "_tail_sample"),
+                (subordination, "_gauss_jacobi"), (subordination, "_sample_density"),
+                (subordination, "_wright_m_array"), (special_functions, "wright_log_envelope"),
+                (special_functions, "_wright_contour"), (special_functions, "_wright_series")]
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.0])
+    @pytest.mark.parametrize("call", [
+        lambda a: special_functions._wright_batch(a, np.array([0.5, 2.0])),
+        lambda a: wright_mass_nodes(a),
+        lambda a: subordinate_scalar(a, 1.0),
+        lambda a: wright_moment(a, 1.0),
+        lambda a: endpoint_divergence_profile(a, [1e-2, 1e-3]),
+        lambda a: SolverConfig(a, "subordination"),
+    ], ids=["wright_batch", "wright_mass_nodes", "subordinate_scalar", "wright_moment",
+            "endpoint_divergence_profile", "SolverConfig"])
+    def test_refused_before_any_table_is_built(self, alpha, call, monkeypatch):
+        def builder(*args, **kwargs):
+            raise AssertionError("built a table for a refused alpha")
+
+        for module, name in self.BUILDERS:
+            monkeypatch.setattr(module, name, builder)
+        with pytest.raises(ValueError, match="requires 0 < alpha <= 0.995"):
+            call(alpha)
+
+    def test_cap_itself_is_admitted(self):
+        assert SolverConfig(0.995, "subordination").alpha.value == 0.995
+        assert float(wright_mass_nodes(0.995)[1].sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDoublingCheck:
+    def test_perturbed_doubled_table_is_refused(self, monkeypatch):
+        # scale 1 against scale 2 is the one convergence check: a scale-2
+        # table whose masses are off by 1e-8 fails it in both integrals
+        table = subordination._density_table
+
+        def perturbed(alpha, scale, lo, cut):
+            nodes, mass = table(alpha, scale, lo, cut)
+            return nodes, mass * (1.0 + 1e-8) if scale == 2 else mass
+
+        monkeypatch.setattr(subordination, "_density_table", perturbed)
+        with pytest.raises(QuadratureError,
+                           match="subordination quadrature did not stabilize at alpha=0.5, x=1.0"):
+            subordinate_scalar(0.5, 1.0)
+        with pytest.raises(QuadratureError,
+                           match="moment quadrature did not stabilize at alpha=0.5, gamma=1.0"):
+            wright_moment(0.5, 1.0)
 
 
 class TestMassNodes:
@@ -356,9 +408,9 @@ class TestEndpointDivergence:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     def test_eps_tables_are_sampled_in_one_pass(self, alpha, monkeypatch):
-        # every [eps, 1] table goes through one batched call, and each
-        # integral equals the one from its table built alone
-        eps = list(np.logspace(-2, -5, 8))
+        # the integrals are nested: one table below s = 1 serves every eps,
+        # sampled in one pass, and each integral is within round-off of the
+        # one from its own [eps, 1] table built alone
         calls = []
 
         def counting(a, nodes):
@@ -366,12 +418,15 @@ class TestEndpointDivergence:
             return _sample_density(a, nodes)
 
         monkeypatch.setattr(subordination, "_sample_density", counting)
-        prof = endpoint_divergence_profile(alpha, eps)
-        assert sum(top <= 1.0 for top in calls) == 1
-        upper = subordination._upper_moment(alpha, -1.0, 2)
-        for e, value in zip(eps, prof.integral):
-            nodes, mass = subordination._density_table(alpha, 2, e, 1.0)
-            assert value == float(np.dot(mass, 1.0 / nodes)) + upper
+        for eps in (list(np.logspace(-2, -5, 8)), [0.7, 0.51, 0.5, 0.49]):
+            calls.clear()
+            prof = endpoint_divergence_profile(alpha, eps)
+            assert sum(top <= 1.0 for top in calls) == 1
+            upper = subordination._upper_moment(alpha, -1.0, 2)
+            for e, value in zip(eps, prof.integral):
+                nodes, mass = subordination._density_table(alpha, 2, e, 1.0)
+                assert value == pytest.approx(float(np.dot(mass, 1.0 / nodes)) + upper,
+                                              rel=1e-14)
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
