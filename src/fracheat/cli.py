@@ -274,28 +274,49 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process: the largest measured peak, 50.8 B at 1D N = 2^24, L = 2e5
-# by subordination at alpha 0.95 (813 MiB; 810 at alpha 0.5, 805 direct),
-# rounded up; 2D N = 4096 peaks at 471 MiB (29 B) direct (474 at alpha
-# 0.99) and 474-486 MiB by subordination. A solve holds w0, its spectrum
-# (the product is written over it) and the field, plus one (N/2+1)^2 table
+# fresh process, above the largest measured peak of the Hankel and Wright
+# routes: 46.4 B at 1D N = 2^24, L = 2e5 by subordination at alpha 0.95
+# (742 MiB; 741 at alpha 0.5, 740 direct); 2D N = 4096 peaks at 463 MiB
+# (29 B) direct (474 at alpha 0.99) and 473-485 MiB by subordination. The
+# 1D real-axis route is not covered: 1,325 MiB (82.8 B) at alpha 0.99. A
+# solve holds w0, its spectrum (the product is written over it) and the
+# field, plus one (N/2+1)^2 table
 _SOLVE_BYTES_PER_POINT = 51
 
 
-def _available_memory() -> int | None:
-    """Bytes the kernel can hand to new allocations: MemAvailable, else the
-    free physical pages; None where neither can be read."""
+def _read(path: str) -> str:
+    """The text of a file, "" where it cannot be read."""
     try:
-        with open("/proc/meminfo") as f:
-            for line in f:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+        with open(path) as f:
+            return f.read()
     except OSError:
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError):
-        return None
+        return ""
+
+
+def _available_memory() -> int | None:
+    """Bytes new allocations can take: the least of MemAvailable (else the
+    free physical pages) and the headroom of the process's own memory
+    cgroup, memory.max - memory.current (v2) or memory.limit_in_bytes -
+    memory.usage_in_bytes (v1) under the path /proc/self/cgroup gives, where
+    a limit is set and can be read; None where none of these can be read."""
+    limits = [int(line.split()[1]) * 1024 for line in _read("/proc/meminfo").splitlines()
+              if line.startswith("MemAvailable:")]
+    if not limits:
+        try:
+            limits.append(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+        except (ValueError, OSError):
+            pass
+    for line in _read("/proc/self/cgroup").splitlines():
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if controllers and "memory" not in controllers.split(","):
+            continue
+        base = f"/sys/fs/cgroup{'/memory' if controllers else ''}{path.rstrip('/')}/memory."
+        limit, usage = ("limit_in_bytes", "usage_in_bytes") if controllers else ("max", "current")
+        try:
+            limits.append(max(int(_read(base + limit)) - int(_read(base + usage)), 0))
+        except ValueError:  # no limit ("max"), or a file that cannot be read ("")
+            pass
+    return min(limits, default=None)
 
 
 def cmd_solve(args) -> list[dict]:

@@ -6,8 +6,10 @@ solution mass reaches the boundary. The propagator acts mode-by-mode:
 each Fourier mode xi is multiplied by E_alpha(-t^alpha |xi|^2), either
 evaluated directly or through the Wright-subordination quadrature over
 classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
-its spectrum is Hermitian: a solve is one real FFT, the multiplier on the
-half spectrum (N//2 + 1 modes on the last axis) and one inverse real FFT.
+its spectrum is Hermitian: a solve is one real FFT (rfftn's own sequence:
+a real FFT over the last axis, then in 2D an in-place FFT over axis 0), the
+multiplier on the half spectrum (N//2 + 1 modes on the last axis) and one
+inverse real FFT.
 On the box |xi|^2 = (2 pi / L)^2 n with n = i^2 (+ j^2) an exact integer,
 so each solve or sweep keys its modes on integers once. In 1D the
 multiplier is read on the U = N//2 + 1 axis values c_u = xi_u^2
@@ -161,8 +163,14 @@ class Field:
 
 def _norm_of_abs(a: np.ndarray, p: float, cell_volume: float) -> float:
     """`Field.norm_lp` from the samples' absolute values `a`, which it
-    raises to the power p in place."""
-    a **= p
+    raises to the power p in place: p = 2 and 4 by one or two squarings,
+    any other p by libm's pow on the nonzero samples alone."""
+    if p in (2.0, 4.0):
+        a *= a
+        if p == 4.0:
+            a *= a
+    else:
+        np.power(a, p, out=a, where=a > 0.0)
     return float(a.sum() * cell_volume) ** (1.0 / p)
 
 
@@ -230,9 +238,10 @@ class SolverConfig:
 # take half the time in blocks of 512 rows as in blocks of 128
 _BLOCK_ROWS = 512
 # modes per block of the 1D subordination matvec: its (modes x nodes) heat
-# factors and flush mask take at most 0.9 MB at a 784-node mass table (2.1 MB
-# at 1,824 nodes), about a core's 2 MiB of L2 cache, where 512 rows took
-# 1.3-1.4 times as long; the 2D table's factor is built once per step
+# factors take at most 0.8 MB at a 784-node mass table (1.9 MB at 1,824
+# nodes), about a core's 2 MiB of L2 cache, where 512 rows took 1.3-1.4 times
+# as long, and the flush mask at most an eighth of that (one byte a lane, on
+# the flushed lanes alone); the 2D table's factor is built once per step
 _HEAT_BLOCK_ROWS = 128
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
@@ -242,20 +251,32 @@ _FLUSH = 345.0
 
 
 def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
-    return np.concatenate([kernel(x[i:i + rows]) for i in range(0, x.size, rows)])
+    """kernel(x) by blocks of `rows` values, each copied into one result
+    array as it is made, so the blocks are never all held at once."""
+    out = np.empty(x.size)
+    for i in range(0, x.size, rows):
+        out[i:i + rows] = kernel(x[i:i + rows])
+    return out
 
 
 def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
-    """exp(-x_u s_i), x_u >= 0, flushed to 0 where x_u s_i > _FLUSH; written
-    over the leading entries of `work`, a (float, bool) buffer pair, if given."""
-    size, shape = x.size * nodes.size, (x.size, nodes.size)
-    f, far = (np.empty(size), np.empty(size, dtype=bool)) if work is None else work
-    f, far = f[:size].reshape(shape), far[:size].reshape(shape)
-    np.multiply.outer(-x, nodes, out=f)
-    np.less(f, -_FLUSH, out=far)
-    np.maximum(f, -_FLUSH, out=f)
+    """exp(-x_u s_i), x_u >= 0 in any order and the nodes s_i ascending,
+    flushed to 0 where x_u s_i > _FLUSH; written over the leading entries of
+    `work`, a (float, bool) buffer pair, if given. The exponent -x s^T is one
+    rank-1 BLAS product (one rounded product per entry, as a broadcast
+    multiply gives). The largest x flushes the lanes [m, K); every lane below
+    m is unflushed in every row, so only [m, K) is clamped and masked."""
+    size = x.size * nodes.size
+    f = (np.empty(size) if work is None else work[0])[:size].reshape(x.size, nodes.size)
+    np.dot(-x[:, None], nodes[None, :], out=f)
+    m = np.count_nonzero(~(-x.max() * nodes < -_FLUSH))
+    tail = f[:, m:]
+    far = (np.empty(tail.size, dtype=bool) if work is None else work[1])[:tail.size]
+    far = far.reshape(tail.shape)
+    np.less(tail, -_FLUSH, out=far)
+    np.maximum(tail, -_FLUSH, out=tail)
     np.exp(f, out=f)
-    f[far] = 0.0
+    tail[far] = 0.0
     return f
 
 
@@ -297,8 +318,8 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
     if method == "subordination/wright-mass-table":
         nodes, mass = wright_mass_nodes(a)
 
-        def block(u):  # x and the nodes ascend: lanes the first row flushes, all rows do
-            m = np.count_nonzero(~(-u[0] * nodes < -_FLUSH))
+        def block(u):  # the nodes ascend: lanes the smallest x flushes, all rows do
+            m = np.count_nonzero(~(-u.min() * nodes < -_FLUSH))
             return _heat_factors(u, nodes[:m], work) @ mass[:m]
 
         return _blocked(block, x, _HEAT_BLOCK_ROWS)
@@ -347,7 +368,9 @@ class _Step:
 
     def __init__(self, w0: Field, cfg: SolverConfig, sweep: bool = True) -> None:
         self.grid, self.cfg = w0.grid, cfg
-        self.spectrum = np.fft.rfftn(w0.samples)
+        self.spectrum = np.fft.rfft(w0.samples)  # rfftn's own sequence
+        if self.grid.dim == 2:
+            np.fft.fft(self.spectrum, axis=0, out=self.spectrum)
         if self.grid.dim == 2 and cfg.representation != "subordination":
             self.values, self.index = self.grid._distinct_modes()
         else:

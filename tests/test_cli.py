@@ -371,6 +371,52 @@ class TestSolveAndReport:
     def test_available_memory_is_read(self):
         assert cli._available_memory() > 0
 
+    @pytest.mark.parametrize("cgroup, files, expected_mib", [
+        # v2: memory.max - memory.current under the unified path
+        ("0::/job\n", {"/sys/fs/cgroup/job/memory.max": "3145728\n",
+                       "/sys/fs/cgroup/job/memory.current": "1048576\n"}, 2),
+        ("0::/\n", {"/sys/fs/cgroup/memory.max": "3145728\n",
+                    "/sys/fs/cgroup/memory.current": "2097152\n"}, 1),
+        # v1: limit_in_bytes - usage_in_bytes under the memory controller
+        ("4:memory:/job\n0::/\n", {"/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "5242880",
+                                   "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "1048576"}, 4),
+        ("7:cpuacct,memory:/a/b\n", {"/sys/fs/cgroup/memory/a/b/memory.limit_in_bytes": "3145728",
+                                     "/sys/fs/cgroup/memory/a/b/memory.usage_in_bytes": "0"}, 3),
+        # usage past the limit leaves no headroom
+        ("0::/\n", {"/sys/fs/cgroup/memory.max": "1048576",
+                    "/sys/fs/cgroup/memory.current": "2097152"}, 0),
+        # a larger cgroup limit leaves MemAvailable the smaller
+        ("0::/\n", {"/sys/fs/cgroup/memory.max": str(64 * 2 ** 20),
+                    "/sys/fs/cgroup/memory.current": "0"}, 8),
+        # no limit, an unreadable file, no memory controller, no cgroup file
+        ("0::/\n", {"/sys/fs/cgroup/memory.max": "max\n",
+                    "/sys/fs/cgroup/memory.current": "1048576"}, 8),
+        ("0::/\n", {"/sys/fs/cgroup/memory.max": "1048576"}, 8),
+        ("4:cpu:/job\n", {"/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "1048576",
+                          "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "0"}, 8),
+        (None, {}, 8),
+    ])
+    def test_available_memory_is_capped_by_the_cgroup(self, monkeypatch, cgroup, files,
+                                                       expected_mib):
+        # the reader is patched: no real cgroup or meminfo file is read
+        files = {**files, "/proc/meminfo": "MemTotal: 1 kB\nMemAvailable:    8192 kB\n"}
+        if cgroup is not None:
+            files["/proc/self/cgroup"] = cgroup
+        monkeypatch.setattr(cli, "_read", lambda path: files.get(path, ""))
+        assert cli._available_memory() == expected_mib * 2 ** 20
+
+    def test_solve_preflight_reads_the_cgroup_headroom(self, tmp_path, monkeypatch, capsys):
+        # 2D N = 256 needs about 3.2 MiB; MemAvailable is ample, the cgroup is not
+        files = {"/proc/meminfo": "MemAvailable: 8388608 kB\n", "/proc/self/cgroup": "0::/\n",
+                 "/sys/fs/cgroup/memory.max": str(5 * 2 ** 20),
+                 "/sys/fs/cgroup/memory.current": str(2 * 2 ** 20)}
+        monkeypatch.setattr(cli, "_read", lambda path: files.get(path, ""))
+        argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
+                "--L", "64", "--out", str(tmp_path / "solve.json")]
+        assert run(argv) == 2
+        assert "needs about 3.2 MiB; 3.0 MiB available" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_decay_compare_reports_divergence(self, tmp_path):
         out = tmp_path / "cmp.json"
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0",

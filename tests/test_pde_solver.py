@@ -182,6 +182,19 @@ class TestField:
         with pytest.raises(ValueError):
             bump_1d.norm_lp(math.inf)
 
+    @pytest.mark.parametrize("dim, n, box", [(1, 1024, 200.0), (2, 128, 32.0)])
+    def test_norm_powers_match_libm_pow(self, dim, n, box):
+        # p = 4/3 by pow on the nonzero samples and p = 2 by one squaring
+        # are np.power bit for bit; p = 4 by two squarings is within 1e-15
+        a = np.abs(spectral_solve(gaussian_bump(PeriodicGrid(dim, box, n)),
+                                  SolverConfig(alpha=0.6), 1.0).samples)
+        a[a.size // 3::7] = 0.0  # exact zeros, as the flushed bump has
+        dv = 0.125
+        for p, rel in ((4.0 / 3.0, 0.0), (2.0, 0.0), (4.0, 1e-15)):
+            ref = float(np.power(a, p).sum() * dv) ** (1.0 / p)
+            got = pde_solver._norm_of_abs(a.copy(), p, dv)
+            assert abs(got - ref) <= rel * ref
+
     def test_boundary_mass_fraction_small_for_centered_bump(self, bump_1d):
         assert bump_1d.boundary_mass_fraction() < 1e-12
 
@@ -285,6 +298,15 @@ class TestSolve:
         s2 = sigma ** 2 + 2.0 * t
         exact = sigma / math.sqrt(s2) * np.exp(-x ** 2 / (2.0 * s2))
         assert np.max(np.abs(out.samples - exact)) < 1e-12
+
+    @pytest.mark.parametrize("dim, n, box", [(1, 1024, 200.0), (2, 128, 32.0), (2, 256, 64.0)])
+    def test_forward_transform_is_rfftn(self, dim, n, box):
+        # a real FFT over the last axis, then an in-place FFT over axis 0
+        w0 = gaussian_bump(PeriodicGrid(dim, box, n))
+        for cfg in (SolverConfig(alpha=0.6), SolverConfig(alpha=0.6, representation="subordination")):
+            for sweep in (True, False):
+                step = pde_solver._Step(w0, cfg, sweep=sweep)
+                assert np.array_equal(step.spectrum, np.fft.rfftn(w0.samples))
 
     def test_subordination_requires_fractional_alpha(self):
         with pytest.raises(ValueError):
@@ -462,6 +484,44 @@ class TestMultiplier:
         uniq, inverse = np.unique(xi2, return_inverse=True)
         assert np.array_equal(got, _blocked_subordination(alpha, t, uniq)[inverse])
 
+    @pytest.mark.parametrize("alpha, rep", [(0.5, "direct_ml"), (0.99, "direct_ml"),
+                                            (1.0, "direct_ml"), (0.5, "subordination")])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_modes_give_an_empty_multiplier(self, alpha, rep, shape):
+        # all four routes of multiplier_method
+        cfg = SolverConfig(alpha=alpha, representation=rep)
+        for t in (0.0, 1.0):
+            got = propagator_multiplier(cfg, t, np.empty(shape))
+            assert got.shape == shape
+
+    @given(
+        alpha=st.sampled_from([0.3, 0.6, 0.95]),
+        ta=st.floats(min_value=1e-3, max_value=1e3),
+        x=st.lists(_ZERO_OR_WIDE, min_size=1, max_size=12),
+        order=st.sampled_from(["ascending", "shuffled"]),
+        seed=st.integers(0, 2 ** 16),
+        work=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_heat_factors_are_the_reference_bit_for_bit(self, alpha, ta, x, order, seed, work):
+        # one rank-1 product and a clamp on the lanes the largest x flushes,
+        # against a broadcast product, a clamp and mask over every lane, exp
+        nodes, _ = wright_mass_nodes(alpha)
+        # rows whose first, second or middle heat factor straddles the flush
+        s = nodes[[0, 1, nodes.size // 2]]
+        edge = np.outer([1.0 - 1e-15, 1.0, 1.0 + 1e-15, 0.5, 2.0], pde_solver._FLUSH / s).ravel()
+        x = np.unique(np.concatenate([ta * np.array(x, dtype=float), edge]))
+        x = x[np.isfinite(x)]
+        if order == "shuffled":
+            np.random.default_rng(seed).shuffle(x)
+        e = np.multiply.outer(-x, nodes)
+        far = e < -pde_solver._FLUSH
+        ref = np.exp(np.maximum(e, -pde_solver._FLUSH))
+        ref[far] = 0.0
+        buffers = (np.full(ref.size + 5, np.nan), np.ones(ref.size + 5, dtype=bool))
+        got = pde_solver._heat_factors(x, nodes, buffers if work else None)
+        assert np.array_equal(got, ref)
+
     def test_2d_subordination_is_one_gemm(self, monkeypatch):
         # geometric panels (alpha <= 0.85, 784 nodes) and phi-spaced
         # panels (alpha > 0.85); every field spectral_solve and
@@ -552,7 +612,7 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
     def test_trimmed_1d_matvec_is_the_untrimmed_one(self, alpha):
-        # each 128-row block stops at the last node its first row keeps;
+        # each 128-row block stops at the last node its smallest x keeps;
         # the full flushed matvec, block for block, bit for bit
         axis = PeriodicGrid(dim=1, box_length=200.0, points_per_dim=4096)._axis_values()
         cfg = SolverConfig(alpha=alpha, representation="subordination")
