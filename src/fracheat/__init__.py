@@ -26,6 +26,7 @@ from .subordination import (
     subordinate_scalar,
     subordination_constant,
     wright_moment,
+    wright_moments,
 )
 
 __version__ = "0.1.0"
@@ -38,6 +39,7 @@ __all__ = [
     "wright_m",
     "subordinate_scalar",
     "wright_moment",
+    "wright_moments",
     "subordination_constant",
     "endpoint_divergence_profile",
     "FracHeatError",

@@ -203,9 +203,9 @@ def cmd_verify_subordination(args) -> list[dict]:
 def cmd_verify_moments(args) -> list[dict]:
     records = []
     worst = 0.0
+    gammas = (-0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
     for a in _parse_alphas(args.alpha):
-        for g in (-0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
-            numeric = subordination.wright_moment(a, g)
+        for g, numeric in zip(gammas, subordination.wright_moments(a, gammas)):
             exact = math.gamma(g + 1.0) / math.gamma(g * a + 1.0)
             rel = abs(numeric - exact) / abs(exact)
             worst = max(worst, rel)
@@ -274,13 +274,12 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process, above the largest measured peak of the Hankel and Wright
-# routes: 46.4 B at 1D N = 2^24, L = 2e5 by subordination at alpha 0.95
-# (742 MiB; 741 at alpha 0.5, 740 direct); 2D N = 4096 peaks at 463 MiB
-# (29 B) direct (474 at alpha 0.99) and 473-485 MiB by subordination. The
-# 1D real-axis route is not covered: 1,325 MiB (82.8 B) at alpha 0.99. A
-# solve holds w0, its spectrum (the product is written over it) and the
-# field, plus one (N/2+1)^2 table
+# fresh process, above the largest measured peak of every route: 46.8 B at
+# 1D N = 2^24, L = 2e5 by the real-axis rule at alpha 0.99 (748 MiB), 46.4 B
+# by subordination at alpha 0.95 (742 MiB; 741 at alpha 0.5, 740 by the
+# Hankel rule); 2D N = 4096 peaks at 463 MiB (29 B) direct (472 at alpha
+# 0.99) and 473-485 MiB by subordination. A solve holds w0, its spectrum
+# (the product is written over it) and the field, plus one (N/2+1)^2 table
 _SOLVE_BYTES_PER_POINT = 51
 
 

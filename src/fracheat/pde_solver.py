@@ -41,7 +41,8 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
 from .errors import InsufficientDataError, QuadratureError
-from .special_functions import Alpha, _HANKEL_ALPHA_CAP, _ml_hankel, _ml_neg, _wright_alpha
+from .special_functions import (Alpha, _HANKEL_ALPHA_CAP, _RULE_BLOCK, _ml_hankel, _ml_neg,
+                                _wright_alpha)
 from .subordination import wright_mass_nodes
 
 __all__ = [
@@ -325,7 +326,10 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
         return _blocked(block, x, _HEAT_BLOCK_ROWS)
     if method == "direct_ml/hankel-32":
         return _blocked(lambda u: _ml_hankel(a, u), x)
-    return _ml_neg(a, x)  # exp(-x) at alpha = 1, else the real-axis rule
+    # exp(-x) at alpha = 1, else the real-axis rule, which holds about 80 B
+    # of temporaries per value: blocks keep a 1D solve's peak under
+    # cli._SOLVE_BYTES_PER_POINT
+    return _blocked(lambda u: _ml_neg(a, u), x, _RULE_BLOCK)
 
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ __all__ = [
     "subordinate_scalar",
     "wright_mass_nodes",
     "wright_moment",
+    "wright_moments",
     "subordination_constant",
     "EndpointDivergenceProfile",
     "endpoint_divergence_profile",
@@ -253,28 +254,45 @@ def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
     return float(np.dot(mass, nodes ** gamma))
 
 
+def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]:
+    """int_0^inf s^gamma M_alpha(s) ds for each gamma > -1 of a sequence.
+
+    Alpha and every gamma are checked first. The [0, 1] Gauss-Jacobi nodes
+    of every weight, at both scales, are sampled in one pass; each value
+    is bit for bit its one-weight call, `wright_moment`.
+    """
+    a = _wright_alpha(alpha)
+    gammas = [float(g) for g in gammas]
+    for gamma in gammas:
+        if gamma <= -1.0:
+            raise ValueError(
+                f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
+                "at s=0 for gamma <= -1 (the endpoint mechanism)"
+            )
+    # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
+    rules = [_gauss_jacobi(40 * scale, g) for g in gammas for scale in (1, 2)]
+    xs = [xj for xj, _ in rules]
+    m = np.split(_wright_m_array(a, 0.5 * (np.concatenate([np.empty(0), *xs]) + 1.0)),
+                 np.cumsum([xj.size for xj in xs]))
+    moments = []
+    for k, gamma in enumerate(gammas):
+        v1, v2 = (0.5 ** (gamma + 1.0) * float(np.dot(rules[i][1], m[i]))
+                  + _upper_moment(a, gamma, scale) for i, scale in ((2 * k, 1), (2 * k + 1, 2)))
+        moments.append(_doubled(v1, v2, max(_TARGET_TOL, 1e-9 * abs(v2)),
+                                f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}"))
+    return moments
+
+
 def wright_moment(alpha: Alpha | float, gamma: float) -> float:
     """int_0^inf s^gamma M_alpha(s) ds, gamma > -1.
 
     The identity value is Gamma(gamma+1)/Gamma(gamma*alpha+1); this routine
     computes the integral independently (Gauss-Jacobi near 0 plus panels)
-    so the identity can be *checked*, not assumed.
+    so the identity can be *checked*, not assumed. It is the one-weight
+    call of `wright_moments`, which samples several weights' nodes in one
+    pass.
     """
-    a = _wright_alpha(alpha)
-    gamma = float(gamma)
-    if gamma <= -1.0:
-        raise ValueError(
-            f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
-            "at s=0 for gamma <= -1 (the endpoint mechanism)"
-        )
-    # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0);
-    # the nodes of both scales are sampled in one pass
-    rules = [_gauss_jacobi(40 * scale, gamma) for scale in (1, 2)]
-    m = _wright_m_array(a, 0.5 * (np.concatenate([xj for xj, _ in rules]) + 1.0))
-    v1, v2 = (0.5 ** (gamma + 1.0) * float(np.dot(wj, mj)) + _upper_moment(a, gamma, scale)
-              for (_, wj), mj, scale in zip(rules, np.split(m, [rules[0][0].size]), (1, 2)))
-    return _doubled(v1, v2, max(_TARGET_TOL, 1e-9 * abs(v2)),
-                    f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}")
+    return wright_moments(alpha, [gamma])[0]
 
 
 def subordination_constant(alpha: Alpha | float, beta: float) -> float:
@@ -282,7 +300,9 @@ def subordination_constant(alpha: Alpha | float, beta: float) -> float:
 
     Finite exactly for beta < 1 and strictly increasing in beta; it blows
     up as beta -> 1, which is what denies the subordination route the
-    endpoint exponent. Equals Gamma(1-beta)/Gamma(1-alpha*beta).
+    endpoint exponent. Equals Gamma(1-beta)/Gamma(1-alpha*beta), computed
+    as the moment at gamma = -beta; `wright_moments` at several -beta
+    gives the same values from one density pass.
     """
     beta = float(beta)
     if not 0.0 < beta < 1.0:

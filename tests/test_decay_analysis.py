@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracheat import subordination
 from fracheat.errors import InsufficientDataError
 from fracheat.special_functions import mittag_leffler_neg
 from fracheat.decay_analysis import (
@@ -18,6 +19,7 @@ from fracheat.decay_analysis import (
     sup_heat_numeric,
     sup_ml_numeric,
 )
+from fracheat.subordination import subordination_constant
 
 
 class TestClosedForms:
@@ -152,6 +154,29 @@ class TestCompareRepresentations:
                 beta = 1.0 - r.eps
                 exact = math.gamma(1.0 - beta) / math.gamma(1.0 - 0.5 * beta)
                 assert r.constant == pytest.approx(exact, rel=1e-8)
+
+    def test_finite_constants_share_one_density_pass(self, monkeypatch):
+        # the [0, 1] nodes of every finite beta go through one pass, and
+        # each constant is its one-beta call bit for bit
+        passes, sample = [], subordination._wright_m_array
+        monkeypatch.setattr(subordination, "_wright_m_array",
+                            lambda a, s: passes.append(s.max() < 1.0) or sample(a, s))
+        report = compare_representations(0.6, 1.0, [0.2, 0.1, 0.05])
+        assert passes.count(True) == 1
+        monkeypatch.undo()
+        assert [(r.eps, r.constant) for r in report.records
+                if r.representation == "subordination" and r.eps > 0] == [
+            (e, subordination_constant(0.6, 1.0 - e)) for e in (0.2, 0.1, 0.05)]
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.0])
+    def test_endpoint_alone_needs_no_moment(self, alpha):
+        # eps = 0 alone leaves no finite constant, so the Wright cap 0.995
+        # does not apply: the direct supremum and the divergent endpoint
+        report = compare_representations(alpha, 2.0, [0.0])
+        assert [(r.representation, r.eps, r.constant, r.method) for r in report.records] == [
+            ("direct_ml", 0.0, ml_supremum_profile(alpha, 1.0, exact_kernel=True),
+             "grid-supremum"),
+            ("subordination", 0.0, math.inf, "divergent-at-endpoint")]
 
     def test_rejects_exponent_beyond_endpoint(self):
         # delta = 1/lambda - eps: past the endpoint 1/3 (eps < 0), or not

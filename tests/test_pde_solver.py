@@ -23,7 +23,7 @@ from fracheat.pde_solver import (
     write_field,
 )
 from fracheat.special_functions import (
-    _HANKEL_ALPHA_CAP, _ml_hankel, mittag_leffler_neg,
+    _HANKEL_ALPHA_CAP, _RULE_BLOCK, _ml_hankel, _ml_neg, mittag_leffler_neg,
 )
 from fracheat.subordination import wright_mass_nodes
 
@@ -457,6 +457,18 @@ class TestMultiplier:
             "subordination/wright-mass-table": lambda: _blocked_subordination(alpha, 1.0, x),
         }[method]()
         assert np.array_equal(pde_solver._kernel(cfg, x), reference)
+
+    @pytest.mark.parametrize("alpha", [0.99, 1.0])
+    def test_real_axis_kernel_runs_in_blocks_of_the_rule(self, alpha, monkeypatch):
+        # the real-axis and exp routes hold one block's per-value arrays at
+        # a time, and the rule is batch-independent: one call, bit for bit
+        x = np.random.default_rng(5).permutation(
+            np.concatenate(([0.0], np.geomspace(1e-6, 1e4, _RULE_BLOCK + 99))))
+        reference, sizes = _ml_neg(alpha, x), []
+        monkeypatch.setattr(pde_solver, "_ml_neg",
+                            lambda a, u: sizes.append(u.size) or _ml_neg(a, u))
+        assert np.array_equal(pde_solver._kernel(SolverConfig(alpha=alpha), x), reference)
+        assert sizes == [_RULE_BLOCK, 100]
 
     def test_kernel_dispatches_on_the_method(self, monkeypatch):
         # the method tag chooses the branch, so the two cannot disagree

@@ -26,6 +26,7 @@ from fracheat.subordination import (
     subordination_constant,
     wright_mass_nodes,
     wright_moment,
+    wright_moments,
 )
 
 # frozen from 50-digit arbitrary-precision evaluation
@@ -132,10 +133,11 @@ class TestAlphaGate:
         lambda a: wright_mass_nodes(a),
         lambda a: subordinate_scalar(a, 1.0),
         lambda a: wright_moment(a, 1.0),
+        lambda a: wright_moments(a, [0.0, 1.0]),
         lambda a: endpoint_divergence_profile(a, [1e-2, 1e-3]),
         lambda a: SolverConfig(a, "subordination"),
     ], ids=["wright_batch", "wright_mass_nodes", "subordinate_scalar", "wright_moment",
-            "endpoint_divergence_profile", "SolverConfig"])
+            "wright_moments", "endpoint_divergence_profile", "SolverConfig"])
     def test_refused_before_any_table_is_built(self, alpha, call, monkeypatch):
         def builder(*args, **kwargs):
             raise AssertionError("built a table for a refused alpha")
@@ -167,6 +169,10 @@ class TestDoublingCheck:
         with pytest.raises(QuadratureError,
                            match="moment quadrature did not stabilize at alpha=0.5, gamma=1.0"):
             wright_moment(0.5, 1.0)
+        # an array of weights fails at its first weight
+        with pytest.raises(QuadratureError,
+                           match="moment quadrature did not stabilize at alpha=0.5, gamma=0.0"):
+            wright_moments(0.5, [0.0, 1.0])
 
 
 class TestMassNodes:
@@ -359,11 +365,61 @@ class TestMoments:
         assert start == s.size
         assert numeric == values[1]
 
-    def test_rejects_divergent_gamma(self):
+    def test_rejects_divergent_gamma(self, monkeypatch):
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.0)
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.5)
+
+        # every weight of an array is checked before any rule or sample
+        def builder(*args, **kwargs):
+            raise AssertionError("built a table for a divergent weight")
+
+        for name in ("_gauss_jacobi", "_wright_m_array", "_upper_moment"):
+            monkeypatch.setattr(subordination, name, builder)
+        with pytest.raises(ValueError, match="gamma must exceed -1, got -1.0: int s"):
+            wright_moments(0.5, [0.5, 2.0, -1.0])
+
+    @staticmethod
+    def one_weight(alpha, gamma):
+        """The moment at one weight, its [0, 1] nodes sampled on their own."""
+        values = []
+        for scale in (1, 2):
+            xj, wj = _gauss_jacobi(40 * scale, gamma)
+            values.append(0.5 ** (gamma + 1.0) * float(np.dot(wj, _wright_m_array(
+                alpha, 0.5 * (xj + 1.0)))) + subordination._upper_moment(alpha, gamma, scale))
+        assert abs(values[0] - values[1]) <= max(1e-10, 1e-9 * abs(values[1]))
+        return values[1]
+
+    @given(alpha=st.floats(min_value=0.05, max_value=0.95),
+           gammas=st.lists(st.sampled_from([-0.9, -0.5, -0.25, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5]),
+                           min_size=1, max_size=9))
+    @example(alpha=0.6, gammas=[3.0, 2.0, 1.0, 0.5, 0.0, -0.5])
+    @settings(max_examples=15, deadline=None)
+    def test_array_moments_are_the_one_weight_moments(self, alpha, gammas):
+        # any subset of weights, in any order, repeats included: bit for bit
+        got = wright_moments(alpha, gammas)
+        assert got == [self.one_weight(alpha, g) for g in gammas]
+        assert got == [wright_moment(alpha, g) for g in gammas]
+
+    def test_no_weights_give_no_moments(self):
+        assert wright_moments(0.5, []) == []
+
+    def test_cold_verify_moments_samples_below_one_once_per_alpha(self, tmp_path, monkeypatch):
+        # the six weights' [0, 1] nodes at both scales, 6 x (40 + 80), in one pass
+        passes = []
+
+        def recording(a, s):
+            passes.append((a, s.size) if s.max() < 1.0 else None)
+            return _wright_m_array(a, s)
+
+        for cache in (subordination._density_table, subordination._tail_sample,
+                      subordination._adaptive_cut, subordination._gauss_jacobi):
+            cache.cache_clear()
+        monkeypatch.setattr(subordination, "_wright_m_array", recording)
+        assert cli.main(["verify-moments", "--alpha", "0.3,0.8",
+                         "--out", str(tmp_path / "mom.json")]) == 0
+        assert [p for p in passes if p is not None] == [(0.3, 720), (0.8, 720)]
 
 
 class TestSubordinationConstant:
