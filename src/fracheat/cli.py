@@ -274,12 +274,13 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process, above the largest measured peak of every route: 46.8 B at
-# 1D N = 2^24, L = 2e5 by the real-axis rule at alpha 0.99 (748 MiB), 46.4 B
-# by subordination at alpha 0.95 (742 MiB; 741 at alpha 0.5, 740 by the
-# Hankel rule); 2D N = 4096 peaks at 463 MiB (29 B) direct (472 at alpha
-# 0.99) and 473-485 MiB by subordination. A solve holds w0, its spectrum
-# (the product is written over it) and the field, plus one (N/2+1)^2 table
+# fresh process. A solve holds the bump until its forward FFT, then its
+# spectrum (the product is written over it), the field, one multiplier
+# table of (N/2+1)^dim entries and the subordination heat factors. Peaks:
+# 1D N = 2^24, L = 2e5: 620 MiB (38.7 B) by the real-axis rule at alpha
+# 0.99, 612 Hankel, 615 subordination at 0.95; 2D N = 4096: 379 MiB
+# (23.7 B) direct, 345-357 subordination. 51 B is the bound set while the
+# bump was held to the end (46.8 B, 748 MiB at 1D alpha 0.99)
 _SOLVE_BYTES_PER_POINT = 51
 
 
@@ -329,8 +330,8 @@ def cmd_solve(args) -> list[dict]:
     if available is not None and need > available:
         raise ValueError(f"solve on {grid.points_per_dim}^{grid.dim} points needs about "
                          f"{need / 2 ** 20:.1f} MiB; {available / 2 ** 20:.1f} MiB available")
-    w0 = pde_solver.gaussian_bump(grid, sigma=args.sigma)
-    w = pde_solver.spectral_solve(w0, cfg, args.t)
+    # no name holds the bump: the solve drops it once its spectrum is taken
+    w = pde_solver.spectral_solve(pde_solver.gaussian_bump(grid, sigma=args.sigma), cfg, args.t)
     if args.field_out:
         pde_solver.write_field(w, args.field_out, time=args.t)
     rec = {"command": "solve", "alpha": args.alpha, "t": args.t,
@@ -472,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error code={EXIT_QUALITY} type={type(exc).__name__} message={str(exc)!r}",
               file=sys.stderr)
         return EXIT_QUALITY
-    except (ValueError, InsufficientDataError, OverflowError, FileNotFoundError) as exc:
+    except (ValueError, InsufficientDataError, OverflowError, OSError) as exc:
         print(f"error code={EXIT_VALIDATION} type={type(exc).__name__} message={str(exc)!r}",
               file=sys.stderr)
         return EXIT_VALIDATION

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -86,22 +85,25 @@ def _log_grid_sup(f, on_grid: np.ndarray | None = None) -> float:
     holds f there), refined by nested 33-point grids on log s around the
     argmax.
 
-    Divergence rule: when the argmax lies among the last 3 points and the
-    positive values of the last 20 points never fall (log-differences
-    > -1e-12) and rise in total by more than 1e-4 in log, the supremum is
-    not attained in range and the result is math.inf. A flat approach to
-    a finite limit, such as the endpoint exponent of a 1/s kernel, does
-    not trip it.
+    It returns a number or raises ValueError: when the grid's maximum is
+    its first point (the maximizer lies at or below s = 1e-8, or f is 0
+    on the grid), and when the argmax is among the last 3 points while the
+    positive values of the last 20 never fall (log-differences > -1e-12)
+    and rise in total by more than 1e-4 in log (the maximizer lies past
+    s = 1e8). A flat approach to a finite limit, such as the endpoint
+    exponent of a 1/s kernel, does not trip it. The callers decide
+    divergent suprema analytically, before any search.
     """
     lls = _GRID_LOG_S
     vals = f(_GRID_S) if on_grid is None else on_grid
     i = int(vals.argmax())
-    if i >= lls.size - 3:
-        tail = vals[-20:]
-        tail = tail[tail > 0.0]
-        if (tail.size >= 2 and np.all(np.diff(np.log(tail)) > -1e-12)
-                and math.log(tail[-1] / tail[0]) > 1e-4):
-            return math.inf
+    tail = vals[-20:]
+    tail = tail[tail > 0.0]
+    if i == 0 or (i >= lls.size - 3 and tail.size >= 2
+                  and np.all(np.diff(np.log(tail)) > -1e-12)
+                  and math.log(tail[-1] / tail[0]) > 1e-4):
+        raise ValueError("the maximizer of the supremum lies outside the search grid "
+                         "s in [1e-8, 1e8]")
     best = float(vals[i])
     for _ in range(_REFINE_LEVELS):
         lls = np.linspace(lls[max(i - 1, 0)], lls[min(i + 1, lls.size - 1)], 33)
@@ -119,64 +121,51 @@ def sup_heat_numeric(beta: float, t: float) -> float:
     return _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
 
 
-@lru_cache(maxsize=4096)
-def _ml_profile_sup(alpha: float, beta: float, exact_kernel: bool,
-                    extended: bool = False) -> float:
-    """sup over u > 0 of u^beta E_alpha(-u) (exact) or u^beta/(1+u) (bound).
-
-    Both kernels decay like 1/u for alpha < 1 (E_alpha(-u) ~
-    1/(u Gamma(1-alpha))), so beta > 1 is infinite analytically: the edge
-    rule of the grid search misses growth that stays below an interior
-    peak up to u = 1e8. E_1(-u) = exp(-u) keeps every supremum finite.
-    """
-    if beta > 1.0 and (alpha < 1.0 or not exact_kernel):
-        return math.inf
-    if not exact_kernel:
-        return _log_grid_sup(lambda u: u ** beta / (1.0 + u))
-    return _log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u, extended),  # alpha validated
-                         _GRID_S ** beta * _ml_on_grid(alpha, extended))
-
-
-@lru_cache(maxsize=8)
-def _ml_on_grid(alpha: float, extended: bool) -> np.ndarray:
-    """E_alpha(-u) on the search grid, shared by every beta of one alpha."""
-    values = _ml_neg(alpha, _GRID_S, extended)
-    values.setflags(write=False)
-    return values
+def _ml_profile_sup(alpha: Alpha, betas: Sequence[float], extended: bool = False) -> list[float]:
+    """sup over u > 0 of u^beta E_alpha(-u) for each beta of `betas` (each
+    finite: beta <= 1, or alpha = 1). One evaluation of E_alpha on the
+    search grid serves every beta, and nothing is kept past the call."""
+    on_grid = _ml_neg(alpha, _GRID_S, extended)  # alpha validated
+    return [_log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u, extended),
+                          _GRID_S ** beta * on_grid) for beta in betas]
 
 
 def ml_supremum_profile(alpha: Alpha | float, beta: float, exact_kernel: bool = True) -> float:
-    """The t-free factor U(beta) = sup_u u^beta K(u).
+    """The t-free factor U(beta) = sup_u u^beta K(u): `sup_ml_numeric` at
+    t = 1, bit for bit.
 
     Substituting u = t^alpha s shows sup_s s^beta K(t^alpha s) =
     t^{-alpha beta} U(beta), so U(beta) is exactly the compensated
     (time-independent) decay constant of the direct route.
     """
-    a = Alpha.coerce(alpha)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    return _ml_profile_sup(a, beta, bool(exact_kernel), False)  # sup_ml_numeric's cache key
+    return sup_ml_numeric(alpha, beta, 1.0, exact_kernel)
 
 
 def sup_ml_numeric(
     alpha: Alpha | float, beta: float, t: float, exact_kernel: bool = True,
     extended: bool = False,
 ) -> float:
-    """sup over s > 0 of s^beta * kernel(t^alpha s) by grid search.
+    """sup over s > 0 of s^beta * kernel(t^alpha s), as t^{-alpha beta}
+    times the grid search of sup_u u^beta kernel(u).
 
     kernel is E_alpha(-.) when exact_kernel (at extended precision if
-    extended), else the algebraic bound 1/(1 + .). beta > 1 makes the
-    supremum infinite (reported as inf), except for the exact kernel at
-    alpha = 1, exp(-.).
+    extended), else the algebraic bound 1/(1 + .). Both decay like 1/u for
+    alpha < 1 (E_alpha(-u) ~ 1/(u Gamma(1-alpha))), so beta > 1 is inf
+    analytically, without a search: the growth u^(beta-1) can stay below
+    an interior peak up to u = 1e8. E_1(-u) = exp(-u) keeps every
+    supremum finite. A search whose maximizer lies outside the grid
+    raises ValueError (see `_log_grid_sup`).
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
     if not (beta > 0.0 and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and t positive and finite")
-    u_sup = _ml_profile_sup(a, beta, bool(exact_kernel), bool(extended))
-    if not math.isfinite(u_sup):
+    if beta > 1.0 and (a < 1.0 or not exact_kernel):
         return math.inf
+    if exact_kernel:
+        (u_sup,) = _ml_profile_sup(a, (beta,), extended)
+    else:
+        u_sup = _log_grid_sup(lambda u: u ** beta / (1.0 + u))
     return t ** (-a * beta) * u_sup
 
 
@@ -255,7 +244,7 @@ def compare_representations(
         raise ValueError(f"each eps must lie in [0, 1/lambda) = [0, {1.0 / lambda_exp}), got {eps}")
     deltas = [1.0 / lambda_exp - e for e in eps]
     betas = [lambda_exp * d for d in deltas]  # = 1 - lambda*eps, the endpoint at eps=0
-    directs = [ml_supremum_profile(a, beta, exact_kernel=True) for beta in betas]
+    directs = _ml_profile_sup(a, betas)  # every beta <= 1: one E_alpha grid
     # the finite constants share one density pass, after the suprema: taken
     # before them, it raised a cold decay-compare's peak RSS by 0.9 MB. With
     # eps = 0 alone there are none, and no call: wright_moments refuses

@@ -424,10 +424,13 @@ def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:
     """Evolve w0 to time t: real FFT, per-mode propagator multiplier on
     the half spectrum, inverse real FFT; a one-step `_Step` whose field
     buffer the returned Field adopts."""
-    out = _Step(w0, cfg, sweep=False)(t)
+    grid, step = w0.grid, _Step(w0, cfg, sweep=False)
+    del w0  # the step holds its spectrum: the solve needs w0 no longer
+    out = step(t)
+    del step  # and its spectrum and buffers go before the check's temporary
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in the spectral solve")
-    return Field._adopt(w0.grid, out)
+    return Field._adopt(grid, out)
 
 
 def caputo_l1_apply(alpha: float, u: np.ndarray, dt: float) -> np.ndarray:

@@ -11,7 +11,8 @@ to 1e-12 relative, summed in mpmath only where the double series fails
 its certificate.
 
 The rules take arrays, and the scalar functions are one-element calls. No
-computed value is memoized: the only global state is per-alpha rule tables.
+computed value is memoized, here or in the suprema that call E_alpha: the
+only global state is per-alpha rule tables.
 """
 
 from __future__ import annotations

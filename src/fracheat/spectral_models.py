@@ -191,10 +191,11 @@ def condition_supremum(
     kernel exp(-t s) ("heat"), by the grid search of
     decay_analysis._log_grid_sup.
 
-    Divergence is reported as math.inf with a warning rather than a
-    spurious finite number: when the search's edge rule trips, and
-    analytically for a power law with lambda (1/p - 1/q) > 1 on the
-    direct route with alpha < 1, whose multiplier decays like 1/s.
+    A power law with lambda (1/p - 1/q) > 1 on the direct route with
+    alpha < 1, whose multiplier decays like 1/s, diverges analytically:
+    that is reported as math.inf with a warning, without a search. A
+    search whose maximizer lies outside s in [1e-8, 1e8] raises
+    ValueError.
     """
     if representation not in ("direct_ml", "heat"):
         raise ValueError(f"unknown representation {representation!r}")
@@ -221,13 +222,8 @@ def condition_supremum(
     v = model.variant
     if (representation == "direct_ml" and a < 1.0
             and isinstance(v, PowerLawSpectrum) and v.lambda_exp * delta > 1.0):
-        value = math.inf  # tau^delta K ~ s^(lambda delta - 1) / Gamma(1 - alpha)
-    else:
-        value = _log_grid_sup(objective)
-    if math.isinf(value):
-        warnings.warn(
-            "condition supremum diverges; reporting inf (endpoint case "
-            "lambda * (1/p - 1/q) > 1)",
-            RuntimeWarning,
-        )
-    return value
+        # tau^delta K ~ s^(lambda delta - 1) / Gamma(1 - alpha)
+        warnings.warn("condition supremum diverges; reporting inf (endpoint case "
+                      "lambda * (1/p - 1/q) > 1)", RuntimeWarning)
+        return math.inf
+    return _log_grid_sup(objective)

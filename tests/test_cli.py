@@ -2,6 +2,7 @@
 determinism, config handling, and file outputs."""
 
 import json
+import weakref
 
 import pytest
 
@@ -284,6 +285,20 @@ class TestSolveAndReport:
         (rec,) = json.loads(out.read_text())["records"]
         assert rec["norm_l2"] == pytest.approx(restored.norm_lp(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("rep", ["direct", "subordination"])
+    def test_solve_drops_the_bump_before_it_steps(self, monkeypatch, rep):
+        # a one-step solve reads the bump once, in the forward FFT: no name
+        # holds it past that, in cmd_solve or spectral_solve
+        refs, alive = [], []
+        bump, call = pde_solver.gaussian_bump, pde_solver._Step.__call__
+        monkeypatch.setattr(pde_solver, "gaussian_bump",
+                            lambda *a, **k: refs.append(weakref.ref(w := bump(*a, **k))) or w)
+        monkeypatch.setattr(pde_solver._Step, "__call__",
+                            lambda step, t: alive.append(refs[0]() is not None) or call(step, t))
+        assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", rep,
+                    "--dim", "2", "--L", "64"]) == 0
+        assert alive == [False]
+
     def test_solve_representations_agree(self, tmp_path):
         outs = []
         for rep in ("direct", "subordination"):
@@ -440,6 +455,15 @@ class TestSolveAndReport:
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "1.0", *extra]) == 2
         assert message in capsys.readouterr().err
 
+    def test_decay_sup_refuses_a_maximizer_outside_the_grid(self, tmp_path, capsys):
+        # beta = 1e-10 puts the maximizer near u = 1e-10, below the grid,
+        # where the search printed a constant 1.07e-8 too low
+        out = tmp_path / "sup.json"
+        assert run(["decay-sup", "--alpha", "0.5", "--lambda", "2e-10",
+                    "--out", str(out)]) == 2
+        assert "error code=2 type=ValueError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decay_sup_rejects_p_below_one(self, capsys):
         # beta = 0.5 (2 - 1/4) lies in (0, 1], but p = 0.5 is no L^p -> L^q pair
         assert run(["decay-sup", "--alpha", "0.5", "--lambda", "0.5", "--p", "0.5"]) == 2
@@ -452,6 +476,20 @@ class TestSolveAndReport:
         assert run(["report", str(a), str(b), "--out", str(merged)]) == 0
         doc = json.loads(merged.read_text())
         assert len(doc["records"]) == 7
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", "DIR"],
+        ["report", "DIR"],
+        ["eval-ml", "--alpha", "0.5", "--x", "1.0", "--config", "DIR"],
+    ], ids=["out", "report", "config"])
+    def test_directory_path_is_a_validation_error(self, tmp_path, capsys, argv):
+        # IsADirectoryError is an OSError, as FileNotFoundError is: exit 2
+        # with nothing written, no temporary file left beside the target
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        assert run([str(directory) if a == "DIR" else a for a in argv]) == 2
+        assert "error code=2 type=IsADirectoryError" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
     def test_report_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat import subordination
+from fracheat import decay_analysis, subordination
 from fracheat.errors import InsufficientDataError
 from fracheat.special_functions import mittag_leffler_neg
 from fracheat.decay_analysis import (
@@ -83,10 +83,29 @@ class TestSupremumProfiles:
             1.5 ** 1.5 * math.exp(-1.5), rel=1e-12)
 
     def test_grid_search_divergence_rule(self):
-        # still rising at the grid edge: inf; a flat approach to a finite
-        # limit (as u E_alpha(-u) at the endpoint) is not divergence
-        assert math.isinf(_log_grid_sup(lambda s: s ** 0.01))
+        # still rising at the grid edge: refused; a flat approach to a
+        # finite limit (as u E_alpha(-u) at the endpoint) is not divergence
+        with pytest.raises(ValueError):
+            _log_grid_sup(lambda s: s ** 0.01)
         assert _log_grid_sup(lambda s: s / (1.0 + s)) == pytest.approx(1.0, rel=1e-7)
+
+    @pytest.mark.parametrize("sup", [
+        # s* = beta / t lies below 1e-8 or past 1e8, where the search
+        # returned 4.5e-9 and inf against the closed form's 1.4e-5 and 1.4e4
+        lambda: sup_heat_numeric(0.5, 1e9),
+        lambda: sup_heat_numeric(0.5, 1e-9),
+        # u^beta E_alpha(-u) peaks near u = beta Gamma(1+alpha) = 1e-10
+        lambda: ml_supremum_profile(0.5, 1e-10),
+    ], ids=["heat-below", "heat-past", "profile-below"])
+    def test_maximizer_outside_the_grid_is_refused(self, sup):
+        with pytest.raises(ValueError, match="outside the search grid"):
+            sup()
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.5, 1.0), (0.5, 1.3), (1.0, 1.5)])
+    @pytest.mark.parametrize("exact_kernel", [True, False])
+    def test_profile_is_sup_ml_numeric_at_t_one(self, alpha, beta, exact_kernel):
+        assert ml_supremum_profile(alpha, beta, exact_kernel) == sup_ml_numeric(
+            alpha, beta, 1.0, exact_kernel)
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.5, 0.9), (0.9, 1.0), (1.0, 1.5)])
     def test_profile_is_the_grid_search_of_the_public_kernel(self, alpha, beta):
@@ -100,6 +119,13 @@ class TestSupremumProfiles:
         # u E_alpha(-u) -> 1/Gamma(1-alpha): finite endpoint constant
         v = ml_supremum_profile(0.5, 1.0)
         assert v == pytest.approx(1.0 / math.gamma(0.5), rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+    def test_flat_endpoint_approach_from_below_is_a_number(self, alpha):
+        # below alpha = 1/2, u E_alpha(-u) rises to 1/Gamma(1-alpha) up to
+        # the grid's edge: a flat approach, not a refusal
+        assert ml_supremum_profile(alpha, 1.0) == pytest.approx(
+            1.0 / math.gamma(1.0 - alpha), rel=1e-3)
 
 
 class TestFit:
@@ -167,6 +193,20 @@ class TestCompareRepresentations:
         assert [(r.eps, r.constant) for r in report.records
                 if r.representation == "subordination" and r.eps > 0] == [
             (e, subordination_constant(0.6, 1.0 - e)) for e in (0.2, 0.1, 0.05)]
+
+    def test_each_call_evaluates_the_grid_once(self, monkeypatch):
+        # no memo: every call evaluates E_alpha on the 400-point grid once,
+        # for all its betas; an analytic inf and the bound kernel need none
+        sizes, ml_neg = [], decay_analysis._ml_neg
+        monkeypatch.setattr(decay_analysis, "_ml_neg",
+                            lambda a, u, ext=False: sizes.append(u.size) or ml_neg(a, u, ext))
+        for _ in range(2):
+            compare_representations(0.5, 1.0, [0.2, 0.1, 0.05])
+            assert sizes.count(400) == 1 and set(sizes) == {400, 33}
+            sizes.clear()
+        assert math.isinf(ml_supremum_profile(0.5, 1.3))
+        assert sup_ml_numeric(0.5, 0.5, 2.0, exact_kernel=False) > 0.0
+        assert sizes == []
 
     @pytest.mark.parametrize("alpha", [0.999, 1.0])
     def test_endpoint_alone_needs_no_moment(self, alpha):

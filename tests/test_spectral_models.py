@@ -118,6 +118,20 @@ class TestConditionSupremum:
                 got = condition_supremum(m, 4.0 / 3.0, 4.0, alpha, 1.0, "direct_ml")
             assert math.isinf(got)
 
+    @pytest.mark.parametrize("variant,t,representation", [
+        (PowerLawSpectrum(1.0, 1.0), 1e10, "heat"),  # returned 3.7e-48, not 4.3e-6
+        (PowerLawSpectrum(1.0, 1.0), 1e-20, "direct_ml"),  # returned inf, not 44,035
+        (DiscreteSpectrum((2e8,), (1,)), 1.0, "direct_ml"),  # returned 0.0, not 2.8e-9
+    ])
+    def test_maximizer_outside_the_grid_is_refused(self, variant, t, representation):
+        # refused without the divergence warning, which belongs to the
+        # analytic inf alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the search grid"):
+                condition_supremum(SpectralModel(variant), 4.0 / 3.0, 4.0, 0.5, t,
+                                   representation)
+
     @pytest.mark.parametrize("alpha,t", [(0.8685426336473641, 3.5001481528910747),
                                          (0.8731991436016834, 3.2788466449891005),
                                          (0.3327273601723859, 2.789810723756012)])
