@@ -177,11 +177,9 @@ def cmd_eval_ml(args) -> list[dict]:
 
 
 def cmd_eval_wright(args) -> list[dict]:
-    res = wright_m_info(args.alpha, args.s)
-    if not res.reliable:
-        raise QualityFailure(f"M_alpha unreliable at alpha={args.alpha}, s={args.s}")
+    value, method = wright_m_info(args.alpha, args.s)
     return [{"command": "eval-wright", "alpha": args.alpha, "s": args.s,
-             "value": res.value, "method": res.method}]
+             "value": value, "method": method}]
 
 
 def cmd_verify_subordination(args) -> list[dict]:
@@ -273,15 +271,13 @@ def cmd_decay_compare(args) -> list[dict]:
     return records
 
 
-# peak resident bytes per grid point of `solve`, interpreter included, in a
-# fresh process. A solve holds the bump until its forward FFT, then its
-# spectrum (the product is written over it), the field, one multiplier
-# table of (N/2+1)^dim entries and the subordination heat factors. Peaks:
-# 1D N = 2^24, L = 2e5: 620 MiB (38.7 B) by the real-axis rule at alpha
-# 0.99, 612 Hankel, 615 subordination at 0.95; 2D N = 4096: 379 MiB
-# (23.7 B) direct, 345-357 subordination. 51 B is the bound set while the
-# bump was held to the end (46.8 B, 748 MiB at 1D alpha 0.99)
-_SOLVE_BYTES_PER_POINT = 51
+# peak bytes per grid point that `solve` adds to a fresh process after
+# import: its spectrum (the product is written over it), the field, one
+# multiplier table of (N/2+1)^dim entries and the subordination heat factors.
+# ru_maxrss less the RSS after import, 1D N = 2^24, L = 2e5 / 2D N = 4096:
+# Hankel (0.5) 36.1 / 21.6 B, real-axis (0.99) 36.6 / 21.6, exp (1.0) 36.2 /
+# 21.6, subordination 0.5 36.2 / 19.4 and 0.995 36.4 / 22.9
+_SOLVE_BYTES_PER_POINT = 37
 
 
 def _read(path: str) -> str:

@@ -14,9 +14,9 @@ class ConvergenceError(EvaluationError):
 
 
 class UnreliableEvaluationError(EvaluationError):
-    """Cancellation exceeded what the precision escalation can recover.
-
-    Raised instead of returning a silently wrong number.
+    """A rule refused a node: it needs more than its node budget, or its sum
+    missed its certificate. Nothing is retried at higher precision; raised
+    instead of returning a silently wrong number.
     """
 
 

@@ -7,8 +7,8 @@ the Hankel node rule of the propagator, checked against them), and the
 Wright-type density M_alpha(s) that subordinates the fractional
 propagator to the classical heat semigroup. Extended precision is a
 property of E_alpha alone: M_alpha has one precision, a double certified
-to 1e-12 relative, summed in mpmath only where the double series fails
-its certificate.
+to 1e-12 relative, from the saddle contour at s >= 1 and the double
+series below; a node either rule refuses raises, with no fallback.
 
 The rules take arrays, and the scalar functions are one-element calls. No
 computed value is memoized, here or in the suprema that call E_alpha: the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -39,9 +40,6 @@ __all__ = [
 
 # term budget of every arbitrary-precision sum and of the Wright series
 _SERIES_MAX_TERMS = 200_000
-
-# cancellation beyond this many decimal digits is not recovered
-_MAX_ESCALATION_DPS = 1200
 
 
 @dataclass(frozen=True)
@@ -398,8 +396,8 @@ def wright_log_envelope(alpha: float, s):
 
     Leading-order stretched-exponential asymptotics:
     M_alpha(s) ~ A s^{(alpha-1/2)/(1-alpha)} exp(-B s^{1/(1-alpha)}).
-    Used for adaptive truncation of integrals over s and for sizing the
-    extended-precision escalation; validated numerically in the tests.
+    Used for adaptive truncation of integrals over s and for the absolute
+    tolerance of the series; validated numerically in the tests.
     """
     a = alpha
     s = np.asarray(s, dtype=float)
@@ -414,11 +412,9 @@ def wright_log_envelope(alpha: float, s):
     return np.where(s > 0.0, out, math.log(abs(reciprocal_gamma(1.0 - a)) + 1e-300))[()]
 
 
-@dataclass(frozen=True)
-class WrightEval:
+class WrightEval(NamedTuple):
     value: float
     method: str
-    reliable: bool
 
 
 @lru_cache(maxsize=8)
@@ -511,17 +507,18 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(table)
 
 
-def _wright_series(alpha: float, s: np.ndarray,
-                   log_env: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, certified, log largest term) of the series at each s > 0: one
-    term per step for all nodes, Neumaier summation, a stop per node."""
+def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, certified) of the series at each 0 < s < 1: one term per step
+    for all nodes, Neumaier summation, a stop per node. Below s = 1 no term
+    exceeds about 1 (|c_k| <= 1 where w < 1, else Gamma(w)/(pi k!) <= 1),
+    so none overflows."""
     tol = _WRIGHT_SERIES_TOL
     ls = np.log(s)
-    tol_abs = max(tol * 1e-2, 1e-15) * np.maximum(np.exp(log_env), 1e-4)
+    tol_abs = max(tol * 1e-2, 1e-15) * np.maximum(np.exp(wright_log_envelope(alpha, s)), 1e-4)
     log_cut = np.log(tol_abs) - 5.0
     total, comp, n_terms = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
     log_largest = np.full(s.shape, -np.inf)
-    overflowed, active = np.zeros(s.shape, dtype=bool), np.ones(s.shape, dtype=bool)
+    active = np.ones(s.shape, dtype=bool)
     log_c, sign, log_e = _wright_series_coeffs(alpha, 64)
     k = 0
     while k <= _SERIES_MAX_TERMS and active.any():
@@ -530,13 +527,11 @@ def _wright_series(alpha: float, s: np.ndarray,
         if sign[k] != 0.0:
             lmag = k * ls + log_c[k]
             log_largest = np.where(active, np.maximum(log_largest, lmag), log_largest)
-            finite = active & (lmag <= 690.0)
-            overflowed |= active & ~finite
-            term = np.where(finite, sign[k] * np.exp(np.minimum(lmag, 690.0)), 0.0)
+            term = np.where(active, sign[k] * np.exp(lmag), 0.0)
             new = total + term
             comp += np.where(abs(total) >= abs(term), (total - new) + term, (term - new) + total)
             total = new
-            n_terms += finite
+            n_terms += active
         if k > 3:
             # stop on the envelope: a term next to a pole is nearly zero
             # while the terms after it are not
@@ -544,9 +539,8 @@ def _wright_series(alpha: float, s: np.ndarray,
             active &= ~((lenv < log_cut) & (lenv < log_largest - 5.0))
         k += 1
     value = total + comp
-    err = n_terms * 1.1e-16 * np.exp(np.minimum(log_largest, 700.0))
-    certified = ~overflowed & ~active & (err <= np.maximum(tol_abs, tol * np.abs(value)))
-    return value, certified, log_largest
+    err = n_terms * 1.1e-16 * np.exp(log_largest)
+    return value, ~active & (err <= np.maximum(tol_abs, tol * np.abs(value)))
 
 
 def _wright_series_mp(alpha: float, s: float, dps: int) -> float:
@@ -563,65 +557,37 @@ def _wright_series_mp(alpha: float, s: float, dps: int) -> float:
                           f"{_SERIES_MAX_TERMS} terms (alpha={alpha}, s={s})")
 
 
-def _wright_batch(alpha: Alpha | float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M_alpha and method tag at each node of a 1-D array s >= 0 (NaN:
-    "unreliable"). s >= 1 takes the contour, where the series cancels; a
-    declined node is 0 below an e^-80 envelope, else joins 0 < s < 1 in the
-    series (and is tagged by it); an uncertified series node is summed in
-    mpmath."""
+def _wright_m_array(alpha: Alpha | float, s: np.ndarray) -> np.ndarray:
+    """M_alpha at each node of a 1-D array s >= 0 in one pass: 1/Gamma(1-alpha)
+    at s = 0, the saddle contour from s = 1 on, where the series cancels, and
+    the double series below. A node the contour declines, or whose series sum
+    misses its certificate, raises UnreliableEvaluationError."""
     alpha = _wright_alpha(alpha)
     value = np.full(s.shape, np.nan)
-    log_env = wright_log_envelope(alpha, s)
     value[s == 0.0] = reciprocal_gamma(1.0 - alpha)
     big = s >= 1.0
     value[big] = _wright_contour(alpha, s[big])
-    declined = big & ~np.isfinite(value)
-    under = declined & (log_env < -80.0)
-    value[under] = 0.0
-    # tags by index into their names: a fixed-width string array of a batch
-    # of 12,288 nodes takes 0.9 MB
-    method = np.array(["exact", "envelope-underflow", "contour-saddle", "series"],
-                      dtype=object)[np.select([s == 0.0, under, big & ~declined], [0, 1, 2], 3)]
-    rest = np.flatnonzero((s > 0.0) & ~big | declined & ~under)
-    series, certified, log_largest = _wright_series(alpha, s[rest], log_env[rest])
-    value[rest[certified]] = series[certified]
-    # never resolve below the envelope floor
-    floor = np.minimum(np.maximum(log_env[rest], -140.0), 0.0)
-    digits = ((log_largest - floor) / math.log(10.0)).astype(int) \
-        + int(-math.log10(_WRIGHT_SERIES_TOL)) + 8
-    for i, dps in zip(rest[~certified], digits[~certified].tolist()):
-        if dps > _MAX_ESCALATION_DPS:
-            method[i] = "unreliable"
-        else:
-            value[i] = _wright_series_mp(alpha, float(s[i]), dps)
-            method[i] = f"series-extended[{dps}dps]"
-    return value, method
-
-
-def _wright_m_array(alpha: float, s: np.ndarray) -> np.ndarray:
-    """M_alpha at every node of a quadrature table in one batched pass."""
-    value, _ = _wright_batch(alpha, s)
+    small = (s > 0.0) & ~big
+    series, certified = _wright_series(alpha, s[small])
+    value[small] = np.where(certified, series, np.nan)
     if np.isnan(value).any():
-        raise UnreliableEvaluationError(f"M_alpha unreliable at alpha={alpha}, s={s[np.isnan(value)]}")
+        raise UnreliableEvaluationError(f"M_alpha refused at alpha={alpha}, s={s[np.isnan(value)]}: "
+                                        "a declined contour node or an uncertified series sum")
     return value
 
 
 def wright_m_info(alpha: Alpha | float, s: float) -> WrightEval:
-    """M_alpha(s) with method and reliability metadata (a one-node batched pass)."""
+    """M_alpha(s) and its rule: "exact" at s = 0, "series" below s = 1,
+    "contour-saddle" from s = 1 on (a one-node pass)."""
     s = float(s)
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s must be finite and nonnegative, got {s}")
-    value, method = _wright_batch(alpha, np.array([s]))
-    return WrightEval(float(value[0]), method[0], not math.isnan(value[0]))
+    method = "exact" if s == 0.0 else "series" if s < 1.0 else "contour-saddle"
+    return WrightEval(float(_wright_m_array(alpha, np.array([s]))[0]), method)
 
 
 def wright_m(alpha: Alpha | float, s: float) -> float:
-    """Wright-type density M_alpha(s) >= 0 on s >= 0.
-
-    Raises UnreliableEvaluationError when cancellation exceeds the
-    recoverable precision, never returning a silently wrong number.
-    """
-    res = wright_m_info(alpha, s)
-    if not res.reliable:
-        raise UnreliableEvaluationError(f"M_alpha unreliable at alpha={Alpha.coerce(alpha)}, s={s}")
-    return res.value
+    """Wright-type density M_alpha(s) >= 0 on s >= 0, a double certified to
+    1e-12 relative; UnreliableEvaluationError where a rule refuses the node,
+    never a silently wrong number."""
+    return wright_m_info(alpha, s).value

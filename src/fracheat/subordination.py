@@ -151,9 +151,9 @@ def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndar
 def _sample_density(alpha: float, nodes: np.ndarray) -> np.ndarray:
     """M_alpha at the nodes.
 
-    Nodes whose envelope value is negligible for the integral (below
-    _TARGET_TOL * 1e-4) are zeroed without summing the (ill-conditioned)
-    series there; the envelope only over-estimates in that regime.
+    Nodes past s = 1 whose envelope value is negligible for the integral
+    (below _TARGET_TOL * 1e-4) are zeroed without their contour sums; the
+    envelope only over-estimates in that regime. No series runs there.
     """
     skip = (wright_log_envelope(alpha, nodes) < math.log(_TARGET_TOL * 1e-4)) & (nodes > 1.0)
     out = np.zeros(nodes.shape)

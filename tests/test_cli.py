@@ -4,9 +4,10 @@ determinism, config handling, and file outputs."""
 import json
 import weakref
 
+import numpy as np
 import pytest
 
-from fracheat import cli, decay_analysis, pde_solver
+from fracheat import cli, decay_analysis, pde_solver, special_functions
 from fracheat.pde_solver import read_field
 from fracheat.special_functions import mittag_leffler_neg
 
@@ -80,6 +81,20 @@ class TestEval:
         (rec,) = json.loads(out.read_text())["records"]
         assert rec["value"] == pytest.approx(0.20755374871029735167, rel=1e-11)
 
+    def test_eval_wright_refused_node_exit_code(self, monkeypatch, capsys):
+        # a node the contour declines is refused, not summed another way
+        monkeypatch.setattr(special_functions, "_wright_contour",
+                            lambda alpha, s: np.full(s.shape, np.nan))
+        assert run(["eval-wright", "--alpha", "0.5", "--s", "2.0"]) == 3
+        assert "error code=3 type=UnreliableEvaluationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["1.0", "3.5e8"], ids=["power", "asymptotic"])
+    def test_eval_ml_extended_sums_out_of_terms(self, monkeypatch, capsys, x):
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
+        monkeypatch.setattr(special_functions, "_SERIES_MAX_TERMS", 3)
+        assert run(["eval-ml", "--alpha", "0.5", "--x", x]) == 3
+        assert "error code=3 type=ConvergenceError" in capsys.readouterr().err
+
     def test_bad_alpha_is_validation_error(self, capsys):
         assert run(["eval-ml", "--alpha", "2.0", "--x", "1.0"]) == 2
         assert "error code=2" in capsys.readouterr().err
@@ -119,6 +134,19 @@ class TestVerifyCommands:
             "wright-half-gaussian-identity",
         }
         assert all(r["passed"] for r in recs)
+
+    def test_verify_moments_quality_failure(self, monkeypatch, capsys):
+        original = cli.subordination.wright_moments
+        monkeypatch.setattr(cli.subordination, "wright_moments",
+                            lambda a, gammas: [v * (1.0 + 1e-5) for v in original(a, gammas)])
+        assert run(["verify-moments", "--alpha", "0.5"]) == 3
+        assert "error code=3 type=QualityFailure" in capsys.readouterr().err
+
+    def test_verify_special_quality_failure(self, monkeypatch, capsys):
+        original = cli._wright_m_array
+        monkeypatch.setattr(cli, "_wright_m_array", lambda a, s: original(a, s) + 1e-9)
+        assert run(["verify-special"]) == 3
+        assert "wright-half-gaussian-identity: " in capsys.readouterr().err
 
     def test_quality_failure_exit_code(self, monkeypatch, capsys):
         # force the identity check to miss its tolerance
@@ -371,15 +399,15 @@ class TestSolveAndReport:
 
     def test_solve_refuses_a_grid_beyond_available_memory(self, tmp_path, monkeypatch,
                                                           capsys):
-        # 2D N = 256 needs about 3.2 MiB at 51 B per point
+        # 2D N = 256 needs about 2.3 MiB at 37 B per point
         field_path, out = tmp_path / "field.bin", tmp_path / "solve.json"
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
                 "--L", "64", "--field-out", str(field_path), "--out", str(out)]
-        monkeypatch.setattr(cli, "_available_memory", lambda: 3 * 2 ** 20)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2 ** 20)
         assert run(argv) == 2
-        assert "needs about 3.2 MiB; 3.0 MiB available" in capsys.readouterr().err
+        assert "needs about 2.3 MiB; 2.0 MiB available" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 2 ** 20)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 3 * 2 ** 20)
         assert run(argv) == 0
         assert field_path.exists() and out.exists()
 
@@ -421,15 +449,15 @@ class TestSolveAndReport:
         assert cli._available_memory() == expected_mib * 2 ** 20
 
     def test_solve_preflight_reads_the_cgroup_headroom(self, tmp_path, monkeypatch, capsys):
-        # 2D N = 256 needs about 3.2 MiB; MemAvailable is ample, the cgroup is not
+        # 2D N = 256 needs about 2.3 MiB; MemAvailable is ample, the cgroup is not
         files = {"/proc/meminfo": "MemAvailable: 8388608 kB\n", "/proc/self/cgroup": "0::/\n",
-                 "/sys/fs/cgroup/memory.max": str(5 * 2 ** 20),
+                 "/sys/fs/cgroup/memory.max": str(4 * 2 ** 20),
                  "/sys/fs/cgroup/memory.current": str(2 * 2 ** 20)}
         monkeypatch.setattr(cli, "_read", lambda path: files.get(path, ""))
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
                 "--L", "64", "--out", str(tmp_path / "solve.json")]
         assert run(argv) == 2
-        assert "needs about 3.2 MiB; 3.0 MiB available" in capsys.readouterr().err
+        assert "needs about 2.3 MiB; 2.0 MiB available" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_decay_compare_reports_divergence(self, tmp_path):
@@ -490,6 +518,12 @@ class TestSolveAndReport:
         assert run([str(directory) if a == "DIR" else a for a in argv]) == 2
         assert "error code=2 type=IsADirectoryError" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+    def test_report_rejects_an_empty_record_list(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"schema_version": 1, "records": []}))
+        assert run(["report", str(empty)]) == 2
+        assert "empty result set" in capsys.readouterr().err
 
     def test_report_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad.json"

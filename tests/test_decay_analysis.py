@@ -53,6 +53,8 @@ class TestClosedForms:
             sup_heat_closed_form(0.0, 1.0)
         with pytest.raises(ValueError):
             sup_bound_kernel_closed_form(0.5, 1.5, 1.0)
+        with pytest.raises(ValueError, match="t positive and finite"):
+            sup_heat_numeric(0.5, 0.0)
         for t in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 sup_heat_closed_form(0.5, t)
@@ -207,6 +209,11 @@ class TestCompareRepresentations:
         assert math.isinf(ml_supremum_profile(0.5, 1.3))
         assert sup_ml_numeric(0.5, 0.5, 2.0, exact_kernel=False) > 0.0
         assert sizes == []
+
+    @pytest.mark.parametrize("lambda_exp", [0.0, -1.0])
+    def test_rejects_a_nonpositive_lambda(self, lambda_exp):
+        with pytest.raises(ValueError, match="lambda_exp must be positive"):
+            compare_representations(0.5, lambda_exp, [0.1])
 
     @pytest.mark.parametrize("alpha", [0.999, 1.0])
     def test_endpoint_alone_needs_no_moment(self, alpha):

@@ -312,6 +312,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.0, representation="subordination")
 
+    def test_rejects_an_unknown_representation(self):
+        with pytest.raises(ValueError, match="unknown representation 'bogus'"):
+            SolverConfig(0.5, "bogus")
+
     def test_rejects_negative_time(self, bump_1d):
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -752,6 +756,8 @@ class TestCaputo:
             caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 0.5, 64))  # too short
         with pytest.raises(ValueError):
             caputo_residual_l1(0.5, -1.0, np.linspace(0.0, 2.0, 64))
+        with pytest.raises(ValueError, match="uniform"):
+            caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 2.0, 64) ** 2)
 
 
 class TestDecayMeasurement:

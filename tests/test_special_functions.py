@@ -23,7 +23,6 @@ from fracheat.special_functions import (
     _ml_hankel,
     _ml_neg,
     _ml_real_axis,
-    _wright_batch,
     _wright_contour,
     _wright_contour_geometry,
     _wright_m_array,
@@ -328,6 +327,12 @@ class TestContour:
         assert mittag_leffler_contour(0.5, 1.0) == pytest.approx(
             0.42758357615580700441, abs=1e-10)
 
+    def test_rejects_x_zero_and_alpha_one(self):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            mittag_leffler_contour(0.5, 0.0)
+        with pytest.raises(ValueError, match="requires 0 < alpha < 1"):
+            mittag_leffler_contour(1.0, 1.0)
+
 
 class TestWright:
     @pytest.mark.parametrize("alpha,s,expected", WRIGHT_REFERENCE)
@@ -354,8 +359,7 @@ class TestWright:
 
     def test_info_metadata(self):
         res = wright_m_info(0.5, 2.0)
-        assert res.reliable
-        assert res.method
+        assert res.method == "contour-saddle"
         assert res.value == pytest.approx(0.20755374871029735167, rel=1e-11)
 
     @given(
@@ -387,19 +391,33 @@ class TestWrightBatch:
         resolved = exact >= 1e-200
         assert (err[resolved] / exact[resolved]).max() <= 1e-13
 
-    def test_declined_contour_node_is_tagged_by_the_series(self, monkeypatch):
-        # a node the contour declines joins the series and carries its tag:
-        # s = 2 is certified in double precision, s = 5 cancels past the
-        # double's digits and escalates to mpmath
+    def test_declined_contour_node_is_refused(self, monkeypatch):
+        # no rule stands in for a node the contour declines: the batch and
+        # its one-node call raise
         monkeypatch.setattr(special_functions, "_wright_contour",
                             lambda alpha, s: np.full(s.shape, np.nan))
-        s = np.array([0.0, 2.0, 5.0])
-        value, method = _wright_batch(0.5, s)
-        assert list(method) == ["exact", "series", "series-extended[24dps]"]
-        exact = np.exp(-s ** 2 / 4.0) / math.sqrt(math.pi)
-        assert np.abs(value - exact).max() <= 1e-15
-        res = wright_m_info(0.5, 5.0)
-        assert res.method == method[2] and res.value == value[2] and res.reliable
+        with pytest.raises(UnreliableEvaluationError, match="refused at alpha=0.5"):
+            _wright_m_array(0.5, np.array([0.0, 0.5, 2.0]))
+        with pytest.raises(UnreliableEvaluationError):
+            wright_m(0.5, 5.0)
+        assert wright_m_info(0.5, 0.5) == (_wright_m_array(0.5, np.array([0.5]))[0], "series")
+
+    def test_uncertified_series_node_is_refused(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_wright_series",
+                            lambda alpha, s: (np.zeros(s.shape), np.zeros(s.shape, dtype=bool)))
+        with pytest.raises(UnreliableEvaluationError):
+            _wright_m_array(0.5, np.array([0.5, 2.0]))
+        assert wright_m(0.5, 2.0) == wright_m_info(0.5, 2.0).value > 0.0
+
+    def test_every_node_is_finite_and_nonnegative(self):
+        # the premise of the refusals: on s = 0, 500 nodes of (0, 1) down to
+        # 1e-300 and 500 of [1, 1e6] from 1 and 1 + 1e-4 on, no rule refuses
+        # at 40 alphas in [1e-4, 0.995]
+        s = np.r_[0.0, np.geomspace(1e-300, 1.0, 500, endpoint=False),
+                  1.0, 1.0 + 1e-4, np.geomspace(1.001, 1e6, 498)]
+        for alpha in np.r_[np.geomspace(1e-4, 0.5, 20), np.linspace(0.5, 0.995, 21)[1:]]:
+            value = _wright_m_array(float(alpha), s)
+            assert np.all(np.isfinite(value) & (value >= 0.0)), alpha
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.95])
     def test_one_element_call_is_the_table_value(self, alpha):

@@ -70,6 +70,10 @@ class TestTraceCounting:
 
 
 class TestTraceGrowth:
+    def test_rejects_a_decreasing_range(self):
+        with pytest.raises(ValueError, match="increasing pair"):
+            verify_trace_growth(torus_laplacian_1d(2000), 0.5, (1e6, 1.0))
+
     def test_torus_1d_weyl_slope(self):
         report = verify_trace_growth(torus_laplacian_1d(2000), 0.5, (1.0, 1e6))
         assert report.within_10_percent

@@ -129,14 +129,14 @@ class TestAlphaGate:
 
     @pytest.mark.parametrize("alpha", [0.999, 1.0])
     @pytest.mark.parametrize("call", [
-        lambda a: special_functions._wright_batch(a, np.array([0.5, 2.0])),
+        lambda a: special_functions._wright_m_array(a, np.array([0.5, 2.0])),
         lambda a: wright_mass_nodes(a),
         lambda a: subordinate_scalar(a, 1.0),
         lambda a: wright_moment(a, 1.0),
         lambda a: wright_moments(a, [0.0, 1.0]),
         lambda a: endpoint_divergence_profile(a, [1e-2, 1e-3]),
         lambda a: SolverConfig(a, "subordination"),
-    ], ids=["wright_batch", "wright_mass_nodes", "subordinate_scalar", "wright_moment",
+    ], ids=["wright_m_array", "wright_mass_nodes", "subordinate_scalar", "wright_moment",
             "wright_moments", "endpoint_divergence_profile", "SolverConfig"])
     def test_refused_before_any_table_is_built(self, alpha, call, monkeypatch):
         def builder(*args, **kwargs):
@@ -150,6 +150,27 @@ class TestAlphaGate:
     def test_cap_itself_is_admitted(self):
         assert SolverConfig(0.995, "subordination").alpha.value == 0.995
         assert float(wright_mass_nodes(0.995)[1].sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOnePrecision:
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.995])
+    def test_tables_moments_and_profile_take_no_mpmath_sum(self, alpha, monkeypatch):
+        # M_alpha has one precision: with the mpmath series refused and no
+        # mpmath module to reach, the integrals are built from doubles alone
+        def refused(*args, **kwargs):
+            raise AssertionError("an arbitrary-precision sum on the M_alpha path")
+
+        monkeypatch.setattr(special_functions, "_wright_series_mp", refused)
+        monkeypatch.setattr(special_functions, "mp", None)
+        for cache in (subordination._adaptive_cut, subordination._density_table,
+                      subordination._tail_sample):
+            cache.cache_clear()
+        assert float(wright_mass_nodes(alpha)[1].sum()) == pytest.approx(1.0, abs=1e-9)
+        gammas = [-0.5, 0.0, 1.0, 2.0]
+        exact = [math.gamma(g + 1.0) / math.gamma(g * alpha + 1.0) for g in gammas]
+        assert wright_moments(alpha, gammas) == pytest.approx(exact, rel=1e-6)
+        profile = endpoint_divergence_profile(alpha, [1e-2, 1e-3, 1e-4])
+        assert np.all(np.isfinite(profile.integral)) and math.isfinite(profile.slope)
 
 
 class TestDoublingCheck:
