@@ -7,7 +7,6 @@ endpoint behavior of L^p -> L^q time-decay constants under each.
 """
 
 from .errors import (
-    ConvergenceError,
     EvaluationError,
     FracHeatError,
     InsufficientDataError,
@@ -44,7 +43,6 @@ __all__ = [
     "endpoint_divergence_profile",
     "FracHeatError",
     "EvaluationError",
-    "ConvergenceError",
     "UnreliableEvaluationError",
     "QuadratureError",
     "InsufficientDataError",

@@ -47,35 +47,6 @@ class QualityFailure(FracHeatError):
     """A verification table exceeded its tolerance (exit code 3)."""
 
 
-# FRAC_HEAT_PRECISION=extended sums E_alpha in arbitrary precision. eval-ml
-# and decay-sup print only E_alpha values and closed forms and honour it,
-# report computes nothing, and these commands refuse it: M_alpha has one
-# precision, a double certified to 1e-12 relative
-_STANDARD_ONLY = {
-    "eval-wright": "M_alpha has one precision",
-    "verify-subordination": "its quadrature samples M_alpha, which has one precision",
-    "verify-moments": "wright_moment samples the density at its own precision",
-    "verify-special": "its Wright identity evaluates M_alpha, which has one precision",
-    "decay-compare": "its subordination constants sample M_alpha, which has one precision",
-    "solve": "the direct multiplier is held to 1e-12 relative, and the "
-             "subordination mass table samples the density at its own precision",
-}
-
-
-def _extended_precision(command: str) -> bool:
-    """Whether FRAC_HEAT_PRECISION asks `command` for extended precision;
-    ValueError for any value but standard or extended, and for extended
-    in a command that cannot honour it."""
-    precision = os.environ.get("FRAC_HEAT_PRECISION", "standard")
-    if precision not in ("standard", "extended"):
-        raise ValueError("FRAC_HEAT_PRECISION must be 'standard' or 'extended', "
-                         f"got {precision!r}")
-    if precision == "extended" and command in _STANDARD_ONLY:
-        raise ValueError(f"{command} takes no FRAC_HEAT_PRECISION=extended: "
-                         f"{_STANDARD_ONLY[command]}")
-    return precision == "extended"
-
-
 # ---------------------------------------------------------------------------
 # config file: flat key=value lines, keyed by argparse destination; the
 # values become the subcommand's defaults, so each flag's type converts its
@@ -171,7 +142,7 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def cmd_eval_ml(args) -> list[dict]:
-    value, method = mittag_leffler_neg_info(args.alpha, args.x, args.extended)
+    value, method = mittag_leffler_neg_info(args.alpha, args.x)
     return [{"command": "eval-ml", "alpha": args.alpha, "x": args.x,
              "value": value, "method": method}]
 
@@ -249,8 +220,7 @@ def cmd_decay_sup(args) -> list[dict]:
         {**base, "kernel": "heat", "method": "closed-form",
          "value": decay_analysis.sup_heat_closed_form(beta, args.t)},
         {**base, "kernel": "mittag-leffler", "method": "grid-supremum",
-         "value": decay_analysis.sup_ml_numeric(args.alpha, beta, args.t,
-                                                extended=args.extended)},
+         "value": decay_analysis.sup_ml_numeric(args.alpha, beta, args.t)},
         {**base, "kernel": "algebraic-bound", "method": "closed-form",
          "value": decay_analysis.sup_bound_kernel_closed_form(args.alpha, beta, args.t)},
     ]
@@ -457,7 +427,12 @@ def main(argv: list[str] | None = None) -> int:
                                     f"(choose from {', '.join(map(repr, choices))})")
             subparser.set_defaults(**config)
             args = parser.parse_args(argv)
-        args.extended = _extended_precision(args.command)
+        # every value is a double: an outside request for more is refused,
+        # not ignored
+        precision = os.environ.get("FRAC_HEAT_PRECISION", "standard")
+        if precision != "standard":
+            raise ValueError(f"FRAC_HEAT_PRECISION must be 'standard' or unset, got "
+                             f"{precision!r}: extended precision is retired")
         records = args.func(args)
         emit_report(records, args.format, args.out)
         return EXIT_OK

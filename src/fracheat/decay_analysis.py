@@ -121,12 +121,12 @@ def sup_heat_numeric(beta: float, t: float) -> float:
     return _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
 
 
-def _ml_profile_sup(alpha: Alpha, betas: Sequence[float], extended: bool = False) -> list[float]:
+def _ml_profile_sup(alpha: Alpha, betas: Sequence[float]) -> list[float]:
     """sup over u > 0 of u^beta E_alpha(-u) for each beta of `betas` (each
     finite: beta <= 1, or alpha = 1). One evaluation of E_alpha on the
     search grid serves every beta, and nothing is kept past the call."""
-    on_grid = _ml_neg(alpha, _GRID_S, extended)  # alpha validated
-    return [_log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u, extended),
+    on_grid = _ml_neg(alpha, _GRID_S)  # alpha validated
+    return [_log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u),
                           _GRID_S ** beta * on_grid) for beta in betas]
 
 
@@ -141,20 +141,17 @@ def ml_supremum_profile(alpha: Alpha | float, beta: float, exact_kernel: bool = 
     return sup_ml_numeric(alpha, beta, 1.0, exact_kernel)
 
 
-def sup_ml_numeric(
-    alpha: Alpha | float, beta: float, t: float, exact_kernel: bool = True,
-    extended: bool = False,
-) -> float:
+def sup_ml_numeric(alpha: Alpha | float, beta: float, t: float,
+                   exact_kernel: bool = True) -> float:
     """sup over s > 0 of s^beta * kernel(t^alpha s), as t^{-alpha beta}
     times the grid search of sup_u u^beta kernel(u).
 
-    kernel is E_alpha(-.) when exact_kernel (at extended precision if
-    extended), else the algebraic bound 1/(1 + .). Both decay like 1/u for
-    alpha < 1 (E_alpha(-u) ~ 1/(u Gamma(1-alpha))), so beta > 1 is inf
-    analytically, without a search: the growth u^(beta-1) can stay below
-    an interior peak up to u = 1e8. E_1(-u) = exp(-u) keeps every
-    supremum finite. A search whose maximizer lies outside the grid
-    raises ValueError (see `_log_grid_sup`).
+    kernel is E_alpha(-.) when exact_kernel, else the algebraic bound
+    1/(1 + .). Both decay like 1/u for alpha < 1 (E_alpha(-u) ~
+    1/(u Gamma(1-alpha))), so beta > 1 is inf analytically, without a
+    search: the growth u^(beta-1) can stay below an interior peak up to
+    u = 1e8. E_1(-u) = exp(-u) keeps every supremum finite. A search whose
+    maximizer lies outside the grid raises ValueError (see `_log_grid_sup`).
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
@@ -163,7 +160,7 @@ def sup_ml_numeric(
     if beta > 1.0 and (a < 1.0 or not exact_kernel):
         return math.inf
     if exact_kernel:
-        (u_sup,) = _ml_profile_sup(a, (beta,), extended)
+        (u_sup,) = _ml_profile_sup(a, (beta,))
     else:
         u_sup = _log_grid_sup(lambda u: u ** beta / (1.0 + u))
     return t ** (-a * beta) * u_sup

@@ -9,10 +9,6 @@ class EvaluationError(FracHeatError):
     """A special-function evaluation could not be completed."""
 
 
-class ConvergenceError(EvaluationError):
-    """No evaluation route converged within the configured term budget."""
-
-
 class UnreliableEvaluationError(EvaluationError):
     """A rule refused a node: it needs more than its node budget, or its sum
     missed its certificate. Nothing is retried at higher precision; raised

@@ -1,14 +1,14 @@
 """Special functions for the fractional heat propagator.
 
 Provides gamma helpers, the Mittag-Leffler function E_alpha(-x) on the
-negative real axis (one pole-corrected real-axis rule in double precision,
-arbitrary-precision power and asymptotic sums in extended precision, and
-the Hankel node rule of the propagator, checked against them), and the
-Wright-type density M_alpha(s) that subordinates the fractional
-propagator to the classical heat semigroup. Extended precision is a
-property of E_alpha alone: M_alpha has one precision, a double certified
-to 1e-12 relative, from the saddle contour at s >= 1 and the double
-series below; a node either rule refuses raises, with no fallback.
+negative real axis (one pole-corrected real-axis rule, and the Hankel node
+rule of the propagator, checked against it), and the Wright-type density
+M_alpha(s) that subordinates the fractional propagator to the classical
+heat semigroup. Every value is a double: E_alpha(-x) from the real-axis
+rule, M_alpha to 1e-12 relative from the saddle contour at s >= 1 and the
+double series below; a node either M_alpha rule refuses raises, with no
+fallback. The arbitrary-precision reference sums the tests hold these rules
+to are in tests/mp_reference.py.
 
 The rules take arrays, and the scalar functions are one-element calls. No
 computed value is memoized, here or in the suprema that call E_alpha: the
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
-from .errors import ConvergenceError, UnreliableEvaluationError
+from .errors import UnreliableEvaluationError
 
 __all__ = [
     "Alpha",
@@ -37,10 +36,6 @@ __all__ = [
     "wright_m_info",
     "wright_log_envelope",
 ]
-
-# term budget of every arbitrary-precision sum and of the Wright series
-_SERIES_MAX_TERMS = 200_000
-
 
 @dataclass(frozen=True)
 class Alpha:
@@ -163,133 +158,40 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(value, 1.0), n
 
 
-def _mp_series(terms, dps: int, patience: int, failure: str) -> float:
-    """Sum of the mp terms at dps digits, stopped once more than `patience`
-    consecutive terms past the fourth fall below 10^(-dps-8) of the largest."""
-    total, largest, tiny_run = mp.mpf(0), mp.mpf("1e-300"), 0
-    cutoff = mp.mpf(10) ** (-dps - 8)
-    for k, term in enumerate(terms):
-        total += term
-        mag = abs(term)
-        if mag > largest:
-            largest = mag
-        if k > 3 and mag < cutoff * largest:
-            tiny_run += 1
-            if tiny_run > patience:
-                return float(total)
-        else:
-            tiny_run = 0
-    raise ConvergenceError(failure)
-
-
-@lru_cache(maxsize=8)
-def _ml_rgamma_table(alpha: float) -> list:
-    """[digits, [1/Gamma(alpha k + 1) for k = 0, 1, ... as far as computed]]
-    (a negative alpha gives the asymptotic coefficients 1/Gamma(1 - |alpha| k))."""
-    return [0, []]
-
-
-def _ml_rgamma(alpha: float, k: int, dps: int):
-    """Coefficient k of the table, at the digits of the first sum that needed
-    it: the table grows 64 coefficients at a time and is rebuilt at dps digits
-    only when a sum needs more than it holds. A sum keeps 34 digits beyond
-    the double, so extra coefficient digits never change a rounded value."""
-    entry = _ml_rgamma_table(alpha)
-    if entry[0] < dps:
-        entry[:] = [dps, []]
-    digits, table = entry
-    if k >= len(table):
-        with mp.workdps(digits):
-            table.extend(mp.rgamma(mp.mpf(alpha) * j + 1) for j in range(len(table), k + 64))
-    return table[k]
-
-
-def _ml_sums_mp(alpha: float, x: float) -> tuple[float, str]:
-    """E_alpha(-x) for 0 < alpha < 1 and x > 0 from arbitrary-precision sums
-    that carry 34 digits to the rounded double.
-
-    Below t = x^(1/alpha) = 80 it sums the power series, whose largest term
-    is about e^t, at t/ln 10 + 42 digits rounded up to a multiple of 8 (at
-    most 80).
-    Beyond, it sums the asymptotic series E_alpha(-x) =
-    sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k) at 42 digits up to the
-    smallest smooth envelope term x^-k Gamma(alpha k)/pi
-    (by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi): the truncation
-    error is then about e^-t.
-    """
-    failure = f"Mittag-Leffler sums did not converge within {_SERIES_MAX_TERMS} terms " \
-              f"(alpha={alpha}, x={x})"
-    lx = math.log(x)
-    if lx / alpha < math.log(80.0):
-        dps = 8 * math.ceil((x ** (1.0 / alpha) / math.log(10.0) + 42.0) / 8.0)
-        with mp.workdps(dps):
-            z = mp.mpf(x)
-
-            def terms():
-                power = mp.mpf(1)  # (-z)^k, updated incrementally
-                for k in range(_SERIES_MAX_TERMS):
-                    yield power * _ml_rgamma(alpha, k, dps)
-                    power *= -z
-
-            return _mp_series(terms(), dps, 3, failure), f"series-extended[{dps}dps]"
-    dps = 42
-    with mp.workdps(dps):
-        z = mp.mpf(x)
-        total, power, prev = mp.mpf(0), mp.mpf(-1), math.inf  # power: -(-z)^-k
-        # stop where the envelope turns, or e^-110 (2e-48) below its first
-        # term, past every digit the double keeps
-        floor = math.lgamma(alpha) - lx - 110.0
-        for k in range(1, _SERIES_MAX_TERMS):
-            lenv = math.lgamma(alpha * k) - k * lx
-            if lenv >= prev or lenv < floor:
-                return float(total), f"asymptotic-extended[{dps}dps]"
-            prev = lenv
-            power /= -z
-            total += power * _ml_rgamma(-alpha, k, dps)
-    raise ConvergenceError(failure)
-
-
-def _ml_neg(alpha: float, x: np.ndarray, extended: bool = False) -> np.ndarray:
+def _ml_neg(alpha: float, x: np.ndarray) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1-D array, alpha validated: 1 at x = 0,
     exp(-x) at alpha = 1 (the classical limit, which the tests check the rule
-    against), else the real-axis rule, or under extended the mpmath sums."""
+    against), else the real-axis rule."""
     value, pos = np.ones(x.shape), np.flatnonzero(x > 0.0)
-    if alpha == 1.0:
-        value[pos] = np.exp(-x[pos])
-    else:
-        value[pos] = ([_ml_sums_mp(alpha, v)[0] for v in x[pos].tolist()] if extended
-                      else _ml_real_axis(alpha, x[pos])[0])
+    value[pos] = np.exp(-x[pos]) if alpha == 1.0 else _ml_real_axis(alpha, x[pos])[0]
     return value
 
 
-def mittag_leffler_neg_info(alpha: Alpha | float, x: float,
-                            extended: bool = False) -> tuple[float, str]:
-    """E_alpha(-x) together with the evaluation method actually used:
-    extended takes the arbitrary-precision sums, correctly rounded."""
+def mittag_leffler_neg_info(alpha: Alpha | float, x: float) -> tuple[float, str]:
+    """E_alpha(-x) together with the evaluation method actually used."""
     a = Alpha.coerce(alpha)
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
     if x == 0.0 or a == 1.0:
         return float(_ml_neg(a, np.array([x]))[0]), "exact" if x == 0.0 else "exp"
-    if extended:
-        return _ml_sums_mp(a, x)
     value, nodes = _ml_real_axis(a, np.array([x]))  # its one-row call
     return float(value[0]), f"real-axis[{nodes[0]}]"
 
 
-def mittag_leffler_neg(alpha: Alpha | float, x: float, extended: bool = False) -> float:
+def mittag_leffler_neg(alpha: Alpha | float, x: float) -> float:
     """Mittag-Leffler function E_alpha(-x) for x >= 0; lies in (0, 1]."""
-    return mittag_leffler_neg_info(alpha, x, extended)[0]
+    return mittag_leffler_neg_info(alpha, x)[0]
 
 
 # Weideman & Trefethen (2007) optimal parabola for the Bromwich integral at
 # t = 1 with N midpoint nodes on theta in (-pi, pi):
 # g(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta), error ~ 2.85^-N.
 _HANKEL_NODES = 32
-# largest alpha on a 0.005 step at which the rule's relative error, against
-# arbitrary-precision series sums at x in {0} and 80 log-spaced points of
-# [1e-12, 1e6], is at most 1e-12 (6.0e-13 here; 1.2e-12 at 0.99)
+# largest alpha on a 0.005 step at which the rule's relative error, measured
+# offline against arbitrary-precision power and asymptotic sums at x in {0}
+# and 80 log-spaced points of [1e-12, 1e6], is at most 1e-12 (6.0e-13 here;
+# 1.2e-12 at 0.99)
 _HANKEL_ALPHA_CAP = 0.985
 
 
@@ -379,6 +281,8 @@ def _wright_alpha(alpha: Alpha | float) -> float:
 
 # relative error to which a double-precision series sum is certified
 _WRIGHT_SERIES_TOL = 1e-12
+# term budget of the series: a node still active past it is uncertified
+_SERIES_MAX_TERMS = 200_000
 
 # trapezoid points on the saddle contour (geometric convergence, Weideman &
 # Trefethen 2007): against arbitrary-precision series sums at alpha
@@ -541,20 +445,6 @@ def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     value = total + comp
     err = n_terms * 1.1e-16 * np.exp(log_largest)
     return value, ~active & (err <= np.maximum(tol_abs, tol * np.abs(value)))
-
-
-def _wright_series_mp(alpha: float, s: float, dps: int) -> float:
-    with mp.workdps(dps):
-        a, z = mp.mpf(alpha), mp.mpf(s)
-
-        def terms():
-            coeff = mp.mpf(1)  # (-z)^n / n!, updated incrementally
-            for n in range(_SERIES_MAX_TERMS):
-                yield coeff * mp.rgamma(1 - a - a * n)
-                coeff *= -z / (n + 1)
-
-        return _mp_series(terms(), dps, 4, "Wright series did not converge within "
-                          f"{_SERIES_MAX_TERMS} terms (alpha={alpha}, s={s})")
 
 
 def _wright_m_array(alpha: Alpha | float, s: np.ndarray) -> np.ndarray:

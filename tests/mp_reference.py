@@ -1,0 +1,91 @@
+"""Arbitrary-precision reference sums for the double-precision rules.
+
+The package computes E_alpha(-x) and M_alpha(s) in doubles only. These
+mpmath sums are the independent references the tests check those rules
+against: the power and asymptotic series of E_alpha(-x), and the power
+series of M_alpha(s). Each call sums from scratch; nothing is cached.
+"""
+
+import math
+
+import mpmath as mp
+
+# term budget of every sum
+MAX_TERMS = 200_000
+
+
+def _series(terms, dps: int, patience: int, failure: str) -> float:
+    """Sum of the mp terms at dps digits, stopped once more than `patience`
+    consecutive terms past the fourth fall below 10^(-dps-8) of the largest."""
+    total, largest, tiny_run = mp.mpf(0), mp.mpf("1e-300"), 0
+    cutoff = mp.mpf(10) ** (-dps - 8)
+    for k, term in enumerate(terms):
+        total += term
+        mag = abs(term)
+        if mag > largest:
+            largest = mag
+        if k > 3 and mag < cutoff * largest:
+            tiny_run += 1
+            if tiny_run > patience:
+                return float(total)
+        else:
+            tiny_run = 0
+    raise ArithmeticError(failure)
+
+
+def ml_neg(alpha: float, x: float) -> float:
+    """E_alpha(-x) for 0 < alpha < 1 and x > 0 from sums that carry 34
+    digits to the rounded double.
+
+    Below t = x^(1/alpha) = 80 it sums the power series, whose largest term
+    is about e^t, at t/ln 10 + 42 digits rounded up to a multiple of 8.
+    Beyond, it sums the asymptotic series E_alpha(-x) =
+    sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k) at 42 digits up to the
+    smallest smooth envelope term x^-k Gamma(alpha k)/pi
+    (by reflection, |1/Gamma(1-w)| = Gamma(w)|sin(pi w)|/pi): the truncation
+    error is then about e^-t.
+    """
+    failure = f"Mittag-Leffler sums did not converge within {MAX_TERMS} terms " \
+              f"(alpha={alpha}, x={x})"
+    lx = math.log(x)
+    if lx / alpha < math.log(80.0):
+        dps = 8 * math.ceil((x ** (1.0 / alpha) / math.log(10.0) + 42.0) / 8.0)
+        with mp.workdps(dps):
+            a, z = mp.mpf(alpha), mp.mpf(x)
+
+            def terms():
+                power = mp.mpf(1)  # (-z)^k, updated incrementally
+                for k in range(MAX_TERMS):
+                    yield power * mp.rgamma(a * k + 1)
+                    power *= -z
+
+            return _series(terms(), dps, 3, failure)
+    with mp.workdps(42):
+        a, z = mp.mpf(alpha), mp.mpf(x)
+        total, power, prev = mp.mpf(0), mp.mpf(-1), math.inf  # power: -(-z)^-k
+        # stop where the envelope turns, or e^-110 (2e-48) below its first
+        # term, past every digit the double keeps
+        floor = math.lgamma(alpha) - lx - 110.0
+        for k in range(1, MAX_TERMS):
+            lenv = math.lgamma(alpha * k) - k * lx
+            if lenv >= prev or lenv < floor:
+                return float(total)
+            prev = lenv
+            power /= -z
+            total += power * mp.rgamma(1 - a * k)
+    raise ArithmeticError(failure)
+
+
+def wright_series(alpha: float, s: float, dps: int) -> float:
+    """M_alpha(s) = sum_n (-s)^n / (n! Gamma(1 - alpha (n+1))) at dps digits."""
+    with mp.workdps(dps):
+        a, z = mp.mpf(alpha), mp.mpf(s)
+
+        def terms():
+            coeff = mp.mpf(1)  # (-z)^n / n!, updated incrementally
+            for n in range(MAX_TERMS):
+                yield coeff * mp.rgamma(1 - a - a * n)
+                coeff *= -z / (n + 1)
+
+        return _series(terms(), dps, 4, "Wright series did not converge within "
+                       f"{MAX_TERMS} terms (alpha={alpha}, s={s})")

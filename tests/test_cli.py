@@ -7,9 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from fracheat import cli, decay_analysis, pde_solver, special_functions
+from fracheat import cli, pde_solver, special_functions
 from fracheat.pde_solver import read_field
-from fracheat.special_functions import mittag_leffler_neg
 
 # one small invocation of each of the nine commands; REPORT stands for a
 # report file made first (see `in_workdir`)
@@ -67,13 +66,6 @@ class TestEval:
         assert rec["value"] == pytest.approx(0.42758357615580700441, rel=1e-12)
         assert rec["method"]
 
-    def test_eval_ml_extended_precision_at_large_x(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        out = tmp_path / "ml.json"
-        assert run(["eval-ml", "--alpha", "0.25", "--x", "3.5e8", "--out", str(out)]) == 0
-        (rec,) = json.loads(out.read_text())["records"]
-        assert rec["value"] == mittag_leffler_neg(0.25, 3.5e8, extended=True)
-
     def test_eval_wright_value(self, tmp_path):
         out = tmp_path / "w.json"
         assert run(["eval-wright", "--alpha", "0.5", "--s", "2.0",
@@ -87,13 +79,6 @@ class TestEval:
                             lambda alpha, s: np.full(s.shape, np.nan))
         assert run(["eval-wright", "--alpha", "0.5", "--s", "2.0"]) == 3
         assert "error code=3 type=UnreliableEvaluationError" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("x", ["1.0", "3.5e8"], ids=["power", "asymptotic"])
-    def test_eval_ml_extended_sums_out_of_terms(self, monkeypatch, capsys, x):
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        monkeypatch.setattr(special_functions, "_SERIES_MAX_TERMS", 3)
-        assert run(["eval-ml", "--alpha", "0.5", "--x", x]) == 3
-        assert "error code=3 type=ConvergenceError" in capsys.readouterr().err
 
     def test_bad_alpha_is_validation_error(self, capsys):
         assert run(["eval-ml", "--alpha", "2.0", "--x", "1.0"]) == 2
@@ -158,52 +143,27 @@ class TestVerifyCommands:
 
 
 class TestPrecision:
-    """FRAC_HEAT_PRECISION is read once, before any command runs. eval-ml
-    and decay-sup print only E_alpha values and closed forms and honour
-    extended; M_alpha has one precision, so the commands that print
-    anything else refuse it."""
+    """FRAC_HEAT_PRECISION is read once, before any command runs: unset or
+    standard, every value is a double; anything else, the retired extended
+    included, is refused."""
 
+    @pytest.mark.parametrize("precision", ["quad", "extended"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-    def test_unknown_precision_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+    def test_unknown_precision_is_refused(self, tmp_path, monkeypatch, capsys, argv, precision):
         argv, work = in_workdir(argv, tmp_path)
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "quad")
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", precision)
         assert run(argv) == 2
-        assert ("FRAC_HEAT_PRECISION must be 'standard' or 'extended', got 'quad'"
-                in capsys.readouterr().err)
+        assert (f"FRAC_HEAT_PRECISION must be 'standard' or unset, got {precision!r}: "
+                "extended precision is retired" in capsys.readouterr().err)
         assert list(work.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
-        ["verify-subordination", "--alpha", "0.5"],
-        ["verify-moments", "--alpha", "0.5"],
-        ["verify-special"],
-        ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
-        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
-        ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--rep", "subordination"],
-    ], ids=["eval-wright", "verify-subordination", "verify-moments", "verify-special",
-            "decay-compare", "solve-direct", "solve-subordination"])
-    def test_extended_precision_is_refused_before_the_command_runs(
-            self, tmp_path, monkeypatch, capsys, argv):
-        # the command itself (and so solve's memory preflight) never runs
-        argv, work = in_workdir(argv, tmp_path)
-        command = argv[0]
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
-                            lambda args: pytest.fail(f"{command} ran"))
-        assert run(argv) == 2
-        assert (f"{command} takes no FRAC_HEAT_PRECISION=extended: "
-                f"{cli._STANDARD_ONLY[command]}" in capsys.readouterr().err)
-        assert list(work.iterdir()) == []
-
-    def test_decay_sup_honours_extended_precision(self, tmp_path, monkeypatch):
-        out = tmp_path / "sup.json"
-        monkeypatch.setenv("FRAC_HEAT_PRECISION", "extended")
-        assert run(["decay-sup", "--alpha", "0.5", "--lambda", "1.5", "--out", str(out)]) == 0
-        (rec,) = [r for r in json.loads(out.read_text())["records"]
-                  if r["kernel"] == "mittag-leffler"]
-        extended = decay_analysis.sup_ml_numeric(0.5, rec["beta"], 1.0, extended=True)
-        assert rec["value"] == extended
-        assert extended != decay_analysis.sup_ml_numeric(0.5, rec["beta"], 1.0)
+    def test_standard_precision_is_the_default(self, tmp_path, monkeypatch):
+        unset, standard = tmp_path / "unset.json", tmp_path / "standard.json"
+        monkeypatch.delenv("FRAC_HEAT_PRECISION", raising=False)
+        assert run([*COMMANDS[0], "--out", str(unset)]) == 0
+        monkeypatch.setenv("FRAC_HEAT_PRECISION", "standard")
+        assert run([*COMMANDS[0], "--out", str(standard)]) == 0
+        assert standard.read_bytes() == unset.read_bytes()
 
 
 class TestDeterminism:
@@ -339,8 +299,8 @@ class TestSolveAndReport:
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_tol_is_refused(self, tmp_path, capsys, argv, how):
-        # FRAC_HEAT_PRECISION is the one evaluation knob: a tolerance flag
-        # or config key is refused before anything runs or is written
+        # there is no evaluation knob: a tolerance flag or config key is
+        # refused before anything runs or is written
         argv, work = in_workdir(argv, tmp_path)
         if how == "flag":
             argv += ["--tol", "1e-6"]

@@ -201,7 +201,7 @@ class TestCompareRepresentations:
         # for all its betas; an analytic inf and the bound kernel need none
         sizes, ml_neg = [], decay_analysis._ml_neg
         monkeypatch.setattr(decay_analysis, "_ml_neg",
-                            lambda a, u, ext=False: sizes.append(u.size) or ml_neg(a, u, ext))
+                            lambda a, u: sizes.append(u.size) or ml_neg(a, u))
         for _ in range(2):
             compare_representations(0.5, 1.0, [0.2, 0.1, 0.05])
             assert sizes.count(400) == 1 and set(sizes) == {400, 33}

@@ -1,7 +1,7 @@
-"""The runtime import contract: the package needs numpy and mpmath only,
-every module it uses is loaded when it is imported, not on the first call
-(the cost of a cold command stays in its start-up), and every name a module
-exports exists."""
+"""The runtime import contract: the package needs numpy only (mpmath and
+scipy are test references), every module it uses is loaded when it is
+imported, not on the first call (the cost of a cold command stays in its
+start-up), and every name a module exports exists."""
 
 import importlib
 import json
@@ -26,10 +26,32 @@ def _run(code: str):
     return json.loads(out.splitlines()[-1])
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_cli_import_loads_no_scipy(package):
     loaded = _run("import json, sys, fracheat.cli\n"
-                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+                  f"print(json.dumps([m for m in sys.modules if m.split('.')[0] == {package!r}]))")
     assert loaded == []
+
+
+def test_every_command_runs_without_mpmath(tmp_path):
+    # with mpmath blocked, so that importing it raises, each of the nine
+    # commands runs at a small size and exits 0; report merges eval-ml's
+    out = str(tmp_path / "{}.json")
+    runs = [["eval-ml", "--alpha", "0.5", "--x", "1.0"],
+            ["eval-wright", "--alpha", "0.5", "--s", "2.0"],
+            ["verify-subordination", "--alpha", "0.5"],
+            ["verify-moments", "--alpha", "0.5"],
+            ["verify-special"],
+            ["decay-sup", "--alpha", "0.5", "--lambda", "1.0"],
+            ["decay-compare", "--alpha", "0.5", "--lambda", "1.0"],
+            ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256"],
+            ["report", out.format("eval-ml")]]
+    codes = _run("import json, sys\n"
+                 "sys.modules['mpmath'] = None\n"
+                 "from fracheat.cli import main\n"
+                 f"print(json.dumps([main([*argv, '--out', {out!r}.format(argv[0])])\n"
+                 f"                  for argv in {runs!r}]))")
+    assert codes == [0] * 9
 
 
 def test_first_calls_import_no_library_module():

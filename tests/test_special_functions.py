@@ -27,7 +27,6 @@ from fracheat.special_functions import (
     _wright_contour_geometry,
     _wright_m_array,
     _wright_series_coeffs,
-    _wright_series_mp,
     _WRIGHT_SERIES_TOL,
     reciprocal_gamma,
     wright_log_envelope,
@@ -36,6 +35,8 @@ from fracheat.special_functions import (
 )
 from fracheat import special_functions, subordination
 from fracheat.subordination import wright_mass_nodes
+
+import mp_reference
 
 # (alpha, x, E_alpha(-x)) frozen from 50-digit series summation
 ML_REFERENCE = [
@@ -142,36 +143,20 @@ class TestMittagLeffler:
         # every route, with the Hankel rule at its certified 1e-12
         lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * x)
         upper = 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
-        values = [(mittag_leffler_neg(alpha, x), 1e-13),
-                  (mittag_leffler_neg(alpha, x, extended=True), 1e-13)]
+        values = [(mittag_leffler_neg(alpha, x), 1e-13)]
         if x > 0.0 and alpha <= _HANKEL_ALPHA_CAP:
             values.append((mittag_leffler_contour(alpha, x), 1e-12))
         for v, slack in values:
             assert lower * (1.0 - slack) <= v <= upper * (1.0 + slack)
 
-    @pytest.mark.parametrize("alpha,x", [(0.975, 46093147.33266293), (0.25, 3.5e8),
-                                         (0.5, 1e6)])
-    def test_extended_precision_is_correctly_rounded(self, alpha, x):
-        with mp.workdps(60):
-            a, z = mp.mpf(alpha), mp.mpf(x)
-            # the asymptotic series: its 59th term is below 1e-60 of the sum here
-            ref = mp.fsum((-1) ** (k + 1) * z ** -k * mp.rgamma(1 - a * k) for k in range(1, 60))
-        assert mittag_leffler_neg(alpha, x, extended=True) == float(ref)
-
-    def test_repeat_extended_sum_computes_no_new_coefficient(self, monkeypatch):
-        # the power series at alpha 0.02, x 1.09 needs about 15,000 coefficients
-        first = mittag_leffler_neg_info(0.02, 1.09, extended=True)
-        calls = []
-        rgamma = mp.rgamma
-        monkeypatch.setattr(mp, "rgamma", lambda z: calls.append(z) or rgamma(z))
-        assert mittag_leffler_neg_info(0.02, 1.09, extended=True) == first
-        assert calls == []
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.99])
-    def test_standard_precision_never_runs_mpmath(self, alpha):
-        # the 400 points of the supremum grid search
-        for x in np.exp(np.linspace(math.log(1e-8), math.log(1e8), 400)):
-            assert mittag_leffler_neg_info(alpha, float(x))[1].startswith("real-axis[")
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975, 0.995])
+    def test_real_axis_rule_matches_arbitrary_precision_sums(self, alpha):
+        # 17 log points of [1e-8, 1e8], and t = x^(1/alpha) = 10, 40 and 79
+        # below the power series cut t = 80, in one array call
+        x = np.concatenate((np.logspace(-8.0, 8.0, 17), [10.0 ** alpha, 40.0 ** alpha,
+                                                        79.0 ** alpha]))
+        ref = np.array([mp_reference.ml_neg(alpha, v) for v in x.tolist()])
+        assert np.all(np.abs(_ml_neg(alpha, x) - ref) <= 1e-14 * ref)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
@@ -451,7 +436,7 @@ class TestWrightContour:
                 continue
             # 60 digits beyond the cancellation of the largest series term
             dps = 60 + int((log_terms.max() - log_env) / math.log(10.0))
-            ref = _wright_series_mp(alpha, float(si), dps)
+            ref = mp_reference.wright_series(alpha, float(si), dps)
             if ref > 1e-250:
                 assert abs(v - ref) <= _WRIGHT_SERIES_TOL * ref, (si, v, ref)
                 checked += 1

@@ -152,19 +152,11 @@ class TestAlphaGate:
         assert float(wright_mass_nodes(0.995)[1].sum()) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestOnePrecision:
+class TestAlphaRange:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.995])
-    def test_tables_moments_and_profile_take_no_mpmath_sum(self, alpha, monkeypatch):
-        # M_alpha has one precision: with the mpmath series refused and no
-        # mpmath module to reach, the integrals are built from doubles alone
-        def refused(*args, **kwargs):
-            raise AssertionError("an arbitrary-precision sum on the M_alpha path")
-
-        monkeypatch.setattr(special_functions, "_wright_series_mp", refused)
-        monkeypatch.setattr(special_functions, "mp", None)
-        for cache in (subordination._adaptive_cut, subordination._density_table,
-                      subordination._tail_sample):
-            cache.cache_clear()
+    def test_tables_moments_and_profile_at_both_ends(self, alpha):
+        # the mass table, moments and endpoint profile at the ends of the
+        # Wright range and its middle
         assert float(wright_mass_nodes(alpha)[1].sum()) == pytest.approx(1.0, abs=1e-9)
         gammas = [-0.5, 0.0, 1.0, 2.0]
         exact = [math.gamma(g + 1.0) / math.gamma(g * alpha + 1.0) for g in gammas]
