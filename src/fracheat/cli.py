@@ -9,6 +9,8 @@ Exit codes: 0 success, 2 validation error, 3 numerical-quality failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -120,11 +122,11 @@ def emit_report(records: list[dict], fmt: str, out: str | None) -> None:
         doc = {"schema_version": SCHEMA_VERSION, "records": records}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        cols = sorted({k for r in records for k in r})
-        lines = [",".join(cols)]
-        for r in records:
-            lines.append(",".join("" if r.get(c) is None else str(r.get(c)) for c in cols))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, sorted({k for r in records for k in r}), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out:
@@ -413,20 +415,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            subparser = subparsers[args.command]
+        # the config is read before the command line is parsed, so a flag
+        # whose key it holds is no longer required there
+        head = argparse.ArgumentParser(prog="fracheat", add_help=False)
+        head.add_argument("command", nargs="?")
+        head.add_argument("--config", nargs="?")  # a missing path: the parse below says so
+        head = head.parse_known_args(argv)[0]
+        if head.config and head.command in subparsers:
+            subparser = subparsers[head.command]
             actions = {a.dest: a for a in subparser._actions
                        if a.dest not in ("help", "config", "inputs")}
-            config = _load_config(args.config, set(actions))
+            config = _load_config(head.config, set(actions))
             for key, value in config.items():
                 # argparse checks choices on the command line, not on defaults
                 choices = actions[key].choices
                 if choices is not None and value not in choices:
                     subparser.error(f"config {key}: invalid choice: {value!r} "
                                     f"(choose from {', '.join(map(repr, choices))})")
+                actions[key].required = False
             subparser.set_defaults(**config)
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
         # every value is a double: an outside request for more is refused,
         # not ignored
         precision = os.environ.get("FRAC_HEAT_PRECISION", "standard")

@@ -6,30 +6,25 @@ solution mass reaches the boundary. The propagator acts mode-by-mode:
 each Fourier mode xi is multiplied by E_alpha(-t^alpha |xi|^2), either
 evaluated directly or through the Wright-subordination quadrature over
 classical heat multipliers exp(-s t^alpha |xi|^2). The field is real, so
-its spectrum is Hermitian: a solve is one real FFT (rfftn's own sequence:
-a real FFT over the last axis, then in 2D an in-place FFT over axis 0), the
-multiplier on the half spectrum (N//2 + 1 modes on the last axis) and one
-inverse real FFT.
-On the box |xi|^2 = (2 pi / L)^2 n with n = i^2 (+ j^2) an exact integer,
-so each solve or sweep keys its modes on integers once. In 1D the
-multiplier is read on the U = N//2 + 1 axis values c_u = xi_u^2
-(xi_k^2 = xi_{N-k}^2). In 2D |xi|^2 = c_i + c_j on the axis pairs
-0 <= i, j <= N//2, so either route's multiplier is a symmetric U x U
-table, and FFT row j reads row min(j, N - j) of it. Subordination builds
-the table by factorizing the heat multiplier, exp(-tau |xi|^2) =
-exp(-tau c_i) exp(-tau c_j): it is F diag(mass) F^T = G G^T,
-F[u, i] = exp(-s_i t^alpha c_u) and G = F diag(sqrt(mass)), one SYRK;
-heat factors below exp(-345) ~ 1e-150 are exact zeros, so no exp
-underflows and no table product is subnormal. The direct kernel
-1/(g^alpha + x) does not factorize: it runs on the distinct n = i^2 + j^2,
-found by an occupancy table (no float sort), and is gathered into the
-table. A sweep's one `_Step` owns every buffer its steps write, so no step
+its spectrum is Hermitian: a step (`_Step`, the same lines in every dim)
+is rfftn's sequence, the multiplier on the half spectrum and irfftn's.
+On the box |xi|^2 = (2 pi / L)^2 n, n = sum of i^2 over the axes, and is
+the sum of the axis values c_u = xi_u^2, 0 <= u <= N//2, so either route's
+multiplier is a table on the U^dim axis tuples. Subordination factorizes
+the heat multiplier, exp(-tau |xi|^2) = prod of exp(-tau c_u) over the
+axes (`_wright_table`); heat factors below exp(-345) ~ 1e-150 are exact
+zeros, so no exp underflows and no table product is subnormal. The direct
+kernel 1/(g^alpha + x) does not factorize: it runs on the distinct n, found
+by an occupancy table (no float sort), and is gathered into the table. A
+sweep's one `_Step` owns every buffer its steps write, so no step
 allocates a full-size array; a one-step solve writes its product over its
 own spectrum.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -92,10 +87,10 @@ class PeriodicGrid:
         return self.dx * np.arange(self.points_per_dim) - self.box_length / 2.0
 
     def frequencies_squared(self) -> np.ndarray:
-        """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout."""
+        """|xi|^2 for each mode, xi_k = 2 pi k / L, in FFT layout: an outer sum over the axes."""
         j = np.arange(self.points_per_dim)
         k2 = self._axis_values()[np.minimum(j, self.points_per_dim - j)]
-        return k2 if self.dim == 1 else k2[:, None] + k2[None, :]
+        return functools.reduce(np.add.outer, [k2] * self.dim)
 
     def _axis_values(self) -> np.ndarray:
         """The U = N//2 + 1 distinct values xi_u^2 along an axis, ascending
@@ -103,15 +98,18 @@ class PeriodicGrid:
         n = self.points_per_dim
         return (2.0 * math.pi * (np.arange(n // 2 + 1) * (1.0 / (n * self.dx)))) ** 2
 
-    def _distinct_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |xi|^2 = (2 pi / L)^2 n of the 2D box, ascending, and
-        the U x U index of each axis pair (i, j) into them, keyed on the
-        integer n = i^2 + j^2 <= 2 (N//2)^2 by an occupancy table."""
+    def _distinct_modes(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The distinct |xi|^2 = (2 pi / L)^2 n of the box, ascending, and
+        the U^dim index of each axis tuple into them, keyed on the integer
+        n = sum of i^2 <= dim (N//2)^2 by an occupancy table; in 1D the axis
+        values and no index (n = i^2 is distinct already)."""
+        if self.dim == 1:
+            return self._axis_values(), None
         half = self.points_per_dim // 2
-        key = np.min_scalar_type(2 * half * half)  # holds every n
+        key = np.min_scalar_type(self.dim * half * half)  # holds every n
         k2 = np.arange(half + 1, dtype=key) ** 2
-        keys = k2[:, None] + k2[None, :]
-        present = np.zeros(2 * half * half + 1, dtype=bool)
+        keys = functools.reduce(np.add.outer, [k2] * self.dim)
+        present = np.zeros(self.dim * half * half + 1, dtype=bool)
         present[keys] = True
         lookup = np.cumsum(present, dtype=key)
         lookup -= 1  # present[0]: the zero mode
@@ -188,8 +186,8 @@ def _edge_share(a: np.ndarray) -> float:
 
 
 def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
-    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: in
-    2D the outer product of its axis profile exp(-x^2 / (2 sigma^2)). The
+    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: the
+    outer product of its axis profile exp(-x^2 / (2 sigma^2)). The
     profile is flushed to exact 0 below exp(-_FLUSH) ~ 1e-150, as the heat
     factors are, so no exp underflows and no product is subnormal."""
     if not 0.0 < sigma < math.inf:
@@ -197,7 +195,7 @@ def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
     e = -grid._axis() ** 2 / (2.0 * sigma ** 2)
     profile = np.exp(np.maximum(e, -_FLUSH))
     profile[e < -_FLUSH] = 0.0
-    return Field._adopt(grid, profile if grid.dim == 1 else np.multiply.outer(profile, profile))
+    return Field._adopt(grid, functools.reduce(np.multiply.outer, [profile] * grid.dim))
 
 
 def write_field(field: Field, path: str | Path, time: float = 0.0) -> None:
@@ -334,7 +332,8 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
 
 def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.ndarray:
     """Per-mode multiplier E_alpha(-t^alpha |xi|^2) in the layout of xi2, an
-    array of any shape, for a finite time t >= 0 (ValueError otherwise).
+    array of any shape of finite |xi|^2 >= 0, for a finite time t >= 0
+    (ValueError otherwise, before any kernel runs).
 
     A float array carries no integer keys, so the kernel runs on its
     `np.unique` values and is broadcast back (the solver keys its modes on
@@ -342,66 +341,68 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
     `multiplier_method` names (heat factors flushed as `_FLUSH` says).
     """
     ta = _time_scale(cfg, t)
+    if not np.all((xi2 >= 0.0) & (xi2 < math.inf)):  # NaN fails both
+        raise ValueError("xi2 must be finite and nonnegative")
     if ta == 0.0:
         return np.ones_like(xi2)
     uniq, inverse = np.unique(xi2.ravel(), return_inverse=True)
     return _kernel(cfg, ta * uniq)[inverse].reshape(xi2.shape)
 
 
-class _Step:
-    """One solve's or sweep's step, built once: the real FFT of w0, its
-    modes keyed on integers (the axis values, or for the 2D direct route
-    the distinct |xi|^2 and a U x U index) and every buffer a step writes.
-    A call writes the field at t into `field` and returns it.
+def _wright_table(cfg: SolverConfig, dim: int, rows: int) -> tuple:
+    """The subordination table sum_i mass_i f_i (x) ... (x) f_i, one flushed
+    factor f_i = exp(-s_i x) per axis of a `dim`-axis grid, as a function of
+    (x, work), and the heat-factor lanes of `work`: in 1D `_kernel`'s blocked
+    matvec on the `rows` axis values (a row block of factors at a time),
+    otherwise the SYRK `_gram` of all U rows into a U x U buffer."""
+    nodes, mass = wright_mass_nodes(cfg.alpha.value)
+    if not np.all(mass >= 0.0):
+        raise QuadratureError("the Wright mass table has a negative or NaN mass "
+                              "(the density M_alpha is >= 0)")
+    if dim == 1:
+        return functools.partial(_kernel, cfg), nodes.size * min(rows, _HEAT_BLOCK_ROWS)
+    root, table = np.sqrt(mass), np.empty((rows, rows))
+    return (lambda x, work: _gram(x, nodes, root, work, table)), nodes.size * rows
 
-    The multiplier is a table on the axis values: U entries in 1D, U x U
-    in 2D, U = N//2 + 1. In 2D, row j of the half spectrum takes row
-    min(j, N - j) of the table: rows 0..N/2, then rows N/2-1..1, the same
-    two row slices for both routes. Subordination builds its table by
-    `_gram` into a buffer of the step; the direct table is the kernel
-    gathered through the index, a temporary dropped before the inverse
-    FFT. A float arena holds the subordination heat factors while the
-    table is built (all U rows in 2D, a row block in 1D). A sweep keeps
-    its spectrum for every step, so the arena then holds the complex
+
+class _Step:
+    """One solve's or sweep's step, built once: the real FFT of w0 (a real
+    FFT over the last axis, then an in-place FFT over each leading axis,
+    last to first), its modes keyed on integers and every buffer a step
+    writes. A call writes the field at t into `field` and returns it.
+
+    Along every leading axis, FFT rows 0..N/2 read table rows 0..N/2 and
+    rows N/2+1..N-1 read rows N/2-1..1 (row min(j, N - j)), each a view.
+    The direct table is `_kernel` on the distinct |xi|^2 gathered through
+    their index, a temporary dropped before the inverse FFT. A float arena
+    holds the subordination heat factors while the table is built. A sweep
+    keeps its spectrum for every step, so the arena then holds the complex
     product `prod`; a one-step solve (`sweep=False`) writes the product
-    over its own spectrum instead, and its arena holds heat factors only
-    (none on the direct route). The inverse real FFT is irfftn's own
-    sequence: an in-place inverse FFT over axis 0 (2D), then an inverse
-    real FFT into `field`.
+    over its own spectrum, and its arena holds heat factors only. The
+    inverse FFT runs over each leading axis, first to last, into `prod`,
+    then an inverse real FFT into `field`.
     """
 
     def __init__(self, w0: Field, cfg: SolverConfig, sweep: bool = True) -> None:
         self.grid, self.cfg = w0.grid, cfg
-        self.spectrum = np.fft.rfft(w0.samples)  # rfftn's own sequence
-        if self.grid.dim == 2:
-            np.fft.fft(self.spectrum, axis=0, out=self.spectrum)
-        if self.grid.dim == 2 and cfg.representation != "subordination":
-            self.values, self.index = self.grid._distinct_modes()
-        else:
-            self.values, self.index = self.grid._axis_values(), None
-        n, rows, heat = self.grid.points_per_dim, self.values.size, 0
-        self.table = None
+        self.spectrum = np.fft.rfft(w0.samples)
+        for axis in reversed(range(self.spectrum.ndim - 1)):
+            np.fft.fft(self.spectrum, axis=axis, out=self.spectrum)
         if cfg.representation == "subordination":
-            self.nodes, mass = wright_mass_nodes(cfg.alpha.value)
-            if not np.all(mass >= 0.0):
-                raise QuadratureError("the Wright mass table has a negative or NaN mass "
-                                      "(the density M_alpha is >= 0)")
-            if self.grid.dim == 2:
-                self.root, self.table = np.sqrt(mass), np.empty((rows, rows))
-            heat = self.nodes.size * (rows if self.grid.dim == 2 else min(rows, _HEAT_BLOCK_ROWS))
+            self.values, self.index = self.grid._axis_values(), None
+            self.tabulate, heat = _wright_table(cfg, self.grid.dim, self.values.size)
+        else:
+            self.values, self.index = self.grid._distinct_modes()
+            self.tabulate, heat = functools.partial(_kernel, cfg), 0
         arena = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
         self.work = arena, np.empty(heat, dtype=bool)
         self.prod = (arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
                      if sweep else self.spectrum)
-        self.field = np.empty((n,) * self.grid.dim)
+        self.field = np.empty(w0.samples.shape)
 
     def multiplier(self, ta: float) -> np.ndarray:
-        """The table E_alpha(-ta c) at ta = t^alpha > 0 on the step's axis
-        values (1D) or axis pairs (2D)."""
-        x = ta * self.values
-        if self.table is not None:  # 2D subordination
-            return _gram(x, self.nodes, self.root, self.work, self.table)
-        vals = _kernel(self.cfg, x, self.work)
+        """The table E_alpha(-ta c) at ta = t^alpha > 0 on the step's axis tuples."""
+        vals = self.tabulate(ta * self.values, self.work)
         return vals if self.index is None else vals[self.index]
 
     def __call__(self, t: float) -> np.ndarray:
@@ -409,15 +410,16 @@ class _Step:
         src, prod = self.spectrum, self.prod
         if ta > 0.0:
             tab = self.multiplier(ta)
-            u = tab.shape[0]
-            np.multiply(src[:u], tab, out=prod[:u])
-            if self.grid.dim == 2:
-                np.multiply(src[u:], tab[u - 2:0:-1], out=prod[u:])
+            u, lead = tab.shape[0], src.ndim - 1
+            halves, mirrored = (slice(u), slice(u, None)), (slice(u), slice(u - 2, 0, -1))
+            for rows, tab_rows in zip(itertools.product(halves, repeat=lead),
+                                      itertools.product(mirrored, repeat=lead)):
+                np.multiply(src[rows], tab[tab_rows], out=prod[rows])
             src = prod
             del tab  # a direct table is a temporary: freed before the inverse FFT
-        if self.grid.dim == 2:
-            src = np.fft.ifft(src, axis=0, out=prod)
-        return np.fft.irfft(src, self.grid.points_per_dim, out=self.field)
+        for axis in range(src.ndim - 1):
+            src = np.fft.ifft(src, axis=axis, out=prod)
+        return np.fft.irfft(src, self.field.shape[-1], out=self.field)
 
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:

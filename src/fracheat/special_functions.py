@@ -160,9 +160,10 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ml_neg(alpha: float, x: np.ndarray) -> np.ndarray:
     """E_alpha(-x) at each x >= 0 of a 1-D array, alpha validated: 1 at x = 0,
-    exp(-x) at alpha = 1 (the classical limit, which the tests check the rule
-    against), else the real-axis rule."""
-    value, pos = np.ones(x.shape), np.flatnonzero(x > 0.0)
+    0 at x = inf (the limit), exp(-x) at alpha = 1 (the classical limit,
+    which the tests check the rule against), else the real-axis rule."""
+    value = np.where(x < math.inf, 1.0, 0.0)
+    pos = np.flatnonzero((x > 0.0) & (x < math.inf))
     value[pos] = np.exp(-x[pos]) if alpha == 1.0 else _ml_real_axis(alpha, x[pos])[0]
     return value
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, report
 determinism, config handling, and file outputs."""
 
+import csv
 import json
 import weakref
 
@@ -183,6 +184,17 @@ class TestDeterminism:
         assert header == sorted(header)
         assert len(lines) == 4  # header + three kernels
 
+    def test_csv_quotes_what_its_fields_hold(self, tmp_path):
+        # a delimiter, a quote or a newline in a field is quoted: the rows
+        # read back through csv.reader are the records
+        rec = {"command": "eval-ml", "method": "a,b", "note": 'say "hi"\nthen stop'}
+        src, out = tmp_path / "r.json", tmp_path / "r.csv"
+        src.write_text(json.dumps({"schema_version": 1, "records": [rec]}))
+        assert run(["report", str(src), "--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [sorted(rec), [rec[k] for k in sorted(rec)]]
+
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.json"
         for argv in (["decay-sup", "--alpha", "0.5", "--lambda", "9.0"],  # beta > 1
@@ -234,6 +246,22 @@ class TestConfig:
         assert run(argv + ["--t", "2.5", "--out", str(by_flag)]) == 0
         assert by_config.read_text() == by_flag.read_text()
         assert all(r["t"] == 2.5 for r in json.loads(by_flag.read_text())["records"])
+
+    def test_config_supplies_required_flags(self, tmp_path):
+        # a required flag whose key the config holds is not required on the
+        # command line: the same report as the flags give
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 0.5\nx = 1.0\n")
+        by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+        assert run(["eval-ml", "--config", str(cfg), "--out", str(by_config)]) == 0
+        assert run(["eval-ml", "--alpha", "0.5", "--x", "1.0", "--out", str(by_flag)]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    def test_required_flag_missing_from_config_is_still_required(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 0.5\n")
+        assert run(["eval-ml", "--config", str(cfg)]) == 2
+        assert "the following arguments are required: --x" in capsys.readouterr().err
 
     def test_flag_set_to_its_default_wins(self, tmp_path):
         cfg = tmp_path / "fmt.cfg"
@@ -313,6 +341,18 @@ class TestSolveAndReport:
         assert ("unrecognized arguments: --tol" if how == "flag"
                 else "unknown config key 'tol'") in err
         assert list(work.iterdir()) == []
+
+    def test_solve_past_the_double_range_of_t_alpha_xi2(self, tmp_path):
+        # t^alpha |xi|^2 overflows to inf on the high modes, where
+        # E_alpha(-x) is 0: the real-axis rule solves as alpha = 1 does
+        argv = ["solve", "--t", "1e308", "--N", "4096", "--L", "20"]
+        recs = []
+        for alpha in ("0.999", "1.0"):
+            out = tmp_path / f"{alpha}.json"
+            assert run([*argv, "--alpha", alpha, "--out", str(out)]) == 0
+            recs.append(json.loads(out.read_text())["records"][0])
+        assert recs[0]["method"] == "direct_ml/real-axis"
+        assert abs(recs[0]["max_norm"] - recs[1]["max_norm"]) <= 1e-15
 
     @pytest.mark.parametrize("alpha, rep, method", [
         ("0.5", "direct", "direct_ml/hankel-32"),

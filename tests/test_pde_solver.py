@@ -308,6 +308,24 @@ class TestSolve:
                 step = pde_solver._Step(w0, cfg, sweep=sweep)
                 assert np.array_equal(step.spectrum, np.fft.rfftn(w0.samples))
 
+    @pytest.mark.parametrize("dim, n, box", [(1, 1024, 200.0), (2, 128, 32.0)])
+    @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
+    @pytest.mark.parametrize("sweep", [True, False])
+    def test_table_read_is_numpys_n_dimensional_transform(self, dim, n, box, rep, sweep):
+        # FFT row j of every leading axis reads table row min(j, N - j):
+        # irfftn(rfftn(w0) * the gathered table), bit for bit
+        w0 = gaussian_bump(PeriodicGrid(dim, box, n))
+        cfg = SolverConfig(alpha=0.6, representation=rep)
+        rows = np.minimum(np.arange(n), n - np.arange(n))
+        for t in (0.5, 3.0):
+            step = pde_solver._Step(w0, cfg, sweep=sweep)
+            tab = step.multiplier(t ** 0.6)
+            for axis in range(dim - 1):
+                tab = np.take(tab, rows, axis=axis)
+            ref = np.fft.irfftn(np.fft.rfftn(w0.samples) * tab, w0.samples.shape,
+                                axes=tuple(range(dim)))
+            assert np.array_equal(step(t), ref)
+
     def test_subordination_requires_fractional_alpha(self):
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.0, representation="subordination")
@@ -372,6 +390,9 @@ class TestSolve:
         assert out.mean() == pytest.approx(f.mean(), rel=1e-12)
 
 
+# one configuration on each route of multiplier_method
+_ROUTES = [(0.5, "direct_ml"), (0.99, "direct_ml"), (1.0, "direct_ml"), (0.5, "subordination")]
+
 # t or x: zero, or anywhere from 1e-12 to 1e300 on a log scale
 _ZERO_OR_WIDE = st.one_of(st.just(0.0), st.floats(min_value=-12.0, max_value=300.0)
                           .map(lambda e: 10.0 ** e))
@@ -405,6 +426,25 @@ class TestMultiplier:
             for t in (-1.0, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     propagator_multiplier(SolverConfig(alpha=0.5, representation=rep), t, x)
+
+    @pytest.mark.parametrize("alpha, rep", _ROUTES)
+    def test_rejects_invalid_modes(self, monkeypatch, alpha, rep):
+        # a negative, NaN or infinite |xi|^2 is refused before any kernel
+        # runs, at t = 0 too
+        cfg = SolverConfig(alpha=alpha, representation=rep)
+        monkeypatch.setattr(pde_solver, "_kernel", lambda *a: pytest.fail("a kernel ran"))
+        for bad in (-1.0, -50.0, -1e-300, math.nan, math.inf):
+            for t in (0.0, 1.0):
+                with pytest.raises(ValueError, match="xi2 must be finite and nonnegative"):
+                    propagator_multiplier(cfg, t, np.array([[0.0, 2.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("alpha, rep", _ROUTES)
+    def test_kernel_is_zero_at_infinity(self, alpha, rep):
+        # E_alpha(-x) -> 0 as x -> inf, the value t^alpha |xi|^2 takes once
+        # it overflows; the finite values beside it are untouched
+        cfg = SolverConfig(alpha=alpha, representation=rep)
+        got = pde_solver._kernel(cfg, np.array([math.inf, 0.0, 2.0, math.inf]))
+        assert np.array_equal(got, [0.0, *pde_solver._kernel(cfg, np.array([0.0, 2.0])), 0.0])
 
     @given(
         alpha=st.floats(min_value=0.02, max_value=_HANKEL_ALPHA_CAP),
