@@ -402,7 +402,9 @@ class _Step:
 
     def multiplier(self, ta: float) -> np.ndarray:
         """The table E_alpha(-ta c) at ta = t^alpha > 0 on the step's axis tuples."""
-        vals = self.tabulate(ta * self.values, self.work)
+        with np.errstate(over="ignore"):  # past the double range: inf, where every route is 0
+            x = ta * self.values
+        vals = self.tabulate(x, self.work)
         return vals if self.index is None else vals[self.index]
 
     def __call__(self, t: float) -> np.ndarray:

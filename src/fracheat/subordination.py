@@ -38,8 +38,9 @@ __all__ = [
 # the one panel schedule of every integral of M_alpha over s in (0, inf): the
 # truncation point adapts to the density's decay envelope up to the ceiling
 # _UPPER_CUT, and the tail beyond it is dropped only when its sampled bound is
-# at most _TARGET_TOL (QuadratureError otherwise); _PANELS Gauss-Legendre
-# panels of _NODES_PER_PANEL nodes, doubled to verify convergence
+# at most _TARGET_TOL (QuadratureError otherwise); Gauss-Legendre panels of
+# _NODES_PER_PANEL nodes, doubled to verify convergence: _PANELS of them on
+# [_S_FLOOR, cut], fewer on a shorter interval (see _panel_edges)
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -109,7 +110,8 @@ def _certify_tail(alpha: float, cut: float, weight_exp: float, factor: float = 1
 def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
     """Panel edges on [lo, hi] adapted to M_alpha, refined by scale.
 
-    For moderate alpha, _PANELS * scale geometric panels suffice. Close to
+    For moderate alpha, _PANELS * scale geometric panels suffice, fewer on an
+    interval shorter in log s than [_S_FLOOR, 1] (none wider than there). Close to
     alpha = 1 the density spikes toward a Dirac profile at s = 1: it rises
     like s^m with m = (alpha-1/2)/(1-alpha) and collapses like
     exp(-b s^{1/(1-alpha)}), both extremely steep. There the edges advance
@@ -118,7 +120,8 @@ def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
     integrand moves; geometric panels cover [lo, 0.5].
     """
     if alpha <= 0.85:
-        return np.geomspace(lo, hi, _PANELS * scale + 1).tolist()
+        count = min(_PANELS, math.ceil(_PANELS * math.log(hi / lo) / math.log(1.0 / _S_FLOOR)))
+        return np.geomspace(lo, hi, count * scale + 1).tolist()
     m = (alpha - 0.5) / (1.0 - alpha)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     inv = 1.0 / (1.0 - alpha)

@@ -3,6 +3,7 @@ determinism, config handling, and file outputs."""
 
 import csv
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -353,6 +354,14 @@ class TestSolveAndReport:
             recs.append(json.loads(out.read_text())["records"][0])
         assert recs[0]["method"] == "direct_ml/real-axis"
         assert abs(recs[0]["max_norm"] - recs[1]["max_norm"]) <= 1e-15
+
+    def test_solve_past_the_double_range_warns_nothing(self, capsys):
+        # the overflow of t^alpha |xi|^2 to inf is the intended kernel input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", "--alpha", "1.0", "--t", "1e308", "--dim", "1",
+                        "--N", "64", "--L", "20"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("alpha, rep, method", [
         ("0.5", "direct", "direct_ml/hankel-32"),

@@ -415,6 +415,37 @@ class TestMoments:
         assert got == [self.one_weight(alpha, g) for g in gammas]
         assert got == [wright_moment(alpha, g) for g in gammas]
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("cut", [None, 1.5, 14.0, 40.0])
+    def test_upper_table_is_sized_to_its_interval(self, alpha, cut):
+        # [1, cut] takes min(48, ceil(48 ln(cut) / ln(1e6))) geometric panels
+        # (no wider in log s than the solver's on [1e-6, 1]) per scale
+        cut = subordination._adaptive_cut(alpha, 3.0) if cut is None else cut
+        panels = min(48, math.ceil(48 * math.log(cut) / math.log(1e6)))
+        for scale in (1, 2):
+            nodes, _ = subordination._density_table(alpha, scale, 1.0, cut)
+            assert nodes.size == panels * scale * 16
+            assert np.array_equal(nodes, _gauss_panels(
+                np.geomspace(1.0, cut, panels * scale + 1).tolist(), 16)[0])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85])
+    def test_moments_match_full_upper_tables(self, alpha):
+        # the reference puts on [1, cut] the 96 panels that [1e-6, cut]
+        # takes at scale 2, whatever its length; the moments on the sized
+        # tables stay within 5e-12 of it, and within 1e-10 of the identity
+        # Gamma(gamma+1)/Gamma(gamma alpha+1)
+        gammas = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+        cut = subordination._adaptive_cut(alpha, 3.0)
+        nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist(), 16)
+        mass = weights * _sample_density(alpha, nodes)
+        for gamma, got in zip(gammas, wright_moments(alpha, gammas)):
+            xj, wj = _gauss_jacobi(80, gamma)
+            reference = (0.5 ** (gamma + 1.0) * float(np.dot(wj, _wright_m_array(
+                alpha, 0.5 * (xj + 1.0)))) + float(np.dot(mass, nodes ** gamma)))
+            exact = math.gamma(gamma + 1.0) / math.gamma(gamma * alpha + 1.0)
+            assert got == pytest.approx(reference, rel=5e-12, abs=0.0)
+            assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+
     def test_no_weights_give_no_moments(self):
         assert wright_moments(0.5, []) == []
 
