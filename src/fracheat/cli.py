@@ -248,7 +248,7 @@ def cmd_decay_compare(args) -> list[dict]:
 # multiplier table of (N/2+1)^dim entries and the subordination heat factors.
 # ru_maxrss less the RSS after import, 1D N = 2^24, L = 2e5 / 2D N = 4096:
 # Hankel (0.5) 36.1 / 21.6 B, real-axis (0.99) 36.6 / 21.6, exp (1.0) 36.2 /
-# 21.6, subordination 0.5 36.2 / 19.4 and 0.995 36.4 / 22.9
+# 21.6, subordination 0.5 36.2 / 19.4 and 0.995 36.3 / 20.7
 _SOLVE_BYTES_PER_POINT = 37
 
 

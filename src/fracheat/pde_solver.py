@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
-from .errors import InsufficientDataError, QuadratureError
+from .errors import InsufficientDataError
 from .special_functions import (Alpha, _HANKEL_ALPHA_CAP, _RULE_BLOCK, _ml_hankel, _ml_neg,
                                 _wright_alpha)
 from .subordination import wright_mass_nodes
@@ -237,10 +237,11 @@ class SolverConfig:
 # take half the time in blocks of 512 rows as in blocks of 128
 _BLOCK_ROWS = 512
 # modes per block of the 1D subordination matvec: its (modes x nodes) heat
-# factors take at most 0.8 MB at a 784-node mass table (1.9 MB at 1,824
-# nodes), about a core's 2 MiB of L2 cache, where 512 rows took 1.3-1.4 times
-# as long, and the flush mask at most an eighth of that (one byte a lane, on
-# the flushed lanes alone); the 2D table's factor is built once per step
+# factors take at most 0.8 MB at a 784-node mass table (1.3 MB at 1,264
+# nodes, the most at alpha <= 0.95; 2.0 MB at 1,968, alpha 0.995), about a
+# core's 2 MiB of L2 cache, where 512 rows took 1.3-1.4 times as long, and
+# the flush mask at most an eighth of that (one byte a lane, on the flushed
+# lanes alone); the 2D table's factor is built once per step
 _HEAT_BLOCK_ROWS = 128
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
@@ -356,9 +357,6 @@ def _wright_table(cfg: SolverConfig, dim: int, rows: int) -> tuple:
     matvec on the `rows` axis values (a row block of factors at a time),
     otherwise the SYRK `_gram` of all U rows into a U x U buffer."""
     nodes, mass = wright_mass_nodes(cfg.alpha.value)
-    if not np.all(mass >= 0.0):
-        raise QuadratureError("the Wright mass table has a negative or NaN mass "
-                              "(the density M_alpha is >= 0)")
     if dim == 1:
         return functools.partial(_kernel, cfg), nodes.size * min(rows, _HEAT_BLOCK_ROWS)
     root, table = np.sqrt(mass), np.empty((rows, rows))

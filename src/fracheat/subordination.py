@@ -38,9 +38,11 @@ __all__ = [
 # the one panel schedule of every integral of M_alpha over s in (0, inf): the
 # truncation point adapts to the density's decay envelope up to the ceiling
 # _UPPER_CUT, and the tail beyond it is dropped only when its sampled bound is
-# at most _TARGET_TOL (QuadratureError otherwise); Gauss-Legendre panels of
+# at most _TARGET_TOL (QuadratureError otherwise); it is the one truncation,
+# as every node below the cut is sampled. Gauss-Legendre panels of
 # _NODES_PER_PANEL nodes, doubled to verify convergence: _PANELS of them on
-# [_S_FLOOR, cut], fewer on a shorter interval (see _panel_edges)
+# [_S_FLOOR, cut], fewer on a shorter interval or past M_alpha's collapse
+# (see _panel_edges)
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -117,20 +119,26 @@ def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
     exp(-b s^{1/(1-alpha)}), both extremely steep. There the edges advance
     in equal increments of phi(s) = m log s + b s^{1/(1-alpha)} (the
     log-variation of the envelope), which clusters panels exactly where the
-    integrand moves; geometric panels cover [lo, 0.5].
+    integrand moves, until an edge past s = 1 where the envelope is below
+    _TARGET_TOL * 1e-4: one panel runs from there to hi. Geometric panels
+    cover [lo, 0.5], as many as the same rule puts on [lo, 1].
     """
+    # round-off must not add a panel: 48 ln(1e4) / ln(1e6) is 32.00000000000001
+    count = min(_PANELS, math.ceil(round(_PANELS * math.log(
+        (hi if alpha <= 0.85 else 1.0) / lo) / math.log(1.0 / _S_FLOOR), 9)))
     if alpha <= 0.85:
-        count = min(_PANELS, math.ceil(_PANELS * math.log(hi / lo) / math.log(1.0 / _S_FLOOR)))
         return np.geomspace(lo, hi, count * scale + 1).tolist()
     m = (alpha - 0.5) / (1.0 - alpha)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     inv = 1.0 / (1.0 - alpha)
     step = 1.5 / scale
-    edges = np.geomspace(lo, 0.5, _PANELS * scale + 1).tolist() if lo < 0.5 < hi else [lo]
+    edges = np.geomspace(lo, 0.5, count * scale + 1).tolist() if lo < 0.5 < hi else [lo]
     s = edges[-1]
     while s < hi:
-        dphi = m / s + b * inv * s ** (inv - 1.0)
-        s = min(s + step / max(dphi, 1e-12), hi)
+        if s > 1.0 and wright_log_envelope(alpha, s) < math.log(_TARGET_TOL * 1e-4):
+            s = hi  # M_alpha has collapsed
+        else:
+            s = min(s + step / max(m / s + b * inv * s ** (inv - 1.0), 1e-12), hi)
         edges.append(s)
     return edges
 
@@ -151,24 +159,11 @@ def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndar
     return (mid + hl * xg).ravel(), (hl * wg).ravel()
 
 
-def _sample_density(alpha: float, nodes: np.ndarray) -> np.ndarray:
-    """M_alpha at the nodes.
-
-    Nodes past s = 1 whose envelope value is negligible for the integral
-    (below _TARGET_TOL * 1e-4) are zeroed without their contour sums; the
-    envelope only over-estimates in that regime. No series runs there.
-    """
-    skip = (wright_log_envelope(alpha, nodes) < math.log(_TARGET_TOL * 1e-4)) & (nodes > 1.0)
-    out = np.zeros(nodes.shape)
-    out[~skip] = _wright_m_array(alpha, nodes[~skip])
-    return out
-
-
 def _panel_masses(alpha: float, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, Gauss weight * M_alpha(node)) of the panels between the edges,
-    the density sampled in one pass."""
+    the density sampled at every node in one pass."""
     nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
-    return nodes, weights * _sample_density(alpha, nodes)
+    return nodes, weights * _wright_m_array(alpha, nodes)
 
 
 @lru_cache(maxsize=512)
@@ -199,11 +194,16 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
     int_0^inf M_alpha(s) f(s) ds ~= sum_i mass_i f(s_i).
 
     Shared machinery for the scalar identity checks and the per-mode
-    subordination solves (the density is sampled once per alpha)."""
+    subordination solves (the density is sampled once per alpha). A negative
+    or NaN mass raises QuadratureError (M_alpha is >= 0)."""
     a = _wright_alpha(alpha)
     cut = _adaptive_cut(a, 0.0)
     _certify_tail(a, cut, 0.0)
-    return _density_table(a, 1, 0.0, cut)
+    nodes, mass = _density_table(a, 1, 0.0, cut)
+    if not np.all(mass >= 0.0):
+        raise QuadratureError("the Wright mass table has a negative or NaN mass "
+                              "(the density M_alpha is >= 0)")
+    return nodes, mass
 
 
 def subordinate_scalar(alpha: Alpha | float, x: float) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracheat import pde_solver
+from fracheat import pde_solver, subordination
 from fracheat.errors import InsufficientDataError, QuadratureError
 from fracheat.pde_solver import (
     Field,
@@ -712,19 +712,25 @@ class TestMultiplier:
                 assert np.array_equal(tab, tab.T)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_negative_mass_raises(self, monkeypatch, dim):
-        # sqrt(mass) would turn a negative mass into NaN
-        def negative(alpha):
-            nodes, mass = wright_mass_nodes(alpha)
-            return nodes, np.where(np.arange(mass.size) == 3, -mass, mass)
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_negative_mass_raises(self, monkeypatch, dim, bad):
+        # sqrt(mass) would turn a negative mass into NaN: the mass table
+        # refuses it, so the solver, the sweep and the per-mode multiplier do
+        table = subordination._density_table
 
-        monkeypatch.setattr(pde_solver, "wright_mass_nodes", negative)
+        def corrupted(*args):
+            nodes, mass = table(*args)
+            return nodes, np.where(np.arange(mass.size) == 3, bad, mass)
+
+        monkeypatch.setattr(subordination, "_density_table", corrupted)
         w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=16.0, points_per_dim=64))
         cfg = SolverConfig(alpha=0.6, representation="subordination")
-        with pytest.raises(QuadratureError, match="negative"):
+        with pytest.raises(QuadratureError, match="negative or NaN"):
             spectral_solve(w0, cfg, 1.0)
-        with pytest.raises(QuadratureError, match="negative"):
+        with pytest.raises(QuadratureError, match="negative or NaN"):
             decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
+        with pytest.raises(QuadratureError, match="negative or NaN"):
+            propagator_multiplier(cfg, 1.0, w0.grid.frequencies_squared())
 
     def test_2d_non_tensor_sum_takes_per_mode_route(self):
         # a 2D array is keyed on its float values, as its flat copy is:

@@ -20,7 +20,6 @@ from fracheat.subordination import (
     _gauss_jacobi,
     _gauss_panels,
     _panel_edges,
-    _sample_density,
     endpoint_divergence_profile,
     subordinate_scalar,
     subordination_constant,
@@ -123,7 +122,7 @@ class TestAlphaGate:
     # past the Wright cap 0.995 before any cut, tail sample, Gauss-Jacobi
     # rule or density sample is built
     BUILDERS = [(subordination, "_adaptive_cut"), (subordination, "_tail_sample"),
-                (subordination, "_gauss_jacobi"), (subordination, "_sample_density"),
+                (subordination, "_gauss_jacobi"), (subordination, "_panel_masses"),
                 (subordination, "_wright_m_array"), (special_functions, "wright_log_envelope"),
                 (special_functions, "_wright_contour"), (special_functions, "_wright_series")]
 
@@ -226,12 +225,57 @@ class TestMassNodes:
         if alpha <= 0.85:
             assert len(edges) == 48 * scale + 2
         nodes, weights = _gauss_panels(edges, 16)
-        mass = weights * _sample_density(alpha, nodes)
+        mass = weights * _wright_m_array(alpha, nodes)
         got_nodes, got_mass = (wright_mass_nodes(alpha) if scale == 1 else
                                subordination._density_table(
                                    alpha, scale, 0.0, subordination._adaptive_cut(alpha, 0.0)))
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_mass, mass)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.85, 0.9, 0.99, 0.995])
+    def test_every_node_is_sampled(self, alpha):
+        # no table zeroes a node: every mass, in the solver's table, both
+        # scales of the moments' [1, cut] table and a profile's [eps, 1]
+        # table, is its Gauss weight times M_alpha at its node, and every
+        # node below the cut carries a positive mass
+        tables = [(scale, 0.0, subordination._adaptive_cut(alpha, 0.0)) for scale in (1, 2)]
+        tables += [(scale, 1.0, subordination._adaptive_cut(alpha, 3.0)) for scale in (1, 2)]
+        tables += [(2, 1e-3, 1.0)]
+        for scale, lo, cut in tables:
+            edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut, scale)
+            nodes, weights = _gauss_panels(edges, 16)
+            got_nodes, got_mass = subordination._density_table(alpha, scale, lo, cut)
+            assert np.array_equal(got_nodes, nodes)
+            assert np.array_equal(got_mass, weights * _wright_m_array(alpha, nodes))
+            assert np.all(got_mass[:-16] > 0.0)
+
+    @pytest.mark.parametrize("alpha,count", [(0.9, 1216), (0.95, 1264), (0.99, 1584),
+                                             (0.99405, 1856), (0.995, 1968)])
+    def test_phi_panels_end_where_the_density_collapses(self, alpha, count):
+        # past s = 1 the phi walk stops at the first edge whose envelope is
+        # below 1e-14 and puts one panel from there to the cut (the walk to
+        # the cut took 1,504, 1,472, 3,008, 1,654,432 and 4,032 nodes: at
+        # 0.99405 the cut lies far past the collapse, where phi is steep);
+        # every edge before it is the walk's
+        nodes, mass = wright_mass_nodes(alpha)
+        assert nodes.size == count
+        edges = _panel_edges(alpha, 1e-6, subordination._adaptive_cut(alpha, 0.0), 1)
+        floor = math.log(1e-10 * 1e-4)
+        past = [e for e in edges[:-1] if e > 1.0 and wright_log_envelope(alpha, e) < floor]
+        assert past == [edges[-2]]
+        assert float(mass.sum()) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.86, 0.9, 0.99])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_phi_branch_prefix_is_sized_to_its_interval(self, alpha, scale):
+        # the geometric panels on [lo, 0.5] number what [lo, 1] takes at
+        # alpha <= 0.85: 48 from 1e-6, 3 from 0.49 (the fixed 48 once put
+        # 96 panels on [0.49, 0.5] at scale 2)
+        for lo, panels in ((1e-6, 48), (0.49, 3)):
+            edges = _panel_edges(alpha, lo, 1.0, scale)
+            prefix = [e for e in edges if e <= 0.5]
+            assert len(prefix) == panels * scale + 1
+            assert prefix == np.geomspace(lo, 0.5, panels * scale + 1).tolist()
 
     def test_legendre_rule_is_computed_once_per_node_count(self, monkeypatch):
         # two table builds share one Gauss-Legendre rule and reproduce the
@@ -333,22 +377,30 @@ class TestMoments:
         exact = math.gamma(11.0) / math.gamma(10.0 * alpha + 1.0)
         assert wright_moment(alpha, 10.0) == pytest.approx(exact, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha,gamma", [(0.25, 6.0), (0.25, 10.0), (0.5, 10.0)])
+    def test_large_weights_are_exact(self, alpha, gamma):
+        # every node of the [1, cut] table is sampled: zeroing those with an
+        # envelope below 1e-14 left 1.5e-9, a refusal and 2.2e-9 here
+        exact = math.gamma(gamma + 1.0) / math.gamma(gamma * alpha + 1.0)
+        assert wright_moment(alpha, gamma) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_gamma_beyond_reach_is_refused(self):
-        # at alpha 0.25 the s^10 weight pushes the cut to the ceiling s = 40,
-        # where panel doubling no longer agrees: refused, not returned
-        with pytest.raises(QuadratureError):
-            wright_moment(0.25, 10.0)
+        # at alpha 0.25 the s^14 weight pushes the cut to the ceiling s = 40,
+        # past which the certified tail still holds 1.0e-6: refused, not returned
+        with pytest.raises(QuadratureError,
+                           match="tail bound 1.002e-06 beyond s=40.00 exceeds the target 1e-10"):
+            wright_moment(0.25, 14.0)
 
     def test_verify_moments_samples_the_density_above_one_once_per_scale(
             self, tmp_path, monkeypatch):
-        calls = []
+        calls, panel_masses = [], subordination._panel_masses
 
-        def counting(alpha, nodes):
-            calls.append(float(nodes.min()))
-            return _sample_density(alpha, nodes)
+        def counting(alpha, edges):
+            calls.append(float(min(edges)))
+            return panel_masses(alpha, edges)
 
         subordination._density_table.cache_clear()
-        monkeypatch.setattr(subordination, "_sample_density", counting)
+        monkeypatch.setattr(subordination, "_panel_masses", counting)
         assert cli.main(["verify-moments", "--alpha", "0.4",
                          "--out", str(tmp_path / "mom.json")]) == 0
         assert len(calls) == 2 and min(calls) >= 1.0
@@ -416,35 +468,39 @@ class TestMoments:
         assert got == [wright_moment(alpha, g) for g in gammas]
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
-    @pytest.mark.parametrize("cut", [None, 1.5, 14.0, 40.0])
-    def test_upper_table_is_sized_to_its_interval(self, alpha, cut):
-        # [1, cut] takes min(48, ceil(48 ln(cut) / ln(1e6))) geometric panels
-        # (no wider in log s than the solver's on [1e-6, 1]) per scale
+    @pytest.mark.parametrize("lo,cut", [(1.0, None), (1.0, 1.5), (1.0, 14.0), (1.0, 40.0),
+                                        (1e-4, 1.0), (1e-2, 1.0)])
+    def test_upper_table_is_sized_to_its_interval(self, alpha, lo, cut):
+        # [lo, cut] takes min(48, ceil(8 log10(cut / lo))) geometric panels
+        # (no wider in log s than the solver's on [1e-6, 1]) per scale, and
+        # round-off adds none: [1e-4, 1] takes 32 and [1e-2, 1] 16 (48 ln(1e4)
+        # / ln(1e6) is 32.00000000000001)
         cut = subordination._adaptive_cut(alpha, 3.0) if cut is None else cut
-        panels = min(48, math.ceil(48 * math.log(cut) / math.log(1e6)))
+        panels = min(48, math.ceil(8.0 * math.log10(cut / lo)))
+        assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
         for scale in (1, 2):
-            nodes, _ = subordination._density_table(alpha, scale, 1.0, cut)
+            nodes, _ = subordination._density_table(alpha, scale, lo, cut)
             assert nodes.size == panels * scale * 16
             assert np.array_equal(nodes, _gauss_panels(
-                np.geomspace(1.0, cut, panels * scale + 1).tolist(), 16)[0])
+                np.geomspace(lo, cut, panels * scale + 1).tolist(), 16)[0])
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85])
     def test_moments_match_full_upper_tables(self, alpha):
         # the reference puts on [1, cut] the 96 panels that [1e-6, cut]
         # takes at scale 2, whatever its length; the moments on the sized
-        # tables stay within 5e-12 of it, and within 1e-10 of the identity
+        # tables stay within 5e-12 of it, and within 1e-12 of the identity
         # Gamma(gamma+1)/Gamma(gamma alpha+1)
         gammas = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
         cut = subordination._adaptive_cut(alpha, 3.0)
         nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist(), 16)
-        mass = weights * _sample_density(alpha, nodes)
+        mass = weights * _wright_m_array(alpha, nodes)
         for gamma, got in zip(gammas, wright_moments(alpha, gammas)):
             xj, wj = _gauss_jacobi(80, gamma)
             reference = (0.5 ** (gamma + 1.0) * float(np.dot(wj, _wright_m_array(
                 alpha, 0.5 * (xj + 1.0)))) + float(np.dot(mass, nodes ** gamma)))
             exact = math.gamma(gamma + 1.0) / math.gamma(gamma * alpha + 1.0)
             assert got == pytest.approx(reference, rel=5e-12, abs=0.0)
-            assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_no_weights_give_no_moments(self):
         assert wright_moments(0.5, []) == []
@@ -511,13 +567,13 @@ class TestEndpointDivergence:
         # the integrals are nested: one table below s = 1 serves every eps,
         # sampled in one pass, and each integral is within round-off of the
         # one from its own [eps, 1] table built alone
-        calls = []
+        calls, panel_masses = [], subordination._panel_masses
 
-        def counting(a, nodes):
-            calls.append(float(nodes.max()))
-            return _sample_density(a, nodes)
+        def counting(a, edges):
+            calls.append(float(max(edges)))
+            return panel_masses(a, edges)
 
-        monkeypatch.setattr(subordination, "_sample_density", counting)
+        monkeypatch.setattr(subordination, "_panel_masses", counting)
         for eps in (list(np.logspace(-2, -5, 8)), [0.7, 0.51, 0.5, 0.49]):
             calls.clear()
             prof = endpoint_divergence_profile(alpha, eps)
