@@ -79,38 +79,42 @@ _GRID_S = np.exp(_GRID_LOG_S)
 _REFINE_LEVELS = 11
 
 
-def _log_grid_sup(f, on_grid: np.ndarray | None = None) -> float:
-    """sup over s > 0 of f(s), where f maps an array of s to its values:
-    the maximum of f on the 400 points of `_GRID_S` (`on_grid`, if given,
-    holds f there), refined by nested 33-point grids on log s around the
-    argmax.
+def _log_grid_sup(f, on_grid: np.ndarray | None = None) -> list[float]:
+    """sup over s > 0 of each of m objectives, where f maps a 1-D array
+    holding m rows of points s end to end, row r for objective r, to their
+    values: the maximum of each objective on the 400 points of `_GRID_S`
+    (`on_grid`, if given, holds f on m copies of them; else m = 1), refined
+    by nested 33-point grids on log s around its argmax. Each level
+    evaluates every row in one call of f.
 
-    It returns a number or raises ValueError: when the grid's maximum is
-    its first point (the maximizer lies at or below s = 1e-8, or f is 0
-    on the grid), and when the argmax is among the last 3 points while the
-    positive values of the last 20 never fall (log-differences > -1e-12)
-    and rise in total by more than 1e-4 in log (the maximizer lies past
-    s = 1e8). A flat approach to a finite limit, such as the endpoint
-    exponent of a 1/s kernel, does not trip it. The callers decide
+    It returns the m suprema or raises ValueError: when a row's maximum on
+    the grid is its first point (the maximizer lies at or below s = 1e-8,
+    or f is 0 on the grid), and when its argmax is among the last 3 points
+    while the positive values of the last 20 never fall (log-differences
+    > -1e-12) and rise in total by more than 1e-4 in log (the maximizer
+    lies past s = 1e8). A flat approach to a finite limit, such as the
+    endpoint exponent of a 1/s kernel, does not trip it. The callers decide
     divergent suprema analytically, before any search.
     """
-    lls = _GRID_LOG_S
-    vals = f(_GRID_S) if on_grid is None else on_grid
-    i = int(vals.argmax())
-    tail = vals[-20:]
-    tail = tail[tail > 0.0]
-    if i == 0 or (i >= lls.size - 3 and tail.size >= 2
-                  and np.all(np.diff(np.log(tail)) > -1e-12)
-                  and math.log(tail[-1] / tail[0]) > 1e-4):
-        raise ValueError("the maximizer of the supremum lies outside the search grid "
-                         "s in [1e-8, 1e8]")
-    best = float(vals[i])
+    vals = (f(_GRID_S) if on_grid is None else on_grid).reshape(-1, _GRID_S.size)
+    rows = np.arange(vals.shape[0])
+    i = vals.argmax(axis=1)
+    for v, j in zip(vals, i):
+        tail = v[-20:]
+        tail = tail[tail > 0.0]
+        if j == 0 or (j >= v.size - 3 and tail.size >= 2
+                      and np.all(np.diff(np.log(tail)) > -1e-12)
+                      and math.log(tail[-1] / tail[0]) > 1e-4):
+            raise ValueError("the maximizer of the supremum lies outside the search grid "
+                             "s in [1e-8, 1e8]")
+    lls, best = np.broadcast_to(_GRID_LOG_S, vals.shape), vals[rows, i]
     for _ in range(_REFINE_LEVELS):
-        lls = np.linspace(lls[max(i - 1, 0)], lls[min(i + 1, lls.size - 1)], 33)
-        vals = f(np.exp(lls))
-        i = int(vals.argmax())
-        best = max(best, float(vals[i]))
-    return best
+        lls = np.linspace(lls[rows, np.maximum(i - 1, 0)],
+                          lls[rows, np.minimum(i + 1, lls.shape[1] - 1)], 33, axis=1)
+        vals = f(np.exp(lls.ravel())).reshape(lls.shape)
+        i = vals.argmax(axis=1)
+        best = np.maximum(best, vals[rows, i])
+    return best.tolist()
 
 
 def sup_heat_numeric(beta: float, t: float) -> float:
@@ -118,16 +122,24 @@ def sup_heat_numeric(beta: float, t: float) -> float:
     beta, t = float(beta), float(t)
     if not (beta > 0.0 and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and t positive and finite")
-    return _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
+    (sup,) = _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
+    return sup
 
 
 def _ml_profile_sup(alpha: Alpha, betas: Sequence[float]) -> list[float]:
     """sup over u > 0 of u^beta E_alpha(-u) for each beta of `betas` (each
     finite: beta <= 1, or alpha = 1). One evaluation of E_alpha on the
-    search grid serves every beta, and nothing is kept past the call."""
-    on_grid = _ml_neg(alpha, _GRID_S)  # alpha validated
-    return [_log_grid_sup(lambda u: u ** beta * _ml_neg(alpha, u),
-                          _GRID_S ** beta * on_grid) for beta in betas]
+    search grid serves every beta, and each refinement level evaluates it
+    once for all of them; nothing is kept past the call. Each power is
+    taken with its scalar beta, so each supremum is bit for bit its own
+    one-beta search."""
+    def weighted(u, ml):  # row r of u to the power betas[r], times E_alpha(-u)
+        rows = u.reshape(len(betas), -1)
+        return np.concatenate([v ** beta for v, beta in zip(rows, betas)]) * ml
+
+    on_grid = np.tile(_ml_neg(alpha, _GRID_S), len(betas))  # alpha validated
+    return _log_grid_sup(lambda u: weighted(u, _ml_neg(alpha, u)),
+                         weighted(np.tile(_GRID_S, len(betas)), on_grid))
 
 
 def ml_supremum_profile(alpha: Alpha | float, beta: float, exact_kernel: bool = True) -> float:
@@ -162,7 +174,7 @@ def sup_ml_numeric(alpha: Alpha | float, beta: float, t: float,
     if exact_kernel:
         (u_sup,) = _ml_profile_sup(a, (beta,))
     else:
-        u_sup = _log_grid_sup(lambda u: u ** beta / (1.0 + u))
+        (u_sup,) = _log_grid_sup(lambda u: u ** beta / (1.0 + u))
     return t ** (-a * beta) * u_sup
 
 

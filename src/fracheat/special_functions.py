@@ -86,8 +86,8 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
 # Mittag-Leffler E_alpha(-x), x >= 0
 # ---------------------------------------------------------------------------
 
-# 8 MiB per temporary: at x >= 1e-12 the rule needs at most about 320/alpha
-# nodes, so there it refuses only alpha below 3e-4
+# 8 MiB per temporary: at x >= 1e-12 the rule needs at most about 210/alpha
+# nodes, so there it refuses only alpha below about 2e-4
 _RULE_MAX_NODES = 1 << 20
 # a row is zero-padded to a multiple of _RULE_PAD lanes and summed with rows of
 # its width in blocks of at most _RULE_BLOCK lanes (0.5 MiB), batch-independent
@@ -105,17 +105,23 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sit at u = +-i theta, theta = pi (1-alpha)/alpha; when theta < pi/2 their
     share of the trapezoid error is subtracted in closed form (Trefethen &
     Weideman 2014, SIAM Review 56). Every x takes its own window of the one
-    lattice u_k = h (k + 1/2): the half-step offset makes the correction's
-    q = -exp(-2 pi theta/h) real with |1 - q| >= 1, where without it the
-    correction resonates as alpha -> 1.
+    lattice u_k = h (k + 1/2), each node formed from its integer index: the
+    half-step offset makes the correction's q = -exp(-2 pi theta/h) real with
+    |1 - q| >= 1, where without it the correction resonates as alpha -> 1.
+    Left of the window the integrand is e^(alpha u) + (2 - s2) e^(2 alpha u),
+    s2 = 4 s^2, to a relative e^-40, and its lattice sum there is added in
+    closed form.
     """
     lt = np.log(x) / alpha  # ln t, finite where t itself would overflow
     # the step resolves the strip |Im u| < pi/2, where exp(-t e^u) stops
     # decaying, to 1e-12; a finer step gains nothing
     h = 0.9 * math.pi ** 2 / math.log(1e5 / 1e-12)
-    # the left cut lies e^-45 below the integrand's scale, and its e^(alpha u)
-    # tail is added in closed form; past the right cut exp(-t e^u) < e^-40
-    lo = h * (np.floor((np.minimum(-lt, 0.0) - 45.0 / alpha) / h) + 0.5)
+    # the left cut lies e^-20 below the integrand's scale, where the flank's
+    # lattice tail takes over; past the right cut exp(-t e^u) < e^-40. A
+    # node is h times its half-integer index: lo + h k would carry ulp(lo)
+    # into the nodes near u = 0, where the integrand peaks as alpha -> 1
+    first = np.floor((np.minimum(-lt, 0.0) - 20.0 / alpha) / h) + 0.5  # half-integer index
+    lo = h * first
     n = ((math.log(40.0) - lt - lo) / h).astype(np.int64) + 1
     if np.any(n > _RULE_MAX_NODES):
         raise UnreliableEvaluationError(
@@ -123,7 +129,7 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"beyond the budget of {_RULE_MAX_NODES}")
     s2 = 4.0 * math.sin(0.5 * math.pi * (1.0 - alpha)) ** 2
     # past x = 1 the integrand is summed times x (r^2 = 1/x), so that its
-    # left flank, where 4 sinh^2(alpha u/2) ~ x e^45, neither overflows nor
+    # left flank, where 4 sinh^2(alpha u/2) ~ x e^20, neither overflows nor
     # goes subnormal as x approaches the double range
     r = np.exp(-0.5 * alpha * np.maximum(lt, 0.0))
     total, width = np.empty(x.shape), -(-n // _RULE_PAD) * _RULE_PAD
@@ -133,7 +139,7 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows, k, step = np.flatnonzero(width == w), np.arange(w), max(_RULE_BLOCK // w, 1)
         for i in (rows[b:b + step, None] for b in range(0, rows.size, step)):
             u, f = (a[:i.size * w].reshape(i.size, w) for a in work)
-            np.add(lo[i], h * k, out=u)
+            np.multiply(np.add(first[i], k, out=u), h, out=u)
             # right flank at x < 1e-306 and the padding: 1/inf = 0 loses nothing
             with np.errstate(over="ignore"):
                 np.exp(np.negative(np.exp(np.add(lt[i], u, out=f), out=f), out=f), out=f)
@@ -145,7 +151,11 @@ def _ml_real_axis(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 1 - alpha is exact in floating point, while sin(alpha pi) loses about
     # 1e-14 near alpha = 1
     c = math.sin(math.pi * (1.0 - alpha)) / math.pi
-    value = c * (h * r * r * total + np.exp(alpha * lo) / alpha)
+    # the flank's lattice sum over u = lo - k h, k >= 1: two geometric
+    # series of ratio d = e^(-alpha h) from e = e^(alpha (lo - h))
+    d, e = math.exp(-alpha * h), np.exp(alpha * (lo - h))
+    tail = e / (1.0 - d) + (2.0 - s2) * e * e / (1.0 - d * d)
+    value = c * h * (r * r * total + tail)
     theta = math.pi * (1.0 - alpha) / alpha
     if theta < 0.5 * math.pi:
         q = -math.exp(-2.0 * math.pi * theta / h)

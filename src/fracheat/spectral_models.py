@@ -226,4 +226,5 @@ def condition_supremum(
         warnings.warn("condition supremum diverges; reporting inf (endpoint case "
                       "lambda * (1/p - 1/q) > 1)", RuntimeWarning)
         return math.inf
-    return _log_grid_sup(objective)
+    (sup,) = _log_grid_sup(objective)
+    return sup

@@ -89,7 +89,8 @@ class TestSupremumProfiles:
         # finite limit (as u E_alpha(-u) at the endpoint) is not divergence
         with pytest.raises(ValueError):
             _log_grid_sup(lambda s: s ** 0.01)
-        assert _log_grid_sup(lambda s: s / (1.0 + s)) == pytest.approx(1.0, rel=1e-7)
+        (sup,) = _log_grid_sup(lambda s: s / (1.0 + s))
+        assert sup == pytest.approx(1.0, rel=1e-7)
 
     @pytest.mark.parametrize("sup", [
         # s* = beta / t lies below 1e-8 or past 1e8, where the search
@@ -113,9 +114,23 @@ class TestSupremumProfiles:
     def test_profile_is_the_grid_search_of_the_public_kernel(self, alpha, beta):
         # the objective evaluates E_alpha in one array call, alpha validated
         # once: bit for bit the search over mittag_leffler_neg
-        ref = _log_grid_sup(
+        (ref,) = _log_grid_sup(
             lambda u: u ** beta * np.array([mittag_leffler_neg(alpha, v) for v in u]))
         assert ml_supremum_profile(alpha, beta) == ref
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99, 1.0])
+    def test_betas_refined_together_are_each_their_own_search(self, alpha):
+        # one E_alpha call per level for every beta: each supremum is bit
+        # for bit the search of its beta alone
+        betas = [0.3, 0.75, 0.9, 0.99, 1.0]
+        assert decay_analysis._ml_profile_sup(alpha, betas) == [
+            decay_analysis._ml_profile_sup(alpha, (b,))[0] for b in betas]
+
+    def test_a_row_outside_the_grid_refuses_the_whole_search(self):
+        # beta = 1e-10 peaks near u = 1e-10, below the grid, beside a
+        # finite row
+        with pytest.raises(ValueError, match="outside the search grid"):
+            decay_analysis._ml_profile_sup(0.5, [0.5, 1e-10])
 
     def test_finite_at_beta_one(self):
         # u E_alpha(-u) -> 1/Gamma(1-alpha): finite endpoint constant
@@ -198,13 +213,14 @@ class TestCompareRepresentations:
 
     def test_each_call_evaluates_the_grid_once(self, monkeypatch):
         # no memo: every call evaluates E_alpha on the 400-point grid once,
-        # for all its betas; an analytic inf and the bound kernel need none
+        # then once per refinement level, 33 points for each of its 4 betas;
+        # an analytic inf and the bound kernel need none
         sizes, ml_neg = [], decay_analysis._ml_neg
         monkeypatch.setattr(decay_analysis, "_ml_neg",
                             lambda a, u: sizes.append(u.size) or ml_neg(a, u))
         for _ in range(2):
             compare_representations(0.5, 1.0, [0.2, 0.1, 0.05])
-            assert sizes.count(400) == 1 and set(sizes) == {400, 33}
+            assert sizes == [400] + [33 * 4] * decay_analysis._REFINE_LEVELS
             sizes.clear()
         assert math.isinf(ml_supremum_profile(0.5, 1.3))
         assert sup_ml_numeric(0.5, 0.5, 2.0, exact_kernel=False) > 0.0

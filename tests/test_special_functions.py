@@ -149,7 +149,7 @@ class TestMittagLeffler:
         for v, slack in values:
             assert lower * (1.0 - slack) <= v <= upper * (1.0 + slack)
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975, 0.995])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975, 0.995])
     def test_real_axis_rule_matches_arbitrary_precision_sums(self, alpha):
         # 17 log points of [1e-8, 1e8], and t = x^(1/alpha) = 10, 40 and 79
         # below the power series cut t = 80, in one array call
@@ -157,6 +157,16 @@ class TestMittagLeffler:
                                                         79.0 ** alpha]))
         ref = np.array([mp_reference.ml_neg(alpha, v) for v in x.tolist()])
         assert np.all(np.abs(_ml_neg(alpha, x) - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("alpha", [0.975, 0.99])
+    def test_real_axis_nodes_near_the_peak_are_exact_lattice_points(self, alpha):
+        # near alpha = 1 the integrand peaks at u = 0 with width about
+        # sqrt(s2)/alpha; nodes formed as lo + h k, |lo| ~ 20, carry ulp(lo)
+        # there and miss this bound at alpha 0.975 (1.2e-14), while nodes formed
+        # from their integer index keep it
+        x = np.logspace(-8.0, -2.0, 33)
+        ref = np.array([mp_reference.ml_neg(alpha, v) for v in x.tolist()])
+        assert np.all(np.abs(_ml_neg(alpha, x) - ref) <= 5e-15 * ref)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
@@ -201,9 +211,19 @@ class TestMittagLeffler:
             mittag_leffler_neg(0.5, -1.0)
 
     def test_refuses_alpha_beyond_the_node_budget(self):
-        # the rule would need about 2e6 nodes; refused before allocating them
+        # the rule would need 1,762,733 nodes; refused before allocating them
         with pytest.raises(UnreliableEvaluationError):
-            mittag_leffler_neg(1e-4, 1.0)
+            mittag_leffler_neg(5e-5, 1.0)
+
+    def test_smallest_alpha_within_the_node_budget_keeps_simons_bounds(self):
+        # alpha 1e-4 takes 881,375 nodes at x = 1, where the arbitrary-
+        # precision sums do not converge: Simon's bounds (Simon 2014, EJP 19)
+        # are 4.1e-9 apart there
+        alpha, x = 1e-4, 1.0
+        value, method = mittag_leffler_neg_info(alpha, x)
+        assert method == "real-axis[881375]"
+        assert 1.0 / (1.0 + math.gamma(1.0 - alpha) * x) <= value
+        assert value <= 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
 
     def test_info_reports_method(self):
         value, method = mittag_leffler_neg_info(0.5, 1.0)

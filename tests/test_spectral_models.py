@@ -164,7 +164,8 @@ class TestConditionSupremum:
             ml = np.array([mittag_leffler_neg(alpha, t ** alpha * v) for v in s])
             return np.where(tau > 0.0, tau ** delta * ml, 0.0)
 
-        assert condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t) == _log_grid_sup(objective)
+        (ref,) = _log_grid_sup(objective)
+        assert condition_supremum(m, 4.0 / 3.0, 4.0, alpha, t) == ref
 
     def test_validation(self):
         m = SpectralModel(PowerLawSpectrum(1.0, 1.0))
