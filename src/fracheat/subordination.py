@@ -21,6 +21,7 @@ from .special_functions import (
     Alpha,
     _wright_alpha,
     _wright_m_array,
+    _wright_series_moment,
     reciprocal_gamma,
     wright_log_envelope,
 )
@@ -228,25 +229,6 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
                     f"subordination quadrature did not stabilize at alpha={a}, x={x}")
 
 
-@lru_cache(maxsize=64)
-def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point Gauss rule for the weight
-    (1+x)^b, b > -1, on [-1, 1] (Golub & Welsch 1969), once per (n, b): the
-    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
-    the polynomials P_k^(0,b), the weights mu0 v_0^2 with v the unit
-    eigenvectors and mu0 = int (1+x)^b dx = 2^(b+1)/(b+1)."""
-    k = np.arange(1.0, n)
-    t = 2.0 * k + b
-    # row k = 0 apart: its entry b^2 / (t (t + 2)) at t = b is 0/0 for b = 0
-    diag = np.r_[b / (b + 2.0), b * b / (t * (t + 2.0))]
-    off = 2.0 * k * (k + b) / (t * np.sqrt((t - 1.0) * (t + 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
     """int_1^inf s^gamma M_alpha(s) ds. The cut is adapted to the weight
     max(gamma, 3), so every built-in weight (gamma <= 3) shares one [1, S]
@@ -258,42 +240,37 @@ def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
 
 
 def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]:
-    """int_0^inf s^gamma M_alpha(s) ds for each gamma > -1 of a sequence.
+    """int_0^inf s^gamma M_alpha(s) ds for each finite gamma > -1 of a sequence.
 
-    Alpha and every gamma are checked first. The [0, 1] Gauss-Jacobi nodes
-    of every weight, at both scales, are sampled in one pass; each value
-    is bit for bit its one-weight call, `wright_moment`.
+    Alpha and every gamma are checked first. The [0, 1] part is the series
+    of M_alpha integrated term by term, certified on its own; the [1, inf)
+    part is the panel table at scales 1 and 2, checked against each other.
+    Each value is bit for bit its one-weight call, `wright_moment`.
     """
     a = _wright_alpha(alpha)
     gammas = [float(g) for g in gammas]
     for gamma in gammas:
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         if gamma <= -1.0:
             raise ValueError(
                 f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
                 "at s=0 for gamma <= -1 (the endpoint mechanism)"
             )
-    # [0,1]: Gauss-Jacobi absorbs the s^gamma weight (singular for gamma<0)
-    rules = [_gauss_jacobi(40 * scale, g) for g in gammas for scale in (1, 2)]
-    xs = [xj for xj, _ in rules]
-    m = np.split(_wright_m_array(a, 0.5 * (np.concatenate([np.empty(0), *xs]) + 1.0)),
-                 np.cumsum([xj.size for xj in xs]))
     moments = []
-    for k, gamma in enumerate(gammas):
-        v1, v2 = (0.5 ** (gamma + 1.0) * float(np.dot(rules[i][1], m[i]))
-                  + _upper_moment(a, gamma, scale) for i, scale in ((2 * k, 1), (2 * k + 1, 2)))
+    for gamma in gammas:
+        below = _wright_series_moment(a, gamma)
+        v1, v2 = (below + _upper_moment(a, gamma, scale) for scale in (1, 2))
         moments.append(_doubled(v1, v2, max(_TARGET_TOL, 1e-9 * abs(v2)),
                                 f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}"))
     return moments
 
 
 def wright_moment(alpha: Alpha | float, gamma: float) -> float:
-    """int_0^inf s^gamma M_alpha(s) ds, gamma > -1.
-
-    The identity value is Gamma(gamma+1)/Gamma(gamma*alpha+1); this routine
-    computes the integral independently (Gauss-Jacobi near 0 plus panels)
-    so the identity can be *checked*, not assumed. It is the one-weight
-    call of `wright_moments`, which samples several weights' nodes in one
-    pass.
+    """int_0^inf s^gamma M_alpha(s) ds, gamma > -1: the one-weight call of
+    `wright_moments`. It computes the integral apart from its identity value
+    Gamma(gamma+1)/Gamma(gamma*alpha+1) (the series on [0, 1], panels beyond),
+    so the identity can be *checked*, not assumed.
     """
     return wright_moments(alpha, [gamma])[0]
 
@@ -305,7 +282,7 @@ def subordination_constant(alpha: Alpha | float, beta: float) -> float:
     up as beta -> 1, which is what denies the subordination route the
     endpoint exponent. Equals Gamma(1-beta)/Gamma(1-alpha*beta), computed
     as the moment at gamma = -beta; `wright_moments` at several -beta
-    gives the same values from one density pass.
+    gives the same values, bit for bit.
     """
     beta = float(beta)
     if not 0.0 < beta < 1.0:

@@ -2,8 +2,9 @@
 
 The package computes E_alpha(-x) and M_alpha(s) in doubles only. These
 mpmath sums are the independent references the tests check those rules
-against: the power and asymptotic series of E_alpha(-x), and the power
-series of M_alpha(s). Each call sums from scratch; nothing is cached.
+against: the power and asymptotic series of E_alpha(-x), the power
+series of M_alpha(s), and the [0, 1] moments of the closed forms
+M_{1/2} and M_{1/3}. Each call sums afresh; nothing is cached.
 """
 
 import math
@@ -89,3 +90,22 @@ def wright_series(alpha: float, s: float, dps: int) -> float:
 
         return _series(terms(), dps, 4, "Wright series did not converge within "
                        f"{MAX_TERMS} terms (alpha={alpha}, s={s})")
+
+
+def half_alpha_lower_moment(gamma: float, dps: int = 40) -> float:
+    """int_0^1 s^gamma M_{1/2}(s) ds = 2^gamma lowergamma((gamma+1)/2, 1/4) / sqrt(pi),
+    from M_{1/2}(s) = exp(-s^2/4) / sqrt(pi)."""
+    with mp.workdps(dps):
+        g = mp.mpf(gamma)
+        return float(2 ** g * mp.gammainc((g + 1) / 2, 0, mp.mpf(1) / 4) / mp.sqrt(mp.pi))
+
+
+def third_alpha_lower_moment(gamma: float, dps: int = 40) -> float:
+    """int_0^1 s^gamma M_{1/3}(s) ds from M_{1/3}(s) = 3^(2/3) Ai(3^(-1/3) s)
+    (Mainardi, Mura & Pagnini 2010), by quadrature in u = s^(gamma+1): the
+    integral is int_0^1 M_{1/3}(u^(1/(gamma+1))) du / (gamma+1), with no
+    singular weight left at u = 0."""
+    with mp.workdps(dps):
+        g1 = mp.mpf(gamma) + 1
+        c = mp.cbrt(3)
+        return float(mp.quad(lambda u: c * c * mp.airyai(u ** (1 / g1) / c), [0, 1]) / g1)

@@ -3,6 +3,7 @@ determinism, config handling, and file outputs."""
 
 import csv
 import json
+import math
 import warnings
 import weakref
 
@@ -110,6 +111,7 @@ class TestVerifyCommands:
         recs = json.loads(out.read_text())["records"]
         assert len(recs) == 6
         assert all(r["relative_error"] <= 1e-6 for r in recs)
+        assert all(r["method"] == "quadrature" for r in recs)
 
     def test_verify_special_passes(self, tmp_path):
         out = tmp_path / "sp.json"
@@ -480,6 +482,20 @@ class TestSolveAndReport:
         (verdict,) = [r for r in recs if "verdict" in r]
         assert verdict["direct_uniform_bound"] == 1.0
         assert verdict["method"] == "simon-2014-bound"
+
+    def test_finite_subordination_constants_carry_the_quadrature_tag(self, tmp_path):
+        # each finite subordination constant is a computed moment, tagged
+        # "quadrature", and within 1e-12 of Gamma(1-beta)/Gamma(1-alpha beta)
+        out = tmp_path / "cmp.json"
+        assert run(["decay-compare", "--alpha", "0.5", "--lambda", "3.0",
+                    "--out", str(out)]) == 0
+        recs = [r for r in json.loads(out.read_text())["records"]
+                if r.get("representation") == "subordination" and r["eps"] > 0.0]
+        assert len(recs) == 3 and {r["method"] for r in recs} == {"quadrature"}
+        for r in recs:
+            beta = 3.0 * r["delta"]
+            exact = math.gamma(1.0 - beta) / math.gamma(1.0 - 0.5 * beta)
+            assert r["constant"] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("extra, message", [
         # decay-compare probes delta = 1/lambda - eps: it has no p or q

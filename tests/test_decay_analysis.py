@@ -198,14 +198,15 @@ class TestCompareRepresentations:
                 exact = math.gamma(1.0 - beta) / math.gamma(1.0 - 0.5 * beta)
                 assert r.constant == pytest.approx(exact, rel=1e-8)
 
-    def test_finite_constants_share_one_density_pass(self, monkeypatch):
-        # the [0, 1] nodes of every finite beta go through one pass, and
-        # each constant is its one-beta call bit for bit
+    def test_finite_constants_sample_no_density_below_one(self, monkeypatch):
+        # the [0, 1] part of every finite constant is a series sum, with no
+        # density sample below s = 1, and each constant is its one-beta call
+        # bit for bit
         passes, sample = [], subordination._wright_m_array
         monkeypatch.setattr(subordination, "_wright_m_array",
-                            lambda a, s: passes.append(s.max() < 1.0) or sample(a, s))
+                            lambda a, s: passes.append(s.min() < 1.0) or sample(a, s))
         report = compare_representations(0.6, 1.0, [0.2, 0.1, 0.05])
-        assert passes.count(True) == 1
+        assert passes.count(True) == 0
         monkeypatch.undo()
         assert [(r.eps, r.constant) for r in report.records
                 if r.representation == "subordination" and r.eps > 0] == [

@@ -27,6 +27,7 @@ from fracheat.special_functions import (
     _wright_contour_geometry,
     _wright_m_array,
     _wright_series_coeffs,
+    _wright_series_moment,
     _WRIGHT_SERIES_TOL,
     reciprocal_gamma,
     wright_log_envelope,
@@ -433,6 +434,41 @@ class TestWrightBatch:
     def test_rejects_alpha_above_cap(self):
         with pytest.raises(ValueError):
             _wright_m_array(0.999, np.array([0.5, 2.0]))
+
+
+class TestWrightSeriesMoment:
+    """int_0^1 s^gamma M_alpha(s) ds as the series integrated term by term,
+    held to closed forms of the density that share no step with it."""
+
+    GAMMAS = [-0.99, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_half_alpha_incomplete_gamma(self, gamma):
+        ref = mp_reference.half_alpha_lower_moment(gamma)
+        assert _wright_series_moment(0.5, gamma) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_third_alpha_airy(self, gamma):
+        ref = mp_reference.third_alpha_lower_moment(gamma)
+        assert _wright_series_moment(1.0 / 3.0, gamma) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha,terms", [(0.5, 64), (0.85, 64), (0.9, 128), (0.95, 256),
+                                             (0.99, 1024), (0.995, 2048)])
+    def test_table_doubles_until_the_envelope_falls(self, alpha, terms, monkeypatch):
+        # the sum stops at the first doubled table whose envelope is below
+        # 1e-17 at its last term; the envelope falls from its first term on,
+        # so it bounds every term dropped
+        sizes = []
+        coeffs = special_functions._wright_series_coeffs
+        monkeypatch.setattr(special_functions, "_wright_series_coeffs",
+                            lambda a, n: sizes.append(n) or coeffs(a, n))
+        _wright_series_moment(alpha, 0.0)
+        tables = [64 * 2 ** j for j in range(int(math.log2(terms // 64)) + 1)]
+        assert sorted(set(sizes)) == tables
+        for n in tables:
+            log_e = coeffs(alpha, n)[2]
+            assert np.all(np.diff(log_e) < 0.0)
+            assert (log_e[-1] < math.log(1e-17)) == (n == terms)
 
 
 class TestWrightContour:

@@ -7,17 +7,20 @@ standard library; the quadrature must reproduce them independently.
 import math
 from contextlib import contextmanager
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fracheat import cli, special_functions, subordination
-from fracheat.errors import QuadratureError
+from fracheat.errors import QuadratureError, UnreliableEvaluationError
 from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
-from fracheat.special_functions import _wright_m_array, mittag_leffler_neg, wright_log_envelope
+from fracheat.special_functions import (
+    _wright_m_array,
+    _wright_series_moment,
+    mittag_leffler_neg,
+    wright_log_envelope,
+)
 from fracheat.subordination import (
-    _gauss_jacobi,
     _gauss_panels,
     _panel_edges,
     endpoint_divergence_profile,
@@ -119,10 +122,10 @@ class TestTailCertificate:
 
 class TestAlphaGate:
     # the six entry points that sample or integrate M_alpha refuse an alpha
-    # past the Wright cap 0.995 before any cut, tail sample, Gauss-Jacobi
-    # rule or density sample is built
+    # past the Wright cap 0.995 before any cut, tail sample, series sum or
+    # density sample is built
     BUILDERS = [(subordination, "_adaptive_cut"), (subordination, "_tail_sample"),
-                (subordination, "_gauss_jacobi"), (subordination, "_panel_masses"),
+                (subordination, "_wright_series_moment"), (subordination, "_panel_masses"),
                 (subordination, "_wright_m_array"), (special_functions, "wright_log_envelope"),
                 (special_functions, "_wright_contour"), (special_functions, "_wright_series")]
 
@@ -300,29 +303,6 @@ class TestMassNodes:
         assert not xg.flags.writeable and not wg.flags.writeable
 
 
-class TestGaussJacobi:
-    @pytest.mark.parametrize("n", [40, 80])
-    @pytest.mark.parametrize("b", [-0.998, -0.5, 0.0, 3.0])
-    @pytest.mark.parametrize("c", [1.0, 3.0])
-    def test_exponential_against_incomplete_gamma(self, n, b, c):
-        # int_{-1}^{1} (1+x)^b e^{-c(1+x)} dx = gamma(b+1, 2c) / c^(b+1)
-        x, w = _gauss_jacobi(n, b)
-        assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
-        exact = float(mp.gammainc(b + 1.0, 0, 2.0 * c) / mp.mpf(c) ** (b + 1.0))
-        assert float(np.dot(w, np.exp(-c * (1.0 + x)))) == pytest.approx(exact, rel=1e-14)
-
-    def test_rule_is_solved_once_per_size_and_exponent(self, monkeypatch):
-        # a repeated moment reads both cached rules: no eigenproblem is solved
-        first = wright_moment(0.45, 1.5)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-        assert wright_moment(0.45, 1.5) == first
-        assert calls == []
-        for arr in _gauss_jacobi(40, 1.5):
-            assert not arr.flags.writeable
-
-
 class TestSubordinateScalar:
     def test_reproduces_mittag_leffler(self):
         assert subordinate_scalar(0.25, 1.0) == pytest.approx(
@@ -405,54 +385,32 @@ class TestMoments:
                          "--out", str(tmp_path / "mom.json")]) == 0
         assert len(calls) == 2 and min(calls) >= 1.0
 
-    @pytest.mark.parametrize("alpha,gamma", [(0.25, -0.5), (0.6, 0.5), (0.75, 3.0), (0.95, 1.0)])
-    def test_both_scales_are_sampled_in_one_pass(self, alpha, gamma, monkeypatch):
-        # the [0, 1] Gauss-Jacobi nodes of scales 1 and 2 go through one
-        # batched call, and each scale's values equal its table sampled alone
-        passes = []
-
-        def recording(a, s):
-            m = _wright_m_array(a, s)
-            passes.append((s, m))
-            return m
-
-        monkeypatch.setattr(subordination, "_wright_m_array", recording)
-        numeric = wright_moment(alpha, gamma)
-        (s, m), = [(s, m) for s, m in passes if s.max() < 1.0]
-        start, values = 0, []
-        for scale in (1, 2):
-            xj, wj = _gauss_jacobi(40 * scale, gamma)
-            alone = _wright_m_array(alpha, 0.5 * (xj + 1.0))
-            assert np.array_equal(m[start:start + xj.size], alone)
-            start += xj.size
-            values.append(0.5 ** (gamma + 1.0) * float(np.dot(wj, alone))
-                          + subordination._upper_moment(alpha, gamma, scale))
-        assert start == s.size
-        assert numeric == values[1]
-
     def test_rejects_divergent_gamma(self, monkeypatch):
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.0)
         with pytest.raises(ValueError):
             wright_moment(0.5, -1.5)
 
-        # every weight of an array is checked before any rule or sample
+        # every weight of an array is checked before any sum, table or sample,
+        # a non-finite one too: NaN passes a comparison with -1
         def builder(*args, **kwargs):
             raise AssertionError("built a table for a divergent weight")
 
-        for name in ("_gauss_jacobi", "_wright_m_array", "_upper_moment"):
+        for name in ("_wright_series_moment", "_wright_m_array", "_upper_moment"):
             monkeypatch.setattr(subordination, name, builder)
         with pytest.raises(ValueError, match="gamma must exceed -1, got -1.0: int s"):
             wright_moments(0.5, [0.5, 2.0, -1.0])
+        for gamma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+                wright_moments(0.5, [0.5, gamma])
 
     @staticmethod
     def one_weight(alpha, gamma):
-        """The moment at one weight, its [0, 1] nodes sampled on their own."""
+        """The moment at one weight: its [0, 1] series sum and [1, cut] tables."""
         values = []
         for scale in (1, 2):
-            xj, wj = _gauss_jacobi(40 * scale, gamma)
-            values.append(0.5 ** (gamma + 1.0) * float(np.dot(wj, _wright_m_array(
-                alpha, 0.5 * (xj + 1.0)))) + subordination._upper_moment(alpha, gamma, scale))
+            values.append(_wright_series_moment(alpha, gamma)
+                          + subordination._upper_moment(alpha, gamma, scale))
         assert abs(values[0] - values[1]) <= max(1e-10, 1e-9 * abs(values[1]))
         return values[1]
 
@@ -495,31 +453,67 @@ class TestMoments:
         nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist(), 16)
         mass = weights * _wright_m_array(alpha, nodes)
         for gamma, got in zip(gammas, wright_moments(alpha, gammas)):
-            xj, wj = _gauss_jacobi(80, gamma)
-            reference = (0.5 ** (gamma + 1.0) * float(np.dot(wj, _wright_m_array(
-                alpha, 0.5 * (xj + 1.0)))) + float(np.dot(mass, nodes ** gamma)))
+            reference = _wright_series_moment(alpha, gamma) + float(np.dot(mass, nodes ** gamma))
             exact = math.gamma(gamma + 1.0) / math.gamma(gamma * alpha + 1.0)
             assert got == pytest.approx(reference, rel=5e-12, abs=0.0)
             assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.95, 0.99, 0.995])
+    def test_moments_near_the_cap_are_exact(self, alpha):
+        # where the [0, 1] series takes 128-2,048 terms and the [1, cut]
+        # tables follow the phi walk, each moment is within 1e-14 of
+        # Gamma(gamma+1)/Gamma(gamma alpha+1) (2.9e-15 at most)
+        gammas = [-0.99, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+        exact = [math.gamma(g + 1.0) / math.gamma(g * alpha + 1.0) for g in gammas]
+        assert wright_moments(alpha, gammas) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     def test_no_weights_give_no_moments(self):
         assert wright_moments(0.5, []) == []
 
-    def test_cold_verify_moments_samples_below_one_once_per_alpha(self, tmp_path, monkeypatch):
-        # the six weights' [0, 1] nodes at both scales, 6 x (40 + 80), in one pass
-        passes = []
+    def test_no_moment_samples_below_one_or_solves_an_eigenproblem(self, tmp_path, monkeypatch):
+        # the [0, 1] part is a sum over series coefficients: wright_moments and
+        # a cold verify-moments sample M_alpha only on their [1, cut] tables
+        # and tail grids, and solve no eigenproblem
+        lows = []
 
         def recording(a, s):
-            passes.append((a, s.size) if s.max() < 1.0 else None)
+            lows.append(float(s.min()))
             return _wright_m_array(a, s)
 
+        def eigh(*args, **kwargs):
+            raise AssertionError("solved an eigenproblem")
+
         for cache in (subordination._density_table, subordination._tail_sample,
-                      subordination._adaptive_cut, subordination._gauss_jacobi):
+                      subordination._adaptive_cut, special_functions._wright_series_coeffs):
             cache.cache_clear()
         monkeypatch.setattr(subordination, "_wright_m_array", recording)
-        assert cli.main(["verify-moments", "--alpha", "0.3,0.8",
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        wright_moments(0.45, [-0.99, 0.0, 1.5, 10.0])
+        assert cli.main(["verify-moments", "--alpha", "0.3,0.8,0.995",
                          "--out", str(tmp_path / "mom.json")]) == 0
-        assert [p for p in passes if p is not None] == [(0.3, 720), (0.8, 720)]
+        assert lows and min(lows) >= 1.0
+
+    def test_cancelled_series_sum_is_refused(self, tmp_path, monkeypatch, capsys):
+        # coefficients 1 and -3 give the terms 1/0.5 and -3/1.5 at gamma
+        # -0.5: the sum cancels to 0, below its rounding bound, and is refused
+        # in the moment and in verify-moments (exit 3), whose first weight it is
+        def cancelling(alpha, n):
+            return (np.r_[0.0, math.log(3.0), np.full(n - 2, -np.inf)],
+                    np.r_[1.0, -1.0, np.zeros(n - 2)], np.r_[0.0, -1.0, np.full(n - 2, -50.0)])
+
+        monkeypatch.setattr(special_functions, "_wright_series_coeffs", cancelling)
+        with pytest.raises(UnreliableEvaluationError, match="gamma=-0.5 misses its certificate"):
+            wright_moment(0.5, -0.5)
+        assert cli.main(["verify-moments", "--alpha", "0.5",
+                         "--out", str(tmp_path / "mom.json")]) == 3
+        assert "error code=3 type=UnreliableEvaluationError" in capsys.readouterr().err
+
+    def test_series_beyond_the_term_budget_is_refused(self, monkeypatch):
+        # an envelope that never falls is not summed past the budget
+        monkeypatch.setattr(special_functions, "_wright_series_coeffs",
+                            lambda alpha, n: (np.zeros(n), np.ones(n), np.zeros(n)))
+        with pytest.raises(UnreliableEvaluationError, match="series over 131072 terms, alpha=0.5"):
+            wright_moment(0.5, 0.0)
 
 
 class TestSubordinationConstant:
