@@ -189,8 +189,8 @@ class FitResult:
 def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> FitResult:
     """Ordinary least squares on (log t, log y).
 
-    Needs at least 5 points spanning two decades in t and strictly
-    positive y.
+    Needs at least 5 points spanning two decades in t, with t and y
+    finite and strictly positive.
     """
     t = np.asarray(t_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
@@ -198,12 +198,12 @@ def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> 
         raise ValueError("t_values and y_values must be 1-d arrays of equal length")
     if t.size < 5:
         raise InsufficientDataError(f"need at least 5 points, got {t.size}")
-    if np.any(t <= 0.0):
-        raise ValueError("t values must be positive")
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError("t values must be positive and finite")
     if t.max() / t.min() < 100.0:
         raise InsufficientDataError("t values must span at least 2 decades")
-    if np.any(y <= 0.0):
-        raise ValueError("y values must be positive for a log-log fit")
+    if not np.all((y > 0.0) & (y < math.inf)):
+        raise ValueError("y values must be positive and finite for a log-log fit")
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
     resid = ly - (slope * lt + intercept)

@@ -462,8 +462,8 @@ def caputo_residual_l1(alpha: Alpha | float, mu: float, t_grid: np.ndarray) -> f
     """
     a = Alpha.coerce(alpha)
     mu = float(mu)
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     t = np.asarray(t_grid, dtype=float)
     if t.size < 8 or t[0] != 0.0:
         raise ValueError("t_grid must start at 0 with at least 8 points")
@@ -514,6 +514,8 @@ def decay_measurement(
     p, q = float(p), float(q)
     if not (1.0 < p <= 2.0 <= q < math.inf):
         raise ValueError("require 1 < p <= 2 <= q < inf")
+    if not 0.0 <= wraparound_tol <= 1.0:  # NaN would never truncate
+        raise ValueError(f"wraparound_tol must lie in [0, 1], got {wraparound_tol}")
     ts = [float(t) for t in t_list]
     if any(not 0.0 < t < math.inf for t in ts) or any(b <= a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("t_list must be ascending finite positive times")

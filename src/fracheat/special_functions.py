@@ -265,7 +265,7 @@ def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
     """
     a = Alpha.coerce(alpha)
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise ValueError(f"contour route requires x > 0, got {x}")
     if not a < 1.0:
         raise ValueError("contour route requires 0 < alpha < 1")
@@ -294,7 +294,7 @@ def _wright_alpha(alpha: Alpha | float) -> float:
 
 # relative error to which a double-precision series sum is certified
 _WRIGHT_SERIES_TOL = 1e-12
-# term budget of the series: a node still active past it is uncertified
+# term budget of the series: a table still above its envelope cut past it is refused
 _SERIES_MAX_TERMS = 200_000
 
 # trapezoid points on the saddle contour (geometric convergence, Weideman &
@@ -413,7 +413,8 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     c_k = (-1)^k / (k! Gamma(1 - alpha (k+1))); sign 0 where Gamma has a pole.
     By reflection |c_k| = Gamma(w)|sin(pi w)|/(pi k!) with w = alpha (k+1), so
     the smooth envelope e_k = Gamma(w)/(pi k!) bounds |c_k| and, unlike |c_k|,
-    does not dip to zero near the poles."""
+    does not dip to zero near the poles. The series' one cache: the package
+    reads it through `_wright_series_table`, at its doubled sizes."""
     table = np.empty((3, n))
     lpi = math.log(math.pi)
     for k in range(n):
@@ -424,57 +425,47 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(table)
 
 
-def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, certified) of the series at each 0 < s < 1: one term per step
-    for all nodes, Neumaier summation, a stop per node. Below s = 1 no term
-    exceeds about 1 (|c_k| <= 1 where w < 1, else Gamma(w)/(pi k!) <= 1),
-    so none overflows."""
-    tol = _WRIGHT_SERIES_TOL
-    ls = np.log(s)
-    tol_abs = max(tol * 1e-2, 1e-15) * np.maximum(np.exp(wright_log_envelope(alpha, s)), 1e-4)
-    log_cut = np.log(tol_abs) - 5.0
-    total, comp, n_terms = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
-    log_largest = np.full(s.shape, -np.inf)
-    active = np.ones(s.shape, dtype=bool)
-    log_c, sign, log_e = _wright_series_coeffs(alpha, 64)
-    k = 0
-    while k <= _SERIES_MAX_TERMS and active.any():
-        if k == log_c.size:
-            log_c, sign, log_e = _wright_series_coeffs(alpha, 2 * k)
-        if sign[k] != 0.0:
-            lmag = k * ls + log_c[k]
-            log_largest = np.where(active, np.maximum(log_largest, lmag), log_largest)
-            term = np.where(active, sign[k] * np.exp(lmag), 0.0)
-            new = total + term
-            comp += np.where(abs(total) >= abs(term), (total - new) + term, (term - new) + total)
-            total = new
-            n_terms += active
-        if k > 3:
-            # stop on the envelope: a term next to a pole is nearly zero
-            # while the terms after it are not
-            lenv = k * ls + log_e[k]
-            active &= ~((lenv < log_cut) & (lenv < log_largest - 5.0))
-        k += 1
-    value = total + comp
-    err = n_terms * 1.1e-16 * np.exp(log_largest)
-    return value, ~active & (err <= np.maximum(tol_abs, tol * np.abs(value)))
-
-
-def _wright_series_moment(alpha: float, gamma: float) -> float:
-    """int_0^1 s^gamma M_alpha(s) ds, gamma > -1: the series summed term by term,
-    sum_k c_k / (k + gamma + 1), on a table doubled from 64 terms until its envelope
-    e_k >= |c_k|, falling from k = 0 on (Gamma(x + alpha) <= x^alpha Gamma(x), Wendel
-    1948), is below 1e-17. Refused past the term budget, or where n 1.1e-16 max|term|
-    exceeds tol |sum|."""
+def _wright_series_table(alpha: float) -> tuple[np.ndarray, float]:
+    """(c_k for k < n, log e_(n-1)), the one truncation of the series: the table
+    doubled from 64 terms until its envelope e_k >= |c_k|, falling from k = 0 on
+    (Gamma(x + alpha) <= x^alpha Gamma(x), Wendel 1948), is below 1e-17 at its
+    last term. Refused past the term budget."""
     n = 64
     while _wright_series_coeffs(alpha, n)[2][-1] >= math.log(1e-17):
         if 2 * n > _SERIES_MAX_TERMS:
-            raise UnreliableEvaluationError(f"M_alpha moment series over {n} terms, alpha={alpha}")
+            raise UnreliableEvaluationError(f"M_alpha series over {n} terms, alpha={alpha}")
         n *= 2
-    log_c, sign, _ = _wright_series_coeffs(alpha, n)
-    terms = sign * np.exp(log_c) / (np.arange(n) + gamma + 1.0)
+    log_c, sign, log_e = _wright_series_coeffs(alpha, n)
+    return sign * np.exp(log_c), float(log_e[-1])
+
+
+def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, certified) of the series at each 0 < s < 1: Horner's rule on the n
+    terms of `_wright_series_table`, elementwise, with sum |c_k| s^k as a second
+    row. Certified where the rounding bound gamma_2n sum |c_k| s^k (Higham 2002,
+    eq. 5.3) plus the dropped terms, at most e_(n-1) s^n r / (1 - r s) with
+    r = (alpha n)^alpha / n (e_(k+1)/e_k <= (alpha (k+1))^alpha / (k+1) by Wendel,
+    falling with k), is within max(tol_abs, tol |value|). The coefficients' own
+    rounding, from exp of their logs, lies outside the bound."""
+    tol = _WRIGHT_SERIES_TOL
+    c, log_e = _wright_series_table(alpha)
+    n, acc = c.size, np.zeros((2, s.size))
+    for col in np.stack([c, np.abs(c)]).T[::-1, :, None]:
+        np.add(np.multiply(acc, s, out=acc), col, out=acc)
+    u2n, r = 2 * n * 2.0 ** -53, (alpha * n) ** alpha / n
+    err = u2n / (1.0 - u2n) * acc[1] + np.exp(log_e + n * np.log(s)) * r / (1.0 - r * s)
+    tol_abs = max(tol * 1e-2, 1e-15) * np.maximum(np.exp(wright_log_envelope(alpha, s)), 1e-4)
+    return acc[0], err <= np.maximum(tol_abs, tol * np.abs(acc[0]))
+
+
+def _wright_series_moment(alpha: float, gamma: float) -> float:
+    """int_0^1 s^gamma M_alpha(s) ds, gamma > -1: sum_k c_k / (k + gamma + 1) over
+    the terms of `_wright_series_table`, whose envelope bounds the terms dropped.
+    Refused where n 1.1e-16 max|term| exceeds tol |sum|."""
+    c, _ = _wright_series_table(alpha)
+    terms = c / (np.arange(c.size) + gamma + 1.0)
     value = math.fsum(terms)
-    if not n * 1.1e-16 * np.abs(terms).max() <= _WRIGHT_SERIES_TOL * abs(value):
+    if not c.size * 1.1e-16 * np.abs(terms).max() <= _WRIGHT_SERIES_TOL * abs(value):
         raise UnreliableEvaluationError(f"M_alpha moment series at alpha={alpha}, "
                                         f"gamma={gamma} misses its certificate")
     return value
@@ -491,8 +482,9 @@ def _wright_m_array(alpha: Alpha | float, s: np.ndarray) -> np.ndarray:
     big = s >= 1.0
     value[big] = _wright_contour(alpha, s[big])
     small = (s > 0.0) & ~big
-    series, certified = _wright_series(alpha, s[small])
-    value[small] = np.where(certified, series, np.nan)
+    if small.any():  # the series table is built only for nodes below 1
+        series, certified = _wright_series(alpha, s[small])
+        value[small] = np.where(certified, series, np.nan)
     if np.isnan(value).any():
         raise UnreliableEvaluationError(f"M_alpha refused at alpha={alpha}, s={s[np.isnan(value)]}: "
                                         "a declined contour node or an uncertified series sum")

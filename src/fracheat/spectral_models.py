@@ -48,8 +48,8 @@ class DiscreteSpectrum:
             raise ValueError("eigenvalues and multiplicities must have equal length")
         if not ev:
             raise ValueError("spectrum must be nonempty")
-        if any(e <= 0.0 for e in ev):
-            raise ValueError("eigenvalues must be strictly positive")
+        if not all(0.0 < e < math.inf for e in ev):
+            raise ValueError("eigenvalues must be strictly positive and finite")
         if any(a >= b for a, b in zip(ev[:-1], ev[1:])):
             raise ValueError("eigenvalues must be sorted strictly ascending")
         if any(m < 1 for m in mult):
@@ -66,8 +66,8 @@ class PowerLawSpectrum:
     lambda_exp: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0 or self.lambda_exp <= 0.0:
-            raise ValueError("c and lambda_exp must be positive")
+        if not (0.0 < self.c < math.inf and 0.0 < self.lambda_exp < math.inf):
+            raise ValueError("c and lambda_exp must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class TraceCatalogEntry:
     provenance: str
 
     def __post_init__(self) -> None:
-        if self.lambda_exp <= 0.0:
-            raise ValueError("lambda_exp must be positive")
+        if not 0.0 < self.lambda_exp < math.inf:
+            raise ValueError("lambda_exp must be positive and finite")
 
     def model(self, c: float = 1.0) -> SpectralModel:
         return SpectralModel(PowerLawSpectrum(c=c, lambda_exp=self.lambda_exp),
@@ -156,8 +156,10 @@ def verify_trace_growth(
     s_range: tuple[float, float],
 ) -> TraceGrowthReport:
     """Least-squares slope of log tau(s) vs log s, at 60 log-spaced s,
-    against the claimed exponent. Requires the range to span at least
-    three decades."""
+    against the claimed exponent, which must be positive and finite.
+    Requires the range to span at least three decades."""
+    if not 0.0 < lambda_claim < math.inf:
+        raise ValueError(f"lambda_claim must be positive and finite, got {lambda_claim}")
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 < s_lo < s_hi):
         raise ValueError("s_range must be an increasing pair of positive reals")

@@ -105,7 +105,7 @@ def _certify_tail(alpha: float, cut: float, weight_exp: float, factor: float = 1
     (factor bounds any further weight beyond cut), is at most _TARGET_TOL."""
     bound = _tail_bound(alpha, cut, weight_exp)
     bound = factor * bound if bound < math.inf else bound  # inf * 0 is nan: it would pass
-    if bound > _TARGET_TOL:
+    if not bound <= _TARGET_TOL:  # a NaN bound is refused too
         raise QuadratureError(
             f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds the target {_TARGET_TOL}")
 
@@ -216,7 +216,7 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     """
     a = _wright_alpha(alpha)
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:  # NaN too; x = inf gives the limit 0
         raise ValueError(f"x must be nonnegative, got {x}")
 
     cut = _adaptive_cut(a, 0.0)

@@ -170,6 +170,11 @@ class TestFit:
             fit_decay_exponent(ts, [1, 1, 1, 0, 1, 1])
         with pytest.raises(ValueError):
             fit_decay_exponent([-1, 1, 10, 100, 1000, 10000], np.ones(6))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="y values must be positive and finite"):
+                fit_decay_exponent(ts, [1, 1, 1, bad, 1, 1])
+            with pytest.raises(ValueError, match="t values must be positive and finite"):
+                fit_decay_exponent([bad, 1, 10, 100, 1000, 10000], np.ones(6))
 
 
 class TestCompareRepresentations:

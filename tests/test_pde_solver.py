@@ -802,6 +802,9 @@ class TestCaputo:
             caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 0.5, 64))  # too short
         with pytest.raises(ValueError):
             caputo_residual_l1(0.5, -1.0, np.linspace(0.0, 2.0, 64))
+        for mu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                caputo_residual_l1(0.5, mu, np.linspace(0.0, 2.0, 64))
         with pytest.raises(ValueError, match="uniform"):
             caputo_residual_l1(0.5, 1.0, np.linspace(0.0, 2.0, 64) ** 2)
 
@@ -868,3 +871,8 @@ class TestDecayMeasurement:
         with pytest.raises(ValueError):
             decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
                               [1.0, 2.0, 3.0, 4.0, math.nan])
+        # a NaN tolerance would never truncate: the guard would be off
+        for tol in (math.nan, -1e-6, 1.5):
+            with pytest.raises(ValueError, match="wraparound_tol"):
+                decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
+                                  [1.0, 2.0, 3.0, 4.0, 5.0], wraparound_tol=tol)

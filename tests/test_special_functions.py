@@ -26,6 +26,7 @@ from fracheat.special_functions import (
     _wright_contour,
     _wright_contour_geometry,
     _wright_m_array,
+    _wright_series,
     _wright_series_coeffs,
     _wright_series_moment,
     _WRIGHT_SERIES_TOL,
@@ -336,6 +337,8 @@ class TestContour:
     def test_rejects_x_zero_and_alpha_one(self):
         with pytest.raises(ValueError, match="requires x > 0"):
             mittag_leffler_contour(0.5, 0.0)
+        with pytest.raises(ValueError, match="requires x > 0, got nan"):
+            mittag_leffler_contour(0.5, math.nan)
         with pytest.raises(ValueError, match="requires 0 < alpha < 1"):
             mittag_leffler_contour(1.0, 1.0)
 
@@ -469,6 +472,72 @@ class TestWrightSeriesMoment:
             log_e = coeffs(alpha, n)[2]
             assert np.all(np.diff(log_e) < 0.0)
             assert (log_e[-1] < math.log(1e-17)) == (n == terms)
+
+
+class TestWrightSeries:
+    """M_alpha below s = 1 by Horner's rule on the series' one table, and the
+    two halves of its certificate: Horner's rounding bound and the bound on
+    the terms the table drops."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95, 0.995])
+    def test_nodes_read_the_moment_table(self, alpha, monkeypatch):
+        # one truncation: the node values read the same doubled coefficient
+        # tables as the moment sum, and no other size
+        coeffs = special_functions._wright_series_coeffs
+        sizes = []
+        for call in (lambda: _wright_series_moment(alpha, 0.0),
+                     lambda: _wright_series(alpha, np.array([1e-3, 0.5, 0.99]))):
+            seen = []
+            monkeypatch.setattr(special_functions, "_wright_series_coeffs",
+                                lambda a, n: seen.append(n) or coeffs(a, n))
+            call()
+            sizes.append(sorted(set(seen)))
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.995])
+    def test_matches_arbitrary_precision_series(self, alpha):
+        s = np.array([1e-6, 0.05, 0.3, 0.6, 0.9, 0.999])
+        value, certified = _wright_series(alpha, s)
+        assert certified.all()
+        log_c, sign, _ = _wright_series_coeffs(alpha, 4096)
+        for si, v in zip(s, value):
+            log_terms = np.where(sign != 0.0, log_c + np.arange(log_c.size) * math.log(si), -np.inf)
+            # 40 digits beyond the cancellation of the largest series term
+            dps = 40 + int(max(log_terms.max() - math.log(v), 0.0) / math.log(10.0))
+            ref = mp_reference.wright_series(alpha, float(si), dps)
+            tol_abs = 1e-14 * max(math.exp(float(wright_log_envelope(alpha, si))), 1e-4)
+            allowed = 1e-14 * ref if ref >= 1e-3 else max(tol_abs, _WRIGHT_SERIES_TOL * ref)
+            assert abs(v - ref) <= allowed, (si, v, ref)
+
+    def test_cancelling_sum_is_refused_by_the_rounding_bound(self, monkeypatch):
+        # 1 - 2 s is 0 at s = 1/2 with sum |c_k| s^k = 2: the rounding bound
+        # gamma_128 * 2 = 2.8e-14 exceeds the absolute allowance 5.3e-15
+        # there; at s = 1/8 the sum 3/4 is certified. The envelope is far
+        # below 1e-17, so the dropped terms play no part
+        monkeypatch.setattr(special_functions, "_wright_series_coeffs",
+                            lambda alpha, n: (np.r_[0.0, math.log(2.0), np.full(n - 2, -np.inf)],
+                                              np.r_[1.0, -1.0, np.zeros(n - 2)],
+                                              np.full(n, -50.0)))
+        value, certified = _wright_series(0.5, np.array([0.125, 0.5]))
+        assert value.tolist() == [0.75, 0.0] and certified.tolist() == [True, False]
+        with pytest.raises(UnreliableEvaluationError, match="uncertified series sum"):
+            _wright_m_array(0.5, np.array([0.5]))
+
+    def test_table_cut_early_is_refused_by_the_dropped_terms_bound(self, monkeypatch):
+        # the first 64 terms at alpha 0.995, whose last envelope term is
+        # 8.4e-2 (2,048 are needed): near s = 1 the terms dropped are large,
+        # and the node is refused; at s = 0.05 they are below 1e-80 of the
+        # value, which is certified and matches the full table
+        log_c, sign, log_e = special_functions._wright_series_coeffs(0.995, 64)
+        assert log_e[-1] > math.log(1e-3)
+        s = np.array([0.05, 0.999])
+        full, _ = _wright_series(0.995, s)
+        monkeypatch.setattr(special_functions, "_wright_series_table",
+                            lambda alpha: (sign * np.exp(log_c), float(log_e[-1])))
+        value, certified = _wright_series(0.995, s)
+        assert certified.tolist() == [True, False]
+        assert value[0] == pytest.approx(full[0], rel=1e-15)
+        assert abs(value[1] - full[1]) > 1e-6 * full[1]  # the refusal is warranted
 
 
 class TestWrightContour:

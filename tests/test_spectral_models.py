@@ -12,6 +12,7 @@ from fracheat.spectral_models import (
     DiscreteSpectrum,
     PowerLawSpectrum,
     SpectralModel,
+    TraceCatalogEntry,
     condition_supremum,
     torus_laplacian_1d,
     torus_laplacian_2d,
@@ -30,6 +31,9 @@ class TestSpectrumTypes:
             DiscreteSpectrum((1.0, 0.5), (1, 1))  # not ascending
         with pytest.raises(ValueError):
             DiscreteSpectrum((-1.0,), (1,))  # nonpositive
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteSpectrum((bad,), (1,))
         with pytest.raises(ValueError):
             DiscreteSpectrum((1.0,), (0,))  # bad multiplicity
         with pytest.raises(ValueError):
@@ -40,6 +44,12 @@ class TestSpectrumTypes:
             PowerLawSpectrum(c=0.0, lambda_exp=1.0)
         with pytest.raises(ValueError):
             PowerLawSpectrum(c=1.0, lambda_exp=-1.0)
+        for c, lam in ((math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PowerLawSpectrum(c, lam)
+        for lam in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="lambda_exp must be positive and finite"):
+                TraceCatalogEntry("bad", lam, "")
 
 
 class TestTraceCounting:
@@ -86,6 +96,11 @@ class TestTraceGrowth:
         for entry in DEFAULT_CATALOG:
             report = verify_trace_growth(entry.model(), entry.lambda_exp, (1.0, 1e6))
             assert report.fitted_slope == pytest.approx(entry.lambda_exp, rel=1e-12)
+
+    @pytest.mark.parametrize("claim", [math.nan, math.inf, 0.0, -0.5])
+    def test_rejects_a_claim_that_is_not_positive_and_finite(self, claim):
+        with pytest.raises(ValueError, match="lambda_claim must be positive and finite"):
+            verify_trace_growth(torus_laplacian_1d(100), claim, (1.0, 1e4))
 
     def test_requires_three_decades(self):
         with pytest.raises(ValueError):

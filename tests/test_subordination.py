@@ -90,6 +90,11 @@ class TestTailCertificate:
         direct = mittag_leffler_neg(alpha, x)
         assert abs(sub - direct) <= 1e-8
 
+    def test_nan_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(subordination, "_tail_bound", lambda alpha, cut, weight_exp: math.nan)
+        with pytest.raises(QuadratureError, match="tail bound nan"):
+            subordination._certify_tail(0.5, 10.0, 0.0)
+
     def test_heat_weight_certifies_a_low_ceiling_at_large_x(self):
         # M_alpha still rises past s = 1.01 at alpha 0.9, so the sampled bound
         # is inf; at weight 0 the tail is at most the total mass 1, and the
@@ -330,6 +335,11 @@ class TestSubordinateScalar:
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             subordinate_scalar(0.5, -1.0)
+        # NaN is refused as a value error, not as a quadrature that did not
+        # stabilize; +inf is the limit E_alpha(-inf) = 0
+        with pytest.raises(ValueError, match="got nan"):
+            subordinate_scalar(0.5, math.nan)
+        assert subordinate_scalar(0.5, math.inf) == 0.0
 
     def test_neglect_policy_rejects_heavy_tail(self):
         # a cut far below the density support leaves a tail that must be
