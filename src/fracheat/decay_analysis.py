@@ -50,9 +50,12 @@ def _exponent_gap(p: float, q: float) -> float:
 def sup_heat_closed_form(beta: float, t: float) -> float:
     """sup over s > 0 of s^beta exp(-t s) = (beta/t)^beta exp(-beta)."""
     beta, t = float(beta), float(t)
-    if not (beta > 0.0 and 0.0 < t < math.inf):
-        raise ValueError("beta must be positive and t positive and finite")
-    return (beta / t) ** beta * math.exp(-beta)
+    if not (0.0 < beta < math.inf and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and finite and t positive and finite")
+    try:
+        return (beta / t) ** beta * math.exp(-beta)
+    except OverflowError:  # (beta/t)^beta alone is past the double range: in logs
+        return math.exp(beta * math.log(beta / t) - beta)
 
 
 def sup_bound_kernel_closed_form(alpha: Alpha | float, beta: float, t: float) -> float:
@@ -117,12 +120,19 @@ def _log_grid_sup(f, on_grid: np.ndarray | None = None) -> list[float]:
     return best.tolist()
 
 
+def _power_times(s: np.ndarray, beta: float, kernel: np.ndarray, log_kernel) -> np.ndarray:
+    """s^beta kernel; exp(beta log s + log_kernel) where that is not finite (s^beta overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = s ** beta * kernel
+        return np.where(np.isfinite(v), v, np.exp(beta * np.log(s) + log_kernel))
+
+
 def sup_heat_numeric(beta: float, t: float) -> float:
     """Grid-searched sup_s s^beta exp(-t s); cross-check for the closed form."""
     beta, t = float(beta), float(t)
-    if not (beta > 0.0 and 0.0 < t < math.inf):
-        raise ValueError("beta must be positive and t positive and finite")
-    (sup,) = _log_grid_sup(lambda s: s ** beta * np.exp(-t * s))
+    if not (0.0 < beta < math.inf and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and finite and t positive and finite")
+    (sup,) = _log_grid_sup(lambda s: _power_times(s, beta, np.exp(-t * s), -t * s))
     return sup
 
 
@@ -134,8 +144,9 @@ def _ml_profile_sup(alpha: Alpha, betas: Sequence[float]) -> list[float]:
     taken with its scalar beta, so each supremum is bit for bit its own
     one-beta search."""
     def weighted(u, ml):  # row r of u to the power betas[r], times E_alpha(-u)
-        rows = u.reshape(len(betas), -1)
-        return np.concatenate([v ** beta for v, beta in zip(rows, betas)]) * ml
+        rows, ks = u.reshape(len(betas), -1), ml.reshape(len(betas), -1)
+        # u^beta overflows only at alpha = 1 (beta > 1): -u is log E_1(-u)
+        return np.concatenate([_power_times(v, b, k, -v) for v, b, k in zip(rows, betas, ks)])
 
     on_grid = np.tile(_ml_neg(alpha, _GRID_S), len(betas))  # alpha validated
     return _log_grid_sup(lambda u: weighted(u, _ml_neg(alpha, u)),
@@ -167,8 +178,8 @@ def sup_ml_numeric(alpha: Alpha | float, beta: float, t: float,
     """
     a = Alpha.coerce(alpha)
     beta, t = float(beta), float(t)
-    if not (beta > 0.0 and 0.0 < t < math.inf):
-        raise ValueError("beta must be positive and t positive and finite")
+    if not (0.0 < beta < math.inf and 0.0 < t < math.inf):
+        raise ValueError("beta must be positive and finite and t positive and finite")
     if beta > 1.0 and (a < 1.0 or not exact_kernel):
         return math.inf
     if exact_kernel:

@@ -38,7 +38,7 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a co
 from .errors import InsufficientDataError
 from .special_functions import (Alpha, _HANKEL_ALPHA_CAP, _RULE_BLOCK, _ml_hankel, _ml_neg,
                                 _wright_alpha)
-from .subordination import wright_mass_nodes
+from .subordination import _FLUSH, _heat_factors, _heat_sum, wright_mass_nodes
 
 __all__ = [
     "PeriodicGrid",
@@ -186,12 +186,11 @@ def _edge_share(a: np.ndarray) -> float:
 
 
 def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
-    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: the
-    outer product of its axis profile exp(-x^2 / (2 sigma^2)). The
-    profile is flushed to exact 0 below exp(-_FLUSH) ~ 1e-150, as the heat
-    factors are, so no exp underflows and no product is subnormal."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: the outer
+    product of its axis profile exp(-x^2 / (2 sigma^2)), flushed to exact 0 below
+    exp(-_FLUSH) ~ 1e-150 as the heat factors are: no exp underflows, no product is subnormal."""
+    if not (0.0 < sigma < math.inf and 2.0 * sigma ** 2 > 0.0):  # else 0/0 at x = 0
+        raise ValueError(f"sigma must be positive and finite, with 2 sigma^2 > 0, got {sigma}")
     e = -grid._axis() ** 2 / (2.0 * sigma ** 2)
     profile = np.exp(np.maximum(e, -_FLUSH))
     profile[e < -_FLUSH] = 0.0
@@ -244,11 +243,6 @@ _BLOCK_ROWS = 512
 # lanes alone); the 2D table's factor is built once per step
 _HEAT_BLOCK_ROWS = 128
 
-# heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
-# numpy's slow underflow path, no table product is subnormal, and a flushed
-# multiplier lies below the unflushed one by at most exp(-_FLUSH) sum(mass)
-_FLUSH = 345.0
-
 
 def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
     """kernel(x) by blocks of `rows` values, each copied into one result
@@ -257,27 +251,6 @@ def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
     for i in range(0, x.size, rows):
         out[i:i + rows] = kernel(x[i:i + rows])
     return out
-
-
-def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
-    """exp(-x_u s_i), x_u >= 0 in any order and the nodes s_i ascending,
-    flushed to 0 where x_u s_i > _FLUSH; written over the leading entries of
-    `work`, a (float, bool) buffer pair, if given. The exponent -x s^T is one
-    rank-1 BLAS product (one rounded product per entry, as a broadcast
-    multiply gives). The largest x flushes the lanes [m, K); every lane below
-    m is unflushed in every row, so only [m, K) is clamped and masked."""
-    size = x.size * nodes.size
-    f = (np.empty(size) if work is None else work[0])[:size].reshape(x.size, nodes.size)
-    np.dot(-x[:, None], nodes[None, :], out=f)
-    m = np.count_nonzero(~(-x.max() * nodes < -_FLUSH))
-    tail = f[:, m:]
-    far = (np.empty(tail.size, dtype=bool) if work is None else work[1])[:tail.size]
-    far = far.reshape(tail.shape)
-    np.less(tail, -_FLUSH, out=far)
-    np.maximum(tail, -_FLUSH, out=tail)
-    np.exp(f, out=f)
-    tail[far] = 0.0
-    return f
 
 
 def _gram(x: np.ndarray, nodes: np.ndarray, root: np.ndarray, work: tuple | None = None,
@@ -317,12 +290,7 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
     a, method = cfg.alpha.value, multiplier_method(cfg)
     if method == "subordination/wright-mass-table":
         nodes, mass = wright_mass_nodes(a)
-
-        def block(u):  # the nodes ascend: lanes the smallest x flushes, all rows do
-            m = np.count_nonzero(~(-u.min() * nodes < -_FLUSH))
-            return _heat_factors(u, nodes[:m], work) @ mass[:m]
-
-        return _blocked(block, x, _HEAT_BLOCK_ROWS)
+        return _blocked(lambda u: _heat_sum(nodes, mass, u, work), x, _HEAT_BLOCK_ROWS)
     if method == "direct_ml/hankel-32":
         return _blocked(lambda u: _ml_hankel(a, u), x)
     # exp(-x) at alpha = 1, else the real-axis rule, which holds about 80 B

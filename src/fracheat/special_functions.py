@@ -60,7 +60,9 @@ class Alpha:
 # ---------------------------------------------------------------------------
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), defined for every real x (zero at the poles of Gamma)."""
+    """1/Gamma(x) for every real x (zero at the poles of Gamma) and x = inf."""
+    if not float(x) > -math.inf:  # NaN too
+        raise ValueError(f"x must be a number above -inf, got {x}")
     lr, sign = _log_abs_reciprocal_gamma(float(x))
     if lr > 709.0:  # 1/Gamma overflows deep on the negative axis
         return math.copysign(math.inf, sign)
@@ -309,7 +311,7 @@ _WRIGHT_BLOCK_ROWS = 64  # contour nodes per block: 80 KiB per temporary
 
 
 def wright_log_envelope(alpha: float, s):
-    """log of the large-s decay envelope of M_alpha, at a float or an array s.
+    """log of the large-s decay envelope of M_alpha, at a float or an array s >= 0.
 
     Leading-order stretched-exponential asymptotics:
     M_alpha(s) ~ A s^{(alpha-1/2)/(1-alpha)} exp(-B s^{1/(1-alpha)}).
@@ -318,6 +320,8 @@ def wright_log_envelope(alpha: float, s):
     """
     a = alpha
     s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0.0):  # NaN too
+        raise ValueError(f"s must be nonnegative, got {s}")
     log_amp = -0.5 * math.log(2.0 * math.pi * (1.0 - a)) \
         - 0.5 * ((1.0 - 2.0 * a) / (1.0 - a)) * math.log(a)
     b = (1.0 - a) * a ** (a / (1.0 - a))
@@ -407,14 +411,12 @@ def _wright_contour(alpha: float, s: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
 def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log|c_k|, sign c_k, log e_k), k < n, of the series M_alpha(s) = sum c_k s^k,
     c_k = (-1)^k / (k! Gamma(1 - alpha (k+1))); sign 0 where Gamma has a pole.
     By reflection |c_k| = Gamma(w)|sin(pi w)|/(pi k!) with w = alpha (k+1), so
     the smooth envelope e_k = Gamma(w)/(pi k!) bounds |c_k| and, unlike |c_k|,
-    does not dip to zero near the poles. The series' one cache: the package
-    reads it through `_wright_series_table`, at its doubled sizes."""
+    does not dip to zero near the poles; `_wright_series_table` builds it."""
     table = np.empty((3, n))
     lpi = math.log(math.pi)
     for k in range(n):
@@ -425,18 +427,21 @@ def _wright_series_coeffs(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(table)
 
 
+@lru_cache(maxsize=64)
 def _wright_series_table(alpha: float) -> tuple[np.ndarray, float]:
-    """(c_k for k < n, log e_(n-1)), the one truncation of the series: the table
-    doubled from 64 terms until its envelope e_k >= |c_k|, falling from k = 0 on
-    (Gamma(x + alpha) <= x^alpha Gamma(x), Wendel 1948), is below 1e-17 at its
-    last term. Refused past the term budget."""
-    n = 64
-    while _wright_series_coeffs(alpha, n)[2][-1] >= math.log(1e-17):
+    """(c_k for k < n, log e_(n-1)), the series' one truncation, built once per alpha:
+    n doubled from 64 until the envelope e_k >= |c_k|, falling from k = 0 on
+    (Gamma(x + alpha) <= x^alpha Gamma(x), Wendel 1948), is below 1e-17 at its last
+    term, e_(n-1) = Gamma(alpha n) / (pi (n-1)!). Refused past the term budget."""
+    n, lpi = 64, math.log(math.pi)
+    while math.lgamma(alpha * n) - math.lgamma(n) - lpi >= math.log(1e-17):
         if 2 * n > _SERIES_MAX_TERMS:
             raise UnreliableEvaluationError(f"M_alpha series over {n} terms, alpha={alpha}")
         n *= 2
     log_c, sign, log_e = _wright_series_coeffs(alpha, n)
-    return sign * np.exp(log_c), float(log_e[-1])
+    c = sign * np.exp(log_c)
+    c.setflags(write=False)  # shared by every caller through the cache
+    return c, float(log_e[-1])
 
 
 def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

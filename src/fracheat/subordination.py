@@ -41,9 +41,9 @@ __all__ = [
 # _UPPER_CUT, and the tail beyond it is dropped only when its sampled bound is
 # at most _TARGET_TOL (QuadratureError otherwise); it is the one truncation,
 # as every node below the cut is sampled. Gauss-Legendre panels of
-# _NODES_PER_PANEL nodes, doubled to verify convergence: _PANELS of them on
-# [_S_FLOOR, cut], fewer on a shorter interval or past M_alpha's collapse
-# (see _panel_edges)
+# _NODES_PER_PANEL nodes: _PANELS of them on [_S_FLOOR, cut], fewer on a
+# shorter interval or past M_alpha's collapse (see _panel_edges); the moments
+# double them on [1, cut] to verify convergence
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -85,26 +85,20 @@ def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
     inf where f does not fall across the sampled nodes. Where it falls,
     f(s_k)(s_k+1 - s_k) bounds each cell's integral; past the last node
     these terms fall at least as fast as their last ratio r < 1 (the
-    stretched exponential decays ever faster): r / (1 - r) last terms. At
-    weight 0 the bound is at most 1, the density's total mass (M_alpha >= 0
-    integrates to 1), which holds wherever the sampled bound does not."""
+    stretched exponential decays ever faster): r / (1 - r) last terms."""
     s, m = _tail_sample(alpha, cut)
     f = m * s ** weight_exp
     terms = f * (0.05 * s)
     prev, last = terms[-2:]
     if np.any(np.diff(f) > 0.0) or 0.0 < prev <= last:
-        bound = math.inf
-    else:
-        bound = float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
-    return min(bound, 1.0) if weight_exp == 0.0 else bound
+        return math.inf
+    return float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
 
 
-def _certify_tail(alpha: float, cut: float, weight_exp: float, factor: float = 1.0) -> None:
-    """Refuse an integral over [., inf) truncated at cut unless the bound on
-    its dropped tail, factor * int_cut^inf s^weight_exp M_alpha(s) ds
-    (factor bounds any further weight beyond cut), is at most _TARGET_TOL."""
+def _certify_tail(alpha: float, cut: float, weight_exp: float) -> None:
+    """Refuse an integral over [., inf) truncated at cut unless the bound on its
+    dropped tail, int_cut^inf s^weight_exp M_alpha(s) ds, is at most _TARGET_TOL."""
     bound = _tail_bound(alpha, cut, weight_exp)
-    bound = factor * bound if bound < math.inf else bound  # inf * 0 is nan: it would pass
     if not bound <= _TARGET_TOL:  # a NaN bound is refused too
         raise QuadratureError(
             f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds the target {_TARGET_TOL}")
@@ -194,9 +188,8 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes s_i and masses w_i M_alpha(s_i) such that
     int_0^inf M_alpha(s) f(s) ds ~= sum_i mass_i f(s_i).
 
-    Shared machinery for the scalar identity checks and the per-mode
-    subordination solves (the density is sampled once per alpha). A negative
-    or NaN mass raises QuadratureError (M_alpha is >= 0)."""
+    The solver's and `subordinate_scalar`'s one table, sampled once per alpha.
+    A negative or NaN mass raises QuadratureError (M_alpha is >= 0)."""
     a = _wright_alpha(alpha)
     cut = _adaptive_cut(a, 0.0)
     _certify_tail(a, cut, 0.0)
@@ -207,26 +200,48 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mass
 
 
+# heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
+# numpy's slow underflow path, no table product is subnormal, and a flushed
+# multiplier lies below the unflushed one by at most exp(-_FLUSH) sum(mass)
+_FLUSH = 345.0
+
+
+def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """exp(-x_u s_i), x_u >= 0 in any order and the nodes s_i ascending,
+    flushed to 0 where x_u s_i > _FLUSH; written over the leading entries of
+    `work`, a (float, bool) buffer pair, if given. The exponent -x s^T is one
+    rank-1 BLAS product (one rounded product per entry, as a broadcast
+    multiply gives). The largest x flushes the lanes [m, K); every lane below
+    m is unflushed in every row, so only [m, K) is clamped and masked."""
+    size = x.size * nodes.size
+    f = (np.empty(size) if work is None else work[0])[:size].reshape(x.size, nodes.size)
+    np.dot(-x[:, None], nodes[None, :], out=f)
+    m = np.count_nonzero(~(-x.max() * nodes < -_FLUSH))
+    tail = f[:, m:]
+    far = (np.empty(tail.size, dtype=bool) if work is None else work[1])[:tail.size]
+    far = far.reshape(tail.shape)
+    np.less(tail, -_FLUSH, out=far)
+    np.maximum(tail, -_FLUSH, out=tail)
+    np.exp(f, out=f)
+    tail[far] = 0.0
+    return f
+
+
+def _heat_sum(nodes: np.ndarray, mass: np.ndarray, x: np.ndarray, work=None) -> np.ndarray:
+    """sum_i mass_i exp(-x_u s_i) at each x_u >= 0 of a 1D array by `_heat_factors`
+    (`work` goes to it); the lanes the smallest x flushes, all rows do: left out."""
+    m = np.count_nonzero(~(-x.min() * nodes < -_FLUSH))
+    return _heat_factors(x, nodes[:m], work) @ mass[:m]
+
+
 def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     """int_0^inf M_alpha(s) exp(-s x) ds, the subordination representation
-    of E_alpha(-x) built from the heat kernel exp(-s x).
-
-    Converges to within _TARGET_TOL, verified by panel doubling;
-    failure to stabilize after doubling raises QuadratureError.
-    """
-    a = _wright_alpha(alpha)
+    of E_alpha(-x) built from the heat kernel exp(-s x): the solver's
+    multiplier at one x, bit for bit (`_heat_sum` over `wright_mass_nodes`)."""
     x = float(x)
     if not x >= 0.0:  # NaN too; x = inf gives the limit 0
         raise ValueError(f"x must be nonnegative, got {x}")
-
-    cut = _adaptive_cut(a, 0.0)
-    # beyond the cut the heat weight exp(-s x) is at most exp(-cut x)
-    _certify_tail(a, cut, 0.0, math.exp(-cut * x))
-
-    tables = (_density_table(a, scale, 0.0, cut) for scale in (1, 2))
-    v1, v2 = (float(np.dot(mass, np.exp(-nodes * x))) for nodes, mass in tables)
-    return _doubled(v1, v2, _TARGET_TOL,
-                    f"subordination quadrature did not stabilize at alpha={a}, x={x}")
+    return float(_heat_sum(*wright_mass_nodes(alpha), np.array([x]))[0])
 
 
 def _upper_moment(alpha: float, gamma: float, scale: int) -> float:

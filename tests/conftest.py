@@ -5,6 +5,10 @@ a dedicated terminal section at the end of the run so the verdicts stay
 visible even when pytest captures stdout.
 """
 
+import pytest
+
+from fracheat import special_functions
+
 _CRITERION_LINES: list[str] = []
 
 
@@ -13,6 +17,15 @@ def record_criterion(name: str, passed: bool, detail: str) -> bool:
     _CRITERION_LINES.append(line)
     print(line)
     return passed
+
+
+@pytest.fixture
+def fresh_series_tables():
+    """The series tables, cached per alpha, dropped on the way in and out: for
+    a test that patches what they are built from."""
+    special_functions._wright_series_table.cache_clear()
+    yield
+    special_functions._wright_series_table.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

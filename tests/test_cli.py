@@ -399,6 +399,7 @@ class TestSolveAndReport:
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--L", "nan", "box_length"), ("--L", "inf", "box_length"), ("--sigma", "nan", "sigma"),
+        ("--sigma", "1e-163", "sigma"),  # 2 sigma^2 underflows: it exited 1, "internal"
     ])
     def test_solve_rejects_non_finite_box_or_width(self, tmp_path, capsys, flag, value, name):
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", flag, value,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from fracheat import decay_analysis, subordination
 from fracheat.errors import InsufficientDataError
@@ -62,6 +63,32 @@ class TestClosedForms:
                 sup_bound_kernel_closed_form(0.5, 0.5, t)
             with pytest.raises(ValueError):
                 sup_ml_numeric(0.5, 0.5, t)
+        # an infinite beta: NaN from the closed form, the heat search and the
+        # alpha = 1 search, once
+        for sup in (sup_heat_closed_form, sup_heat_numeric,
+                    lambda beta, t: sup_ml_numeric(1.0, beta, t),
+                    lambda beta, t: sup_ml_numeric(0.5, beta, t)):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                sup(math.inf, 1.0)
+
+    @pytest.mark.parametrize("beta", [39.0, 60.0])
+    def test_large_beta_suprema_are_the_closed_form(self, beta):
+        # near s = 1e8, s^beta overflows and exp(-s) underflows: those grid
+        # points were NaN, and so was the supremum of the heat kernel and of
+        # E_1(-u) = exp(-u)
+        exact = sup_heat_closed_form(beta, 1.0)
+        assert exact == pytest.approx(float(mp.mpf(beta) ** beta * mp.exp(-beta)), rel=1e-14)
+        for sup in (sup_heat_numeric(beta, 1.0), sup_ml_numeric(1.0, beta, 1.0),
+                    ml_supremum_profile(1.0, beta)):
+            assert sup == pytest.approx(exact, rel=1e-13)
+
+    def test_power_past_the_double_range_is_taken_in_logs(self):
+        # 150^150 overflows, yet the supremum 150^150 e^-150 ~ 1.9e261 is a
+        # double: the closed form raised OverflowError and the searches gave NaN
+        exact = float(mp.mpf(150) ** 150 * mp.exp(-150))
+        assert sup_heat_closed_form(150.0, 1.0) == pytest.approx(exact, rel=1e-12)
+        for sup in (sup_heat_numeric(150.0, 1.0), sup_ml_numeric(1.0, 150.0, 1.0)):
+            assert sup == pytest.approx(sup_heat_closed_form(150.0, 1.0), rel=1e-12)
 
 
 class TestSupremumProfiles:

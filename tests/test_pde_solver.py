@@ -150,8 +150,10 @@ class TestGrid:
         with pytest.raises(ValueError, match=name):
             PeriodicGrid(**{"dim": 1, "box_length": 10.0, "points_per_dim": 64, **kwargs})
 
-    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, 1e-162, 1e-300])
     def test_bump_width_must_be_positive_and_finite(self, sigma):
+        # below about 1.6e-162, 2 sigma^2 underflows to 0: the sample at
+        # x = 0 was 0/0
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             gaussian_bump(PeriodicGrid(dim=1, box_length=10.0, points_per_dim=64), sigma)
 

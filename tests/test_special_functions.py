@@ -124,6 +124,14 @@ class TestGammaHelpers:
         assert reciprocal_gamma(-170.5) == pytest.approx(float(mp.rgamma(-170.5)), rel=1e-12)
         assert reciprocal_gamma(1e306) == 0.0
 
+    def test_reciprocal_gamma_rejects_nan_and_minus_inf(self):
+        # NaN once gave 0.0 and -inf an OverflowError from math.floor; +inf
+        # keeps the limit 0
+        for x in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match=f"got {x}"):
+                reciprocal_gamma(x)
+        assert reciprocal_gamma(math.inf) == 0.0
+
 
 class TestMittagLeffler:
     @pytest.mark.parametrize("alpha,x,expected", ML_REFERENCE)
@@ -361,6 +369,14 @@ class TestWright:
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
             wright_m(0.5, -0.1)
+        # the envelope once returned its s = 0 value for both; s = inf keeps
+        # the limit -inf
+        for s in (math.nan, -1.0):
+            with pytest.raises(ValueError, match=f"s must be nonnegative, got {s}"):
+                wright_log_envelope(0.5, s)
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                wright_log_envelope(0.5, np.array([0.5, s]))
+        assert wright_log_envelope(0.5, math.inf) == -math.inf
 
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
@@ -457,18 +473,19 @@ class TestWrightSeriesMoment:
 
     @pytest.mark.parametrize("alpha,terms", [(0.5, 64), (0.85, 64), (0.9, 128), (0.95, 256),
                                              (0.99, 1024), (0.995, 2048)])
-    def test_table_doubles_until_the_envelope_falls(self, alpha, terms, monkeypatch):
-        # the sum stops at the first doubled table whose envelope is below
-        # 1e-17 at its last term; the envelope falls from its first term on,
-        # so it bounds every term dropped
+    def test_table_doubles_until_the_envelope_falls(self, alpha, terms, monkeypatch,
+                                                    fresh_series_tables):
+        # the one table built is the first doubled size whose envelope is
+        # below 1e-17 at its last term, found from that term's closed form;
+        # the envelope falls from its first term on, so it bounds every term
+        # dropped
         sizes = []
         coeffs = special_functions._wright_series_coeffs
         monkeypatch.setattr(special_functions, "_wright_series_coeffs",
                             lambda a, n: sizes.append(n) or coeffs(a, n))
         _wright_series_moment(alpha, 0.0)
-        tables = [64 * 2 ** j for j in range(int(math.log2(terms // 64)) + 1)]
-        assert sorted(set(sizes)) == tables
-        for n in tables:
+        assert sizes == [terms]
+        for n in [64 * 2 ** j for j in range(int(math.log2(terms // 64)) + 1)]:
             log_e = coeffs(alpha, n)[2]
             assert np.all(np.diff(log_e) < 0.0)
             assert (log_e[-1] < math.log(1e-17)) == (n == terms)
@@ -480,19 +497,16 @@ class TestWrightSeries:
     the terms the table drops."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95, 0.995])
-    def test_nodes_read_the_moment_table(self, alpha, monkeypatch):
-        # one truncation: the node values read the same doubled coefficient
-        # tables as the moment sum, and no other size
+    def test_nodes_read_the_moment_table(self, alpha, monkeypatch, fresh_series_tables):
+        # one truncation: the node values read the moment sum's coefficient
+        # table, built once per alpha
         coeffs = special_functions._wright_series_coeffs
         sizes = []
-        for call in (lambda: _wright_series_moment(alpha, 0.0),
-                     lambda: _wright_series(alpha, np.array([1e-3, 0.5, 0.99]))):
-            seen = []
-            monkeypatch.setattr(special_functions, "_wright_series_coeffs",
-                                lambda a, n: seen.append(n) or coeffs(a, n))
-            call()
-            sizes.append(sorted(set(seen)))
-        assert sizes[0] == sizes[1]
+        monkeypatch.setattr(special_functions, "_wright_series_coeffs",
+                            lambda a, n: sizes.append(n) or coeffs(a, n))
+        _wright_series_moment(alpha, 0.0)
+        _wright_series(alpha, np.array([1e-3, 0.5, 0.99]))
+        assert len(sizes) == 1
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.995])
     def test_matches_arbitrary_precision_series(self, alpha):
@@ -509,7 +523,8 @@ class TestWrightSeries:
             allowed = 1e-14 * ref if ref >= 1e-3 else max(tol_abs, _WRIGHT_SERIES_TOL * ref)
             assert abs(v - ref) <= allowed, (si, v, ref)
 
-    def test_cancelling_sum_is_refused_by_the_rounding_bound(self, monkeypatch):
+    def test_cancelling_sum_is_refused_by_the_rounding_bound(self, monkeypatch,
+                                                             fresh_series_tables):
         # 1 - 2 s is 0 at s = 1/2 with sum |c_k| s^k = 2: the rounding bound
         # gamma_128 * 2 = 2.8e-14 exceeds the absolute allowance 5.3e-15
         # there; at s = 1/8 the sum 3/4 is certified. The envelope is far

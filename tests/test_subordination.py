@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracheat import cli, special_functions, subordination
+from fracheat import cli, pde_solver, special_functions, subordination
 from fracheat.errors import QuadratureError, UnreliableEvaluationError
 from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
 from fracheat.special_functions import (
@@ -95,17 +95,16 @@ class TestTailCertificate:
         with pytest.raises(QuadratureError, match="tail bound nan"):
             subordination._certify_tail(0.5, 10.0, 0.0)
 
-    def test_heat_weight_certifies_a_low_ceiling_at_large_x(self):
+    def test_heat_weight_certifies_no_low_ceiling_at_large_x(self):
         # M_alpha still rises past s = 1.01 at alpha 0.9, so the sampled bound
-        # is inf; at weight 0 the tail is at most the total mass 1, and the
-        # heat weight exp(-1.01 * 100) certifies it
-        assert subordination._tail_bound(0.9, 1.01, 0.0) == 1.0
-        with lowered_ceiling(1.01):
-            assert subordinate_scalar(0.9, 100.0) == pytest.approx(
-                mittag_leffler_neg(0.9, 100.0), rel=1e-12)
+        # is inf; the scalar sums the solver's mass table, whose tail the heat
+        # weight exp(-1.01 * 100) does not excuse: it is refused
+        assert subordination._tail_bound(0.9, 1.01, 0.0) == math.inf
+        with lowered_ceiling(1.01), pytest.raises(QuadratureError, match=TAIL_REFUSED):
+            subordinate_scalar(0.9, 100.0)
 
     def test_mass_table_is_refused_at_a_low_ceiling(self):
-        # the mass table has no heat weight: a tail of up to 1 is refused
+        # the density still rises past s = 1.01 at alpha 0.9: the bound is inf
         with lowered_ceiling(1.01), pytest.raises(QuadratureError, match=TAIL_REFUSED):
             wright_mass_nodes(0.9)
 
@@ -174,8 +173,8 @@ class TestAlphaRange:
 
 class TestDoublingCheck:
     def test_perturbed_doubled_table_is_refused(self, monkeypatch):
-        # scale 1 against scale 2 is the one convergence check: a scale-2
-        # table whose masses are off by 1e-8 fails it in both integrals
+        # scale 1 against scale 2 on [1, cut] is the moments' convergence
+        # check: a scale-2 table whose masses are off by 1e-8 fails it
         table = subordination._density_table
 
         def perturbed(alpha, scale, lo, cut):
@@ -183,9 +182,6 @@ class TestDoublingCheck:
             return nodes, mass * (1.0 + 1e-8) if scale == 2 else mass
 
         monkeypatch.setattr(subordination, "_density_table", perturbed)
-        with pytest.raises(QuadratureError,
-                           match="subordination quadrature did not stabilize at alpha=0.5, x=1.0"):
-            subordinate_scalar(0.5, 1.0)
         with pytest.raises(QuadratureError,
                            match="moment quadrature did not stabilize at alpha=0.5, gamma=1.0"):
             wright_moment(0.5, 1.0)
@@ -216,27 +212,24 @@ class TestMassNodes:
             wright_mass_nodes(1.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.95])
-    @pytest.mark.parametrize("scale", [1, 2])
-    def test_solver_table_is_frozen(self, alpha, scale):
+    def test_solver_table_is_frozen(self, alpha):
         # the 2D subordination GEMM grows with the node count, so the
-        # solver's table (scale 1) and its panel doubling (scale 2) are
-        # pinned bit for bit to this construction: the cut adapted to weight
-        # 0 below the ceiling 40 at 1e-10, one panel [0, 1e-6] ahead of the
-        # adapted ones, 48 * scale panels (geometric ones) of 16 nodes
+        # solver's table is pinned bit for bit to this construction: the cut
+        # adapted to weight 0 below the ceiling 40 at 1e-10, one panel
+        # [0, 1e-6] ahead of the adapted ones, 48 panels (geometric ones) of
+        # 16 nodes
         s = np.cumprod(np.r_[1.01, np.full(int(math.log(40.0) / math.log(1.05)) + 2, 1.05)])
         s = s[s < 40.0]
         ls = np.log(s)
         hit = np.flatnonzero(wright_log_envelope(alpha, s) + 0.0 * ls + ls
                              < math.log(1e-10 * 1e-3) - 7.0)
         cut = float(s[hit[0]]) if hit.size else 40.0
-        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, scale)
+        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, 1)
         if alpha <= 0.85:
-            assert len(edges) == 48 * scale + 2
+            assert len(edges) == 48 + 2
         nodes, weights = _gauss_panels(edges, 16)
         mass = weights * _wright_m_array(alpha, nodes)
-        got_nodes, got_mass = (wright_mass_nodes(alpha) if scale == 1 else
-                               subordination._density_table(
-                                   alpha, scale, 0.0, subordination._adaptive_cut(alpha, 0.0)))
+        got_nodes, got_mass = wright_mass_nodes(alpha)
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_mass, mass)
 
@@ -246,7 +239,7 @@ class TestMassNodes:
         # scales of the moments' [1, cut] table and a profile's [eps, 1]
         # table, is its Gauss weight times M_alpha at its node, and every
         # node below the cut carries a positive mass
-        tables = [(scale, 0.0, subordination._adaptive_cut(alpha, 0.0)) for scale in (1, 2)]
+        tables = [(1, 0.0, subordination._adaptive_cut(alpha, 0.0))]
         tables += [(scale, 1.0, subordination._adaptive_cut(alpha, 3.0)) for scale in (1, 2)]
         tables += [(2, 1e-3, 1.0)]
         for scale, lo, cut in tables:
@@ -328,6 +321,27 @@ class TestSubordinateScalar:
     def test_identity_property(self, alpha, x):
         direct = mittag_leffler_neg(alpha, x)
         assert abs(subordinate_scalar(alpha, x) - direct) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.6000000000000001, 0.95, 0.995])
+    def test_is_the_solver_kernel_at_one_x(self, alpha):
+        # the scalar identity checks test the multiplier the solver applies
+        cfg = SolverConfig(alpha, "subordination")
+        for x in (0.0, 1e-3, 1.0, 100.0, 1e7, math.inf):
+            assert subordinate_scalar(alpha, x) == pde_solver._kernel(cfg, np.array([x]))[0]
+
+    def test_sums_the_solver_table_alone(self, monkeypatch):
+        # no scale-2 [0, cut] table and no doubling check: the one table read
+        # is the solver's, scale 1 on [0, cut]
+        read, table = [], subordination._density_table
+
+        def spy(alpha, scale, lo, cut):
+            read.append((scale, lo, cut))
+            return table(alpha, scale, lo, cut)
+
+        monkeypatch.setattr(subordination, "_density_table", spy)
+        monkeypatch.setattr(subordination, "_doubled", lambda *args: pytest.fail("doubled"))
+        subordinate_scalar(0.5, 1.0)
+        assert read == [(1, 0.0, subordination._adaptive_cut(0.5, 0.0))]
 
     def test_x_zero_gives_total_mass(self):
         assert subordinate_scalar(0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
@@ -494,7 +508,7 @@ class TestMoments:
             raise AssertionError("solved an eigenproblem")
 
         for cache in (subordination._density_table, subordination._tail_sample,
-                      subordination._adaptive_cut, special_functions._wright_series_coeffs):
+                      subordination._adaptive_cut, special_functions._wright_series_table):
             cache.cache_clear()
         monkeypatch.setattr(subordination, "_wright_m_array", recording)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -503,7 +517,8 @@ class TestMoments:
                          "--out", str(tmp_path / "mom.json")]) == 0
         assert lows and min(lows) >= 1.0
 
-    def test_cancelled_series_sum_is_refused(self, tmp_path, monkeypatch, capsys):
+    def test_cancelled_series_sum_is_refused(self, tmp_path, monkeypatch, capsys,
+                                             fresh_series_tables):
         # coefficients 1 and -3 give the terms 1/0.5 and -3/1.5 at gamma
         # -0.5: the sum cancels to 0, below its rounding bound, and is refused
         # in the moment and in verify-moments (exit 3), whose first weight it is
@@ -518,12 +533,12 @@ class TestMoments:
                          "--out", str(tmp_path / "mom.json")]) == 3
         assert "error code=3 type=UnreliableEvaluationError" in capsys.readouterr().err
 
-    def test_series_beyond_the_term_budget_is_refused(self, monkeypatch):
-        # an envelope that never falls is not summed past the budget
-        monkeypatch.setattr(special_functions, "_wright_series_coeffs",
-                            lambda alpha, n: (np.zeros(n), np.ones(n), np.zeros(n)))
-        with pytest.raises(UnreliableEvaluationError, match="series over 131072 terms, alpha=0.5"):
-            wright_moment(0.5, 0.0)
+    def test_series_beyond_the_term_budget_is_refused(self, monkeypatch, fresh_series_tables):
+        # alpha 0.995 needs 2,048 terms: under a budget of 1,024 its table
+        # is refused, not cut short
+        monkeypatch.setattr(special_functions, "_SERIES_MAX_TERMS", 1024)
+        with pytest.raises(UnreliableEvaluationError, match="series over 1024 terms, alpha=0.995"):
+            wright_moment(0.995, 0.0)
 
 
 class TestSubordinationConstant:
@@ -556,14 +571,14 @@ class TestEndpointDivergence:
         # the cut of the [1, inf) table it shares with the moments
         certified, certify = [], subordination._certify_tail
 
-        def spy(a, cut, weight_exp, factor=1.0):
-            certified.append((cut, weight_exp, factor))
-            return certify(a, cut, weight_exp, factor)
+        def spy(a, cut, weight_exp):
+            certified.append((cut, weight_exp))
+            return certify(a, cut, weight_exp)
 
         monkeypatch.setattr(subordination, "_certify_tail", spy)
         endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
         cut = subordination._adaptive_cut(alpha, 3.0)
-        assert certified == [(cut, -1.0, 1.0)]
+        assert certified == [(cut, -1.0)]
         assert subordination._tail_bound(alpha, cut, -1.0) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
