@@ -47,15 +47,29 @@ def _exponent_gap(p: float, q: float) -> float:
     return 1.0 / p - 1.0 / q
 
 
+def _direct_or_logs(direct, log_value) -> float:
+    """direct(), a closed form, unless it overflows (to inf, or raising);
+    then exp(log_value()), inf past the double range."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    try:
+        return value if value < math.inf else math.exp(log_value())
+    except OverflowError:  # past the double range
+        return math.inf
+
+
 def sup_heat_closed_form(beta: float, t: float) -> float:
-    """sup over s > 0 of s^beta exp(-t s) = (beta/t)^beta exp(-beta)."""
+    """sup over s > 0 of s^beta exp(-t s) = (beta/t)^beta exp(-beta), in
+    logs where that overflows or beta/t leaves the double range."""
     beta, t = float(beta), float(t)
     if not (0.0 < beta < math.inf and 0.0 < t < math.inf):
         raise ValueError("beta must be positive and finite and t positive and finite")
-    try:
-        return (beta / t) ** beta * math.exp(-beta)
-    except OverflowError:  # (beta/t)^beta alone is past the double range: in logs
-        return math.exp(beta * math.log(beta / t) - beta)
+    r = beta / t
+    log_r = math.log(r) if 0.0 < r < math.inf else math.log(beta) - math.log(t)
+    return _direct_or_logs(lambda: r ** beta * math.exp(-beta) if r > 0.0 else math.inf,
+                           lambda: beta * log_r - beta)
 
 
 def sup_bound_kernel_closed_form(alpha: Alpha | float, beta: float, t: float) -> float:
@@ -70,8 +84,10 @@ def sup_bound_kernel_closed_form(alpha: Alpha | float, beta: float, t: float) ->
     if not (0.0 < beta <= 1.0 and 0.0 < t < math.inf):
         raise ValueError("require 0 < beta <= 1 and finite t > 0")
     if beta == 1.0:
-        return t ** (-a)
-    return (1.0 - beta) * (beta / (1.0 - beta)) ** beta * t ** (-a * beta)
+        return _direct_or_logs(lambda: t ** (-a), lambda: -a * math.log(t))
+    c = (1.0 - beta) * (beta / (1.0 - beta)) ** beta
+    return _direct_or_logs(lambda: c * t ** (-a * beta),
+                           lambda: math.log(c) - a * beta * math.log(t))
 
 
 # the search grid: 400 log-spaced points in [1e-8, 1e8]
@@ -186,7 +202,8 @@ def sup_ml_numeric(alpha: Alpha | float, beta: float, t: float,
         (u_sup,) = _ml_profile_sup(a, (beta,))
     else:
         (u_sup,) = _log_grid_sup(lambda u: u ** beta / (1.0 + u))
-    return t ** (-a * beta) * u_sup
+    return _direct_or_logs(lambda: t ** (-a * beta) * u_sup,
+                           lambda: math.log(u_sup) - a * beta * math.log(t))
 
 
 @dataclass(frozen=True)

@@ -189,9 +189,13 @@ def gaussian_bump(grid: PeriodicGrid, sigma: float = 0.5) -> Field:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), well-localized data: the outer
     product of its axis profile exp(-x^2 / (2 sigma^2)), flushed to exact 0 below
     exp(-_FLUSH) ~ 1e-150 as the heat factors are: no exp underflows, no product is subnormal."""
-    if not (0.0 < sigma < math.inf and 2.0 * sigma ** 2 > 0.0):  # else 0/0 at x = 0
+    try:
+        two_var = 2.0 * sigma ** 2
+    except OverflowError:  # past the double range: x^2 / inf is 0, a field of ones
+        two_var = math.inf
+    if not (0.0 < sigma < math.inf and two_var > 0.0):  # else 0/0 at x = 0
         raise ValueError(f"sigma must be positive and finite, with 2 sigma^2 > 0, got {sigma}")
-    e = -grid._axis() ** 2 / (2.0 * sigma ** 2)
+    e = -grid._axis() ** 2 / two_var
     profile = np.exp(np.maximum(e, -_FLUSH))
     profile[e < -_FLUSH] = 0.0
     return Field._adopt(grid, functools.reduce(np.multiply.outer, [profile] * grid.dim))

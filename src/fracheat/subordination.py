@@ -37,13 +37,13 @@ __all__ = [
 ]
 
 # the one panel schedule of every integral of M_alpha over s in (0, inf): the
-# truncation point adapts to the density's decay envelope up to the ceiling
-# _UPPER_CUT, and the tail beyond it is dropped only when its sampled bound is
-# at most _TARGET_TOL (QuadratureError otherwise); it is the one truncation,
-# as every node below the cut is sampled. Gauss-Legendre panels of
-# _NODES_PER_PANEL nodes: _PANELS of them on [_S_FLOOR, cut], fewer on a
-# shorter interval or past M_alpha's collapse (see _panel_edges); the moments
-# double them on [1, cut] to verify convergence
+# cut adapts to the density's decay envelope up to the ceiling _UPPER_CUT, and
+# the tail beyond it, the one truncation, is dropped only when its sampled
+# bound is at most _TARGET_TOL (QuadratureError otherwise), once per (alpha,
+# weight) in _certified_cut. Gauss-Legendre panels of _NODES_PER_PANEL nodes:
+# _PANELS of them on [_S_FLOOR, cut], fewer on a shorter interval or past
+# M_alpha's collapse (see _panel_edges); the moments double them on [1, cut]
+# to verify convergence
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -52,42 +52,18 @@ _TARGET_TOL = 1e-10
 _S_FLOOR = 1e-6  # first panel covers [0, _S_FLOOR]; integrands are bounded there
 
 
-@lru_cache(maxsize=512)
-def _adaptive_cut(alpha: float, weight_exp: float) -> float:
-    """Smallest s (up to _UPPER_CUT) beyond which the envelope tail of
-    s^weight_exp * M_alpha(s) is negligible at _TARGET_TOL * 1e-3."""
-    log_target = math.log(_TARGET_TOL * 1e-3) - 7.0
-    # s = 1.01 * 1.05^j < _UPPER_CUT by repeated products (alpha near 1
-    # collapses past 1)
-    s = np.cumprod(np.r_[1.01, np.full(int(math.log(_UPPER_CUT) / math.log(1.05)) + 2, 1.05)])
-    s = s[s < _UPPER_CUT]
-    ls = np.log(s)
-    hit = np.flatnonzero(wright_log_envelope(alpha, s) + weight_exp * ls + ls < log_target)
-    return float(s[hit[0]]) if hit.size else _UPPER_CUT
-
-
-@lru_cache(maxsize=512)
-def _tail_sample(alpha: float, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """(s, M_alpha(s)) on the grid s_k = cut 1.05^k up to the first node past
-    50 cut + 200, sampled once per (alpha, cut) for every weight. It ends one
-    node past the first below an e^-700 envelope: beyond, M_alpha is 0 in
-    double precision."""
+def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
+    """Upper bound on int_cut^inf f(s) ds, f(s) = s^weight_exp M_alpha(s),
+    from M_alpha sampled on the grid s_k = cut 1.05^k up to the first node
+    past 50 cut + 200, or one node past the first below an e^-700 envelope
+    (beyond, M_alpha is 0 in double precision); inf where f does not fall
+    across the nodes. Where it falls, f(s_k)(s_k+1 - s_k) bounds each cell's
+    integral; past the last node these terms fall at least as fast as their
+    last ratio r < 1 (the stretched exponential decays ever faster):
+    r / (1 - r) last terms."""
     s = cut * 1.05 ** np.arange(int(math.log(50.0 + 200.0 / cut) / math.log(1.05)) + 2)
     s = s[:np.argmax(np.r_[wright_log_envelope(alpha, s), -np.inf] < -700.0) + 2]
-    m = _wright_m_array(alpha, s)
-    s.setflags(write=False)
-    m.setflags(write=False)
-    return s, m
-
-
-def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
-    """Upper bound on int_cut^inf f(s) ds, f(s) = s^weight_exp M_alpha(s);
-    inf where f does not fall across the sampled nodes. Where it falls,
-    f(s_k)(s_k+1 - s_k) bounds each cell's integral; past the last node
-    these terms fall at least as fast as their last ratio r < 1 (the
-    stretched exponential decays ever faster): r / (1 - r) last terms."""
-    s, m = _tail_sample(alpha, cut)
-    f = m * s ** weight_exp
+    f = _wright_m_array(alpha, s) * s ** weight_exp
     terms = f * (0.05 * s)
     prev, last = terms[-2:]
     if np.any(np.diff(f) > 0.0) or 0.0 < prev <= last:
@@ -95,13 +71,24 @@ def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
     return float(terms.sum() + (last * last / (prev - last) if last > 0.0 else 0.0))
 
 
-def _certify_tail(alpha: float, cut: float, weight_exp: float) -> None:
-    """Refuse an integral over [., inf) truncated at cut unless the bound on its
-    dropped tail, int_cut^inf s^weight_exp M_alpha(s) ds, is at most _TARGET_TOL."""
+@lru_cache(maxsize=512)
+def _certified_cut(alpha: float, weight_exp: float) -> float:
+    """The smallest s (up to _UPPER_CUT) beyond which the envelope tail of
+    s^weight_exp * M_alpha(s) is negligible at _TARGET_TOL * 1e-3; refused
+    unless `_tail_bound` on the tail it drops is at most _TARGET_TOL."""
+    log_target = math.log(_TARGET_TOL * 1e-3) - 7.0
+    # s = 1.01 * 1.05^j < _UPPER_CUT by repeated products (alpha near 1
+    # collapses past 1)
+    s = np.cumprod(np.r_[1.01, np.full(int(math.log(_UPPER_CUT) / math.log(1.05)) + 2, 1.05)])
+    s = s[s < _UPPER_CUT]
+    ls = np.log(s)
+    hit = np.flatnonzero(wright_log_envelope(alpha, s) + weight_exp * ls + ls < log_target)
+    cut = float(s[hit[0]]) if hit.size else _UPPER_CUT
     bound = _tail_bound(alpha, cut, weight_exp)
     if not bound <= _TARGET_TOL:  # a NaN bound is refused too
         raise QuadratureError(
             f"tail bound {bound:.3e} beyond s={cut:.2f} exceeds the target {_TARGET_TOL}")
+    return cut
 
 
 def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
@@ -156,19 +143,24 @@ def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndar
 
 def _panel_masses(alpha: float, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, Gauss weight * M_alpha(node)) of the panels between the edges,
-    the density sampled at every node in one pass."""
+    the density sampled at every node in one pass. A negative or NaN mass
+    raises QuadratureError (M_alpha is >= 0)."""
     nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
-    return nodes, weights * _wright_m_array(alpha, nodes)
+    mass = weights * _wright_m_array(alpha, nodes)
+    if not np.all(mass >= 0.0):
+        raise QuadratureError("the Wright mass table has a negative or NaN mass "
+                              "(the density M_alpha is >= 0)")
+    return nodes, mass
 
 
 @lru_cache(maxsize=512)
 def _density_table(alpha: float, scale: int, lo: float,
-                   cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only table of the adapted panels on [lo, cut], cached per
-    (alpha, refinement scale, interval): every weight s^gamma, x and Fourier
-    mode integrated against the density over the same interval shares one
-    sampling and applies its weight at use. lo = 0 puts one panel
-    [0, _S_FLOOR] ahead of the adapted ones."""
+                   weight_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only table of the adapted panels on [lo, cut], the cut
+    certified at the weight s^weight_exp, built and checked once per (alpha,
+    refinement scale, lower limit, weight): every weight s^gamma, x and
+    Fourier mode read it. lo = 0 puts one panel [0, _S_FLOOR] first."""
+    cut = _certified_cut(alpha, weight_exp)
     nodes, mass = _panel_masses(alpha, ([0.0] if lo == 0.0 else [])
                                 + _panel_edges(alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale))
     nodes.setflags(write=False)
@@ -176,28 +168,13 @@ def _density_table(alpha: float, scale: int, lo: float,
     return nodes, mass
 
 
-def _doubled(v1: float, v2: float, tol: float, failure: str) -> float:
-    """v2, the value on doubled panels, where it is within tol of v1, the
-    value at scale 1; QuadratureError (failure, then the change) otherwise."""
-    if not abs(v1 - v2) <= tol:
-        raise QuadratureError(f"{failure}: doubling changes {abs(v1 - v2):.3e} > {tol:.3e}")
-    return v2
-
-
 def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes s_i and masses w_i M_alpha(s_i) such that
     int_0^inf M_alpha(s) f(s) ds ~= sum_i mass_i f(s_i).
 
-    The solver's and `subordinate_scalar`'s one table, sampled once per alpha.
-    A negative or NaN mass raises QuadratureError (M_alpha is >= 0)."""
-    a = _wright_alpha(alpha)
-    cut = _adaptive_cut(a, 0.0)
-    _certify_tail(a, cut, 0.0)
-    nodes, mass = _density_table(a, 1, 0.0, cut)
-    if not np.all(mass >= 0.0):
-        raise QuadratureError("the Wright mass table has a negative or NaN mass "
-                              "(the density M_alpha is >= 0)")
-    return nodes, mass
+    The solver's and `subordinate_scalar`'s one table (weight 0 on [0, cut]);
+    QuadratureError on an uncertified tail or a negative or NaN mass."""
+    return _density_table(_wright_alpha(alpha), 1, 0.0, 0.0)
 
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
@@ -245,12 +222,10 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
 
 
 def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
-    """int_1^inf s^gamma M_alpha(s) ds. The cut is adapted to the weight
-    max(gamma, 3), so every built-in weight (gamma <= 3) shares one [1, S]
-    table per scale; a larger gamma gets its own longer table."""
-    cut = _adaptive_cut(alpha, max(gamma, 3.0))
-    _certify_tail(alpha, cut, gamma)
-    nodes, mass = _density_table(alpha, scale, 1.0, cut)
+    """int_1^inf s^gamma M_alpha(s) ds on the [1, cut] table of the weight
+    max(gamma, 3): every gamma <= 3 shares one per scale, as s^3 bounds
+    s^gamma past every cut (>= 1.01); a larger gamma gets its own."""
+    nodes, mass = _density_table(alpha, scale, 1.0, max(gamma, 3.0))
     return float(np.dot(mass, nodes ** gamma))
 
 
@@ -259,8 +234,8 @@ def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]
 
     Alpha and every gamma are checked first. The [0, 1] part is the series
     of M_alpha integrated term by term, certified on its own; the [1, inf)
-    part is the panel table at scales 1 and 2, checked against each other.
-    Each value is bit for bit its one-weight call, `wright_moment`.
+    part is the panel table at scales 1 and 2, whose values must agree to
+    max(1e-10, 1e-9 |value|). Each value is bit for bit its one-weight call.
     """
     a = _wright_alpha(alpha)
     gammas = [float(g) for g in gammas]
@@ -276,8 +251,11 @@ def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]
     for gamma in gammas:
         below = _wright_series_moment(a, gamma)
         v1, v2 = (below + _upper_moment(a, gamma, scale) for scale in (1, 2))
-        moments.append(_doubled(v1, v2, max(_TARGET_TOL, 1e-9 * abs(v2)),
-                                f"moment quadrature did not stabilize at alpha={a}, gamma={gamma}"))
+        tol = max(_TARGET_TOL, 1e-9 * abs(v2))
+        if not abs(v1 - v2) <= tol:
+            raise QuadratureError(f"moment quadrature did not stabilize at alpha={a}, "
+                                  f"gamma={gamma}: doubling changes {abs(v1 - v2):.3e} > {tol:.3e}")
+        moments.append(v2)
     return moments
 
 
@@ -334,8 +312,8 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     The integrals are nested, so one table serves them all: the adapted
     panels on [min eps, 1] with every eps inserted as an edge, sampled in
     one pass. I(eps_k) is the sum of the panels right of eps_k's edge (a
-    reverse running sum of the panels' integrals) plus the shared
-    int_1^inf, whose dropped tail is certified.
+    reverse running sum of the panels' integrals) plus int_1^inf on the
+    moments' [1, cut] table, whose dropped tail is certified.
     """
     a = _wright_alpha(alpha)
     eps = [float(e) for e in eps_list]

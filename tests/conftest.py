@@ -7,7 +7,7 @@ visible even when pytest captures stdout.
 
 import pytest
 
-from fracheat import special_functions
+from fracheat import special_functions, subordination
 
 _CRITERION_LINES: list[str] = []
 
@@ -19,13 +19,24 @@ def record_criterion(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
+# every cache of a Wright table: the certified cuts, the panel tables and the
+# series coefficients of M_alpha
+_WRIGHT_CACHES = (subordination._certified_cut, subordination._density_table,
+                  special_functions._wright_series_table)
+
+
+def clear_wright_caches():
+    for cache in _WRIGHT_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
-def fresh_series_tables():
-    """The series tables, cached per alpha, dropped on the way in and out: for
-    a test that patches what they are built from."""
-    special_functions._wright_series_table.cache_clear()
+def fresh_wright_tables():
+    """The Wright caches dropped on the way in and out: for a test that
+    patches what the tables are built from or counts what builds them."""
+    clear_wright_caches()
     yield
-    special_functions._wright_series_table.cache_clear()
+    clear_wright_caches()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

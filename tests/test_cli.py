@@ -198,6 +198,19 @@ class TestDeterminism:
             rows = list(csv.reader(f))
         assert rows == [sorted(rec), [rec[k] for k in sorted(rec)]]
 
+    def test_decay_sup_past_the_double_range(self, tmp_path):
+        # t = 1e-320: the heat record was inf beside a finite supremum at
+        # lambda 1, and t^-1 raised OverflowError (exit 2) at lambda 2
+        out = tmp_path / "sup.json"
+        argv = ["decay-sup", "--alpha", "1.0", "--t", "1e-320", "--out", str(out)]
+        assert run([*argv, "--lambda", "1"]) == 0
+        values = {r["kernel"]: r["value"] for r in json.loads(out.read_text())["records"]}
+        assert values["heat"] == pytest.approx(4.2888432983246395e159, rel=1e-13)
+        assert values["mittag-leffler"] == pytest.approx(values["heat"], rel=1e-13)
+        assert run([*argv, "--lambda", "2"]) == 0
+        values = {r["kernel"]: r["value"] for r in json.loads(out.read_text())["records"]}
+        assert values == dict.fromkeys(["heat", "mittag-leffler", "algebraic-bound"], "inf")
+
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.json"
         for argv in (["decay-sup", "--alpha", "0.5", "--lambda", "9.0"],  # beta > 1
@@ -303,6 +316,17 @@ class TestSolveAndReport:
         assert restored.grid.points_per_dim == 256
         (rec,) = json.loads(out.read_text())["records"]
         assert rec["norm_l2"] == pytest.approx(restored.norm_lp(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("rep", ["direct", "subordination"])
+    def test_solve_of_a_bump_wider_than_the_double_range(self, tmp_path, rep):
+        # sigma^2 overflows (exit 2 with errno 34 once): the bump is a field
+        # of ones, which the propagator keeps
+        out = tmp_path / "solve.json"
+        assert run(["solve", "--alpha", "0.5", "--t", "1.0", "--N", "256", "--sigma", "1e200",
+                    "--rep", rep, "--out", str(out)]) == 0
+        (rec,) = json.loads(out.read_text())["records"]
+        assert rec["mean"] == pytest.approx(1.0, abs=1e-12)
+        assert rec["max_norm"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("rep", ["direct", "subordination"])
     def test_solve_drops_the_bump_before_it_steps(self, monkeypatch, rep):

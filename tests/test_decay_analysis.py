@@ -90,6 +90,24 @@ class TestClosedForms:
         for sup in (sup_heat_numeric(150.0, 1.0), sup_ml_numeric(1.0, 150.0, 1.0)):
             assert sup == pytest.approx(sup_heat_closed_form(150.0, 1.0), rel=1e-12)
 
+    def test_suprema_past_the_double_range(self):
+        # at t = 1e-320, beta / t overflows to inf without raising (the heat
+        # form gave inf for a finite value) and t^-alpha raised OverflowError;
+        # a finite supremum is taken in logs, one past the double range is
+        # inf, as the grid searches give
+        t = 1e-320
+        heat = float(mp.sqrt(mp.mpf(0.5) / mp.mpf(t)) * mp.exp(-0.5))
+        assert sup_heat_closed_form(0.5, t) == pytest.approx(heat, rel=1e-13)
+        assert sup_ml_numeric(1.0, 0.5, t) == pytest.approx(heat, rel=1e-13)
+        b = mp.mpf(0.96)
+        bound = float((1 - b) * (b / (1 - b)) ** b * mp.mpf(7e-322) ** -b)
+        assert sup_bound_kernel_closed_form(1.0, 0.96, 7e-322) == pytest.approx(bound, rel=1e-13)
+        # beta / t below the double range: (beta/t)^beta gave 0 for about 1
+        assert sup_heat_closed_form(1e-30, 1e300) == pytest.approx(1.0, rel=1e-13)
+        for sup in (sup_heat_closed_form(400.0, 1.0), sup_heat_numeric(400.0, 1.0),
+                    sup_bound_kernel_closed_form(1.0, 1.0, t), sup_ml_numeric(1.0, 1.0, t)):
+            assert sup == math.inf
+
 
 class TestSupremumProfiles:
     def test_time_scaling_factorization(self):

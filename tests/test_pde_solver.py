@@ -157,6 +157,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             gaussian_bump(PeriodicGrid(dim=1, box_length=10.0, points_per_dim=64), sigma)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("sigma", [1.35e154, 1e200, 1.7e308])
+    def test_bump_wider_than_the_double_range_is_ones(self, dim, sigma):
+        # sigma^2 overflows: Python's power raised OverflowError; in double
+        # precision exp(-x^2 / (2 sigma^2)) is exactly 1 at every node
+        bump = gaussian_bump(PeriodicGrid(dim=dim, box_length=10.0, points_per_dim=64), sigma)
+        assert np.all(bump.samples == 1.0)
+
 
 class TestField:
     def test_shape_and_finiteness_checks(self, grid_1d):
@@ -715,16 +723,19 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("bad", [-1e-3, math.nan])
-    def test_negative_mass_raises(self, monkeypatch, dim, bad):
+    def test_negative_mass_raises(self, monkeypatch, dim, bad, fresh_wright_tables):
         # sqrt(mass) would turn a negative mass into NaN: the mass table
-        # refuses it, so the solver, the sweep and the per-mode multiplier do
-        table = subordination._density_table
+        # refuses a negative or NaN density sample, so the solver, the sweep
+        # and the per-mode multiplier do (the cut is certified before the
+        # corruption, the table is built after it)
+        subordination._certified_cut(0.6, 0.0)
+        sample = subordination._wright_m_array
 
-        def corrupted(*args):
-            nodes, mass = table(*args)
-            return nodes, np.where(np.arange(mass.size) == 3, bad, mass)
+        def corrupted(alpha, s):
+            m = sample(alpha, s)
+            return np.where(np.arange(m.size) == 3, bad, m)
 
-        monkeypatch.setattr(subordination, "_density_table", corrupted)
+        monkeypatch.setattr(subordination, "_wright_m_array", corrupted)
         w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=16.0, points_per_dim=64))
         cfg = SolverConfig(alpha=0.6, representation="subordination")
         with pytest.raises(QuadratureError, match="negative or NaN"):

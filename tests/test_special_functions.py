@@ -408,8 +408,7 @@ class TestWrightBatch:
     @pytest.mark.parametrize("scale", [1, 2, 4])
     def test_half_alpha_closed_form_on_table_nodes(self, scale):
         # the panel-doubled tables of the subordination identity
-        nodes, _ = subordination._density_table(0.5, scale, 0.0,
-                                                subordination._adaptive_cut(0.5, 0.0))
+        nodes, _ = subordination._density_table(0.5, scale, 0.0, 0.0)
         exact = np.exp(-nodes ** 2 / 4.0) / math.sqrt(math.pi)
         err = np.abs(_wright_m_array(0.5, nodes) - exact)
         assert err.max() <= 1e-15
@@ -474,7 +473,7 @@ class TestWrightSeriesMoment:
     @pytest.mark.parametrize("alpha,terms", [(0.5, 64), (0.85, 64), (0.9, 128), (0.95, 256),
                                              (0.99, 1024), (0.995, 2048)])
     def test_table_doubles_until_the_envelope_falls(self, alpha, terms, monkeypatch,
-                                                    fresh_series_tables):
+                                                    fresh_wright_tables):
         # the one table built is the first doubled size whose envelope is
         # below 1e-17 at its last term, found from that term's closed form;
         # the envelope falls from its first term on, so it bounds every term
@@ -497,7 +496,7 @@ class TestWrightSeries:
     the terms the table drops."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95, 0.995])
-    def test_nodes_read_the_moment_table(self, alpha, monkeypatch, fresh_series_tables):
+    def test_nodes_read_the_moment_table(self, alpha, monkeypatch, fresh_wright_tables):
         # one truncation: the node values read the moment sum's coefficient
         # table, built once per alpha
         coeffs = special_functions._wright_series_coeffs
@@ -524,7 +523,7 @@ class TestWrightSeries:
             assert abs(v - ref) <= allowed, (si, v, ref)
 
     def test_cancelling_sum_is_refused_by_the_rounding_bound(self, monkeypatch,
-                                                             fresh_series_tables):
+                                                             fresh_wright_tables):
         # 1 - 2 s is 0 at s = 1/2 with sum |c_k| s^k = 2: the rounding bound
         # gamma_128 * 2 = 2.8e-14 exceeds the absolute allowance 5.3e-15
         # there; at s = 1/8 the sum 3/4 is certified. The envelope is far

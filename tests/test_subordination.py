@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import clear_wright_caches
 from fracheat import cli, pde_solver, special_functions, subordination
 from fracheat.errors import QuadratureError, UnreliableEvaluationError
-from fracheat.pde_solver import PeriodicGrid, SolverConfig, gaussian_bump, spectral_solve
+from fracheat.pde_solver import (
+    PeriodicGrid,
+    SolverConfig,
+    decay_measurement,
+    gaussian_bump,
+    spectral_solve,
+)
 from fracheat.special_functions import (
     _wright_m_array,
     _wright_series_moment,
@@ -39,20 +46,16 @@ E_HALF_AT_1 = 0.42758357615580700441
 @contextmanager
 def lowered_ceiling(upper_cut):
     """The truncation ceiling of every integral over M_alpha lowered from 40
-    to upper_cut inside the block, with the cuts, tables and tail samples
-    cached at the other ceiling dropped on the way in and out."""
-    caches = (subordination._adaptive_cut, subordination._density_table,
-              subordination._tail_sample)
+    to upper_cut inside the block, with the Wright tables cached at the
+    other ceiling dropped on the way in and out."""
     saved = subordination._UPPER_CUT
-    for cache in caches:
-        cache.cache_clear()
+    clear_wright_caches()
     subordination._UPPER_CUT = upper_cut
     try:
         yield
     finally:
         subordination._UPPER_CUT = saved
-        for cache in caches:
-            cache.cache_clear()
+        clear_wright_caches()
 
 
 # the refusal of an integral whose dropped tail is not certified
@@ -90,10 +93,10 @@ class TestTailCertificate:
         direct = mittag_leffler_neg(alpha, x)
         assert abs(sub - direct) <= 1e-8
 
-    def test_nan_bound_is_refused(self, monkeypatch):
+    def test_nan_bound_is_refused(self, monkeypatch, fresh_wright_tables):
         monkeypatch.setattr(subordination, "_tail_bound", lambda alpha, cut, weight_exp: math.nan)
         with pytest.raises(QuadratureError, match="tail bound nan"):
-            subordination._certify_tail(0.5, 10.0, 0.0)
+            wright_mass_nodes(0.5)
 
     def test_heat_weight_certifies_no_low_ceiling_at_large_x(self):
         # M_alpha still rises past s = 1.01 at alpha 0.9, so the sampled bound
@@ -124,11 +127,64 @@ class TestTailCertificate:
         assert subordination._tail_bound(alpha, cut, weight_exp) >= tail
 
 
+class TestCertificateOnce:
+    # each Wright table is certified where it is built, once per (alpha,
+    # weight): an operation that reads a table many times bounds its tail
+    # once (certifying at every read took 12, 11 and 30)
+    @pytest.fixture
+    def bounds(self, monkeypatch, fresh_wright_tables):
+        calls, bound = [], subordination._tail_bound
+
+        def spy(alpha, cut, weight_exp):
+            calls.append((alpha, cut, weight_exp))
+            return bound(alpha, cut, weight_exp)
+
+        monkeypatch.setattr(subordination, "_tail_bound", spy)
+        return calls
+
+    def test_one_verify_moments_alpha(self, bounds, tmp_path):
+        assert cli.main(["verify-moments", "--alpha", "0.4",
+                         "--out", str(tmp_path / "mom.json")]) == 0
+        assert bounds == [(0.4, subordination._certified_cut(0.4, 3.0), 3.0)]
+
+    def test_one_subordination_sweep(self, bounds):
+        w0 = gaussian_bump(PeriodicGrid(dim=1, box_length=200.0, points_per_dim=256))
+        m = decay_measurement(w0, SolverConfig(0.6, "subordination"), 4.0 / 3.0, 4.0,
+                              tuple(np.geomspace(0.1, 10.0, 10)), wraparound_tol=1.0)
+        assert len(m.rows) == 10
+        assert bounds == [(0.6, subordination._certified_cut(0.6, 0.0), 0.0)]
+
+    def test_one_scalar_alpha(self, bounds):
+        for x in np.logspace(-3, 3, 30):
+            subordinate_scalar(0.7, float(x))
+        assert bounds == [(0.7, subordination._certified_cut(0.7, 0.0), 0.0)]
+
+
+class TestNegativeSample:
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_moment_and_profile_refuse_it(self, monkeypatch, bad, fresh_wright_tables):
+        # every table checks its masses: a negative or NaN density sample is
+        # refused in the moments' [1, cut] table and the profile's [eps, 1]
+        # one (the cut is certified before the corruption)
+        subordination._certified_cut(0.6, 3.0)
+        sample = subordination._wright_m_array
+
+        def corrupted(alpha, s):
+            m = sample(alpha, s)
+            return np.where(np.arange(m.size) == 3, bad, m)
+
+        monkeypatch.setattr(subordination, "_wright_m_array", corrupted)
+        with pytest.raises(QuadratureError, match="negative or NaN mass"):
+            wright_moment(0.6, 1.0)
+        with pytest.raises(QuadratureError, match="negative or NaN mass"):
+            endpoint_divergence_profile(0.6, [1e-2, 1e-3])
+
+
 class TestAlphaGate:
     # the six entry points that sample or integrate M_alpha refuse an alpha
-    # past the Wright cap 0.995 before any cut, tail sample, series sum or
+    # past the Wright cap 0.995 before any cut, tail bound, series sum or
     # density sample is built
-    BUILDERS = [(subordination, "_adaptive_cut"), (subordination, "_tail_sample"),
+    BUILDERS = [(subordination, "_certified_cut"), (subordination, "_tail_bound"),
                 (subordination, "_wright_series_moment"), (subordination, "_panel_masses"),
                 (subordination, "_wright_m_array"), (special_functions, "wright_log_envelope"),
                 (special_functions, "_wright_contour"), (special_functions, "_wright_series")]
@@ -177,8 +233,8 @@ class TestDoublingCheck:
         # check: a scale-2 table whose masses are off by 1e-8 fails it
         table = subordination._density_table
 
-        def perturbed(alpha, scale, lo, cut):
-            nodes, mass = table(alpha, scale, lo, cut)
+        def perturbed(alpha, scale, lo, weight_exp):
+            nodes, mass = table(alpha, scale, lo, weight_exp)
             return nodes, mass * (1.0 + 1e-8) if scale == 2 else mass
 
         monkeypatch.setattr(subordination, "_density_table", perturbed)
@@ -239,13 +295,15 @@ class TestMassNodes:
         # scales of the moments' [1, cut] table and a profile's [eps, 1]
         # table, is its Gauss weight times M_alpha at its node, and every
         # node below the cut carries a positive mass
-        tables = [(1, 0.0, subordination._adaptive_cut(alpha, 0.0))]
-        tables += [(scale, 1.0, subordination._adaptive_cut(alpha, 3.0)) for scale in (1, 2)]
-        tables += [(2, 1e-3, 1.0)]
-        for scale, lo, cut in tables:
+        tables = []
+        for scale, lo, weight_exp in ((1, 0.0, 0.0), (1, 1.0, 3.0), (2, 1.0, 3.0)):
+            cut = subordination._certified_cut(alpha, weight_exp)
             edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut, scale)
+            tables.append((edges, subordination._density_table(alpha, scale, lo, weight_exp)))
+        edges = _panel_edges(alpha, 1e-3, 1.0, 2)
+        tables.append((edges, subordination._panel_masses(alpha, edges)))
+        for edges, (got_nodes, got_mass) in tables:
             nodes, weights = _gauss_panels(edges, 16)
-            got_nodes, got_mass = subordination._density_table(alpha, scale, lo, cut)
             assert np.array_equal(got_nodes, nodes)
             assert np.array_equal(got_mass, weights * _wright_m_array(alpha, nodes))
             assert np.all(got_mass[:-16] > 0.0)
@@ -260,7 +318,7 @@ class TestMassNodes:
         # every edge before it is the walk's
         nodes, mass = wright_mass_nodes(alpha)
         assert nodes.size == count
-        edges = _panel_edges(alpha, 1e-6, subordination._adaptive_cut(alpha, 0.0), 1)
+        edges = _panel_edges(alpha, 1e-6, subordination._certified_cut(alpha, 0.0), 1)
         floor = math.log(1e-10 * 1e-4)
         past = [e for e in edges[:-1] if e > 1.0 and wright_log_envelope(alpha, e) < floor]
         assert past == [edges[-2]]
@@ -281,9 +339,8 @@ class TestMassNodes:
     def test_legendre_rule_is_computed_once_per_node_count(self, monkeypatch):
         # two table builds share one Gauss-Legendre rule and reproduce the
         # tables of a build that computed its own
-        builds = [(a, 0.0, subordination._adaptive_cut(a, 0.0)) for a in (0.3, 0.9)]
-        before = [subordination._density_table.__wrapped__(a, 1, lo, cut)
-                  for a, lo, cut in builds]
+        builds = (0.3, 0.9)
+        before = [subordination._density_table.__wrapped__(a, 1, 0.0, 0.0) for a in builds]
         calls = []
 
         def counting(n):
@@ -292,8 +349,8 @@ class TestMassNodes:
 
         subordination._legendre_rule.cache_clear()
         monkeypatch.setattr(subordination, "leggauss", counting)
-        for (a, lo, cut), (nodes, mass) in zip(builds, before):
-            got_nodes, got_mass = subordination._density_table.__wrapped__(a, 1, lo, cut)
+        for a, (nodes, mass) in zip(builds, before):
+            got_nodes, got_mass = subordination._density_table.__wrapped__(a, 1, 0.0, 0.0)
             assert np.array_equal(got_nodes, nodes)
             assert np.array_equal(got_mass, mass)
         assert calls == [16]
@@ -331,17 +388,17 @@ class TestSubordinateScalar:
 
     def test_sums_the_solver_table_alone(self, monkeypatch):
         # no scale-2 [0, cut] table and no doubling check: the one table read
-        # is the solver's, scale 1 on [0, cut]
+        # is the solver's, scale 1 on [0, cut] at weight 0
         read, table = [], subordination._density_table
 
-        def spy(alpha, scale, lo, cut):
-            read.append((scale, lo, cut))
-            return table(alpha, scale, lo, cut)
+        def spy(alpha, scale, lo, weight_exp):
+            read.append((scale, lo, weight_exp))
+            return table(alpha, scale, lo, weight_exp)
 
         monkeypatch.setattr(subordination, "_density_table", spy)
-        monkeypatch.setattr(subordination, "_doubled", lambda *args: pytest.fail("doubled"))
+        monkeypatch.setattr(subordination, "_upper_moment", lambda *args: pytest.fail("doubled"))
         subordinate_scalar(0.5, 1.0)
-        assert read == [(1, 0.0, subordination._adaptive_cut(0.5, 0.0))]
+        assert read == [(1, 0.0, 0.0)]
 
     def test_x_zero_gives_total_mass(self):
         assert subordinate_scalar(0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
@@ -396,14 +453,13 @@ class TestMoments:
             wright_moment(0.25, 14.0)
 
     def test_verify_moments_samples_the_density_above_one_once_per_scale(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, fresh_wright_tables):
         calls, panel_masses = [], subordination._panel_masses
 
         def counting(alpha, edges):
             calls.append(float(min(edges)))
             return panel_masses(alpha, edges)
 
-        subordination._density_table.cache_clear()
         monkeypatch.setattr(subordination, "_panel_masses", counting)
         assert cli.main(["verify-moments", "--alpha", "0.4",
                          "--out", str(tmp_path / "mom.json")]) == 0
@@ -457,11 +513,15 @@ class TestMoments:
         # (no wider in log s than the solver's on [1e-6, 1]) per scale, and
         # round-off adds none: [1e-4, 1] takes 32 and [1e-2, 1] 16 (48 ln(1e4)
         # / ln(1e6) is 32.00000000000001)
-        cut = subordination._adaptive_cut(alpha, 3.0) if cut is None else cut
+        # (the moments' table at its certified cut, other intervals as panel
+        # edges alone)
+        table = cut is None
+        cut = subordination._certified_cut(alpha, 3.0) if table else cut
         panels = min(48, math.ceil(8.0 * math.log10(cut / lo)))
         assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
         for scale in (1, 2):
-            nodes, _ = subordination._density_table(alpha, scale, lo, cut)
+            nodes = (subordination._density_table(alpha, scale, lo, 3.0)[0] if table else
+                     _gauss_panels(_panel_edges(alpha, lo, cut, scale), 16)[0])
             assert nodes.size == panels * scale * 16
             assert np.array_equal(nodes, _gauss_panels(
                 np.geomspace(lo, cut, panels * scale + 1).tolist(), 16)[0])
@@ -473,7 +533,7 @@ class TestMoments:
         # tables stay within 5e-12 of it, and within 1e-12 of the identity
         # Gamma(gamma+1)/Gamma(gamma alpha+1)
         gammas = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
-        cut = subordination._adaptive_cut(alpha, 3.0)
+        cut = subordination._certified_cut(alpha, 3.0)
         nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist(), 16)
         mass = weights * _wright_m_array(alpha, nodes)
         for gamma, got in zip(gammas, wright_moments(alpha, gammas)):
@@ -494,7 +554,8 @@ class TestMoments:
     def test_no_weights_give_no_moments(self):
         assert wright_moments(0.5, []) == []
 
-    def test_no_moment_samples_below_one_or_solves_an_eigenproblem(self, tmp_path, monkeypatch):
+    def test_no_moment_samples_below_one_or_solves_an_eigenproblem(self, tmp_path, monkeypatch,
+                                                                   fresh_wright_tables):
         # the [0, 1] part is a sum over series coefficients: wright_moments and
         # a cold verify-moments sample M_alpha only on their [1, cut] tables
         # and tail grids, and solve no eigenproblem
@@ -507,9 +568,6 @@ class TestMoments:
         def eigh(*args, **kwargs):
             raise AssertionError("solved an eigenproblem")
 
-        for cache in (subordination._density_table, subordination._tail_sample,
-                      subordination._adaptive_cut, special_functions._wright_series_table):
-            cache.cache_clear()
         monkeypatch.setattr(subordination, "_wright_m_array", recording)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         wright_moments(0.45, [-0.99, 0.0, 1.5, 10.0])
@@ -518,7 +576,7 @@ class TestMoments:
         assert lows and min(lows) >= 1.0
 
     def test_cancelled_series_sum_is_refused(self, tmp_path, monkeypatch, capsys,
-                                             fresh_series_tables):
+                                             fresh_wright_tables):
         # coefficients 1 and -3 give the terms 1/0.5 and -3/1.5 at gamma
         # -0.5: the sum cancels to 0, below its rounding bound, and is refused
         # in the moment and in verify-moments (exit 3), whose first weight it is
@@ -533,7 +591,7 @@ class TestMoments:
                          "--out", str(tmp_path / "mom.json")]) == 3
         assert "error code=3 type=UnreliableEvaluationError" in capsys.readouterr().err
 
-    def test_series_beyond_the_term_budget_is_refused(self, monkeypatch, fresh_series_tables):
+    def test_series_beyond_the_term_budget_is_refused(self, monkeypatch, fresh_wright_tables):
         # alpha 0.995 needs 2,048 terms: under a budget of 1,024 its table
         # is refused, not cut short
         monkeypatch.setattr(special_functions, "_SERIES_MAX_TERMS", 1024)
@@ -566,19 +624,20 @@ class TestEndpointDivergence:
         assert prof.slope == pytest.approx(prof.expected_slope, rel=0.05)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_tail_is_negligible(self, alpha, monkeypatch):
-        # the profile certifies its dropped tail once, weighted by s^-1, at
-        # the cut of the [1, inf) table it shares with the moments
-        certified, certify = [], subordination._certify_tail
+    def test_tail_is_negligible(self, alpha, monkeypatch, fresh_wright_tables):
+        # the profile's dropped tail is certified once, at the weight s^3 of
+        # the [1, inf) table it shares with the moments, which bounds s^-1
+        # past the cut
+        certified, bound = [], subordination._tail_bound
 
         def spy(a, cut, weight_exp):
             certified.append((cut, weight_exp))
-            return certify(a, cut, weight_exp)
+            return bound(a, cut, weight_exp)
 
-        monkeypatch.setattr(subordination, "_certify_tail", spy)
+        monkeypatch.setattr(subordination, "_tail_bound", spy)
         endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
-        cut = subordination._adaptive_cut(alpha, 3.0)
-        assert certified == [(cut, -1.0)]
+        cut = subordination._certified_cut(alpha, 3.0)
+        assert certified == [(cut, 3.0)]
         assert subordination._tail_bound(alpha, cut, -1.0) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
@@ -599,7 +658,7 @@ class TestEndpointDivergence:
             assert sum(top <= 1.0 for top in calls) == 1
             upper = subordination._upper_moment(alpha, -1.0, 2)
             for e, value in zip(eps, prof.integral):
-                nodes, mass = subordination._density_table(alpha, 2, e, 1.0)
+                nodes, mass = panel_masses(alpha, _panel_edges(alpha, e, 1.0, 2))
                 assert value == pytest.approx(float(np.dot(mass, 1.0 / nodes)) + upper,
                                               rel=1e-14)
 
