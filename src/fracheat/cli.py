@@ -244,12 +244,13 @@ def cmd_decay_compare(args) -> list[dict]:
 
 
 # peak bytes per grid point that `solve` adds to a fresh process after
-# import: its spectrum (the product is written over it), the field, one
-# multiplier table of (N/2+1)^dim entries and the subordination heat factors.
+# import, by dimension: its spectrum (the product is written over it), the
+# field (in 2D over the product's own buffer, in 1D its own), one multiplier
+# table of (N/2+1)^dim entries and the subordination heat factors.
 # ru_maxrss less the RSS after import, 1D N = 2^24, L = 2e5 / 2D N = 4096:
-# Hankel (0.5) 36.1 / 21.6 B, real-axis (0.99) 36.6 / 21.6, exp (1.0) 36.2 /
-# 21.6, subordination 0.5 36.2 / 19.4 and 0.995 36.3 / 20.7
-_SOLVE_BYTES_PER_POINT = 37
+# Hankel (0.5) 36.1 / 17.6 B, real-axis (0.99) 36.7 / 17.9, exp (1.0) 36.2 /
+# 17.6, subordination 0.5 36.2 / 16.6 and 0.995 36.2 / 17.6
+_SOLVE_BYTES_PER_POINT = {1: 37, 2: 18}
 
 
 def _read(path: str) -> str:
@@ -293,7 +294,7 @@ def cmd_solve(args) -> list[dict]:
     rep = "direct_ml" if args.rep == "direct" else args.rep
     cfg = pde_solver.SolverConfig(alpha=Alpha(args.alpha), representation=rep)
     pde_solver._time_scale(cfg, args.t)
-    need = grid.points_per_dim ** grid.dim * _SOLVE_BYTES_PER_POINT
+    need = grid.points_per_dim ** grid.dim * _SOLVE_BYTES_PER_POINT[grid.dim]
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"solve on {grid.points_per_dim}^{grid.dim} points needs about "

@@ -18,7 +18,9 @@ kernel 1/(g^alpha + x) does not factorize: it runs on the distinct n, found
 by an occupancy table (no float sort), and is gathered into the table. A
 sweep's one `_Step` owns every buffer its steps write, so no step
 allocates a full-size array; a one-step solve writes its product over its
-own spectrum.
+own spectrum. A 2D field is written over the product's own buffer, whose
+rows are 2 floats longer than the field's, so the inverse real FFT, taken
+in row blocks in order, overwrites only product rows it has already read.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ class Field:
 
     @classmethod
     def _adopt(cls, grid: PeriodicGrid, samples: np.ndarray) -> Field:
-        """A Field owning `samples`, a fresh finite float array of the grid's
-        shape that no one else holds: made read-only in place, with neither
+        """A Field owning `samples`, a fresh finite C-contiguous float array
+        of the grid's shape that no one else holds (a solver's 2D field is a
+        view of the first N^2 floats of its spectrum's buffer, which then
+        lives as long as the Field): made read-only in place, with neither
         the checks nor the copy of the constructor."""
         samples.setflags(write=False)
         field = object.__new__(cls)
@@ -246,6 +250,12 @@ _BLOCK_ROWS = 512
 # the flush mask at most an eighth of that (one byte a lane, on the flushed
 # lanes alone); the 2D table's factor is built once per step
 _HEAT_BLOCK_ROWS = 128
+# product bytes per row block of the 2D inverse real FFT written over its
+# own product: numpy copies each block's input, which overlaps the block's
+# output, so the copy is at most 256 KiB, 1 B a grid point at N = 512 (4 B
+# in blocks of 1 MiB), and it stays in a core's 2 MiB L2 cache with the
+# block's output
+_FIELD_BLOCK_BYTES = 2 ** 18
 
 
 def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
@@ -336,10 +346,10 @@ def _wright_table(cfg: SolverConfig, dim: int, rows: int) -> tuple:
 
 
 class _Step:
-    """One solve's or sweep's step, built once: the real FFT of w0 (a real
-    FFT over the last axis, then an in-place FFT over each leading axis,
-    last to first), its modes keyed on integers and every buffer a step
-    writes. A call writes the field at t into `field` and returns it.
+    """One solve's or sweep's step, built once: its modes keyed on integers,
+    the real FFT of w0 (a real FFT over the last axis, then an in-place FFT
+    over each leading axis, last to first) and every buffer a step writes.
+    A call writes the field at t into `field` and returns it.
 
     Along every leading axis, FFT rows 0..N/2 read table rows 0..N/2 and
     rows N/2+1..N-1 read rows N/2-1..1 (row min(j, N - j)), each a view.
@@ -351,24 +361,36 @@ class _Step:
     over its own spectrum, and its arena holds heat factors only. The
     inverse FFT runs over each leading axis, first to last, into `prod`,
     then an inverse real FFT into `field`.
+
+    A 2D `field` is the first N^2 floats of `prod`'s buffer, an (N, N)
+    C-contiguous view, and the inverse real FFT runs into it in blocks of
+    rows, first to last. Field row j ends at float (j+1)N and product row
+    j+1 starts at float (j+1)(N+2), so a block overwrites only product rows
+    read by it or an earlier block; numpy copies the block's own input
+    where it overlaps the block's output. A 1D field has its own buffer.
     """
 
     def __init__(self, w0: Field, cfg: SolverConfig, sweep: bool = True) -> None:
         self.grid, self.cfg = w0.grid, cfg
-        self.spectrum = np.fft.rfft(w0.samples)
-        for axis in reversed(range(self.spectrum.ndim - 1)):
-            np.fft.fft(self.spectrum, axis=axis, out=self.spectrum)
+        # the modes first: the occupancy table's temporaries are gone before
+        # the spectrum is made
         if cfg.representation == "subordination":
             self.values, self.index = self.grid._axis_values(), None
             self.tabulate, heat = _wright_table(cfg, self.grid.dim, self.values.size)
         else:
             self.values, self.index = self.grid._distinct_modes()
             self.tabulate, heat = functools.partial(_kernel, cfg), 0
+        self.spectrum = np.fft.rfft(w0.samples)
+        for axis in reversed(range(self.spectrum.ndim - 1)):
+            np.fft.fft(self.spectrum, axis=axis, out=self.spectrum)
         arena = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
         self.work = arena, np.empty(heat, dtype=bool)
         self.prod = (arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
                      if sweep else self.spectrum)
-        self.field = np.empty(w0.samples.shape)
+        # a 1D inverse real FFT is one row, which numpy would copy whole
+        # before writing over it: a 1D field keeps its own buffer
+        self.field = (np.empty(w0.samples.shape) if self.grid.dim == 1 else
+                      self.prod.view(float).ravel()[:w0.samples.size].reshape(w0.samples.shape))
 
     def multiplier(self, ta: float) -> np.ndarray:
         """The table E_alpha(-ta c) at ta = t^alpha > 0 on the step's axis tuples."""
@@ -391,7 +413,13 @@ class _Step:
             del tab  # a direct table is a temporary: freed before the inverse FFT
         for axis in range(src.ndim - 1):
             src = np.fft.ifft(src, axis=axis, out=prod)
-        return np.fft.irfft(src, self.field.shape[-1], out=self.field)
+        field = self.field
+        if field.ndim == 1:
+            return np.fft.irfft(src, field.size, out=field)
+        rows = max(_FIELD_BLOCK_BYTES // src[0].nbytes, 1)
+        for i in range(0, field.shape[0], rows):  # in order: see the class docstring
+            np.fft.irfft(src[i:i + rows], field.shape[1], out=field[i:i + rows])
+        return field
 
 
 def spectral_solve(w0: Field, cfg: SolverConfig, t: float) -> Field:

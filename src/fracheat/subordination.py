@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 from .special_functions import (
@@ -50,6 +49,21 @@ _NODES_PER_PANEL = 16
 _TARGET_TOL = 1e-10
 
 _S_FLOOR = 1e-6  # first panel covers [0, _S_FLOOR]; integrands are bounded there
+
+# the panels' Gauss-Legendre rule on [-1, 1] as read-only constants,
+# numpy.polynomial.legendre.leggauss(_NODES_PER_PANEL) bit for bit (its
+# nodes odd and weights even about 0): a table build runs no eigensolve and
+# loads no numpy.polynomial
+_LEGENDRE_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_LEGENDRE_NODES = np.concatenate((-_LEGENDRE_NODES[::-1], _LEGENDRE_NODES))
+_LEGENDRE_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_LEGENDRE_WEIGHTS = np.concatenate((_LEGENDRE_WEIGHTS[::-1], _LEGENDRE_WEIGHTS))
+_LEGENDRE_NODES.setflags(write=False)
+_LEGENDRE_WEIGHTS.setflags(write=False)
 
 
 def _tail_bound(alpha: float, cut: float, weight_exp: float) -> float:
@@ -125,27 +139,19 @@ def _panel_edges(alpha: float, lo: float, hi: float, scale: int) -> list[float]:
     return edges
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per n."""
-    xg, wg = leggauss(n)
-    xg.setflags(write=False)
-    wg.setflags(write=False)
-    return xg, wg
-
-
-def _gauss_panels(edges: Sequence[float], nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    xg, wg = _legendre_rule(nodes_per_panel)
+def _gauss_panels(edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _NODES_PER_PANEL-point Gauss-Legendre rule
+    on each panel between the edges, panel by panel."""
     e = np.asarray(edges)
     mid, hl = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
-    return (mid + hl * xg).ravel(), (hl * wg).ravel()
+    return (mid + hl * _LEGENDRE_NODES).ravel(), (hl * _LEGENDRE_WEIGHTS).ravel()
 
 
 def _panel_masses(alpha: float, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, Gauss weight * M_alpha(node)) of the panels between the edges,
     the density sampled at every node in one pass. A negative or NaN mass
     raises QuadratureError (M_alpha is >= 0)."""
-    nodes, weights = _gauss_panels(edges, _NODES_PER_PANEL)
+    nodes, weights = _gauss_panels(edges)
     mass = weights * _wright_m_array(alpha, nodes)
     if not np.all(mass >= 0.0):
         raise QuadratureError("the Wright mass table has a negative or NaN mass "

@@ -435,13 +435,13 @@ class TestSolveAndReport:
 
     def test_solve_refuses_a_grid_beyond_available_memory(self, tmp_path, monkeypatch,
                                                           capsys):
-        # 2D N = 256 needs about 2.3 MiB at 37 B per point
+        # 2D N = 256 needs about 1.1 MiB at 18 B per point
         field_path, out = tmp_path / "field.bin", tmp_path / "solve.json"
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
                 "--L", "64", "--field-out", str(field_path), "--out", str(out)]
-        monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2 ** 20)
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2 ** 20)
         assert run(argv) == 2
-        assert "needs about 2.3 MiB; 2.0 MiB available" in capsys.readouterr().err
+        assert "needs about 1.1 MiB; 1.0 MiB available" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
         monkeypatch.setattr(cli, "_available_memory", lambda: 3 * 2 ** 20)
         assert run(argv) == 0
@@ -485,15 +485,15 @@ class TestSolveAndReport:
         assert cli._available_memory() == expected_mib * 2 ** 20
 
     def test_solve_preflight_reads_the_cgroup_headroom(self, tmp_path, monkeypatch, capsys):
-        # 2D N = 256 needs about 2.3 MiB; MemAvailable is ample, the cgroup is not
+        # 2D N = 256 needs about 1.1 MiB; MemAvailable is ample, the cgroup is not
         files = {"/proc/meminfo": "MemAvailable: 8388608 kB\n", "/proc/self/cgroup": "0::/\n",
-                 "/sys/fs/cgroup/memory.max": str(4 * 2 ** 20),
+                 "/sys/fs/cgroup/memory.max": str(3 * 2 ** 20),
                  "/sys/fs/cgroup/memory.current": str(2 * 2 ** 20)}
         monkeypatch.setattr(cli, "_read", lambda path: files.get(path, ""))
         argv = ["solve", "--alpha", "0.5", "--t", "1.0", "--dim", "2", "--N", "256",
                 "--L", "64", "--out", str(tmp_path / "solve.json")]
         assert run(argv) == 2
-        assert "needs about 2.3 MiB; 2.0 MiB available" in capsys.readouterr().err
+        assert "needs about 1.1 MiB; 1.0 MiB available" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_decay_compare_reports_divergence(self, tmp_path):

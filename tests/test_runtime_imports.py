@@ -70,6 +70,17 @@ def test_first_calls_import_no_library_module():
     assert loaded == []
 
 
+def test_wright_tables_load_no_numpy_polynomial():
+    # the Gauss-Legendre panel rule is a table of constants: neither the
+    # import nor a first mass table build loads numpy.polynomial
+    loaded = _run("import json, sys\n"
+                  "import fracheat.cli\n"
+                  "from fracheat.subordination import wright_mass_nodes\n"
+                  "wright_mass_nodes(0.6)\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('numpy.polynomial')]))")
+    assert loaded == []
+
+
 @pytest.mark.parametrize("module", ["fracheat"] + [
     f"fracheat.{m.name}" for m in pkgutil.iter_modules(fracheat.__path__)])
 def test_every_exported_name_resolves(module):

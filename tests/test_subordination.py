@@ -122,7 +122,7 @@ class TestTailCertificate:
         # past it s^3 M_alpha(s) < 1e-100 for every alpha drawn. The
         # leading-order envelope the certificate once summed fell 14% below
         # this at (0.75, 3) and 20% below at (0.85, 2); inf means refused
-        nodes, weights = _gauss_panels(list(np.geomspace(cut, 50.0 * cut + 200.0, 161)), 16)
+        nodes, weights = _gauss_panels(list(np.geomspace(cut, 50.0 * cut + 200.0, 161)))
         tail = float(np.dot(weights, _wright_m_array(alpha, nodes) * nodes ** weight_exp))
         assert subordination._tail_bound(alpha, cut, weight_exp) >= tail
 
@@ -283,7 +283,7 @@ class TestMassNodes:
         edges = [0.0] + _panel_edges(alpha, 1e-6, cut, 1)
         if alpha <= 0.85:
             assert len(edges) == 48 + 2
-        nodes, weights = _gauss_panels(edges, 16)
+        nodes, weights = _gauss_panels(edges)
         mass = weights * _wright_m_array(alpha, nodes)
         got_nodes, got_mass = wright_mass_nodes(alpha)
         assert np.array_equal(got_nodes, nodes)
@@ -303,7 +303,7 @@ class TestMassNodes:
         edges = _panel_edges(alpha, 1e-3, 1.0, 2)
         tables.append((edges, subordination._panel_masses(alpha, edges)))
         for edges, (got_nodes, got_mass) in tables:
-            nodes, weights = _gauss_panels(edges, 16)
+            nodes, weights = _gauss_panels(edges)
             assert np.array_equal(got_nodes, nodes)
             assert np.array_equal(got_mass, weights * _wright_m_array(alpha, nodes))
             assert np.all(got_mass[:-16] > 0.0)
@@ -336,26 +336,16 @@ class TestMassNodes:
             assert len(prefix) == panels * scale + 1
             assert prefix == np.geomspace(lo, 0.5, panels * scale + 1).tolist()
 
-    def test_legendre_rule_is_computed_once_per_node_count(self, monkeypatch):
-        # two table builds share one Gauss-Legendre rule and reproduce the
-        # tables of a build that computed its own
-        builds = (0.3, 0.9)
-        before = [subordination._density_table.__wrapped__(a, 1, 0.0, 0.0) for a in builds]
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return np.polynomial.legendre.leggauss(n)
-
-        subordination._legendre_rule.cache_clear()
-        monkeypatch.setattr(subordination, "leggauss", counting)
-        for a, (nodes, mass) in zip(builds, before):
-            got_nodes, got_mass = subordination._density_table.__wrapped__(a, 1, 0.0, 0.0)
-            assert np.array_equal(got_nodes, nodes)
-            assert np.array_equal(got_mass, mass)
-        assert calls == [16]
-        xg, wg = subordination._legendre_rule(16)
-        assert not xg.flags.writeable and not wg.flags.writeable
+    def test_legendre_rule_is_read_only_leggauss(self):
+        # the panel rule is numpy's 16-point Gauss-Legendre rule bit for bit,
+        # held as constants no caller can write
+        from numpy.polynomial.legendre import leggauss
+        xg, wg = leggauss(16)
+        for got, ref in ((subordination._LEGENDRE_NODES, xg),
+                         (subordination._LEGENDRE_WEIGHTS, wg)):
+            assert np.array_equal(got, ref)
+            assert not got.flags.writeable
+        assert subordination._LEGENDRE_NODES.size == subordination._NODES_PER_PANEL
 
 
 class TestSubordinateScalar:
@@ -521,10 +511,10 @@ class TestMoments:
         assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
         for scale in (1, 2):
             nodes = (subordination._density_table(alpha, scale, lo, 3.0)[0] if table else
-                     _gauss_panels(_panel_edges(alpha, lo, cut, scale), 16)[0])
+                     _gauss_panels(_panel_edges(alpha, lo, cut, scale))[0])
             assert nodes.size == panels * scale * 16
             assert np.array_equal(nodes, _gauss_panels(
-                np.geomspace(lo, cut, panels * scale + 1).tolist(), 16)[0])
+                np.geomspace(lo, cut, panels * scale + 1).tolist())[0])
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85])
     def test_moments_match_full_upper_tables(self, alpha):
@@ -534,7 +524,7 @@ class TestMoments:
         # Gamma(gamma+1)/Gamma(gamma alpha+1)
         gammas = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
         cut = subordination._certified_cut(alpha, 3.0)
-        nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist(), 16)
+        nodes, weights = _gauss_panels(np.geomspace(1.0, cut, 97).tolist())
         mass = weights * _wright_m_array(alpha, nodes)
         for gamma, got in zip(gammas, wright_moments(alpha, gammas)):
             reference = _wright_series_moment(alpha, gamma) + float(np.dot(mass, nodes ** gamma))
