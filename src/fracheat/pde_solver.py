@@ -358,7 +358,8 @@ class _Step:
     holds the subordination heat factors while the table is built. A sweep
     keeps its spectrum for every step, so the arena then holds the complex
     product `prod`; a one-step solve (`sweep=False`) writes the product
-    over its own spectrum, and its arena holds heat factors only. The
+    over its own spectrum, and its arena holds heat factors only, dropped
+    once the table is built (a later call allocates its own). The
     inverse FFT runs over each leading axis, first to last, into `prod`,
     then an inverse real FFT into `field`.
 
@@ -404,6 +405,8 @@ class _Step:
         src, prod = self.spectrum, self.prod
         if ta > 0.0:
             tab = self.multiplier(ta)
+            if prod is src:  # a one-step solve's heat factors are spent
+                self.work = None
             u, lead = tab.shape[0], src.ndim - 1
             halves, mirrored = (slice(u), slice(u, None)), (slice(u), slice(u - 2, 0, -1))
             for rows, tab_rows in zip(itertools.product(halves, repeat=lead),

@@ -41,8 +41,9 @@ __all__ = [
 # bound is at most _TARGET_TOL (QuadratureError otherwise), once per (alpha,
 # weight) in _certified_cut. Gauss-Legendre panels of _NODES_PER_PANEL nodes:
 # _PANELS of them on [_S_FLOOR, cut], fewer on a shorter interval or past
-# M_alpha's collapse (see _panel_edges); the moments double them on [1, cut]
-# to verify convergence
+# M_alpha's collapse (see _panel_edges). Only the endpoint profile doubles
+# them (refinement scale 2); no table is checked against its own doubling:
+# a moment is checked against its Gamma-ratio identity by its callers
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -160,15 +161,13 @@ def _panel_masses(alpha: float, edges: Sequence[float]) -> tuple[np.ndarray, np.
 
 
 @lru_cache(maxsize=512)
-def _density_table(alpha: float, scale: int, lo: float,
-                   weight_exp: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only table of the adapted panels on [lo, cut], the cut
-    certified at the weight s^weight_exp, built and checked once per (alpha,
-    refinement scale, lower limit, weight): every weight s^gamma, x and
-    Fourier mode read it. lo = 0 puts one panel [0, _S_FLOOR] first."""
-    cut = _certified_cut(alpha, weight_exp)
+def _density_table(alpha: float, lo: float, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only table of the adapted panels on [lo, cut], built and
+    checked once per (alpha, lower limit, certified cut): every weight
+    whose certificate gives that cut, every x and Fourier mode read it.
+    lo = 0 puts one panel [0, _S_FLOOR] first."""
     nodes, mass = _panel_masses(alpha, ([0.0] if lo == 0.0 else [])
-                                + _panel_edges(alpha, lo if lo > 0.0 else _S_FLOOR, cut, scale))
+                                + _panel_edges(alpha, lo if lo > 0.0 else _S_FLOOR, cut, 1))
     nodes.setflags(write=False)
     mass.setflags(write=False)
     return nodes, mass
@@ -180,7 +179,8 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
 
     The solver's and `subordinate_scalar`'s one table (weight 0 on [0, cut]);
     QuadratureError on an uncertified tail or a negative or NaN mass."""
-    return _density_table(_wright_alpha(alpha), 1, 0.0, 0.0)
+    a = _wright_alpha(alpha)
+    return _density_table(a, 0.0, _certified_cut(a, 0.0))
 
 
 # heat factors below exp(-_FLUSH) ~ 1e-150 are exact zeros: no exp lane takes
@@ -227,11 +227,12 @@ def subordinate_scalar(alpha: Alpha | float, x: float) -> float:
     return float(_heat_sum(*wright_mass_nodes(alpha), np.array([x]))[0])
 
 
-def _upper_moment(alpha: float, gamma: float, scale: int) -> float:
-    """int_1^inf s^gamma M_alpha(s) ds on the [1, cut] table of the weight
-    max(gamma, 3): every gamma <= 3 shares one per scale, as s^3 bounds
-    s^gamma past every cut (>= 1.01); a larger gamma gets its own."""
-    nodes, mass = _density_table(alpha, scale, 1.0, max(gamma, 3.0))
+def _upper_moment(alpha: float, gamma: float) -> float:
+    """int_1^inf s^gamma M_alpha(s) ds on the [1, cut] table of the cut
+    certified at the weight max(gamma, 3): every gamma <= 3 shares one, as
+    s^3 bounds s^gamma past every cut (>= 1.01); a larger gamma reads the
+    table of its own cut, which other weights may share."""
+    nodes, mass = _density_table(alpha, 1.0, _certified_cut(alpha, max(gamma, 3.0)))
     return float(np.dot(mass, nodes ** gamma))
 
 
@@ -240,8 +241,10 @@ def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]
 
     Alpha and every gamma are checked first. The [0, 1] part is the series
     of M_alpha integrated term by term, certified on its own; the [1, inf)
-    part is the panel table at scales 1 and 2, whose values must agree to
-    max(1e-10, 1e-9 |value|). Each value is bit for bit its one-weight call.
+    part is one panel table per certified cut. No value is checked here
+    against a refined table of its own: the callers that print a moment
+    check it against Gamma(gamma+1)/Gamma(gamma*alpha+1). Each value is bit
+    for bit its one-weight call.
     """
     a = _wright_alpha(alpha)
     gammas = [float(g) for g in gammas]
@@ -253,16 +256,7 @@ def wright_moments(alpha: Alpha | float, gammas: Sequence[float]) -> list[float]
                 f"gamma must exceed -1, got {gamma}: int s^gamma M_alpha(s) ds diverges "
                 "at s=0 for gamma <= -1 (the endpoint mechanism)"
             )
-    moments = []
-    for gamma in gammas:
-        below = _wright_series_moment(a, gamma)
-        v1, v2 = (below + _upper_moment(a, gamma, scale) for scale in (1, 2))
-        tol = max(_TARGET_TOL, 1e-9 * abs(v2))
-        if not abs(v1 - v2) <= tol:
-            raise QuadratureError(f"moment quadrature did not stabilize at alpha={a}, "
-                                  f"gamma={gamma}: doubling changes {abs(v1 - v2):.3e} > {tol:.3e}")
-        moments.append(v2)
-    return moments
+    return [_wright_series_moment(a, gamma) + _upper_moment(a, gamma) for gamma in gammas]
 
 
 def wright_moment(alpha: Alpha | float, gamma: float) -> float:
@@ -280,8 +274,9 @@ def subordination_constant(alpha: Alpha | float, beta: float) -> float:
     Finite exactly for beta < 1 and strictly increasing in beta; it blows
     up as beta -> 1, which is what denies the subordination route the
     endpoint exponent. Equals Gamma(1-beta)/Gamma(1-alpha*beta), computed
-    as the moment at gamma = -beta; `wright_moments` at several -beta
-    gives the same values, bit for bit.
+    as the moment at gamma = -beta, apart from that closed form (against
+    which `decay-compare` checks every value it prints); `wright_moments`
+    at several -beta gives the same values, bit for bit.
     """
     beta = float(beta)
     if not 0.0 < beta < 1.0:
@@ -319,7 +314,8 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     panels on [min eps, 1] with every eps inserted as an edge, sampled in
     one pass. I(eps_k) is the sum of the panels right of eps_k's edge (a
     reverse running sum of the panels' integrals) plus int_1^inf on the
-    moments' [1, cut] table, whose dropped tail is certified.
+    [1, cut] panels of the moments' weight-3 cut, whose dropped tail is
+    certified. Both tables take the panels at refinement scale 2.
     """
     a = _wright_alpha(alpha)
     eps = [float(e) for e in eps_list]
@@ -336,7 +332,8 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     nodes, mass = _panel_masses(a, edges)
     panels = (mass / nodes).reshape(-1, _NODES_PER_PANEL).sum(axis=1)
     below_one = np.cumsum(panels[::-1])[::-1]  # int_{edge k}^1, k < last edge
-    upper = _upper_moment(a, -1.0, 2)
+    nodes, mass = _panel_masses(a, _panel_edges(a, 1.0, _certified_cut(a, 3.0), 2))
+    upper = float(np.dot(mass, nodes ** -1.0))
     values = [float(v) + upper for v in below_one[np.searchsorted(edges, eps)]]
     lx = np.log(1.0 / np.asarray(eps))
     slope, intercept = np.polyfit(lx, np.asarray(values), 1)

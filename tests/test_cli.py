@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface: exit codes, report
 determinism, config handling, and file outputs."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +118,17 @@ class TestVerifyCommands:
         assert all(r["relative_error"] <= 1e-6 for r in recs)
         assert all(r["method"] == "quadrature" for r in recs)
 
+    @pytest.mark.parametrize("fault, code", [(3.2e-10, 3), (1e-13, 0)])
+    def test_verify_moments_tolerance(self, fault, code, monkeypatch, capsys):
+        # 1e-11 relative: a fault of 3.2e-10 (the [1, cut] tables' at alpha
+        # 0.9995, past the cap) exits 3; the worst gap is 1.35e-13 (40 alpha
+        # in [0.02, 0.995]), so one of 1e-13 on top of it passes
+        original = cli.subordination.wright_moments
+        monkeypatch.setattr(cli.subordination, "wright_moments",
+                            lambda a, gammas: [v * (1.0 + fault) for v in original(a, gammas)])
+        assert run(["verify-moments", "--alpha", "0.5"]) == code
+        assert ("moment identity error" in capsys.readouterr().err) == (code == 3)
+
     def test_verify_special_passes(self, tmp_path):
         out = tmp_path / "sp.json"
         assert run(["verify-special", "--out", str(out)]) == 0
@@ -144,6 +160,61 @@ class TestVerifyCommands:
                             lambda a, x: original(a, x) + 1e-6)
         assert run(["verify-subordination", "--alpha", "0.5"]) == 3
         assert "error code=3" in capsys.readouterr().err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text())
+
+
+def captured(argv):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """A command names its one subparser: only that one is built, and every
+    help and usage text stays what the nine-subparser parser printed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return names
+
+    def test_a_command_builds_its_subparser_alone(self, built, tmp_path):
+        assert run(["verify-moments", "--alpha", "0.5", "--out", str(tmp_path / "m.json")]) == 0
+        assert built == ["verify-moments"]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "verify-moments"]])
+    def test_help_and_unknown_commands_build_all_nine(self, built, argv):
+        captured(argv)
+        assert built == [argv[0] for argv in COMMANDS]
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]) or "none")
+    def test_texts_match_the_nine_subparser_parser(self, case, monkeypatch):
+        # the same invocation with all nine subparsers built, in this
+        # interpreter's argparse
+        monkeypatch.setenv("COLUMNS", "80")
+        got = captured(case["argv"])
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert got == captured(case["argv"])
+
+    @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != GOLDEN["python"],
+                        reason="argparse's texts differ between Python versions")
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]) or "none")
+    def test_texts_match_the_recorded_ones(self, case, monkeypatch):
+        # recorded from the parser that built all nine subparsers for every
+        # invocation, 80 columns wide
+        monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+        assert captured(case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestPrecision:
@@ -510,17 +581,30 @@ class TestSolveAndReport:
 
     def test_finite_subordination_constants_carry_the_quadrature_tag(self, tmp_path):
         # each finite subordination constant is a computed moment, tagged
-        # "quadrature", and within 1e-12 of Gamma(1-beta)/Gamma(1-alpha beta)
+        # "quadrature", within 1e-12 of Gamma(1-beta)/Gamma(1-alpha beta),
+        # and its record carries that value and the relative gap; no other
+        # record does
         out = tmp_path / "cmp.json"
         assert run(["decay-compare", "--alpha", "0.5", "--lambda", "3.0",
                     "--out", str(out)]) == 0
-        recs = [r for r in json.loads(out.read_text())["records"]
+        records = json.loads(out.read_text())["records"]
+        recs = [r for r in records
                 if r.get("representation") == "subordination" and r["eps"] > 0.0]
         assert len(recs) == 3 and {r["method"] for r in recs} == {"quadrature"}
         for r in recs:
             beta = 3.0 * r["delta"]
             exact = math.gamma(1.0 - beta) / math.gamma(1.0 - 0.5 * beta)
             assert r["constant"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert r["exact"] == exact
+            assert r["relative_error"] == abs(r["constant"] - exact) / exact <= 1e-11
+        assert sum("exact" in r for r in records) == 3
+
+    def test_decay_compare_refuses_a_perturbed_moment(self, monkeypatch, capsys):
+        original = cli.decay_analysis.wright_moments
+        monkeypatch.setattr(cli.decay_analysis, "wright_moments",
+                            lambda a, gammas: [v * (1.0 + 3.2e-10) for v in original(a, gammas)])
+        assert run(["decay-compare", "--alpha", "0.5", "--lambda", "2.0"]) == 3
+        assert "type=QualityFailure message='moment identity error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
         # decay-compare probes delta = 1/lambda - eps: it has no p or q

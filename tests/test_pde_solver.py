@@ -339,6 +339,30 @@ class TestFootprint:
             run(w0)  # the mass table and every other cache, outside the trace
             assert _peak_bytes_per_point(run, w0) <= peak
 
+    def test_one_step_solve_drops_its_heat_factors_before_the_inverse_fft(self, monkeypatch):
+        # 2D N = 512, subordination: when the inverse real FFT starts, a
+        # one-step solve holds its spectrum (8 B a point) and its table (2
+        # B), not the heat factors and flush mask (6.9 B) that built the
+        # table; the field is the same, bit for bit
+        w0 = gaussian_bump(PeriodicGrid(2, 128.0, 512))
+        cfg = SolverConfig(alpha=0.6, representation="subordination")
+        ref = pde_solver._Step(w0, cfg)(1.0).copy()  # a sweep's step keeps its arena
+        held, irfft = [], np.fft.irfft
+
+        def spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = spectral_solve(w0, cfg, 1.0)
+        finally:
+            tracemalloc.stop()
+        assert (held[0] - base) / w0.samples.size <= 10.5
+        assert np.array_equal(out.samples, ref)
+
 
 class TestSolve:
     def test_time_zero_is_identity(self, bump_1d):

@@ -89,3 +89,29 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cold_verify_moments_does_only_its_own_work(tmp_path):
+    # in a fresh process, one verify-moments alpha builds its own subparser
+    # alone and samples M_alpha on one panel table, [1, cut] at scale 1
+    out = str(tmp_path / "mom.json")
+    built = _run(
+        "import argparse, json\n"
+        "from fracheat import cli, subordination\n"
+        "subparsers, tables = [], []\n"
+        "add_parser, panel_masses = argparse._SubParsersAction.add_parser, "
+        "subordination._panel_masses\n"
+        "def spy_parser(self, name, **kwargs):\n"
+        "    subparsers.append(name)\n"
+        "    return add_parser(self, name, **kwargs)\n"
+        "def spy_table(alpha, edges):\n"
+        "    tables.append([float(min(edges)), float(max(edges)), len(edges) - 1])\n"
+        "    return panel_masses(alpha, edges)\n"
+        "argparse._SubParsersAction.add_parser = spy_parser\n"
+        "subordination._panel_masses = spy_table\n"
+        f"code = cli.main(['verify-moments', '--alpha', '0.5', '--out', {out!r}])\n"
+        "print(json.dumps([code, subparsers, tables]))")
+    code, subparsers, tables = built
+    assert code == 0 and subparsers == ["verify-moments"]
+    # 10 geometric panels on [1, 14.08] (the cut of the weight s^3)
+    assert tables == [[1.0, pytest.approx(14.078083071940602, rel=1e-15), 10]]

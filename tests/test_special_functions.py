@@ -407,8 +407,10 @@ class TestWrightBatch:
 
     @pytest.mark.parametrize("scale", [1, 2, 4])
     def test_half_alpha_closed_form_on_table_nodes(self, scale):
-        # the panel-doubled tables of the subordination identity
-        nodes, _ = subordination._density_table(0.5, scale, 0.0, 0.0)
+        # the subordination identity's [0, cut] panels, refined by scale
+        cut = subordination._certified_cut(0.5, 0.0)
+        nodes, _ = subordination._gauss_panels(
+            [0.0] + subordination._panel_edges(0.5, 1e-6, cut, scale))
         exact = np.exp(-nodes ** 2 / 4.0) / math.sqrt(math.pi)
         err = np.abs(_wright_m_array(0.5, nodes) - exact)
         assert err.max() <= 1e-15

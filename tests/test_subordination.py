@@ -227,24 +227,25 @@ class TestAlphaRange:
         assert np.all(np.isfinite(profile.integral)) and math.isfinite(profile.slope)
 
 
-class TestDoublingCheck:
-    def test_perturbed_doubled_table_is_refused(self, monkeypatch):
-        # scale 1 against scale 2 on [1, cut] is the moments' convergence
-        # check: a scale-2 table whose masses are off by 1e-8 fails it
+class TestIdentityCheck:
+    # no table is checked against its own doubling (over 351 certified
+    # cases the scale-1 and scale-2 [1, cut] tables agreed to 1.8e-15 while
+    # both were up to 1.2e-13 off the identity): every command that prints
+    # a moment checks it against Gamma(gamma+1)/Gamma(gamma alpha+1), and a
+    # [1, cut] table whose masses are off by 1e-8, a fault the doubling
+    # check once caught, exits 3
+    @pytest.mark.parametrize("argv", [["verify-moments", "--alpha", "0.5"],
+                                      ["decay-compare", "--alpha", "0.5", "--lambda", "2"]])
+    def test_perturbed_upper_table_is_refused(self, argv, monkeypatch, capsys):
         table = subordination._density_table
 
-        def perturbed(alpha, scale, lo, weight_exp):
-            nodes, mass = table(alpha, scale, lo, weight_exp)
-            return nodes, mass * (1.0 + 1e-8) if scale == 2 else mass
+        def perturbed(alpha, lo, cut):
+            nodes, mass = table(alpha, lo, cut)
+            return nodes, mass * (1.0 + 1e-8) if lo == 1.0 else mass
 
         monkeypatch.setattr(subordination, "_density_table", perturbed)
-        with pytest.raises(QuadratureError,
-                           match="moment quadrature did not stabilize at alpha=0.5, gamma=1.0"):
-            wright_moment(0.5, 1.0)
-        # an array of weights fails at its first weight
-        with pytest.raises(QuadratureError,
-                           match="moment quadrature did not stabilize at alpha=0.5, gamma=0.0"):
-            wright_moments(0.5, [0.0, 1.0])
+        assert cli.main(argv) == 3
+        assert "moment identity error" in capsys.readouterr().err
 
 
 class TestMassNodes:
@@ -291,17 +292,17 @@ class TestMassNodes:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.85, 0.9, 0.99, 0.995])
     def test_every_node_is_sampled(self, alpha):
-        # no table zeroes a node: every mass, in the solver's table, both
-        # scales of the moments' [1, cut] table and a profile's [eps, 1]
-        # table, is its Gauss weight times M_alpha at its node, and every
-        # node below the cut carries a positive mass
+        # no table zeroes a node: every mass, in the solver's table, the
+        # moments' [1, cut] table, and a profile's [1, cut] and [eps, 1]
+        # tables (scale 2), is its Gauss weight times M_alpha at its node,
+        # and every node below the cut carries a positive mass
         tables = []
-        for scale, lo, weight_exp in ((1, 0.0, 0.0), (1, 1.0, 3.0), (2, 1.0, 3.0)):
+        for lo, weight_exp in ((0.0, 0.0), (1.0, 3.0)):
             cut = subordination._certified_cut(alpha, weight_exp)
-            edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut, scale)
-            tables.append((edges, subordination._density_table(alpha, scale, lo, weight_exp)))
-        edges = _panel_edges(alpha, 1e-3, 1.0, 2)
-        tables.append((edges, subordination._panel_masses(alpha, edges)))
+            edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut, 1)
+            tables.append((edges, subordination._density_table(alpha, lo, cut)))
+        for edges in (_panel_edges(alpha, 1.0, cut, 2), _panel_edges(alpha, 1e-3, 1.0, 2)):
+            tables.append((edges, subordination._panel_masses(alpha, edges)))
         for edges, (got_nodes, got_mass) in tables:
             nodes, weights = _gauss_panels(edges)
             assert np.array_equal(got_nodes, nodes)
@@ -378,17 +379,17 @@ class TestSubordinateScalar:
 
     def test_sums_the_solver_table_alone(self, monkeypatch):
         # no scale-2 [0, cut] table and no doubling check: the one table read
-        # is the solver's, scale 1 on [0, cut] at weight 0
+        # is the solver's, on [0, cut] at the cut of weight 0
         read, table = [], subordination._density_table
 
-        def spy(alpha, scale, lo, weight_exp):
-            read.append((scale, lo, weight_exp))
-            return table(alpha, scale, lo, weight_exp)
+        def spy(alpha, lo, cut):
+            read.append((lo, cut))
+            return table(alpha, lo, cut)
 
         monkeypatch.setattr(subordination, "_density_table", spy)
         monkeypatch.setattr(subordination, "_upper_moment", lambda *args: pytest.fail("doubled"))
         subordinate_scalar(0.5, 1.0)
-        assert read == [(1, 0.0, 0.0)]
+        assert read == [(0.0, subordination._certified_cut(0.5, 0.0))]
 
     def test_x_zero_gives_total_mass(self):
         assert subordinate_scalar(0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
@@ -442,18 +443,37 @@ class TestMoments:
                            match="tail bound 1.002e-06 beyond s=40.00 exceeds the target 1e-10"):
             wright_moment(0.25, 14.0)
 
-    def test_verify_moments_samples_the_density_above_one_once_per_scale(
-            self, tmp_path, monkeypatch, fresh_wright_tables):
+    @staticmethod
+    def tables_built(monkeypatch) -> list[tuple[float, float]]:
+        """(lower, upper) edge of every panel table sampled from here on."""
         calls, panel_masses = [], subordination._panel_masses
 
         def counting(alpha, edges):
-            calls.append(float(min(edges)))
+            calls.append((float(min(edges)), float(max(edges))))
             return panel_masses(alpha, edges)
 
         monkeypatch.setattr(subordination, "_panel_masses", counting)
+        return calls
+
+    def test_verify_moments_samples_the_density_above_one_once(
+            self, tmp_path, monkeypatch, fresh_wright_tables):
+        # one [1, cut] table at scale 1 serves the six weights, all <= 3
+        calls = self.tables_built(monkeypatch)
         assert cli.main(["verify-moments", "--alpha", "0.4",
                          "--out", str(tmp_path / "mom.json")]) == 0
-        assert len(calls) == 2 and min(calls) >= 1.0
+        assert calls == [(1.0, subordination._certified_cut(0.4, 3.0))]
+
+    def test_weights_that_share_a_cut_share_its_table(self, monkeypatch, fresh_wright_tables):
+        # the [1, cut] tables are keyed on the certified cut, not on the
+        # weight: 8 weights past 3 with 4 distinct cuts build 4 tables, each
+        # read bit for bit as if built for its weight alone
+        gammas = [3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0]
+        cuts = [subordination._certified_cut(0.5, g) for g in gammas]
+        calls = self.tables_built(monkeypatch)
+        got = wright_moments(0.5, gammas)
+        assert sorted(calls) == [(1.0, cut) for cut in sorted(set(cuts))]
+        assert len(calls) == 4
+        assert got == [self.one_weight(0.5, g) for g in gammas]
 
     def test_rejects_divergent_gamma(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -476,13 +496,11 @@ class TestMoments:
 
     @staticmethod
     def one_weight(alpha, gamma):
-        """The moment at one weight: its [0, 1] series sum and [1, cut] tables."""
-        values = []
-        for scale in (1, 2):
-            values.append(_wright_series_moment(alpha, gamma)
-                          + subordination._upper_moment(alpha, gamma, scale))
-        assert abs(values[0] - values[1]) <= max(1e-10, 1e-9 * abs(values[1]))
-        return values[1]
+        """The moment at one weight: its [0, 1] series sum and a [1, cut]
+        table built for it alone, at the cut of the weight max(gamma, 3)."""
+        cut = subordination._certified_cut(alpha, max(gamma, 3.0))
+        nodes, mass = subordination._panel_masses(alpha, _panel_edges(alpha, 1.0, cut, 1))
+        return _wright_series_moment(alpha, gamma) + float(np.dot(mass, nodes ** gamma))
 
     @given(alpha=st.floats(min_value=0.05, max_value=0.95),
            gammas=st.lists(st.sampled_from([-0.9, -0.5, -0.25, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5]),
@@ -509,9 +527,11 @@ class TestMoments:
         cut = subordination._certified_cut(alpha, 3.0) if table else cut
         panels = min(48, math.ceil(8.0 * math.log10(cut / lo)))
         assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
+        if table:
+            assert np.array_equal(subordination._density_table(alpha, lo, cut)[0],
+                                  _gauss_panels(_panel_edges(alpha, lo, cut, 1))[0])
         for scale in (1, 2):
-            nodes = (subordination._density_table(alpha, scale, lo, 3.0)[0] if table else
-                     _gauss_panels(_panel_edges(alpha, lo, cut, scale))[0])
+            nodes = _gauss_panels(_panel_edges(alpha, lo, cut, scale))[0]
             assert nodes.size == panels * scale * 16
             assert np.array_equal(nodes, _gauss_panels(
                 np.geomspace(lo, cut, panels * scale + 1).tolist())[0])
@@ -646,7 +666,9 @@ class TestEndpointDivergence:
             calls.clear()
             prof = endpoint_divergence_profile(alpha, eps)
             assert sum(top <= 1.0 for top in calls) == 1
-            upper = subordination._upper_moment(alpha, -1.0, 2)
+            nodes, mass = panel_masses(alpha, _panel_edges(
+                alpha, 1.0, subordination._certified_cut(alpha, 3.0), 2))
+            upper = float(np.dot(mass, 1.0 / nodes))
             for e, value in zip(eps, prof.integral):
                 nodes, mass = panel_masses(alpha, _panel_edges(alpha, e, 1.0, 2))
                 assert value == pytest.approx(float(np.dot(mass, 1.0 / nodes)) + upper,
