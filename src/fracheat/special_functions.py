@@ -279,7 +279,7 @@ def mittag_leffler_contour(alpha: Alpha | float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 # lifted, the cap leaves every table certified to alpha 0.999; the [1, cut] panel
-# tables fail first: 3.2e-10 off at 0.9995, which their doubling check passes
+# tables fail first: 3.2e-10 off at 0.9995, which the moment checks refuse at 1e-11
 _WRIGHT_ALPHA_CAP = 0.995
 
 

@@ -19,10 +19,11 @@ def record_criterion(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-# every cache of a Wright table: the certified cuts, the panel tables and the
-# series coefficients of M_alpha
+# every cache of a Wright table: the certified cuts, the panel tables, the
+# series coefficients of M_alpha and its saddle-contour geometry
 _WRIGHT_CACHES = (subordination._certified_cut, subordination._density_table,
-                  special_functions._wright_series_table)
+                  special_functions._wright_series_table,
+                  special_functions._wright_contour_geometry)
 
 
 def clear_wright_caches():

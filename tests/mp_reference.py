@@ -3,8 +3,9 @@
 The package computes E_alpha(-x) and M_alpha(s) in doubles only. These
 mpmath sums are the independent references the tests check those rules
 against: the power and asymptotic series of E_alpha(-x), the power
-series of M_alpha(s), and the [0, 1] moments of the closed forms
-M_{1/2} and M_{1/3}. Each call sums afresh; nothing is cached.
+series of M_alpha(s), the [0, 1] moments of the closed forms
+M_{1/2} and M_{1/3}, and the closed form of the endpoint profile
+int_eps^inf s^-1 M_alpha(s) ds. Each call sums afresh; nothing is cached.
 """
 
 import math
@@ -109,3 +110,24 @@ def third_alpha_lower_moment(gamma: float, dps: int = 40) -> float:
         g1 = mp.mpf(gamma) + 1
         c = mp.cbrt(3)
         return float(mp.quad(lambda u: c * c * mp.airyai(u ** (1 / g1) / c), [0, 1]) / g1)
+
+
+def endpoint_profile(alpha: float, eps: float, dps: int = 40) -> float:
+    """I(eps) = int_eps^inf s^-1 M_alpha(s) ds for 0 < eps <= 0.5, in closed form:
+    (ln(1/eps) - gamma_E - alpha psi(1-alpha)) / Gamma(1-alpha) - sum_(k>=1) c_k eps^k / k
+    with M_alpha(s) = sum_k c_k s^k, c_k = (-1)^k / (k! Gamma(1 - alpha (k+1)))
+    (Mainardi, Mura & Pagnini 2010). The constant is the finite part at
+    gamma = -1 of the moment Gamma(gamma+1)/Gamma(gamma alpha+1). c_k is 0
+    wherever alpha (k+1) is an integer, so no small term stops the sum: it
+    takes a fixed 300 terms, past which the envelope |c_k| eps^k <=
+    Gamma(alpha (k+1)) eps^k / (pi k!) is below 2^-300 at eps <= 0.5."""
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
+    with mp.workdps(dps):
+        a, e = mp.mpf(alpha), mp.mpf(eps)
+        total = (mp.log(1 / e) - mp.euler - a * mp.digamma(1 - a)) * mp.rgamma(1 - a)
+        power = mp.mpf(1)  # (-eps)^k / k!, updated incrementally
+        for k in range(1, 301):
+            power *= -e / k
+            total -= power * mp.rgamma(1 - a * (k + 1)) / k
+        return float(total)

@@ -93,7 +93,7 @@ def test_every_exported_name_resolves(module):
 
 def test_cold_verify_moments_does_only_its_own_work(tmp_path):
     # in a fresh process, one verify-moments alpha builds its own subparser
-    # alone and samples M_alpha on one panel table, [1, cut] at scale 1
+    # alone and samples M_alpha on one panel table, [1, cut]
     out = str(tmp_path / "mom.json")
     built = _run(
         "import argparse, json\n"

@@ -405,12 +405,15 @@ class TestWrightBatch:
     """The batched density that fills every mass table, pinned to the closed
     form M_{1/2}(s) = exp(-s^2/4)/sqrt(pi) and to the one-element path."""
 
-    @pytest.mark.parametrize("scale", [1, 2, 4])
-    def test_half_alpha_closed_form_on_table_nodes(self, scale):
-        # the subordination identity's [0, cut] panels, refined by scale
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_half_alpha_closed_form_on_table_nodes(self, k):
+        # the subordination identity's [0, cut] panels (k = 1), and k times
+        # as many geometric panels on [1e-6, cut] for denser nodes
         cut = subordination._certified_cut(0.5, 0.0)
-        nodes, _ = subordination._gauss_panels(
-            [0.0] + subordination._panel_edges(0.5, 1e-6, cut, scale))
+        edges = np.geomspace(1e-6, cut, 48 * k + 1).tolist()
+        if k == 1:
+            assert edges == subordination._panel_edges(0.5, 1e-6, cut)
+        nodes, _ = subordination._gauss_panels([0.0] + edges)
         exact = np.exp(-nodes ** 2 / 4.0) / math.sqrt(math.pi)
         err = np.abs(_wright_m_array(0.5, nodes) - exact)
         assert err.max() <= 1e-15

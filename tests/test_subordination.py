@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mp_reference
 from conftest import clear_wright_caches
 from fracheat import cli, pde_solver, special_functions, subordination
 from fracheat.errors import QuadratureError, UnreliableEvaluationError
@@ -229,7 +230,7 @@ class TestAlphaRange:
 
 class TestIdentityCheck:
     # no table is checked against its own doubling (over 351 certified
-    # cases the scale-1 and scale-2 [1, cut] tables agreed to 1.8e-15 while
+    # cases a [1, cut] table and one of twice its panels agreed to 1.8e-15 while
     # both were up to 1.2e-13 off the identity): every command that prints
     # a moment checks it against Gamma(gamma+1)/Gamma(gamma alpha+1), and a
     # [1, cut] table whose masses are off by 1e-8, a fault the doubling
@@ -281,7 +282,7 @@ class TestMassNodes:
         hit = np.flatnonzero(wright_log_envelope(alpha, s) + 0.0 * ls + ls
                              < math.log(1e-10 * 1e-3) - 7.0)
         cut = float(s[hit[0]]) if hit.size else 40.0
-        edges = [0.0] + _panel_edges(alpha, 1e-6, cut, 1)
+        edges = [0.0] + _panel_edges(alpha, 1e-6, cut)
         if alpha <= 0.85:
             assert len(edges) == 48 + 2
         nodes, weights = _gauss_panels(edges)
@@ -293,16 +294,16 @@ class TestMassNodes:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.85, 0.9, 0.99, 0.995])
     def test_every_node_is_sampled(self, alpha):
         # no table zeroes a node: every mass, in the solver's table, the
-        # moments' [1, cut] table, and a profile's [1, cut] and [eps, 1]
-        # tables (scale 2), is its Gauss weight times M_alpha at its node,
-        # and every node below the cut carries a positive mass
+        # moments' [1, cut] table (the profile's too) and a profile's
+        # [eps, 1] table, is its Gauss weight times M_alpha at its node, and
+        # every node below the cut carries a positive mass
         tables = []
         for lo, weight_exp in ((0.0, 0.0), (1.0, 3.0)):
             cut = subordination._certified_cut(alpha, weight_exp)
-            edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut, 1)
+            edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut)
             tables.append((edges, subordination._density_table(alpha, lo, cut)))
-        for edges in (_panel_edges(alpha, 1.0, cut, 2), _panel_edges(alpha, 1e-3, 1.0, 2)):
-            tables.append((edges, subordination._panel_masses(alpha, edges)))
+        edges = _panel_edges(alpha, 1e-3, 1.0)
+        tables.append((edges, subordination._panel_masses(alpha, edges)))
         for edges, (got_nodes, got_mass) in tables:
             nodes, weights = _gauss_panels(edges)
             assert np.array_equal(got_nodes, nodes)
@@ -319,23 +320,22 @@ class TestMassNodes:
         # every edge before it is the walk's
         nodes, mass = wright_mass_nodes(alpha)
         assert nodes.size == count
-        edges = _panel_edges(alpha, 1e-6, subordination._certified_cut(alpha, 0.0), 1)
+        edges = _panel_edges(alpha, 1e-6, subordination._certified_cut(alpha, 0.0))
         floor = math.log(1e-10 * 1e-4)
         past = [e for e in edges[:-1] if e > 1.0 and wright_log_envelope(alpha, e) < floor]
         assert past == [edges[-2]]
         assert float(mass.sum()) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.86, 0.9, 0.99])
-    @pytest.mark.parametrize("scale", [1, 2])
-    def test_phi_branch_prefix_is_sized_to_its_interval(self, alpha, scale):
+    def test_phi_branch_prefix_is_sized_to_its_interval(self, alpha):
         # the geometric panels on [lo, 0.5] number what [lo, 1] takes at
-        # alpha <= 0.85: 48 from 1e-6, 3 from 0.49 (the fixed 48 once put
-        # 96 panels on [0.49, 0.5] at scale 2)
-        for lo, panels in ((1e-6, 48), (0.49, 3)):
-            edges = _panel_edges(alpha, lo, 1.0, scale)
+        # alpha <= 0.85: 48 from 1e-6, 3 from 0.49 (a fixed 48 once put
+        # them all on [0.49, 0.5]), 96 from 1e-12
+        for lo, panels in ((1e-6, 48), (0.49, 3), (1e-12, 96)):
+            edges = _panel_edges(alpha, lo, 1.0)
             prefix = [e for e in edges if e <= 0.5]
-            assert len(prefix) == panels * scale + 1
-            assert prefix == np.geomspace(lo, 0.5, panels * scale + 1).tolist()
+            assert len(prefix) == panels + 1
+            assert prefix == np.geomspace(lo, 0.5, panels + 1).tolist()
 
     def test_legendre_rule_is_read_only_leggauss(self):
         # the panel rule is numpy's 16-point Gauss-Legendre rule bit for bit,
@@ -378,7 +378,7 @@ class TestSubordinateScalar:
             assert subordinate_scalar(alpha, x) == pde_solver._kernel(cfg, np.array([x]))[0]
 
     def test_sums_the_solver_table_alone(self, monkeypatch):
-        # no scale-2 [0, cut] table and no doubling check: the one table read
+        # no refined [0, cut] table and no doubling check: the one table read
         # is the solver's, on [0, cut] at the cut of weight 0
         read, table = [], subordination._density_table
 
@@ -457,7 +457,7 @@ class TestMoments:
 
     def test_verify_moments_samples_the_density_above_one_once(
             self, tmp_path, monkeypatch, fresh_wright_tables):
-        # one [1, cut] table at scale 1 serves the six weights, all <= 3
+        # one [1, cut] table serves the six weights, all <= 3
         calls = self.tables_built(monkeypatch)
         assert cli.main(["verify-moments", "--alpha", "0.4",
                          "--out", str(tmp_path / "mom.json")]) == 0
@@ -499,7 +499,7 @@ class TestMoments:
         """The moment at one weight: its [0, 1] series sum and a [1, cut]
         table built for it alone, at the cut of the weight max(gamma, 3)."""
         cut = subordination._certified_cut(alpha, max(gamma, 3.0))
-        nodes, mass = subordination._panel_masses(alpha, _panel_edges(alpha, 1.0, cut, 1))
+        nodes, mass = subordination._panel_masses(alpha, _panel_edges(alpha, 1.0, cut))
         return _wright_series_moment(alpha, gamma) + float(np.dot(mass, nodes ** gamma))
 
     @given(alpha=st.floats(min_value=0.05, max_value=0.95),
@@ -515,31 +515,30 @@ class TestMoments:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
     @pytest.mark.parametrize("lo,cut", [(1.0, None), (1.0, 1.5), (1.0, 14.0), (1.0, 40.0),
-                                        (1e-4, 1.0), (1e-2, 1.0)])
+                                        (1e-4, 1.0), (1e-2, 1.0), (1e-12, 1.0), (1e-300, 1.0)])
     def test_upper_table_is_sized_to_its_interval(self, alpha, lo, cut):
-        # [lo, cut] takes min(48, ceil(8 log10(cut / lo))) geometric panels
-        # (no wider in log s than the solver's on [1e-6, 1]) per scale, and
-        # round-off adds none: [1e-4, 1] takes 32 and [1e-2, 1] 16 (48 ln(1e4)
-        # / ln(1e6) is 32.00000000000001)
+        # [lo, cut] takes ceil(8 log10(cut / lo)) geometric panels (no wider
+        # in log s than the solver's on [1e-6, 1]), capped at 48 only past
+        # cut = 1, and round-off adds none: [1e-4, 1] takes 32 and [1e-2, 1]
+        # 16 (48 ln(1e4) / ln(1e6) is 32.00000000000001), [1e-300, 1] 2,400
         # (the moments' table at its certified cut, other intervals as panel
         # edges alone)
         table = cut is None
         cut = subordination._certified_cut(alpha, 3.0) if table else cut
-        panels = min(48, math.ceil(8.0 * math.log10(cut / lo)))
-        assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
+        panels = math.ceil(8.0 * math.log10(cut / lo))
+        assert panels == {1e-4: 32, 1e-2: 16, 1e-12: 96, 1e-300: 2400}.get(lo, panels)
+        assert panels <= 48 or cut <= 1.0
         if table:
             assert np.array_equal(subordination._density_table(alpha, lo, cut)[0],
-                                  _gauss_panels(_panel_edges(alpha, lo, cut, 1))[0])
-        for scale in (1, 2):
-            nodes = _gauss_panels(_panel_edges(alpha, lo, cut, scale))[0]
-            assert nodes.size == panels * scale * 16
-            assert np.array_equal(nodes, _gauss_panels(
-                np.geomspace(lo, cut, panels * scale + 1).tolist())[0])
+                                  _gauss_panels(_panel_edges(alpha, lo, cut))[0])
+        nodes = _gauss_panels(_panel_edges(alpha, lo, cut))[0]
+        assert nodes.size == panels * 16
+        assert np.array_equal(nodes, _gauss_panels(np.geomspace(lo, cut, panels + 1).tolist())[0])
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85])
     def test_moments_match_full_upper_tables(self, alpha):
-        # the reference puts on [1, cut] the 96 panels that [1e-6, cut]
-        # takes at scale 2, whatever its length; the moments on the sized
+        # the reference puts 96 geometric panels on [1, cut], twice what
+        # [1e-6, cut] takes, whatever its length; the moments on the sized
         # tables stay within 5e-12 of it, and within 1e-12 of the identity
         # Gamma(gamma+1)/Gamma(gamma alpha+1)
         gammas = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
@@ -666,13 +665,49 @@ class TestEndpointDivergence:
             calls.clear()
             prof = endpoint_divergence_profile(alpha, eps)
             assert sum(top <= 1.0 for top in calls) == 1
-            nodes, mass = panel_masses(alpha, _panel_edges(
-                alpha, 1.0, subordination._certified_cut(alpha, 3.0), 2))
-            upper = float(np.dot(mass, 1.0 / nodes))
+            upper = subordination._upper_moment(alpha, -1.0)
             for e, value in zip(eps, prof.integral):
-                nodes, mass = panel_masses(alpha, _panel_edges(alpha, e, 1.0, 2))
+                nodes, mass = panel_masses(alpha, _panel_edges(alpha, e, 1.0))
                 assert value == pytest.approx(float(np.dot(mass, 1.0 / nodes)) + upper,
                                               rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 0.995])
+    def test_upper_part_is_the_moments_table(self, alpha, monkeypatch, fresh_wright_tables):
+        # after a moment, a profile samples its [eps, 1] table alone and
+        # builds no table above 1: its int_1^inf is the moments' cached
+        # [1, cut] table at gamma = -1, bit for bit (with the [eps, 1]
+        # masses zeroed, every value is that part alone)
+        wright_moments(alpha, [0.5])
+        built = subordination._density_table.cache_info()
+        calls, panel_masses = [], subordination._panel_masses
+
+        def zeroed(a, edges):
+            calls.append((float(min(edges)), float(max(edges))))
+            nodes, mass = panel_masses(a, edges)
+            return nodes, np.zeros_like(mass)
+
+        monkeypatch.setattr(subordination, "_panel_masses", zeroed)
+        eps = list(np.logspace(-2, -5, 8))
+        prof = endpoint_divergence_profile(alpha, eps)
+        assert calls == [(eps[-1], 1.0)]
+        info = subordination._density_table.cache_info()
+        assert (info.currsize, info.misses) == (built.currsize, built.misses)
+        assert prof.integral == (subordination._upper_moment(alpha, -1.0),) * len(eps)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.85, 0.86,
+                                       0.9, 0.95, 0.99, 0.995])
+    def test_closed_form(self, alpha):
+        # every value against (ln(1/eps) - gamma_E - alpha psi(1-alpha)) /
+        # Gamma(1-alpha) - sum_k c_k eps^k / k at 40 digits: within 1e-14
+        # down to eps 1e-8 (3.8e-15 measured), 2e-14 to 1e-60 (1.05e-14) and
+        # 1e-13 at 1e-300 (5.0e-14). Panels capped at 48 on [eps, 1] once
+        # widened without bound below eps 1e-6: 11% off at 1e-300
+        eps = [0.5, 0.1] + [10.0 ** -k for k in range(2, 9)] + [1e-30, 1e-60, 1e-300]
+        prof = endpoint_divergence_profile(alpha, eps)
+        for e, value in zip(eps, prof.integral):
+            tol = 1e-14 if e >= 1e-8 else 2e-14 if e >= 1e-60 else 1e-13
+            assert value == pytest.approx(mp_reference.endpoint_profile(alpha, e),
+                                          rel=tol, abs=0.0), e
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
