@@ -463,12 +463,18 @@ def _wright_series(alpha: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return acc[0], err <= np.maximum(tol_abs, tol * np.abs(acc[0]))
 
 
-def _wright_series_moment(alpha: float, gamma: float) -> float:
-    """int_0^1 s^gamma M_alpha(s) ds, gamma > -1: sum_k c_k / (k + gamma + 1) over
-    the terms of `_wright_series_table`, whose envelope bounds the terms dropped.
-    Refused where n 1.1e-16 max|term| exceeds tol |sum|."""
+def _wright_series_moment(alpha: float, gamma: float, lo: float = 0.0) -> float:
+    """int_lo^1 s^gamma M_alpha(s) ds, 0 <= lo < 1 (gamma > -1 at lo = 0): sum_k
+    c_k (1 - lo^p) / p, p = k + gamma + 1, with 1 - lo^p = -expm1(p ln lo), the
+    p = 0 term c_0 ln(1/lo) and every term c_k / p at lo = 0, over the terms of
+    `_wright_series_table`, whose envelope bounds the terms dropped. Refused
+    where n 1.1e-16 max|term| exceeds tol |sum|."""
     c, _ = _wright_series_table(alpha)
-    terms = c / (np.arange(c.size) + gamma + 1.0)
+    p = np.arange(c.size) + gamma + 1.0
+    if lo > 0.0:
+        c = np.where(p == 0.0, -math.log(lo) * c, c * -np.expm1(p * math.log(lo)))
+        p[p == 0.0] = 1.0
+    terms = c / p
     value = math.fsum(terms)
     if not c.size * 1.1e-16 * np.abs(terms).max() <= _WRIGHT_SERIES_TOL * abs(value):
         raise UnreliableEvaluationError(f"M_alpha moment series at alpha={alpha}, "

@@ -41,9 +41,10 @@ __all__ = [
 # bound is at most _TARGET_TOL (QuadratureError otherwise), once per (alpha,
 # weight) in _certified_cut. Gauss-Legendre panels of _NODES_PER_PANEL nodes,
 # one rule for every table: _PANELS of them on [_S_FLOOR, cut], fewer on a
-# shorter interval or past M_alpha's collapse (see _panel_edges). No table is
-# checked against a refined copy: a moment is checked against its Gamma-ratio
-# identity by its callers, the endpoint profile against its closed form by the tests
+# shorter interval or past M_alpha's collapse (see _panel_edges). Each table
+# starts at 0 or at 1: below 1 the moments and the endpoint profile integrate
+# M_alpha's series term by term. No table is checked against a refined copy: a
+# moment is checked against its Gamma-ratio identity, the profile against its closed form
 _UPPER_CUT = 40.0
 _PANELS = 48
 _NODES_PER_PANEL = 16
@@ -110,20 +111,18 @@ def _panel_edges(alpha: float, lo: float, hi: float) -> list[float]:
     """Panel edges on [lo, hi] adapted to M_alpha.
 
     For moderate alpha, _PANELS geometric panels suffice, fewer on an interval
-    shorter in log s than [_S_FLOOR, 1], more on a longer one that ends at or
-    below 1 (none wider than there). Close to alpha = 1 the density spikes
-    toward a Dirac profile at s = 1: it rises like s^m with
-    m = (alpha-1/2)/(1-alpha) and collapses like exp(-b s^{1/(1-alpha)}),
-    both extremely steep. There the edges advance in equal increments of
-    phi(s) = m log s + b s^{1/(1-alpha)} (the log-variation of the envelope),
-    which clusters panels exactly where the integrand moves, until an edge
+    shorter in log s than [_S_FLOOR, 1] (none wider than there). Close to
+    alpha = 1 the density spikes toward a Dirac profile at s = 1: it rises like
+    s^m with m = (alpha-1/2)/(1-alpha) and collapses like exp(-b s^{1/(1-alpha)}),
+    both extremely steep. There the edges advance in equal increments of phi(s)
+    = m log s + b s^{1/(1-alpha)} (the log-variation of the envelope), which
+    clusters panels exactly where the integrand moves, until an edge
     past s = 1 where the envelope is below _TARGET_TOL * 1e-4: one panel runs
     from there to hi. Geometric panels cover [lo, 0.5], as many as the same
     rule puts on [lo, 1].
     """
-    # capped past s = 1 only; round-off must not add a panel: 48 ln(1e4) /
-    # ln(1e6) is 32.00000000000001
-    count = min(_PANELS if hi > 1.0 else math.inf, math.ceil(round(_PANELS * math.log(
+    # round-off must not add a panel: 48 ln(1e4) / ln(1e6) is 32.00000000000001
+    count = min(_PANELS, math.ceil(round(_PANELS * math.log(
         (hi if alpha <= 0.85 else 1.0) / lo) / math.log(1.0 / _S_FLOOR), 9)))
     if alpha <= 0.85:
         return np.geomspace(lo, hi, count + 1).tolist()
@@ -311,13 +310,11 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     eps values in (0, 1), strictly decreasing, with the fit of I against
     ln(1/eps).
 
-    The integrals are nested, so one table serves them all: the adapted
-    panels on [min eps, 1] with every eps inserted as an edge, sampled in
-    one pass. I(eps_k) is the sum of the panels right of eps_k's edge (a
-    reverse running sum of the panels' integrals) plus int_1^inf, the
-    moments' cached [1, cut] table at gamma = -1, whose dropped tail is
-    certified. The tests check each value against its closed form, (ln(1/eps)
-    - gamma_E - alpha psi(1-alpha))/Gamma(1-alpha) - sum_k c_k eps^k/k.
+    Each integral is a moment's two parts at gamma = -1: the series of M_alpha
+    integrated term by term on [eps_k, 1] and the moments' cached [1, cut]
+    table, whose dropped tail is certified. The tests check each value against
+    its closed form, (ln(1/eps) - gamma_E - alpha psi(1-alpha))/Gamma(1-alpha)
+    - sum_k c_k eps^k/k.
     """
     a = _wright_alpha(alpha)
     eps = [float(e) for e in eps_list]
@@ -328,14 +325,9 @@ def endpoint_divergence_profile(alpha: Alpha | float,
     if not all(b < a0 for a0, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps values must decrease toward 0")
 
-    edges = np.sort(np.r_[_panel_edges(a, eps[-1], 1.0), eps])
-    # the sorted union; np.union1d would import numpy.ma on a cold run
-    edges = edges[np.r_[True, edges[1:] > edges[:-1]]]
-    nodes, mass = _panel_masses(a, edges)
-    panels = (mass / nodes).reshape(-1, _NODES_PER_PANEL).sum(axis=1)
-    below_one = np.cumsum(panels[::-1])[::-1]  # int_{edge k}^1, k < last edge
-    values = (below_one[np.searchsorted(edges, eps)] + _upper_moment(a, -1.0)).tolist()
-    slope, intercept = np.polyfit(np.log(1.0 / np.asarray(eps)), np.asarray(values), 1)
+    upper = _upper_moment(a, -1.0)
+    values = [_wright_series_moment(a, -1.0, e) + upper for e in eps]
+    slope, intercept = np.polyfit(-np.log(np.asarray(eps)), np.asarray(values), 1)
     return EndpointDivergenceProfile(
         alpha=a,
         eps=tuple(eps),

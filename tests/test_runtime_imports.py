@@ -115,3 +115,21 @@ def test_cold_verify_moments_does_only_its_own_work(tmp_path):
     assert code == 0 and subparsers == ["verify-moments"]
     # 10 geometric panels on [1, 14.08] (the cut of the weight s^3)
     assert tables == [[1.0, pytest.approx(14.078083071940602, rel=1e-15), 10]]
+
+
+def test_cold_endpoint_profile_samples_one_table():
+    # in a fresh process, a profile samples M_alpha on one panel table, the
+    # moments' [1, cut] table: below s = 1 it sums the series
+    tables = _run(
+        "import json\n"
+        "import numpy as np\n"
+        "from fracheat import subordination\n"
+        "tables, panel_masses = [], subordination._panel_masses\n"
+        "def spy_table(alpha, edges):\n"
+        "    tables.append([float(min(edges)), float(max(edges)), len(edges) - 1])\n"
+        "    return panel_masses(alpha, edges)\n"
+        "subordination._panel_masses = spy_table\n"
+        "subordination.endpoint_divergence_profile(0.25, list(np.logspace(-2, -5, 8)))\n"
+        "print(json.dumps(tables))")
+    # 13 geometric panels on [1, 33.88] (the cut of the weight s^3)
+    assert tables == [[1.0, pytest.approx(33.88058549443314, rel=1e-15), 13]]

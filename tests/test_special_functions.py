@@ -470,6 +470,16 @@ class TestWrightSeriesMoment:
         ref = mp_reference.half_alpha_lower_moment(gamma)
         assert _wright_series_moment(0.5, gamma) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("gamma,lo", [
+        (gamma, lo) for gamma in (-1.0, -0.99, -0.5, 0.0, 0.5, 2.0, 8.0)
+        for lo in (0.0, 5e-324, 1e-300, 1e-8, 0.1, 0.5, 0.9, 0.99, 0.999999)
+        if lo > 0.0 or gamma > -1.0])  # int_0^1 s^-1 M_alpha diverges
+    def test_half_alpha_from_a_lower_limit(self, gamma, lo):
+        # int_lo^1 against two upper incomplete gammas: every term's
+        # 1 - lo^p, and c_0 ln(1/lo) at gamma = -1 (9.6e-16 measured)
+        ref = mp_reference.half_alpha_lower_moment(gamma, lo)
+        assert _wright_series_moment(0.5, gamma, lo) == pytest.approx(ref, rel=2e-15, abs=0.0)
+
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_third_alpha_airy(self, gamma):
         ref = mp_reference.third_alpha_lower_moment(gamma)

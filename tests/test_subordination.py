@@ -165,8 +165,8 @@ class TestNegativeSample:
     @pytest.mark.parametrize("bad", [-1e-3, math.nan])
     def test_moment_and_profile_refuse_it(self, monkeypatch, bad, fresh_wright_tables):
         # every table checks its masses: a negative or NaN density sample is
-        # refused in the moments' [1, cut] table and the profile's [eps, 1]
-        # one (the cut is certified before the corruption)
+        # refused in the moments' [1, cut] table, which the profile reads too
+        # (the cut is certified before the corruption)
         subordination._certified_cut(0.6, 3.0)
         sample = subordination._wright_m_array
 
@@ -293,17 +293,15 @@ class TestMassNodes:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.85, 0.9, 0.99, 0.995])
     def test_every_node_is_sampled(self, alpha):
-        # no table zeroes a node: every mass, in the solver's table, the
-        # moments' [1, cut] table (the profile's too) and a profile's
-        # [eps, 1] table, is its Gauss weight times M_alpha at its node, and
-        # every node below the cut carries a positive mass
+        # no table zeroes a node: every mass, in the solver's table and the
+        # moments' [1, cut] table (the profile's too), is its Gauss weight
+        # times M_alpha at its node, and every node below the cut carries a
+        # positive mass
         tables = []
         for lo, weight_exp in ((0.0, 0.0), (1.0, 3.0)):
             cut = subordination._certified_cut(alpha, weight_exp)
             edges = ([0.0] if lo == 0.0 else []) + _panel_edges(alpha, lo or 1e-6, cut)
             tables.append((edges, subordination._density_table(alpha, lo, cut)))
-        edges = _panel_edges(alpha, 1e-3, 1.0)
-        tables.append((edges, subordination._panel_masses(alpha, edges)))
         for edges, (got_nodes, got_mass) in tables:
             nodes, weights = _gauss_panels(edges)
             assert np.array_equal(got_nodes, nodes)
@@ -330,8 +328,8 @@ class TestMassNodes:
     def test_phi_branch_prefix_is_sized_to_its_interval(self, alpha):
         # the geometric panels on [lo, 0.5] number what [lo, 1] takes at
         # alpha <= 0.85: 48 from 1e-6, 3 from 0.49 (a fixed 48 once put
-        # them all on [0.49, 0.5]), 96 from 1e-12
-        for lo, panels in ((1e-6, 48), (0.49, 3), (1e-12, 96)):
+        # them all on [0.49, 0.5])
+        for lo, panels in ((1e-6, 48), (0.49, 3)):
             edges = _panel_edges(alpha, lo, 1.0)
             prefix = [e for e in edges if e <= 0.5]
             assert len(prefix) == panels + 1
@@ -515,19 +513,18 @@ class TestMoments:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
     @pytest.mark.parametrize("lo,cut", [(1.0, None), (1.0, 1.5), (1.0, 14.0), (1.0, 40.0),
-                                        (1e-4, 1.0), (1e-2, 1.0), (1e-12, 1.0), (1e-300, 1.0)])
+                                        (1e-4, 1.0), (1e-2, 1.0)])
     def test_upper_table_is_sized_to_its_interval(self, alpha, lo, cut):
         # [lo, cut] takes ceil(8 log10(cut / lo)) geometric panels (no wider
-        # in log s than the solver's on [1e-6, 1]), capped at 48 only past
-        # cut = 1, and round-off adds none: [1e-4, 1] takes 32 and [1e-2, 1]
-        # 16 (48 ln(1e4) / ln(1e6) is 32.00000000000001), [1e-300, 1] 2,400
-        # (the moments' table at its certified cut, other intervals as panel
-        # edges alone)
+        # in log s than the solver's on [1e-6, 1]), at most 48, and round-off
+        # adds none: [1e-4, 1] takes 32 and [1e-2, 1] 16, as 48 ln(1e4) /
+        # ln(1e6) is 32.00000000000001 (the moments' table at its certified
+        # cut, other intervals as panel edges alone)
         table = cut is None
         cut = subordination._certified_cut(alpha, 3.0) if table else cut
         panels = math.ceil(8.0 * math.log10(cut / lo))
-        assert panels == {1e-4: 32, 1e-2: 16, 1e-12: 96, 1e-300: 2400}.get(lo, panels)
-        assert panels <= 48 or cut <= 1.0
+        assert panels == {1e-4: 32, 1e-2: 16}.get(lo, panels)
+        assert panels <= 48
         if table:
             assert np.array_equal(subordination._density_table(alpha, lo, cut)[0],
                                   _gauss_panels(_panel_edges(alpha, lo, cut))[0])
@@ -650,64 +647,48 @@ class TestEndpointDivergence:
         assert subordination._tail_bound(alpha, cut, -1.0) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
-    def test_eps_tables_are_sampled_in_one_pass(self, alpha, monkeypatch):
-        # the integrals are nested: one table below s = 1 serves every eps,
-        # sampled in one pass, and each integral is within round-off of the
-        # one from its own [eps, 1] table built alone
-        calls, panel_masses = [], subordination._panel_masses
-
-        def counting(a, edges):
-            calls.append(float(max(edges)))
-            return panel_masses(a, edges)
-
-        monkeypatch.setattr(subordination, "_panel_masses", counting)
-        for eps in (list(np.logspace(-2, -5, 8)), [0.7, 0.51, 0.5, 0.49]):
-            calls.clear()
+    def test_values_are_the_moments_parts_at_gamma_minus_one(self, alpha):
+        # each value is the series on [eps, 1] plus the moments' [1, cut]
+        # table at gamma = -1, bit for bit
+        for eps in (list(np.logspace(-2, -5, 8)), [0.7, 0.51, 0.5, 0.49], [1e-300, 5e-324]):
             prof = endpoint_divergence_profile(alpha, eps)
-            assert sum(top <= 1.0 for top in calls) == 1
-            upper = subordination._upper_moment(alpha, -1.0)
-            for e, value in zip(eps, prof.integral):
-                nodes, mass = panel_masses(alpha, _panel_edges(alpha, e, 1.0))
-                assert value == pytest.approx(float(np.dot(mass, 1.0 / nodes)) + upper,
-                                              rel=1e-14)
+            assert prof.integral == tuple(
+                _wright_series_moment(alpha, -1.0, e) + subordination._upper_moment(alpha, -1.0)
+                for e in eps)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 0.995])
-    def test_upper_part_is_the_moments_table(self, alpha, monkeypatch, fresh_wright_tables):
-        # after a moment, a profile samples its [eps, 1] table alone and
-        # builds no table above 1: its int_1^inf is the moments' cached
-        # [1, cut] table at gamma = -1, bit for bit (with the [eps, 1]
-        # masses zeroed, every value is that part alone)
+    def test_samples_no_table_after_a_moment(self, alpha, monkeypatch, fresh_wright_tables):
+        # after a moment, a profile samples no panel table and builds no
+        # density table: its int_1^inf is the moments' cached [1, cut] table
         wright_moments(alpha, [0.5])
         built = subordination._density_table.cache_info()
         calls, panel_masses = [], subordination._panel_masses
 
-        def zeroed(a, edges):
+        def counting(a, edges):
             calls.append((float(min(edges)), float(max(edges))))
-            nodes, mass = panel_masses(a, edges)
-            return nodes, np.zeros_like(mass)
+            return panel_masses(a, edges)
 
-        monkeypatch.setattr(subordination, "_panel_masses", zeroed)
-        eps = list(np.logspace(-2, -5, 8))
-        prof = endpoint_divergence_profile(alpha, eps)
-        assert calls == [(eps[-1], 1.0)]
+        monkeypatch.setattr(subordination, "_panel_masses", counting)
+        endpoint_divergence_profile(alpha, list(np.logspace(-2, -5, 8)))
+        assert calls == []
         info = subordination._density_table.cache_info()
         assert (info.currsize, info.misses) == (built.currsize, built.misses)
-        assert prof.integral == (subordination._upper_moment(alpha, -1.0),) * len(eps)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.85, 0.86,
                                        0.9, 0.95, 0.99, 0.995])
     def test_closed_form(self, alpha):
         # every value against (ln(1/eps) - gamma_E - alpha psi(1-alpha)) /
-        # Gamma(1-alpha) - sum_k c_k eps^k / k at 40 digits: within 1e-14
-        # down to eps 1e-8 (3.8e-15 measured), 2e-14 to 1e-60 (1.05e-14) and
-        # 1e-13 at 1e-300 (5.0e-14). Panels capped at 48 on [eps, 1] once
-        # widened without bound below eps 1e-6: 11% off at 1e-300
-        eps = [0.5, 0.1] + [10.0 ** -k for k in range(2, 9)] + [1e-30, 1e-60, 1e-300]
+        # Gamma(1-alpha) - sum_k c_k eps^k / k at 40 digits, within 1e-14 at
+        # every eps from 0.99 down to the least subnormal (4.3e-15 measured).
+        # Panels on [eps, 1] once reached 5.0e-14 at 1e-300 and overflowed
+        # their count below 1e-308
+        eps = ([0.99, 0.9, 0.7, 0.51, 0.5, 0.1] + [10.0 ** -k for k in range(2, 9)]
+               + [1e-30, 1e-60, 1e-300, 1e-310, 5e-324])
         prof = endpoint_divergence_profile(alpha, eps)
         for e, value in zip(eps, prof.integral):
-            tol = 1e-14 if e >= 1e-8 else 2e-14 if e >= 1e-60 else 1e-13
             assert value == pytest.approx(mp_reference.endpoint_profile(alpha, e),
-                                          rel=tol, abs=0.0), e
+                                          rel=1e-14, abs=0.0), e
+        assert math.isfinite(prof.slope) and math.isfinite(prof.intercept)
 
     def test_integral_grows_as_eps_shrinks(self):
         prof = endpoint_divergence_profile(0.25, [1e-2, 1e-3, 1e-4])
