@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .special_functions import Alpha, _ml_neg
+from .special_functions import Alpha, _fit_line, _ml_neg
 from .subordination import wright_moments
 
 __all__ = [
@@ -215,7 +215,7 @@ class FitResult:
 
 
 def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> FitResult:
-    """Ordinary least squares on (log t, log y).
+    """Least-squares line through (log t, log y), in closed form.
 
     Needs at least 5 points spanning two decades in t, with t and y
     finite and strictly positive.
@@ -233,9 +233,9 @@ def fit_decay_exponent(t_values: Sequence[float], y_values: Sequence[float]) -> 
     if not np.all((y > 0.0) & (y < math.inf)):
         raise ValueError("y values must be positive and finite for a log-log fit")
     lt, ly = np.log(t), np.log(y)
-    slope, intercept = np.polyfit(lt, ly, 1)
+    slope, intercept = _fit_line(lt, ly)
     resid = ly - (slope * lt + intercept)
-    return FitResult(slope=float(slope), intercept=float(intercept),
+    return FitResult(slope=slope, intercept=intercept,
                      max_abs_residual=float(np.abs(resid).max()), n_points=int(t.size))
 
 

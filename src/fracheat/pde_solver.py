@@ -38,8 +38,8 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: on the first FFT of a cold run)
 
 from .errors import InsufficientDataError
-from .special_functions import (Alpha, _HANKEL_ALPHA_CAP, _RULE_BLOCK, _ml_hankel, _ml_neg,
-                                _wright_alpha)
+from .special_functions import (Alpha, _HANKEL_ALPHA_CAP, _RULE_BLOCK, _fit_line, _ml_hankel,
+                                _ml_neg, _wright_alpha)
 from .subordination import _FLUSH, _heat_factors, _heat_sum, wright_mass_nodes
 
 __all__ = [
@@ -491,7 +491,7 @@ class DecayMeasurement:
 
     rows: tuple[tuple[float, float, float, float], ...]  # (t, ratio, compensated, edge)
     norm_p0: float
-    fitted_exponent: float
+    fitted_exponent: float  # closed-form least-squares slope of log ratio on log t
     compensated_monotone: bool
     lambda_exp: float
     delta: float
@@ -550,12 +550,12 @@ def decay_measurement(
             f"only {len(rows)} usable times before wraparound; shrink t_list or enlarge the box"
         )
     arr = np.asarray(rows)
-    fit = np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)
+    slope, _ = _fit_line(np.log(arr[:, 0]), np.log(arr[:, 1]))
     monotone = bool(np.all(np.diff(arr[:, 2]) <= 1e-12))
     return DecayMeasurement(
         rows=tuple(map(tuple, rows)),
         norm_p0=norm_p0,
-        fitted_exponent=float(fit[0]),
+        fitted_exponent=slope,
         compensated_monotone=monotone,
         lambda_exp=lam,
         delta=delta,

@@ -84,6 +84,13 @@ def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
     return -lg, -1.0 if x < 0.0 and math.ceil(-x) % 2 == 1 else 1.0
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line, from centred sums: no LAPACK."""
+    dx, ym = x - x.mean(), y.mean()
+    slope = float(np.dot(dx, y - ym) / np.dot(dx, dx))
+    return slope, float(ym - slope * x.mean())
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler E_alpha(-x), x >= 0
 # ---------------------------------------------------------------------------

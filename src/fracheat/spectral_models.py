@@ -17,7 +17,7 @@ import numpy as np
 
 from .decay_analysis import _exponent_gap, _log_grid_sup
 from .errors import InsufficientDataError
-from .special_functions import Alpha, _ml_neg
+from .special_functions import Alpha, _fit_line, _ml_neg
 
 __all__ = [
     "DiscreteSpectrum",
@@ -155,7 +155,7 @@ def verify_trace_growth(
     lambda_claim: float,
     s_range: tuple[float, float],
 ) -> TraceGrowthReport:
-    """Least-squares slope of log tau(s) vs log s, at 60 log-spaced s,
+    """Closed-form least-squares slope of log tau(s) vs log s, at 60 log-spaced s,
     against the claimed exponent, which must be positive and finite.
     Requires the range to span at least three decades."""
     if not 0.0 < lambda_claim < math.inf:
@@ -172,7 +172,7 @@ def verify_trace_growth(
         raise InsufficientDataError(
             f"only {int(keep.sum())} nonzero counting values in [{s_lo}, {s_hi}]"
         )
-    slope = float(np.polyfit(np.log(ss[keep]), np.log(tau[keep]), 1)[0])
+    slope, _ = _fit_line(np.log(ss[keep]), np.log(tau[keep]))
     rel = abs(slope - lambda_claim) / abs(lambda_claim)
     return TraceGrowthReport(
         label=model.label, lambda_claim=float(lambda_claim), fitted_slope=slope,

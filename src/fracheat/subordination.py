@@ -18,6 +18,7 @@ import numpy as np
 from .errors import QuadratureError
 from .special_functions import (
     Alpha,
+    _fit_line,
     _wright_alpha,
     _wright_m_array,
     _wright_series_moment,
@@ -291,8 +292,8 @@ def subordination_constant(alpha: Alpha | float, beta: float) -> float:
 class EndpointDivergenceProfile:
     """I(eps) = int_eps^inf s^{-1} M_alpha(s) ds sampled at decreasing eps.
 
-    slope is the least-squares coefficient of I(eps) against ln(1/eps); it
-    converges to M_alpha(0) = 1/Gamma(1-alpha), exhibiting the logarithmic
+    slope is the closed-form least-squares slope of I(eps) against ln(1/eps);
+    it converges to M_alpha(0) = 1/Gamma(1-alpha), exhibiting the logarithmic
     divergence of the borderline integral.
     """
 
@@ -327,12 +328,12 @@ def endpoint_divergence_profile(alpha: Alpha | float,
 
     upper = _upper_moment(a, -1.0)
     values = [_wright_series_moment(a, -1.0, e) + upper for e in eps]
-    slope, intercept = np.polyfit(-np.log(np.asarray(eps)), np.asarray(values), 1)
+    slope, intercept = _fit_line(-np.log(np.asarray(eps)), np.asarray(values))
     return EndpointDivergenceProfile(
         alpha=a,
         eps=tuple(eps),
         integral=tuple(values),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         expected_slope=reciprocal_gamma(1.0 - a),
     )

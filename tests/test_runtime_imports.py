@@ -1,7 +1,9 @@
 """The runtime import contract: the package needs numpy only (mpmath and
 scipy are test references), every module it uses is loaded when it is
 imported, not on the first call (the cost of a cold command stays in its
-start-up), and every name a module exports exists."""
+start-up), no code path calls into numpy.linalg (every fitted line is closed
+form, so LAPACK's code and workspace are never loaded), and every name a
+module exports exists."""
 
 import importlib
 import json
@@ -133,3 +135,39 @@ def test_cold_endpoint_profile_samples_one_table():
         "print(json.dumps(tables))")
     # 13 geometric panels on [1, 33.88] (the cut of the weight s^3)
     assert tables == [[1.0, pytest.approx(33.88058549443314, rel=1e-15), 13]]
+
+
+def test_fits_call_no_linalg():
+    # in a fresh process, no fit reaches numpy.linalg (np.polyfit would, through
+    # lstsq): a profiler hook records every Python function of numpy.linalg
+    # that runs, whatever name it was bound to
+    called = _run(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from fracheat import decay_analysis, pde_solver, spectral_models, subordination\n"
+        "def spy(fn):\n"
+        "    seen = set()\n"
+        "    def hook(frame, event, arg):\n"
+        "        if event == 'call' and 'linalg' in frame.f_code.co_filename:\n"
+        "            seen.add(frame.f_code.co_name)\n"
+        "    sys.setprofile(hook)\n"
+        "    try:\n"
+        "        fn()\n"
+        "    finally:\n"
+        "        sys.setprofile(None)\n"
+        "    return sorted(seen)\n"
+        "def sweep(dim, n, box, alpha):\n"
+        "    grid = pde_solver.PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)\n"
+        "    cfg = pde_solver.SolverConfig(alpha=alpha, representation='subordination')\n"
+        "    pde_solver.decay_measurement(pde_solver.gaussian_bump(grid), cfg, 4 / 3, 4.0,\n"
+        "                                 (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)\n"
+        "print(json.dumps([\n"
+        "    spy(lambda: subordination.endpoint_divergence_profile(\n"
+        "        0.25, list(np.logspace(-2, -5, 8)))),\n"
+        "    spy(lambda: sweep(1, 1024, 200.0, 0.6)),\n"
+        "    spy(lambda: sweep(2, 64, 16.0, 0.7)),\n"
+        "    spy(lambda: decay_analysis.fit_decay_exponent(np.logspace(0, 3, 9),\n"
+        "                                                  np.logspace(0, -1.5, 9))),\n"
+        "    spy(lambda: spectral_models.verify_trace_growth(\n"
+        "        spectral_models.torus_laplacian_1d(2000), 0.5, (1.0, 1e6)))]))")
+    assert called == [[]] * 5
