@@ -12,15 +12,15 @@ On the box |xi|^2 = (2 pi / L)^2 n, n = sum of i^2 over the axes, and is
 the sum of the axis values c_u = xi_u^2, 0 <= u <= N//2, so either route's
 multiplier is a table on the U^dim axis tuples. Subordination factorizes
 the heat multiplier, exp(-tau |xi|^2) = prod of exp(-tau c_u) over the
-axes (`_wright_table`); heat factors below exp(-345) ~ 1e-150 are exact
-zeros, so no exp underflows and no table product is subnormal. The direct
-kernel 1/(g^alpha + x) does not factorize: it runs on the distinct n, found
-by an occupancy table (no float sort), and is gathered into the table. A
-sweep's one `_Step` owns every buffer its steps write, so no step
-allocates a full-size array; a one-step solve writes its product over its
-own spectrum. A 2D field is written over the product's own buffer, whose
-rows are 2 floats longer than the field's, so the inverse real FFT, taken
-in row blocks in order, overwrites only product rows it has already read.
+axes (`_wright_table`, in 2D by node blocks); heat factors below
+exp(-345) ~ 1e-150 are exact zeros, so no exp underflows and no table
+product is subnormal. The direct kernel 1/(g^alpha + x) does not factorize:
+it runs on the distinct n, found by an occupancy table (no float sort), and
+is gathered into the table. A sweep's one `_Step` owns every buffer its
+steps write, so no step allocates a full-size array; a one-step solve writes
+its product over its own spectrum. A 2D field is written over the product's
+own buffer, whose rows are 2 floats longer than the field's, so the inverse
+real FFT, in row blocks in order, overwrites only product rows it has read.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ _BLOCK_ROWS = 512
 # factors take at most 0.8 MB at a 784-node mass table (1.3 MB at 1,264
 # nodes, the most at alpha <= 0.95; 2.0 MB at 1,968, alpha 0.995), about a
 # core's 2 MiB of L2 cache, where 512 rows took 1.3-1.4 times as long, and
-# the flush mask at most an eighth of that (one byte a lane, on the flushed
-# lanes alone); the 2D table's factor is built once per step
+# the flush mask past them in one buffer an eighth more (0.9 and 1.5 MB); the
+# 2D table's factors are built once per step, in node blocks (`_gram`)
 _HEAT_BLOCK_ROWS = 128
 # product bytes per row block of the 2D inverse real FFT written over its
 # own product: numpy copies each block's input, which overlaps the block's
@@ -267,15 +267,22 @@ def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
     return out
 
 
-def _gram(x: np.ndarray, nodes: np.ndarray, root: np.ndarray, work: tuple | None = None,
+def _gram(x: np.ndarray, nodes: np.ndarray, root: np.ndarray, work: np.ndarray | None = None,
           out: np.ndarray | None = None) -> np.ndarray:
-    """The table G G^T of G = F diag(root), F the flushed heat factors of x
-    (in `work`), root = sqrt(mass): F diag(mass) F^T by one A @ A.T, which
-    numpy hands to BLAS SYRK (half the flops of a GEMM, one triangle
-    mirrored, so the table is exactly symmetric)."""
-    g = _heat_factors(x, nodes, work)
-    g *= root
-    return np.matmul(g, g.T, out=out)
+    """The table G G^T of G = F diag(root), F the flushed heat factors of x,
+    root = sqrt(mass): one A @ A.T (BLAS SYRK: half a GEMM's flops, exactly
+    symmetric) per block of nodes whose factors and flush mask fill the arena
+    `work` (all nodes if none), past a U x U partial table from block two on."""
+    u, lo = x.size, 0
+    spare = work = np.empty(-(-9 * u * nodes.size // 8)) if work is None else work
+    while lo < nodes.size:
+        hi = lo + 8 * spare.size // (9 * u)
+        g = _heat_factors(x, nodes[lo:hi], spare)
+        g *= root[lo:hi]
+        out = (np.matmul(g, g.T, out=out) if lo == 0 else
+               np.add(out, np.matmul(g, g.T, out=work[:u * u].reshape(u, u)), out=out))
+        lo, spare = hi, work[u * u:]
+    return out
 
 
 def _time_scale(cfg: SolverConfig, t: float) -> float:
@@ -335,14 +342,15 @@ def propagator_multiplier(cfg: SolverConfig, t: float, xi2: np.ndarray) -> np.nd
 def _wright_table(cfg: SolverConfig, dim: int, rows: int) -> tuple:
     """The subordination table sum_i mass_i f_i (x) ... (x) f_i, one flushed
     factor f_i = exp(-s_i x) per axis of a `dim`-axis grid, as a function of
-    (x, work), and the heat-factor lanes of `work`: in 1D `_kernel`'s blocked
-    matvec on the `rows` axis values (a row block of factors at a time),
-    otherwise the SYRK `_gram` of all U rows into a U x U buffer."""
+    (x, work), and the floats of `work` its heat factors and masks take: in 1D
+    `_kernel`'s blocked matvec on the `rows` axis values, a row block at a time,
+    else `_gram` of all U rows in node blocks within 2 N U = 4 (U - 1) U floats."""
     nodes, mass = wright_mass_nodes(cfg.alpha.value)
+    heat = -(-9 * nodes.size * (rows if dim == 2 else min(rows, _HEAT_BLOCK_ROWS)) // 8)
     if dim == 1:
-        return functools.partial(_kernel, cfg), nodes.size * min(rows, _HEAT_BLOCK_ROWS)
+        return functools.partial(_kernel, cfg), heat
     root, table = np.sqrt(mass), np.empty((rows, rows))
-    return (lambda x, work: _gram(x, nodes, root, work, table)), nodes.size * rows
+    return (lambda x, work: _gram(x, nodes, root, work, table)), min(heat, 4 * (rows - 1) * rows)
 
 
 class _Step:
@@ -355,13 +363,13 @@ class _Step:
     rows N/2+1..N-1 read rows N/2-1..1 (row min(j, N - j)), each a view.
     The direct table is `_kernel` on the distinct |xi|^2 gathered through
     their index, a temporary dropped before the inverse FFT. A float arena
-    holds the subordination heat factors while the table is built. A sweep
-    keeps its spectrum for every step, so the arena then holds the complex
-    product `prod`; a one-step solve (`sweep=False`) writes the product
-    over its own spectrum, and its arena holds heat factors only, dropped
-    once the table is built (a later call allocates its own). The
-    inverse FFT runs over each leading axis, first to last, into `prod`,
-    then an inverse real FFT into `field`.
+    holds the subordination heat factors and flush mask while the table is
+    built. A sweep keeps its spectrum, so the arena then holds the complex
+    product `prod` (whose 2 N U floats bound the 2D node blocks); a one-step
+    solve (`sweep=False`) writes the product over its own spectrum, and its
+    arena, what its blocks need, is dropped once the table is built (a later
+    call allocates its own). The inverse FFT runs over each leading axis,
+    first to last, into `prod`, then an inverse real FFT into `field`.
 
     A 2D `field` is the first N^2 floats of `prod`'s buffer, an (N, N)
     C-contiguous view, and the inverse real FFT runs into it in blocks of
@@ -384,10 +392,9 @@ class _Step:
         self.spectrum = np.fft.rfft(w0.samples)
         for axis in reversed(range(self.spectrum.ndim - 1)):
             np.fft.fft(self.spectrum, axis=axis, out=self.spectrum)
-        arena = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
-        self.work = arena, np.empty(heat, dtype=bool)
-        self.prod = (arena[:2 * self.spectrum.size].view(complex).reshape(self.spectrum.shape)
-                     if sweep else self.spectrum)
+        self.work = np.empty(max(heat, 2 * self.spectrum.size if sweep else 0))
+        self.prod = (self.work[:2 * self.spectrum.size].view(complex).reshape(
+            self.spectrum.shape) if sweep else self.spectrum)
         # a 1D inverse real FFT is one row, which numpy would copy whole
         # before writing over it: a 1D field keeps its own buffer
         self.field = (np.empty(w0.samples.shape) if self.grid.dim == 1 else

@@ -190,20 +190,21 @@ def wright_mass_nodes(alpha: Alpha | float) -> tuple[np.ndarray, np.ndarray]:
 _FLUSH = 345.0
 
 
-def _heat_factors(x: np.ndarray, nodes: np.ndarray, work: tuple | None = None) -> np.ndarray:
+def _heat_factors(x: np.ndarray, nodes: np.ndarray, work=None) -> np.ndarray:
     """exp(-x_u s_i), x_u >= 0 in any order and the nodes s_i ascending,
-    flushed to 0 where x_u s_i > _FLUSH; written over the leading entries of
-    `work`, a (float, bool) buffer pair, if given. The exponent -x s^T is one
-    rank-1 BLAS product (one rounded product per entry, as a broadcast
-    multiply gives). The largest x flushes the lanes [m, K); every lane below
-    m is unflushed in every row, so only [m, K) is clamped and masked."""
+    flushed to 0 where x_u s_i > _FLUSH; written over the leading U K floats
+    of `work` (else of a new ceil(9 U K / 8)), the flush mask in the spare
+    bytes past them. The exponent -x s^T is one rank-1 BLAS product (one
+    rounded product per entry, as a broadcast multiply gives). The largest x
+    flushes the lanes [m, K); every lane below m is unflushed in every row,
+    so only [m, K) is clamped and masked (one mask byte a lane)."""
     size = x.size * nodes.size
-    f = (np.empty(size) if work is None else work[0])[:size].reshape(x.size, nodes.size)
+    work = np.empty(-(-9 * size // 8)) if work is None else work
+    f = work[:size].reshape(x.size, nodes.size)
     np.dot(-x[:, None], nodes[None, :], out=f)
     m = np.count_nonzero(~(-x.max() * nodes < -_FLUSH))
     tail = f[:, m:]
-    far = (np.empty(tail.size, dtype=bool) if work is None else work[1])[:tail.size]
-    far = far.reshape(tail.shape)
+    far = work[size:].view(bool)[:tail.size].reshape(tail.shape)
     np.less(tail, -_FLUSH, out=far)
     np.maximum(tail, -_FLUSH, out=tail)
     np.exp(f, out=f)

@@ -237,8 +237,7 @@ class TestField:
                                   wraparound_tol=1.0)
             assert len(steps) == 7 and len({id(s) for s in steps}) == 3
             assert all(w.samples is s.field for w, s in zip(solved, steps))
-            sweep = [*steps[2].work, *(v for v in vars(steps[2]).values()
-                                       if isinstance(v, np.ndarray))]
+            sweep = [v for v in vars(steps[2]).values() if isinstance(v, np.ndarray)]
             for w in solved:
                 assert not w.samples.flags.writeable
                 assert not np.shares_memory(w.samples, w0.samples)
@@ -323,21 +322,40 @@ def _peak_bytes_per_point(run, w0):
 
 
 class TestFootprint:
-    # 2D N = 512: the spectrum (8 B a point, the field written over it or
-    # over the sweep's product), the multiplier table and, on the
-    # subordination route, its heat factors; 1 B a point above the peaks
-    # measured when the field moved onto the product (21.3, 25.5, 29.4 and
-    # 27.4 B before)
-    @pytest.mark.parametrize("rep, solve_peak, sweep_peak", [
-        ("direct_ml", 14.3, 22.4), ("subordination", 19.0, 20.9)])
-    def test_2d_peak_per_point(self, rep, solve_peak, sweep_peak):
-        w0 = gaussian_bump(PeriodicGrid(2, 128.0, 512))
-        cfg = SolverConfig(alpha=0.6, representation=rep)
+    # 2D: the spectrum (8 B a point, the field written over it or over the
+    # sweep's product), the multiplier table and, on the subordination
+    # route, its heat factors and flush mask, in node blocks within the
+    # product's 2 N U floats; 1 B a point above the peaks measured when the
+    # field moved onto the product (21.3, 25.5, 29.4 and 27.4 B before) and,
+    # for subordination, when the blocks moved into the product's arena
+    # (N = 512: 17.5, 19.9 B at alpha 0.6 and 21.5, 22.2 B at 0.95 before;
+    # N = 256: 26.1, 28.1 B and 33.6, 36.7 B)
+    @pytest.mark.parametrize("rep, alpha, n, solve_peak, sweep_peak", [
+        ("direct_ml", 0.6, 512, 14.3, 22.4), ("subordination", 0.6, 512, 19.0, 20.2),
+        ("subordination", 0.95, 512, 19.4, 20.2), ("subordination", 0.6, 256, 21.4, 23.3),
+        ("subordination", 0.95, 256, 20.4, 23.4)])
+    def test_2d_peak_per_point(self, rep, alpha, n, solve_peak, sweep_peak):
+        w0 = gaussian_bump(PeriodicGrid(2, n / 4.0, n))
+        cfg = SolverConfig(alpha=alpha, representation=rep)
         times = (1.0, 2.0, 4.0, 8.0, 16.0)
         for run, peak in ((lambda w: spectral_solve(w, cfg, 1.0), solve_peak),
                           (lambda w: decay_measurement(w, cfg, 4.0 / 3.0, 4.0, times), sweep_peak)):
             run(w0)  # the mass table and every other cache, outside the trace
             assert _peak_bytes_per_point(run, w0) <= peak
+        if rep == "subordination":
+            # a sweep's step owns one float arena, the product's 2 N U floats,
+            # and no bool buffer; a one-step solve's arena is what its blocks
+            # need: every node's factors and mask, ceil(9 U K / 8) floats, if
+            # they fit in 2 N U
+            heat = -(-9 * (n // 2 + 1) * wright_mass_nodes(alpha)[0].size // 8)
+            for sweep in (True, False):
+                step = pde_solver._Step(w0, cfg, sweep=sweep)
+                arrays = [v for v in vars(step).values() if isinstance(v, np.ndarray)]
+                owned = sorted(v.size for v in arrays if v.base is None and v.dtype == float)
+                cap = 2 * step.spectrum.size
+                assert owned == [step.values.size, cap if sweep else min(heat, cap)]
+                assert step.work.base is None and step.work.dtype == float
+                assert not any(v.dtype == bool for v in arrays)
 
     def test_one_step_solve_drops_its_heat_factors_before_the_inverse_fft(self, monkeypatch):
         # 2D N = 512, subordination: when the inverse real FFT starts, a
@@ -513,6 +531,28 @@ def _blocked_subordination(alpha, t, x):
                            for i in range(0, u.size, 512)])
 
 
+def _node_blocks(u, k, floats):
+    """The (lo, hi) node blocks `_gram` takes for a u-row table over k nodes
+    in an arena of `floats` floats: factors and flush mask, ceil(9 u k / 8)
+    floats, fill it, from the second block on past a u x u partial table."""
+    blocks, lo, spare = [], 0, floats
+    while lo < k:
+        hi = min(lo + 8 * spare // (9 * u), k)
+        blocks.append((lo, hi))
+        lo, spare = hi, floats - u * u
+    return blocks
+
+
+def _syrk_over_blocks(g, blocks):
+    """sum over the node blocks of G_b G_b^T, G_b the block's columns of g,
+    each one SYRK and added in order, as `_gram` adds its partials."""
+    table = None
+    for lo, hi in blocks:
+        gb = np.ascontiguousarray(g[:, lo:hi])
+        table = gb @ gb.T if table is None else table + gb @ gb.T
+    return table
+
+
 class TestMultiplier:
     def test_rejects_invalid_time(self):
         x = np.array([0.0, 1.0, 2.0])
@@ -668,8 +708,9 @@ class TestMultiplier:
         far = e < -pde_solver._FLUSH
         ref = np.exp(np.maximum(e, -pde_solver._FLUSH))
         ref[far] = 0.0
-        buffers = (np.full(ref.size + 5, np.nan), np.ones(ref.size + 5, dtype=bool))
-        got = pde_solver._heat_factors(x, nodes, buffers if work else None)
+        # one float buffer: the factors, then the flush mask in its spare bytes
+        arena = np.full(-(-9 * ref.size // 8) + 5, np.nan)
+        got = pde_solver._heat_factors(x, nodes, arena if work else None)
         assert np.array_equal(got, ref)
 
     def test_2d_subordination_is_one_gemm(self, monkeypatch):
@@ -721,10 +762,11 @@ class TestMultiplier:
     )
     @settings(max_examples=60, deadline=None)
     def test_flushed_heat_factors_stay_within_bound(self, alpha, t, x):
-        # flushed matvec (1D) and SYRK table (2D) against the unflushed
-        # exp(outer) @ mass and G G^T, G = exp(outer) diag(sqrt(mass)):
-        # never above it, never below by more than exp(-345) times the
-        # table's total mass
+        # flushed matvec (1D) and SYRK table (2D, in one node block and in
+        # several) against the unflushed exp(outer) @ mass and G G^T, G =
+        # exp(outer) diag(sqrt(mass)), summed over the same blocks: never
+        # above it, never below by more than exp(-345) times the table's
+        # total mass
         cfg = SolverConfig(alpha=alpha, representation="subordination")
         nodes, mass = wright_mass_nodes(alpha)
         bound = math.exp(-345.0) * float(mass.sum())
@@ -734,11 +776,19 @@ class TestMultiplier:
             s = nodes[[0, 1, nodes.size // 2]]
             x = [*x, *np.outer([300.0, 345.0, 400.0], 1.0 / (ta * s)).ravel()]
         x = np.unique(x)
+        # an arena that holds about a third of the nodes' factors and masks:
+        # the table in node blocks, against the unflushed blocks' sum
+        u = x.size
+        arena = np.empty(u * u + -(-9 * u * (nodes.size // 3) // 8))
+        blocks = _node_blocks(u, nodes.size, arena.size)
+        assert len(blocks) >= 3
         with np.errstate(over="ignore", under="ignore"):  # t^alpha x may overflow
             heat = np.exp(np.outer(-ta * x, nodes))
             g = heat * np.sqrt(mass)
             pairs = ((pde_solver._kernel(cfg, ta * x), heat @ mass),
-                     (pde_solver._gram(ta * x, nodes, np.sqrt(mass)), g @ g.T))
+                     (pde_solver._gram(ta * x, nodes, np.sqrt(mass)), g @ g.T),
+                     (pde_solver._gram(ta * x, nodes, np.sqrt(mass), arena),
+                      _syrk_over_blocks(g, blocks)))
         for got, ref in pairs:
             assert np.all(ref - got >= 0.0)
             assert np.all(ref - got <= bound)
@@ -746,7 +796,10 @@ class TestMultiplier:
     @pytest.mark.parametrize("dim, n, box", [(2, 512, 128.0), (2, 256, 64.0), (1, 4096, 200.0)])
     def test_flush_leaves_benchmark_grids_bit_identical(self, dim, n, box):
         # the solver's modes: the axis values; in 2D, the U x U SYRK table
+        # in the node blocks of a sweep's arena, the product's 2 N U floats
+        # (at N = 512 two blocks at alpha 0.95 and one below; at N = 256 two)
         axis = PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)._axis_values()
+        arena = np.empty(2 * n * axis.size)
         for alpha in (0.3, 0.6, 0.84, 0.95):
             cfg = SolverConfig(alpha=alpha, representation="subordination")
             nodes, mass = wright_mass_nodes(alpha)
@@ -755,9 +808,9 @@ class TestMultiplier:
                     got = pde_solver._kernel(cfg, t ** alpha * axis)
                     ref = _blocked_subordination(alpha, t, axis)
                 else:
-                    got = pde_solver._gram(t ** alpha * axis, nodes, np.sqrt(mass))
+                    got = pde_solver._gram(t ** alpha * axis, nodes, np.sqrt(mass), arena)
                     g = np.exp(np.outer(-t ** alpha * axis, nodes)) * np.sqrt(mass)
-                    ref = g @ g.T
+                    ref = _syrk_over_blocks(g, _node_blocks(axis.size, nodes.size, arena.size))
                 assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
@@ -772,6 +825,40 @@ class TestMultiplier:
             ref = np.concatenate([pde_solver._heat_factors(x[i:i + 128], nodes) @ mass
                                   for i in range(0, x.size, 128)])
             assert np.array_equal(pde_solver._kernel(cfg, x), ref)
+
+    @pytest.mark.parametrize("n, alpha, blocks", [
+        (512, 0.3, 1), (512, 0.6, 1), (512, 0.85, 1), (256, 0.5, 2), (512, 0.95, 2),
+        (512, 0.995, 3)])
+    def test_node_blocked_table_is_one_syrk(self, monkeypatch, n, alpha, blocks):
+        # a sweep's table in node blocks within the product's 2 N U floats,
+        # against one SYRK of all the unblocked flushed factors: bit for bit
+        # in one block, table and fields; in several, each table entry within
+        # 1e-14 relative and each field within 2e-15 of its largest value
+        # (measured at t in [0.1, 50]: at most 2.9e-15 and 6.6e-16, and
+        # 4.0e-15 and 9.1e-16 at N = 256, alpha 0.995)
+        w0 = gaussian_bump(PeriodicGrid(2, n / 4.0, n))
+        cfg = SolverConfig(alpha=alpha, representation="subordination")
+        times = np.geomspace(0.1, 50.0, 8)
+
+        def run():
+            step = pde_solver._Step(w0, cfg)
+            return step, [(step.multiplier(t ** alpha).copy(), step(t).copy()) for t in times]
+
+        step, got = run()
+        nodes, _ = wright_mass_nodes(alpha)
+        assert len(_node_blocks(step.values.size, nodes.size, step.work.size)) == blocks
+
+        def one_syrk(x, nodes, root, work, out):
+            g = pde_solver._heat_factors(x, nodes) * root
+            return np.matmul(g, g.T, out=out)
+
+        monkeypatch.setattr(pde_solver, "_gram", one_syrk)
+        for (tab, field), (ref_tab, ref) in zip(got, run()[1]):
+            if blocks == 1:
+                assert np.array_equal(tab, ref_tab) and np.array_equal(field, ref)
+            else:
+                assert np.all(np.abs(tab - ref_tab) <= 1e-14 * ref_tab)
+                assert np.max(np.abs(field - ref)) <= 2e-15 * np.max(np.abs(ref))
 
     def test_2d_table_is_exactly_symmetric(self, monkeypatch):
         # the tables a 2D subordination sweep reads, geometric and
