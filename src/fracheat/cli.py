@@ -268,8 +268,9 @@ def cmd_decay_compare(args) -> list[dict]:
 # field (in 2D over the product's own buffer, in 1D its own), one multiplier
 # table of (N/2+1)^dim entries and the subordination heat factors.
 # ru_maxrss less the RSS after import, 1D N = 2^24, L = 2e5 / 2D N = 4096:
-# Hankel (0.5) 36.1 / 17.6 B, real-axis (0.99) 36.7 / 17.9, exp (1.0) 36.2 /
-# 17.6, subordination 0.5 36.2 / 16.6 and 0.995 36.2 / 16.6
+# Hankel (0.5, node-major in 8,192-mode blocks) 36.1 / 17.6 B, real-axis
+# (0.99) 36.7 / 17.9, exp (1.0) 36.2 / 17.6, subordination 0.5 36.2 / 16.6
+# and 0.995 36.2 / 16.6
 _SOLVE_BYTES_PER_POINT = {1: 37, 2: 18}
 
 

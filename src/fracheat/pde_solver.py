@@ -113,9 +113,11 @@ class PeriodicGrid:
         keys = functools.reduce(np.add.outer, [k2] * self.dim)
         present = np.zeros(self.dim * half * half + 1, dtype=bool)
         present[keys] = True
-        lookup = np.cumsum(present, dtype=key)
-        lookup -= 1  # present[0]: the zero mode
-        return (2.0 * math.pi / self.box_length) ** 2 * np.flatnonzero(present), lookup[keys]
+        n = np.flatnonzero(present)
+        # each present n's rank among them; the other entries are never read
+        lookup = np.empty(present.size, dtype=key)
+        lookup[n] = np.arange(n.size, dtype=key)
+        return (2.0 * math.pi / self.box_length) ** 2 * n, lookup[keys]
 
 
 @dataclass(frozen=True)
@@ -240,9 +242,11 @@ class SolverConfig:
             _wright_alpha(self.alpha)
 
 
-# modes per block of the Hankel kernel, whose few (rows, 16) temporaries
-# take half the time in blocks of 512 rows as in blocks of 128
-_BLOCK_ROWS = 512
+# modes per block of the Hankel kernel: its seven work vectors take 448 KiB,
+# and each block pays about 150 ufunc calls, so 2,048-mode blocks took about
+# 1.5 times as long on the 5,924 modes of a 2D N = 256 grid; one whole-array
+# block lifts a 2D solve's peak past TestFootprint's limit at N = 512
+_HANKEL_BLOCK = 1 << 13
 # modes per block of the 1D subordination matvec: its (modes x nodes) heat
 # factors take at most 0.8 MB at a 784-node mass table (1.3 MB at 1,264
 # nodes, the most at alpha <= 0.95; 2.0 MB at 1,968, alpha 0.995), about a
@@ -258,7 +262,7 @@ _HEAT_BLOCK_ROWS = 128
 _FIELD_BLOCK_BYTES = 2 ** 18
 
 
-def _blocked(kernel, x: np.ndarray, rows: int = _BLOCK_ROWS) -> np.ndarray:
+def _blocked(kernel, x: np.ndarray, rows: int) -> np.ndarray:
     """kernel(x) by blocks of `rows` values, each copied into one result
     array as it is made, so the blocks are never all held at once."""
     out = np.empty(x.size)
@@ -313,7 +317,7 @@ def _kernel(cfg: SolverConfig, x: np.ndarray, work: tuple | None = None) -> np.n
         nodes, mass = wright_mass_nodes(a)
         return _blocked(lambda u: _heat_sum(nodes, mass, u, work), x, _HEAT_BLOCK_ROWS)
     if method == "direct_ml/hankel-32":
-        return _blocked(lambda u: _ml_hankel(a, u), x)
+        return _blocked(lambda u: _ml_hankel(a, u), x, _HANKEL_BLOCK)
     # exp(-x) at alpha = 1, else the real-axis rule, which holds about 80 B
     # of temporaries per value: blocks keep a 1D solve's peak under
     # cli._SOLVE_BYTES_PER_POINT
@@ -505,27 +509,29 @@ class DecayMeasurement:
     truncated_at: float | None
 
 
+# share of a sweep's |w| mass in the outer 5% edge band past which a time
+# is dropped (`decay_measurement`)
+_WRAPAROUND_TOL = 1e-6
+
+
 def decay_measurement(
     w0: Field,
     cfg: SolverConfig,
     p: float,
     q: float,
     t_list: Sequence[float],
-    wraparound_tol: float = 1e-6,
 ) -> DecayMeasurement:
     """Measure ||w(t)||_q / ||w0||_p over t_list with the boundedness check
     that the compensated ratio t^(alpha lambda delta) * ratio is
     non-increasing, lambda = dim/2 and delta = 1/p - 1/q.
 
     Times at which solution mass reaches the box boundary (beyond
-    wraparound_tol of the total) are dropped with a warning: past that
+    _WRAPAROUND_TOL of the total) are dropped with a warning: past that
     point the periodic box stops imitating free space.
     """
     p, q = float(p), float(q)
     if not (1.0 < p <= 2.0 <= q < math.inf):
         raise ValueError("require 1 < p <= 2 <= q < inf")
-    if not 0.0 <= wraparound_tol <= 1.0:  # NaN would never truncate
-        raise ValueError(f"wraparound_tol must lie in [0, 1], got {wraparound_tol}")
     ts = [float(t) for t in t_list]
     if any(not 0.0 < t < math.inf for t in ts) or any(b <= a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("t_list must be ascending finite positive times")
@@ -542,11 +548,11 @@ def decay_measurement(
         edge = _edge_share(w)
         if math.isnan(edge):
             raise FloatingPointError("non-finite values in the spectral solve")
-        if edge > wraparound_tol:
+        if edge > _WRAPAROUND_TOL:
             truncated_at = t
             warnings.warn(
                 f"wraparound at t={t:g}: boundary mass fraction {edge:.2e} "
-                f"exceeds {wraparound_tol:g}; truncating the time window",
+                f"exceeds {_WRAPAROUND_TOL:g}; truncating the time window",
                 RuntimeWarning,
             )
             break

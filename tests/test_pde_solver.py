@@ -222,6 +222,7 @@ class TestField:
         # buffer; a sweep's fields stay in its step, and nothing
         # decay_measurement returns reaches the step's buffers
         call, steps = pde_solver._Step.__call__, []
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
 
         def spy(step, t):
             steps.append(step)
@@ -233,8 +234,7 @@ class TestField:
             cfg = SolverConfig(alpha=0.6, representation=rep)
             steps.clear()
             solved = [spectral_solve(w0, cfg, t) for t in (1.0, 3.0)]
-            m = decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
-                                  wraparound_tol=1.0)
+            m = decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
             assert len(steps) == 7 and len({id(s) for s in steps}) == 3
             assert all(w.samples is s.field for w, s in zip(solved, steps))
             sweep = [v for v in vars(steps[2]).values() if isinstance(v, np.ndarray)]
@@ -304,8 +304,7 @@ class TestField:
         w0 = Field(grid, np.full((64, 64), 1e308))
         cfg = SolverConfig(alpha=0.6, representation=rep)
         for run in (lambda: spectral_solve(w0, cfg, 1.0),
-                    lambda: decay_measurement(w0, cfg, 4.0 / 3.0, 4.0,
-                                              (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)):
+                    lambda: decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
                 run()
 
@@ -472,14 +471,14 @@ class TestSolve:
         w0 = gaussian_bump(grid)
         spectrum, xi2 = np.fft.fftn(w0.samples), grid.frequencies_squared()
         seen = _spy_steps(monkeypatch)
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
         ts = (0.1, 1.0, 7.0)
         for alpha in (0.3, 0.6, 0.95):
             cfg = SolverConfig(alpha=alpha, representation=rep)
             seen.clear()
             for t in ts:
                 spectral_solve(w0, cfg, t)
-            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
-                              wraparound_tol=1.0)
+            decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
             assert [t for t, _ in seen] == [*ts, 0.1, 0.3, 1.0, 3.0, 7.0]
             for t, w in seen:
                 ref = np.fft.ifftn(spectrum * propagator_multiplier(cfg, t, xi2)).real
@@ -648,6 +647,17 @@ class TestMultiplier:
         assert np.array_equal(pde_solver._kernel(SolverConfig(alpha=alpha), x), reference)
         assert sizes == [_RULE_BLOCK, 100]
 
+    def test_hankel_kernel_runs_in_blocks(self, monkeypatch):
+        # the Hankel route holds one block's work vectors at a time, and each
+        # value is independent of its batch: one call, bit for bit
+        x = np.random.default_rng(6).permutation(
+            np.concatenate(([0.0], np.geomspace(1e-6, 1e4, pde_solver._HANKEL_BLOCK + 99))))
+        reference, sizes = _ml_hankel(0.5, x), []
+        monkeypatch.setattr(pde_solver, "_ml_hankel",
+                            lambda a, u: sizes.append(u.size) or _ml_hankel(a, u))
+        assert pde_solver._kernel(SolverConfig(alpha=0.5), x).tobytes() == reference.tobytes()
+        assert sizes == [pde_solver._HANKEL_BLOCK, 100]
+
     def test_kernel_dispatches_on_the_method(self, monkeypatch):
         # the method tag chooses the branch, so the two cannot disagree
         cfg, x = SolverConfig(alpha=0.5), np.array([0.0, 0.5, 3.0, 40.0])
@@ -723,6 +733,7 @@ class TestMultiplier:
 
         monkeypatch.setattr(pde_solver, "_blocked", per_mode)
         seen = _spy_steps(monkeypatch)
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
         for n, box in ((64, 20.0), (128, 32.0)):
             w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=box, points_per_dim=n))
             spectrum = np.fft.fftn(w0.samples)
@@ -732,8 +743,7 @@ class TestMultiplier:
                 seen.clear()
                 for t in (0.1, 1.0, 7.0, 50.0):
                     spectral_solve(w0, cfg, t)
-                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
-                                  wraparound_tol=1.0)
+                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
                 assert len(seen) == 9
                 for t, w in seen:
                     mult = _blocked_subordination(alpha, t, uniq)[inverse].reshape(n, n)
@@ -747,13 +757,13 @@ class TestMultiplier:
             raise AssertionError("the solver ran np.unique")
 
         monkeypatch.setattr(np, "unique", unique)
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
         for dim, n, box in ((1, 1024, 200.0), (2, 64, 16.0)):
             w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
             for cfg in (SolverConfig(0.6), SolverConfig(1.0), SolverConfig(0.995),
                         SolverConfig(0.6, "subordination")):
                 spectral_solve(w0, cfg, 1.0)
-                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0),
-                                  wraparound_tol=1.0)
+                decay_measurement(w0, cfg, 4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=0.95),
@@ -870,10 +880,11 @@ class TestMultiplier:
             return tables[-1]
 
         monkeypatch.setattr(pde_solver, "_gram", spy)
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
         w0 = gaussian_bump(PeriodicGrid(dim=2, box_length=32.0, points_per_dim=128))
         for alpha in (0.3, 0.95):
             decay_measurement(w0, SolverConfig(alpha=alpha, representation="subordination"),
-                              4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)
+                              4.0 / 3.0, 4.0, (0.1, 0.3, 1.0, 3.0, 7.0))
         assert len(tables) == 10
         assert all(np.array_equal(tab, tab.T) for tab in tables)
 
@@ -1023,16 +1034,17 @@ class TestDecayMeasurement:
     @pytest.mark.parametrize("dim, n, box, tol", [
         (1, 1024, 200.0, 1.0), (2, 64, 16.0, 1.0), (2, 128, 32.0, 1e-6)])
     @pytest.mark.parametrize("rep", ["direct_ml", "subordination"])
-    def test_rows_are_those_of_per_time_solves(self, dim, n, box, tol, rep):
+    def test_rows_are_those_of_per_time_solves(self, monkeypatch, dim, n, box, tol, rep):
         # each row bit for bit from the field spectral_solve returns at its
         # time, through Field.norm_lp and Field.boundary_mass_fraction; on
         # the 2D box of side 32 the wraparound guard trips at t = 4.6
         w0 = gaussian_bump(PeriodicGrid(dim=dim, box_length=box, points_per_dim=n))
         cfg = SolverConfig(alpha=0.6, representation=rep)
         p, q, ts = 4.0 / 3.0, 4.0, [float(t) for t in np.geomspace(0.01, 100.0, 13)]
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", tol)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            m = decay_measurement(w0, cfg, p, q, ts, wraparound_tol=tol)
+            m = decay_measurement(w0, cfg, p, q, ts)
         expo = 0.6 * (dim / 2.0) * (1.0 / p - 1.0 / q)
         for row, t in zip(m.rows, ts):
             w = spectral_solve(w0, cfg, t)
@@ -1055,8 +1067,3 @@ class TestDecayMeasurement:
         with pytest.raises(ValueError):
             decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
                               [1.0, 2.0, 3.0, 4.0, math.nan])
-        # a NaN tolerance would never truncate: the guard would be off
-        for tol in (math.nan, -1e-6, 1.5):
-            with pytest.raises(ValueError, match="wraparound_tol"):
-                decay_measurement(f, SolverConfig(alpha=0.5), 4.0 / 3.0, 4.0,
-                                  [1.0, 2.0, 3.0, 4.0, 5.0], wraparound_tol=tol)

@@ -156,11 +156,12 @@ def test_fits_call_no_linalg():
         "    finally:\n"
         "        sys.setprofile(None)\n"
         "    return sorted(seen)\n"
+        "pde_solver._WRAPAROUND_TOL = 1.0  # no time is dropped\n"
         "def sweep(dim, n, box, alpha):\n"
         "    grid = pde_solver.PeriodicGrid(dim=dim, box_length=box, points_per_dim=n)\n"
         "    cfg = pde_solver.SolverConfig(alpha=alpha, representation='subordination')\n"
         "    pde_solver.decay_measurement(pde_solver.gaussian_bump(grid), cfg, 4 / 3, 4.0,\n"
-        "                                 (0.1, 0.3, 1.0, 3.0, 7.0), wraparound_tol=1.0)\n"
+        "                                 (0.1, 0.3, 1.0, 3.0, 7.0))\n"
         "print(json.dumps([\n"
         "    spy(lambda: subordination.endpoint_divergence_profile(\n"
         "        0.25, list(np.logspace(-2, -5, 8)))),\n"

@@ -16,7 +16,9 @@ from fracheat.errors import UnreliableEvaluationError
 from fracheat.special_functions import (
     Alpha,
     _HANKEL_ALPHA_CAP,
+    _HANKEL_FAR_X,
     _fit_line,
+    _hankel_rule,
     mittag_leffler_contour,
     mittag_leffler_neg,
     mittag_leffler_neg_info,
@@ -330,7 +332,39 @@ def _hankel_complex(alpha, x):
     return (rg - (r @ (w * ga)).real) / x, (rg + np.abs(r * w * ga).sum()) / x
 
 
+def _hankel_broadcast(alpha, x):
+    """`_ml_hankel` as (x.size, 16) broadcast temporaries summed along their
+    rows by numpy: the layout the node-major kernel replaced, kept as the
+    reference for its bits."""
+    nodes, rg = _hankel_rule(alpha)
+    gr, gi2, *weights = np.array(nodes).T
+    out = np.empty(x.shape)
+    far = x > 1.0
+    for sel, (wr, c), xs in ((~far, weights[:2], x[~far]),
+                             (far, weights[2:], np.minimum(x[far], _HANKEL_FAR_X))):
+        a = gr + xs[:, None]
+        out[sel] = ((a * wr + c) / (a * a + gi2)).sum(axis=1)
+    out[far] = (rg - out[far]) / x[far]
+    out[x == 0.0] = 1.0
+    return out
+
+
 class TestContour:
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=_HANKEL_ALPHA_CAP),
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0),
+                              st.floats(min_value=1.0, max_value=1e150, exclude_min=True),
+                              st.floats(min_value=1e150, max_value=np.finfo(float).max)),
+                    min_size=1, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_node_major_sum_is_the_broadcast_row_sum_bit_for_bit(self, alpha, xs):
+        # each node's term on 1-D vectors, added in numpy's pairwise order for
+        # a 16-term row, on unsorted values that mix both branches, x = 0 and
+        # the far cap
+        x = np.array(xs)
+        assert _ml_hankel(alpha, x).tobytes() == _hankel_broadcast(alpha, x).tobytes()
+
     @given(
         alpha=st.floats(min_value=0.05, max_value=_HANKEL_ALPHA_CAP),
         xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e6)),

@@ -148,10 +148,11 @@ class TestCertificateOnce:
                          "--out", str(tmp_path / "mom.json")]) == 0
         assert bounds == [(0.4, subordination._certified_cut(0.4, 3.0), 3.0)]
 
-    def test_one_subordination_sweep(self, bounds):
+    def test_one_subordination_sweep(self, bounds, monkeypatch):
+        monkeypatch.setattr(pde_solver, "_WRAPAROUND_TOL", 1.0)  # no time is dropped
         w0 = gaussian_bump(PeriodicGrid(dim=1, box_length=200.0, points_per_dim=256))
         m = decay_measurement(w0, SolverConfig(0.6, "subordination"), 4.0 / 3.0, 4.0,
-                              tuple(np.geomspace(0.1, 10.0, 10)), wraparound_tol=1.0)
+                              tuple(np.geomspace(0.1, 10.0, 10)))
         assert len(m.rows) == 10
         assert bounds == [(0.6, subordination._certified_cut(0.6, 0.0), 0.0)]
 
